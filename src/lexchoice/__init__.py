@@ -42,8 +42,6 @@ from .evaluation import (
     SetDefinition,
     baseline_choose,
     chi_square,
-    evaluate,
-    make_gap_instances,
     run_grid,
 )
 from .network import (

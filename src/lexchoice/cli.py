@@ -205,8 +205,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         int(setting("max_nodes", args.max_nodes, 50_000)),
         int(setting("max_edges", args.max_edges, 500_000)),
     )
-    cross = bool(setting("cross_sentences", args.cross_sentences or None, False))
+    cross = setting("cross_sentences", args.cross_sentences or None, False)
+    if not isinstance(cross, bool):
+        raise CliError(f"cross_sentences must be true or false, got {cross!r}")
     evidence_window = setting("evidence_window", args.evidence_window, None)
+    if evidence_window is not None:
+        evidence_window = int(evidence_window)
     out_dir = Path(setting("out_dir", args.out, "eval-out"))
 
     raw_sets = config.get("sets")

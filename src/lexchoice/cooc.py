@@ -133,33 +133,6 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     )
 
 
-def merge_pair_counts(parts: list[PairCounts]) -> PairCounts:
-    """Commutative merge of pair tables counted over shards of one corpus.
-
-    Shards must share the corpus-global vocabulary and window config; only
-    the joint counts are summed.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    for part in parts[1:]:
-        if (part.half_width, part.cross_sentences) != (first.half_width, first.cross_sentences):
-            raise ValueError("cannot merge pair counts with different window configs")
-        if part.total_tokens != first.total_tokens:
-            raise ValueError("cannot merge pair counts with different corpus sizes")
-    merged: Counter[tuple[str, str]] = Counter()
-    for part in parts:
-        merged.update(part.pairs)
-    return PairCounts(
-        dict(merged),
-        freq=first.freq,
-        total_tokens=first.total_tokens,
-        half_width=first.half_width,
-        cross_sentences=first.cross_sentences,
-        stop_threshold=first.stop_threshold,
-    )
-
-
 def t_score(p: PairStats) -> float:
     """Observed minus expected joint count, normalized by sqrt(observed)."""
     if p.f_xy <= 0:
@@ -175,9 +148,18 @@ def mutual_information(p: PairStats) -> float:
 
 
 def is_significant(p: PairStats, th: SignificanceThresholds = SignificanceThresholds()) -> bool:
+    return _significant_t(p, th) is not None
+
+
+def _significant_t(p: PairStats, th: SignificanceThresholds) -> float | None:
+    """The pair's t-score when it is a significant collocation, else None:
+    the test and the edge weight from one computation."""
     if p.f_xy <= 0:
-        return False
-    return t_score(p) >= th.t_min and mutual_information(p) >= th.mi_min
+        return None
+    t = t_score(p)
+    if t >= th.t_min and mutual_information(p) >= th.mi_min:
+        return t
+    return None
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:

@@ -7,7 +7,9 @@ supported:
   separated by whitespace (a surface may itself contain slashes; the tag
   is everything after the last one).
 * ``tsv``: one ``surface<TAB>tag`` token per line, blank line ends a
-  sentence.
+  sentence. A surface may not contain whitespace, which the slash layout
+  cannot express either and which the space-separated ``.net`` format
+  cannot carry.
 
 Surfaces are lowercased on ingestion; tags are kept verbatim. A token is a
 stop word when its tag marks a number, symbol, or proper noun, or when its
@@ -39,8 +41,12 @@ DEFAULT_STOP_THRESHOLD = 800
 class CorpusFormatError(ValueError):
     """A line of corpus text does not match the declared tag format."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int, path: str | Path | None = None):
+        location = f"line {line}, column {column}"
+        if path is not None:
+            location = f"{path}: {location}"
+        super().__init__(f"{location}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -130,6 +136,11 @@ def _parse_tsv(raw: str) -> TokenStream:
             raise CorpusFormatError(
                 f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
             )
+        space = re.search(r"\s", fields[0])
+        if space:
+            raise CorpusFormatError(
+                f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
+            )
         tokens.append(Token(fields[0].lower(), fields[1], sentence_id))
         sentence_open = True
     return tokens
@@ -152,7 +163,10 @@ def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) ->
     stream: TokenStream = []
     offset = 0
     for path in paths:
-        part = ingest(Path(path).read_text(encoding="utf-8"), cfg)
+        try:
+            part = ingest(Path(path).read_text(encoding="utf-8"), cfg)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
         for tok in part:
             tok.sentence_id += offset
         stream.extend(part)
@@ -177,36 +191,6 @@ def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Voc
     vocab = Vocabulary(dict(freq), total_tokens=len(ts), stop_threshold=cfg.stop_threshold)
     apply_stop_policy(ts, vocab, cfg)
     return vocab
-
-
-def merge_vocabularies(parts: list[Vocabulary]) -> Vocabulary:
-    """Commutative merge of partial counts from corpus shards."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    thresholds = {v.stop_threshold for v in parts}
-    if len(thresholds) != 1:
-        raise ValueError(f"mismatched stop thresholds: {sorted(thresholds)}")
-    freq: Counter[str] = Counter()
-    for part in parts:
-        freq.update(part.freq)
-    total = sum(part.total_tokens for part in parts)
-    return Vocabulary(dict(freq), total_tokens=total, stop_threshold=thresholds.pop())
-
-
-def format_token_stream(ts: TokenStream) -> str:
-    """Render a stream back to slash format, one sentence per line."""
-    lines: list[str] = []
-    current: list[str] = []
-    current_id: int | None = None
-    for tok in ts:
-        if current_id is not None and tok.sentence_id != current_id:
-            lines.append(" ".join(current))
-            current = []
-        current_id = tok.sentence_id
-        current.append(f"{tok.surface}/{tok.pos}")
-    if current:
-        lines.append(" ".join(current))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

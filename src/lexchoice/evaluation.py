@@ -18,7 +18,7 @@ from typing import Iterable
 from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, choose
 from .cooc import PairCounts, SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
-from .network import NetworkCaps, build_network
+from .network import CoocNetwork, NetworkCaps, build_network
 
 # Critical value for one degree of freedom at the 5% level.
 CHI2_5PCT_CRITICAL = 3.841
@@ -118,10 +118,6 @@ def extract_instances(
     return instances
 
 
-def make_gap_instances(held_out: TokenStream, cands: CandidateSet) -> list[GapInstance]:
-    return extract_instances(held_out, cands.words(), cands.pos_category, cands.set_id)
-
-
 def baseline_choose(cands: CandidateSet) -> str:
     """The candidate most frequent in the training corpus (ties lexicographic)."""
     return min(cands.members, key=lambda m: (-m.training_freq, m.word)).word
@@ -160,28 +156,12 @@ def chi_square(correct_a: int, n_a: int, correct_b: int, n_b: int) -> tuple[floa
     return chi2, chi2 > CHI2_5PCT_CRITICAL
 
 
-def evaluate(
-    cands: CandidateSet,
-    instances: list[GapInstance],
-    config: dict | None = None,
-    evidence_window: int | None = None,
-) -> EvalReport:
-    """Accuracy of the choice program and of the baseline over the instances."""
-    if not instances:
-        raise ValueError("cannot evaluate an empty instance list")
-    member_words = set(cands.words())
-    for inst in instances:
-        if inst.gold not in member_words:
-            raise ValueError(f"instance gold {inst.gold!r} is not a candidate")
-    outcomes = judge_instances(cands, instances, evidence_window)
-    return summarize(cands, outcomes, config)
-
-
 def summarize(
     cands: CandidateSet,
     outcomes: list[InstanceOutcome],
     config: dict | None = None,
 ) -> EvalReport:
+    """Accuracy of the choice program and of the baseline over the outcomes."""
     n = len(outcomes)
     baseline_word = baseline_choose(cands)
     correct = sum(1 for o in outcomes if o.correct)
@@ -239,8 +219,12 @@ def run_grid(
 ) -> list[CellResult]:
     """Evaluate every synonym set at every grid cell.
 
-    Networks are built once per (set, window, order) cell and then queried
-    read-only across all of that cell's instances.
+    Pairs are counted once per window. Each set member's network is grown
+    once per window, at the highest order that window's cells use, and the
+    lower orders are its depth-<=d slices (``CoocNetwork.up_to_order``).
+    A network that hit a cap does not contain its lower orders, so for it
+    every order is built directly. Networks are queried read-only across
+    all of a cell's instances.
     """
     instances = {
         sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
@@ -252,37 +236,47 @@ def run_grid(
                 f"set {sdef.set_id!r}: no occurrences of {', '.join(sdef.members)} "
                 "in the held-out corpus"
             )
-    counts_by_window: dict[int, PairCounts] = {}
-    cells: list[CellResult] = []
-    for window, order in grid_cells(windows, orders):
-        if window not in counts_by_window:
-            counts_by_window[window] = count_pairs(
-                train_ts, train_vocab, WindowConfig(window, cross_sentences)
-            )
-        counts = counts_by_window[window]
-        reports: dict[str, EvalReport] = {}
-        outcomes: dict[str, list[InstanceOutcome]] = {}
+
+    def at_order(net: CoocNetwork, order: int, counts: PairCounts) -> CoocNetwork:
+        if order == net.max_order:
+            return net
+        if net.truncated:
+            return build_network(net.root, counts, thresholds, order, caps)
+        return net.up_to_order(order)
+
+    order_cells = grid_cells(windows, orders)
+    results = {
+        (window, order): CellResult(window, order, {}, {}) for window, order in order_cells
+    }
+    for window in dict.fromkeys(window for window, _ in order_cells):
+        window_orders = sorted({order for k, order in order_cells if k == window})
+        counts = count_pairs(train_ts, train_vocab, WindowConfig(window, cross_sentences))
         for sdef in set_defs:
-            members = [
-                Candidate(
-                    word=w,
-                    network=build_network(w, counts, thresholds, order, caps),
-                    training_freq=train_vocab.freq.get(w, 0),
-                )
+            grown = {
+                w: build_network(w, counts, thresholds, window_orders[-1], caps)
                 for w in sdef.members
-            ]
-            cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-            config = {
-                "window": window,
-                "order": order,
-                "t_min": thresholds.t_min,
-                "mi_min": thresholds.mi_min,
             }
-            cell_outcomes = judge_instances(cands, instances[sdef.set_id], evidence_window)
-            outcomes[sdef.set_id] = cell_outcomes
-            reports[sdef.set_id] = summarize(cands, cell_outcomes, config)
-        cells.append(CellResult(window, order, reports, outcomes))
-    return cells
+            for order in window_orders:
+                members = [
+                    Candidate(
+                        word=w,
+                        network=at_order(grown[w], order, counts),
+                        training_freq=train_vocab.freq.get(w, 0),
+                    )
+                    for w in sdef.members
+                ]
+                cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
+                config = {
+                    "window": window,
+                    "order": order,
+                    "t_min": thresholds.t_min,
+                    "mi_min": thresholds.mi_min,
+                }
+                cell = results[(window, order)]
+                cell_outcomes = judge_instances(cands, instances[sdef.set_id], evidence_window)
+                cell.outcomes[sdef.set_id] = cell_outcomes
+                cell.reports[sdef.set_id] = summarize(cands, cell_outcomes, config)
+    return [results[cell] for cell in order_cells]
 
 
 def _row_label(window: int, order: int) -> str:

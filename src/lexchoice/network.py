@@ -18,6 +18,11 @@ chosen, via dynamic programming over the depth layers: a shortest path moves
 down exactly one layer per step, so same-depth edges are stored but can
 never lie on one. Ties break toward the lexicographically smallest
 predecessor, making scores and paths deterministic.
+
+Growth is breadth-first, so an uncapped network of order D already holds
+the networks of every lower order d as its depth-<=d slices
+(``CoocNetwork.up_to_order``); the evaluation grid grows one network per
+member and window and derives the lower orders from it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .cooc import PairCounts, SignificanceThresholds, is_significant, pair_key, t_score
+from .cooc import PairCounts, SignificanceThresholds, _significant_t, pair_key
 from .ioutil import atomic_write_text
 
 # Edge weights are stored at this precision so the text format round-trips.
@@ -127,6 +132,37 @@ class CoocNetwork:
     def weight(self, w1: str, w2: str) -> float:
         return self.edges[pair_key(w1, w2)]
 
+    def up_to_order(self, order: int) -> CoocNetwork:
+        """The nodes of depth <= ``order`` and the edges among them.
+
+        This equals ``build_network(root, counts, thresholds, order)``
+        because growth is breadth-first: BFS layers 1..d and the significant
+        edges among them do not depend on ``max_order``. The invariant breaks
+        once any cap has fired (a node cap picks which candidates enter a
+        layer, an edge cap ranks edges over the whole network), so a
+        truncated network is refused: build the lower order directly.
+        """
+        if self.truncated or not 0 <= order <= self.max_order:
+            raise ValueError(
+                f"cannot derive order {order} from the order-{self.max_order} network "
+                f"of {self.root!r} (truncated: {self.truncated})"
+            )
+        depths = {w: d for w, d in self.depths.items() if d <= order}
+        edges = {
+            (w1, w2): weight
+            for (w1, w2), weight in self.edges.items()
+            if w1 in depths and w2 in depths
+        }
+        return CoocNetwork(
+            root=self.root,
+            max_order=order,
+            depths=depths,
+            edges=edges,
+            total_tokens=self.total_tokens,
+            half_width=self.half_width,
+            thresholds=self.thresholds,
+        )
+
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         if self._adjacency is None:
             adjacency: dict[str, list[tuple[str, float]]] = {w: [] for w in self.depths}
@@ -201,10 +237,9 @@ def build_network(
             for other in counts.neighbors(word):
                 if other in depths:
                     continue
-                stats = counts.stats(word, other)
-                if not is_significant(stats, thresholds):
+                t = _significant_t(counts.stats(word, other), thresholds)
+                if t is None:
                     continue
-                t = t_score(stats)
                 if other not in candidates or t > candidates[other]:
                     candidates[other] = t
         admitted = sorted(candidates, key=lambda w: (-candidates[w], w))
@@ -228,12 +263,12 @@ def build_network(
                 continue
             if abs(depths[w1] - depths[w2]) > 1:
                 continue
-            stats = counts.stats(w1, w2)
-            if is_significant(stats, thresholds):
-                edges[(w1, w2)] = round(t_score(stats), WEIGHT_DECIMALS)
+            t = _significant_t(counts.stats(w1, w2), thresholds)
+            if t is not None:
+                edges[(w1, w2)] = round(t, WEIGHT_DECIMALS)
 
     if len(edges) > caps.max_edges:
-        depths, edges = _apply_edge_cap(root, depths, edges, caps.max_edges)
+        depths, edges = _apply_edge_cap(depths, edges, caps.max_edges)
         truncated.append("edges")
 
     return CoocNetwork(
@@ -248,49 +283,46 @@ def build_network(
     )
 
 
-def _best_parent_edge(
-    word: str,
+def _best_parent_edges(
     depths: dict[str, int],
     edges: dict[tuple[str, str], float],
-) -> tuple[str, str]:
-    parent_depth = depths[word] - 1
-    best: tuple[float, str] | None = None
+) -> dict[str, tuple[str, str]]:
+    """Each non-root node's strongest edge to the layer above, in one pass
+    over the edges. Highest weight wins; ties fall to the lexicographically
+    smaller parent."""
+    best: dict[str, tuple[float, str]] = {}
     for (w1, w2), weight in edges.items():
-        if w1 == word and depths.get(w2) == parent_depth:
-            parent = w2
-        elif w2 == word and depths.get(w1) == parent_depth:
-            parent = w1
-        else:
-            continue
-        # Highest weight wins; ties fall to the lexicographically smaller parent.
-        if best is None or weight > best[0] or (weight == best[0] and parent < best[1]):
-            best = (weight, parent)
-    assert best is not None, f"node {word!r} lost its parent edge"
-    return pair_key(word, best[1])
+        for child, parent in ((w1, w2), (w2, w1)):
+            if depths[parent] != depths[child] - 1:
+                continue
+            held = best.get(child)
+            if held is None or weight > held[0] or (weight == held[0] and parent < held[1]):
+                best[child] = (weight, parent)
+    return {child: pair_key(child, parent) for child, (_, parent) in best.items()}
 
 
 def _apply_edge_cap(
-    root: str,
     depths: dict[str, int],
     edges: dict[tuple[str, str], float],
     max_edges: int,
 ) -> tuple[dict[str, int], dict[tuple[str, str], float]]:
     """Drop lowest-t edges until the cap holds, protecting each node's
     strongest parent edge; if even the parent edges overflow the cap, trim
-    the weakest deepest-layer nodes (never orphaning anyone, since parents
-    sit strictly above the layer being trimmed)."""
-    depths = dict(depths)
-    edges = dict(edges)
-    protected = {w: _best_parent_edge(w, depths, edges) for w in depths if depths[w] > 0}
-
-    while len(protected) > max_edges:
-        deepest = max(depths.values())
-        layer = [w for w in depths if depths[w] == deepest]
-        victim = min(layer, key=lambda w: (edges[protected[w]], w))
-        del depths[victim]
-        del protected[victim]
-        for key in [k for k in edges if victim in k]:
-            del edges[key]
+    nodes deepest layer first, weakest parent edge first within a layer
+    (never orphaning anyone: a trimmed node's children sit in a deeper
+    layer, which is trimmed before it)."""
+    protected = _best_parent_edges(depths, edges)
+    overflow = len(protected) - max_edges
+    if overflow > 0:
+        ranked = sorted(protected, key=lambda w: (-depths[w], edges[protected[w]], w))
+        victims = set(ranked[:overflow])
+        depths = {w: d for w, d in depths.items() if w not in victims}
+        protected = {w: key for w, key in protected.items() if w not in victims}
+        edges = {
+            (w1, w2): weight
+            for (w1, w2), weight in edges.items()
+            if w1 not in victims and w2 not in victims
+        }
 
     protected_keys = set(protected.values())
     if len(edges) > max_edges:

@@ -9,9 +9,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from lexchoice.cooc import pair_key
-from lexchoice.corpus import CorpusConfig, Token, TokenStream, build_vocabulary
-from lexchoice.network import CoocNetwork
+from lexchoice.choice import Candidate, CandidateSet
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
+from lexchoice.corpus import CorpusConfig, Token, TokenStream, Vocabulary, build_vocabulary
+from lexchoice.evaluation import (
+    CellResult,
+    SetDefinition,
+    extract_instances,
+    grid_cells,
+    judge_instances,
+    summarize,
+)
+from lexchoice.network import CoocNetwork, NetworkCaps, build_network
 
 
 def quadratic_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) -> dict:
@@ -64,6 +73,23 @@ def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tu
     cfg = CorpusConfig(stop_threshold=threshold)
     build_vocabulary(tokens, cfg)
     return tokens, cfg
+
+
+def topic_stream(rng: random.Random) -> tuple[TokenStream, Vocabulary, list[list[str]]]:
+    """Random stream whose sentences mostly draw from one of several small,
+    overlapping topics, so that significant pairs chain into deep networks.
+    Returns the stream, flagged through the real stop policy, its
+    vocabulary and the topics."""
+    words = [f"w{i}" for i in range(rng.randint(20, 40))]
+    topics = [rng.sample(words, rng.randint(2, 4)) for _ in range(rng.randint(5, 12))]
+    tokens: TokenStream = []
+    for sid in range(rng.randint(10, 80)):
+        topic = rng.choice(topics)
+        for _ in range(rng.randint(2, 8)):
+            word = rng.choice(topic if rng.random() < 0.9 else words)
+            tokens.append(Token(word, rng.choice(["NN"] * 9 + ["CD"]), sid))
+    vocab = build_vocabulary(tokens, CorpusConfig(stop_threshold=rng.choice([8, 10**9])))
+    return tokens, vocab, topics
 
 
 def bfs_depths(root: str, adjacency: dict[str, set[str]], max_depth: int) -> dict[str, int]:
@@ -132,3 +158,106 @@ def random_layered_network(rng: random.Random, max_nodes: int = 8) -> CoocNetwor
         total_tokens=10_000,
         half_width=4,
     )
+
+
+def format_token_stream(ts: TokenStream) -> str:
+    """Render a stream back to slash format, one sentence per line."""
+    lines: list[str] = []
+    current: list[str] = []
+    current_id: int | None = None
+    for tok in ts:
+        if current_id is not None and tok.sentence_id != current_id:
+            lines.append(" ".join(current))
+            current = []
+        current_id = tok.sentence_id
+        current.append(f"{tok.surface}/{tok.pos}")
+    if current:
+        lines.append(" ".join(current))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def best_parent_edge(
+    word: str,
+    depths: dict[str, int],
+    edges: dict[tuple[str, str], float],
+) -> tuple[str, str]:
+    """Scan every edge for ``word``'s strongest edge to the layer above."""
+    parent_depth = depths[word] - 1
+    best: tuple[float, str] | None = None
+    for (w1, w2), weight in edges.items():
+        if w1 == word and depths.get(w2) == parent_depth:
+            parent = w2
+        elif w2 == word and depths.get(w1) == parent_depth:
+            parent = w1
+        else:
+            continue
+        # Highest weight wins; ties fall to the lexicographically smaller parent.
+        if best is None or weight > best[0] or (weight == best[0] and parent < best[1]):
+            best = (weight, parent)
+    assert best is not None, f"node {word!r} lost its parent edge"
+    return pair_key(word, best[1])
+
+
+def quadratic_edge_cap(
+    depths: dict[str, int],
+    edges: dict[tuple[str, str], float],
+    max_edges: int,
+) -> tuple[dict[str, int], dict[tuple[str, str], float]]:
+    """The edge cap one victim at a time: protect each node's best parent
+    edge, remove the weakest deepest-layer node while the protected edges
+    alone overflow, then keep the strongest remaining edges."""
+    depths = dict(depths)
+    edges = dict(edges)
+    protected = {w: best_parent_edge(w, depths, edges) for w in depths if depths[w] > 0}
+
+    while len(protected) > max_edges:
+        deepest = max(depths.values())
+        layer = [w for w in depths if depths[w] == deepest]
+        victim = min(layer, key=lambda w: (edges[protected[w]], w))
+        del depths[victim]
+        del protected[victim]
+        for key in [k for k in edges if victim in k]:
+            del edges[key]
+
+    protected_keys = set(protected.values())
+    if len(edges) > max_edges:
+        spare = sorted(
+            (key for key in edges if key not in protected_keys),
+            key=lambda key: (-edges[key], key),
+        )
+        keep = protected_keys.union(spare[: max_edges - len(protected_keys)])
+        edges = {key: edges[key] for key in sorted(keep)}
+    return depths, edges
+
+
+def per_cell_grid(
+    train_ts: TokenStream,
+    train_vocab: Vocabulary,
+    heldout_ts: TokenStream,
+    set_defs: list[SetDefinition],
+    windows: list[int],
+    orders: list[int],
+    thresholds: SignificanceThresholds,
+    caps: NetworkCaps,
+) -> list[CellResult]:
+    """The evaluation grid with pairs recounted and every network built
+    afresh for each (window, order, set) cell."""
+    cells: list[CellResult] = []
+    for window, order in grid_cells(windows, orders):
+        counts = count_pairs(train_ts, train_vocab, WindowConfig(window))
+        cell = CellResult(window, order, {}, {})
+        for sdef in set_defs:
+            members = [
+                Candidate(w, build_network(w, counts, thresholds, order, caps),
+                          train_vocab.freq.get(w, 0))
+                for w in sdef.members
+            ]
+            cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
+            instances = extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
+            outcomes = judge_instances(cands, instances)
+            cell.outcomes[sdef.set_id] = outcomes
+            config = {"window": window, "order": order,
+                      "t_min": thresholds.t_min, "mi_min": thresholds.mi_min}
+            cell.reports[sdef.set_id] = summarize(cands, outcomes, config)
+        cells.append(cell)
+    return cells

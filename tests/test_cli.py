@@ -104,6 +104,18 @@ def test_stats_malformed_corpus_reports_position(tmp_path, capsys):
     assert "line 1" in err and "broken" in err
 
 
+def test_stats_rejects_tsv_surface_with_space(tmp_path, capsys):
+    corpus = tmp_path / "spaced.tsv"
+    corpus.write_text("the\tDT\nnew york\tNN\n")
+    code, _, err = run(
+        ["stats", "--corpus", str(corpus), "--format", "tsv", "--out", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith(f"error: {corpus}: line 2, column 4: ")
+    assert not (tmp_path / "c").exists()
+
+
 def test_build_fixture_network(fixture_stats, capsys):
     tmp_path, counts_dir = fixture_stats
     out = tmp_path / "nets"
@@ -288,6 +300,27 @@ def test_evaluate_unknown_candidate_rejected(tmp_path, capsys):
     code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
     assert code == 1
     assert "nonexistent" in err
+
+
+def test_evaluate_casts_evidence_window(tmp_path, capsys):
+    reports = []
+    for value in (3, "3"):
+        cfg_path, _ = evaluate_config(tmp_path, evidence_window=value)
+        code, stdout, _ = run(["evaluate", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        reports.append((tmp_path / "report" / "instances.tsv").read_text())
+    assert reports[0] == reports[1]
+    cfg_path, _ = evaluate_config(tmp_path, evidence_window="three")
+    code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "three" in err
+
+
+def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
+    cfg_path, _ = evaluate_config(tmp_path, cross_sentences="false")
+    code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "cross_sentences" in err
 
 
 def test_evaluate_needs_config(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,6 @@ from lexchoice.cooc import (
     WindowConfig,
     count_pairs,
     is_significant,
-    merge_pair_counts,
     mutual_information,
     pair_key,
     read_pair_counts,
@@ -200,20 +199,6 @@ def test_read_pair_counts_rejects_mismatched_vocab(tmp_path, tiny_stream, tiny_v
     other = build_vocabulary(ingest("one/NN two/NN", other_cfg), other_cfg)
     with pytest.raises(ValueError):
         read_pair_counts(path, other)
-
-
-def test_merge_pair_counts_shards_equal_whole():
-    text = "a/NN b/NN c/NN d/NN\nb/NN c/NN a/NN\nc/NN d/NN a/NN b/NN"
-    ts, vocab = stream(text)
-    whole = count_pairs(ts, vocab, WindowConfig(3))
-    shards = []
-    for sid in (0, 1, 2):
-        shard = [t for t in ts if t.sentence_id == sid]
-        shards.append(count_pairs(shard, vocab, WindowConfig(3)))
-    merged = merge_pair_counts(shards)
-    assert merged.pairs == whole.pairs
-    reversed_merge = merge_pair_counts(list(reversed(shards)))
-    assert reversed_merge.pairs == whole.pairs
 
 
 def test_window_config_validation():

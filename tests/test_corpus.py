@@ -9,15 +9,13 @@ from lexchoice.corpus import (
     Vocabulary,
     apply_stop_policy,
     build_vocabulary,
-    format_token_stream,
     ingest,
     ingest_files,
-    merge_vocabularies,
     read_vocabulary,
     write_vocabulary,
 )
 
-from oracles import random_stream
+from oracles import format_token_stream, random_stream
 
 
 def test_ingest_slash_basic():
@@ -74,6 +72,23 @@ def test_ingest_tsv_variant():
         ("b", "NN", 0),
         ("c", "VB", 1),
     ]
+
+
+def test_ingest_tsv_rejects_whitespace_in_surface():
+    cfg = CorpusConfig(format="tsv")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        ingest("a\tDT\nnew york\tNN\n", cfg)
+    assert (excinfo.value.line, excinfo.value.column) == (2, 4)
+    assert "new york" in str(excinfo.value)
+
+
+def test_ingest_files_names_the_file(tmp_path):
+    (tmp_path / "ok.tsv").write_text("a\tDT\n")
+    (tmp_path / "bad.tsv").write_text("a\tDT\nb\u00a0c\tNN\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        ingest_files([tmp_path / "ok.tsv", tmp_path / "bad.tsv"], CorpusConfig(format="tsv"))
+    assert str(excinfo.value).startswith(f"{tmp_path / 'bad.tsv'}: line 2, column 2: ")
+    assert excinfo.value.line == 2
 
 
 def test_ingest_tsv_malformed():
@@ -148,23 +163,6 @@ def test_ingest_files_concatenates_in_order(tmp_path, tiny_config):
     ts = ingest_files([tmp_path / "a.tag", tmp_path / "b.tag"], tiny_config)
     assert [t.surface for t in ts] == ["a", "b", "c", "d"]
     assert [t.sentence_id for t in ts] == [0, 0, 1, 2]
-
-
-def test_merge_vocabularies_commutative():
-    cfg = CorpusConfig(stop_threshold=10)
-    v1 = build_vocabulary(ingest("a/NN b/NN", cfg), cfg)
-    v2 = build_vocabulary(ingest("b/NN c/NN c/NN", cfg), cfg)
-    merged = merge_vocabularies([v1, v2])
-    assert merged == merge_vocabularies([v2, v1])
-    assert merged.freq == {"a": 1, "b": 2, "c": 2}
-    assert merged.total_tokens == 5
-
-
-def test_merge_vocabularies_rejects_mixed_thresholds():
-    v1 = Vocabulary({"a": 1}, 1, stop_threshold=10)
-    v2 = Vocabulary({"a": 1}, 1, stop_threshold=20)
-    with pytest.raises(ValueError):
-        merge_vocabularies([v1, v2])
 
 
 def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):

@@ -2,25 +2,29 @@ import itertools
 
 import pytest
 
+from lexchoice import evaluation
 from lexchoice.choice import GAP, Candidate, CandidateSet
-from lexchoice.cooc import pair_key
-from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
+from lexchoice.corpus import CorpusConfig, apply_stop_policy, build_vocabulary, ingest
 from lexchoice.evaluation import (
     CHI2_5PCT_CRITICAL,
     EvalReport,
     baseline_choose,
     chi_square,
     coarse_category,
-    evaluate,
     extract_instances,
     grid_cells,
-    make_gap_instances,
+    judge_instances,
     render_grid_report,
     render_instance_log,
     run_grid,
     SetDefinition,
+    summarize,
 )
-from lexchoice.network import CoocNetwork
+from lexchoice.network import CoocNetwork, NetworkCaps, build_network
+from lexchoice.synthetic import planted_corpus
+
+from oracles import per_cell_grid
 
 
 def star(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -87,10 +91,16 @@ def test_extract_groups_inflected_tags():
     assert len(instances) == 1
 
 
-def test_make_gap_instances_from_candidate_set():
-    cands = two_candidate_set()
+def judged(cands: CandidateSet, text: str, config: dict | None = None):
+    """The run_grid path: extract, judge, summarize."""
+    ts = heldout(text)
+    instances = extract_instances(ts, cands.words(), cands.pos_category, cands.set_id)
+    return summarize(cands, judge_instances(cands, instances), config)
+
+
+def test_extract_instances_carry_set_id():
     ts = heldout("an/DT alpha/NN and/CC a/DT beta/NN arrived/VBD")
-    instances = make_gap_instances(ts, cands)
+    instances = extract_instances(ts, ["alpha", "beta"], "NN", "s")
     assert [i.gold for i in instances] == ["alpha", "beta"]
     assert all(i.set_id == "s" for i in instances)
 
@@ -125,8 +135,7 @@ def test_evaluate_counts_correct_choices():
             "calm/NN beta/NN",       # beta chosen, gold beta: correct
         ]
     )
-    instances = make_gap_instances(heldout(text), cands)
-    report = evaluate(cands, instances, config={"window": 4})
+    report = judged(cands, text, config={"window": 4})
     assert report.sample_size == 4
     assert report.accuracy == pytest.approx(0.75)
     assert report.baseline_accuracy == pytest.approx(0.25)  # baseline always beta
@@ -134,23 +143,13 @@ def test_evaluate_counts_correct_choices():
 
 
 def test_evaluate_all_correct():
-    cands = two_candidate_set()
-    instances = make_gap_instances(heldout("cue/NN alpha/NN"), cands)
-    report = evaluate(cands, instances)
+    report = judged(two_candidate_set(), "cue/NN alpha/NN")
     assert report.accuracy == 1.0
 
 
 def test_evaluate_rejects_empty_instances():
     with pytest.raises(ValueError):
-        evaluate(two_candidate_set(), [])
-
-
-def test_evaluate_rejects_foreign_gold():
-    cands = two_candidate_set()
-    instances = make_gap_instances(heldout("cue/NN alpha/NN"), cands)
-    instances[0].gold = "gamma"
-    with pytest.raises(ValueError):
-        evaluate(cands, instances)
+        summarize(two_candidate_set(), [])
 
 
 def test_empty_networks_reduce_to_baseline():
@@ -160,8 +159,7 @@ def test_empty_networks_reduce_to_baseline():
     ]
     cands = CandidateSet("s", "NN", members)
     text = "cue/NN alpha/NN\nx/NN beta/NN\ny/NN alpha/NN\nz/NN beta/NN"
-    instances = make_gap_instances(heldout(text), cands)
-    report = evaluate(cands, instances)
+    report = judged(cands, text)
     assert report.accuracy == report.baseline_accuracy
     assert report.chi2 == 0.0 and not report.significant_at_5pct
 
@@ -276,3 +274,31 @@ def test_run_grid_and_reports(tmp_path):
     log = render_instance_log(cells)
     assert log.splitlines()[0].startswith("window\torder")
     assert len(log.splitlines()) == 3  # header + 2 instances
+
+
+@pytest.mark.parametrize("caps", [NetworkCaps(max_nodes=15), NetworkCaps(max_edges=60)])
+def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
+    pc = planted_corpus()
+    cfg = CorpusConfig()
+    train = ingest(pc.train_text, cfg)
+    vocab = build_vocabulary(train, cfg)
+    held = ingest(pc.heldout_text, cfg)
+    apply_stop_policy(held, vocab, cfg)
+    thresholds = SignificanceThresholds()
+    networks: list[CoocNetwork] = []
+    real_judge = evaluation.judge_instances
+
+    def recording_judge(cands, instances, evidence_window=None):
+        networks.extend(m.network for m in cands.members)
+        return real_judge(cands, instances, evidence_window)
+
+    monkeypatch.setattr(evaluation, "judge_instances", recording_judge)
+    cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], thresholds, caps)
+
+    assert any(net.truncated for net in networks)
+    counts = {k: count_pairs(train, vocab, WindowConfig(k)) for k in (4, 10)}
+    for net in networks:
+        direct = build_network(net.root, counts[net.half_width], thresholds, net.max_order, caps)
+        assert net == direct
+    assert cells == per_cell_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3],
+                                  thresholds, caps)

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lexchoice.cooc import SignificanceThresholds, pair_key
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
 from lexchoice.network import (
     CoocNetwork,
     InvalidRootError,
@@ -18,7 +19,13 @@ from lexchoice.network import (
 )
 
 from conftest import significant_counts
-from oracles import bfs_depths, enumerate_shortest_path_scores, random_layered_network
+from oracles import (
+    bfs_depths,
+    enumerate_shortest_path_scores,
+    quadratic_edge_cap,
+    random_layered_network,
+    topic_stream,
+)
 
 
 def chain_network(weights: list[float], root: str = "r") -> CoocNetwork:
@@ -131,6 +138,60 @@ def test_untruncated_build_has_no_flag():
     counts = significant_counts([("r", "a")])
     net = build_network("r", counts, max_order=1)
     assert net.truncated is None
+
+
+def grown_inputs(seed: int, window: int):
+    """Pair counts over a random topic stream and a root taken from a topic."""
+    rng = random.Random(seed)
+    ts, vocab, topics = topic_stream(rng)
+    counts = count_pairs(ts, vocab, WindowConfig(window))
+    roots = sorted(w for w in vocab.freq if not vocab.is_frequency_stopped(w))
+    root = rng.choice([w for w in rng.choice(topics) if w in roots] or roots)
+    return counts, root
+
+
+random_thresholds = st.builds(
+    SignificanceThresholds, st.floats(0.1, 1.0), st.floats(-0.5, 1.0)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, st.integers(0, 4))
+def test_lower_orders_are_depth_slices_of_an_untruncated_network(
+    seed, window, thresholds, max_order
+):
+    counts, root = grown_inputs(seed, window)
+    top = build_network(root, counts, thresholds, max_order)
+    assert top.truncated is None
+    for order in range(max_order + 1):
+        assert top.up_to_order(order) == build_network(root, counts, thresholds, order)
+
+
+def test_up_to_order_refuses_truncated_networks_and_bad_orders():
+    counts = significant_counts([("r", "a"), ("r", "b"), ("a", "c")])
+    net = build_network("r", counts, max_order=2)
+    assert net.up_to_order(1).depths == {"r": 0, "a": 1, "b": 1}
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            net.up_to_order(order)
+    capped = build_network("r", counts, max_order=2, caps=NetworkCaps(max_nodes=2))
+    with pytest.raises(ValueError, match="truncated"):
+        capped.up_to_order(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds,
+       st.integers(1, 40), st.floats(0.0, 1.0))
+def test_edge_cap_matches_reference(seed, window, thresholds, max_nodes, edge_share):
+    counts, root = grown_inputs(seed, window)
+    node_capped = build_network(root, counts, thresholds, 4, NetworkCaps(max_nodes, 10**9))
+    max_edges = int(edge_share * node_capped.edge_count)
+    net = build_network(root, counts, thresholds, 4, NetworkCaps(max_nodes, max_edges))
+    depths, edges = node_capped.depths, node_capped.edges
+    if len(edges) > max_edges:
+        depths, edges = quadratic_edge_cap(depths, edges, max_edges)
+        assert "edges" in net.truncated
+    assert (net.depths, net.edges) == (depths, edges)
 
 
 @pytest.mark.parametrize("seed", range(10))
