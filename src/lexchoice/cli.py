@@ -39,6 +39,11 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _corpus_config(fmt: str, max_freq: int) -> corpus.CorpusConfig:
     return corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
 
@@ -193,17 +198,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "evaluation requires disjoint corpora"
         )
 
+    def integer(key: str, flag_value, default) -> int:
+        value = setting(key, flag_value, default)
+        if not _is_int(value):
+            raise CliError(f"{key} must be an integer, got {value!r}")
+        return value
+
+    def number(key: str, flag_value, default) -> float:
+        value = setting(key, flag_value, default)
+        if not (_is_int(value) or isinstance(value, float)):
+            raise CliError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
+    def integers(key: str, flag_value, default) -> list[int]:
+        value = setting(key, flag_value, default)
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
+            raise CliError(f"{key} must be a list of integers, got {value!r}")
+        return value
+
     fmt = setting("format", args.format, "slash")
-    max_freq = int(setting("max_freq", args.max_freq, corpus.DEFAULT_STOP_THRESHOLD))
-    windows = [int(w) for w in setting("windows", args.window or None, [4, 10, 50])]
-    orders = [int(d) for d in setting("orders", args.order or None, [1, 2, 3])]
+    max_freq = integer("max_freq", args.max_freq, corpus.DEFAULT_STOP_THRESHOLD)
+    windows = integers("windows", args.window or None, [4, 10, 50])
+    orders = integers("orders", args.order or None, [1, 2, 3])
     thresholds = cooc.SignificanceThresholds(
-        float(setting("t_min", args.t_min, 2.0)),
-        float(setting("mi_min", args.mi_min, 2.0)),
+        number("t_min", args.t_min, 2.0),
+        number("mi_min", args.mi_min, 2.0),
     )
     caps = network.NetworkCaps(
-        int(setting("max_nodes", args.max_nodes, 50_000)),
-        int(setting("max_edges", args.max_edges, 500_000)),
+        integer("max_nodes", args.max_nodes, 50_000),
+        integer("max_edges", args.max_edges, 500_000),
     )
     cross = setting("cross_sentences", args.cross_sentences or None, False)
     if not isinstance(cross, bool):
@@ -216,10 +239,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     raw_sets = config.get("sets")
     if not raw_sets:
         raise CliError("evaluate config must define candidate sets under 'sets'")
-    set_defs = [
-        evaluation.SetDefinition(str(s["id"]), s["pos"], list(s["members"]))
-        for s in raw_sets
-    ]
+    if not isinstance(raw_sets, list):
+        raise CliError(f"sets must be a list, got {raw_sets!r}")
+    set_defs = []
+    for s in raw_sets:
+        if not isinstance(s, dict) or not {"id", "pos", "members"} <= s.keys():
+            raise CliError(f"each set needs 'id', 'pos' and 'members', got {s!r}")
+        if not isinstance(s["pos"], str):
+            raise CliError(f"set {s['id']!r}: pos must be a string, got {s['pos']!r}")
+        members = s["members"]
+        if not isinstance(members, list) or not all(isinstance(w, str) for w in members):
+            raise CliError(f"set {s['id']!r}: members must be a list of words, got {members!r}")
+        set_defs.append(evaluation.SetDefinition(str(s["id"]), s["pos"], members))
 
     cfg = _corpus_config(fmt, max_freq)
     train_ts = _read_corpus([str(p) for p in train_paths], cfg)

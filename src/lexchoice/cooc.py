@@ -16,12 +16,18 @@ where the 2k factor reflects the 2k neighbor slots around each token:
 A pair is a significant collocation when both statistics clear their
 thresholds (intersection, not union). The t-score doubles as the edge
 weight downstream; MI is only ever an inclusion filter.
+
+A pair table answers two derived queries lazily and memoises both on
+itself: the sorted neighbour index (``PairCounts.neighbors``) and each
+word's significant neighbours under given thresholds
+(``PairCounts.significant_neighbors``), which network growth reads. A
+table must therefore not be mutated once it has been queried.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,7 +80,14 @@ def pair_key(w1: str, w2: str) -> tuple[str, str]:
 
 @dataclass
 class PairCounts:
-    """Joint pair counts plus the marginals needed for significance tests."""
+    """Joint pair counts plus the marginals needed for significance tests.
+
+    The neighbour index and the significant-neighbour rows are computed on
+    first use and memoised on the table, so ``pairs`` and ``freq`` must not
+    change once the table has been queried. Resetting ``_adjacency`` to
+    None before the first query is the only supported way to edit a table
+    in place.
+    """
 
     pairs: dict[tuple[str, str], int]
     freq: dict[str, int]
@@ -83,6 +96,9 @@ class PairCounts:
     cross_sentences: bool = False
     stop_threshold: int = DEFAULT_STOP_THRESHOLD
     _adjacency: dict[str, list[str]] | None = field(default=None, repr=False, compare=False)
+    _rows: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def get(self, w1: str, w2: str) -> int:
         return self.pairs.get(pair_key(w1, w2), 0)
@@ -108,27 +124,80 @@ class PairCounts:
             self._adjacency = adjacency
         return self._adjacency.get(word, [])
 
+    def significant_neighbors(
+        self, word: str, thresholds: SignificanceThresholds
+    ) -> list[tuple[str, float]]:
+        """``(other, t)`` for each neighbour ``other`` that is a significant
+        collocate of ``word``, in ``neighbors(word)`` order, t being the
+        pair's t-score.
+
+        The same floats as ``t_score(self.stats(word, other))`` and
+        ``mutual_information`` give: the expected count is the same integer
+        product divided by N, and t and MI are the same operations on it.
+        Computed once per word and thresholds, then memoised on the table.
+        """
+        key = (word, thresholds)
+        row = self._rows.get(key)
+        if row is not None:
+            return row
+        pairs, freq = self.pairs, self.freq
+        scaled_fx = freq.get(word, 0) * 2 * self.half_width
+        total = self.total_tokens
+        t_min, mi_min = thresholds.t_min, thresholds.mi_min
+        row = []
+        for other in self.neighbors(word):
+            f_xy = pairs.get((word, other) if word < other else (other, word), 0)
+            if f_xy <= 0:
+                continue
+            expected = scaled_fx * freq.get(other, 0) / total
+            t = (f_xy - expected) / math.sqrt(f_xy)
+            if t >= t_min and math.log2(f_xy / expected) >= mi_min:
+                row.append((other, t))
+        self._rows[key] = row
+        return row
+
 
 def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> PairCounts:
-    """Count windowed co-occurrences over a flagged token stream."""
-    pairs: Counter[tuple[str, str]] = Counter()
+    """Count windowed co-occurrences over a flagged token stream.
+
+    Each sentence is walked once, keeping the positions and surfaces of its
+    non-stop tokens seen so far; a token pairs with those of them that lie
+    within ``half_width`` positions. Across sentences, when allowed, the
+    tail of the previous sentence's lists carries over.
+    """
+    pairs: dict[tuple[str, str], int] = {}
+    get = pairs.get
     k = window.half_width
+    cross = window.cross_sentences
+    positions: list[int] = []
+    surfaces: list[str] = []
+    start = 0
+    sentence = None
     for i, tok in enumerate(ts):
+        if tok.sentence_id != sentence:
+            sentence = tok.sentence_id
+            if cross:
+                del positions[:start], surfaces[:start]
+            else:
+                positions.clear()
+                surfaces.clear()
+            start = 0
         if tok.is_stop:
             continue
-        for j in range(max(0, i - k), i):
-            other = ts[j]
-            if not window.cross_sentences and other.sentence_id != tok.sentence_id:
-                continue
-            if other.is_stop or other.surface == tok.surface:
-                continue
-            pairs[pair_key(tok.surface, other.surface)] += 1
+        word = tok.surface
+        start = bisect_left(positions, i - k, start)
+        for other in surfaces[start:]:
+            if other != word:
+                key = (word, other) if word < other else (other, word)
+                pairs[key] = get(key, 0) + 1
+        positions.append(i)
+        surfaces.append(word)
     return PairCounts(
-        dict(pairs),
+        pairs,
         freq=vocab.freq,
         total_tokens=vocab.total_tokens,
         half_width=k,
-        cross_sentences=window.cross_sentences,
+        cross_sentences=cross,
         stop_threshold=vocab.stop_threshold,
     )
 
@@ -148,18 +217,7 @@ def mutual_information(p: PairStats) -> float:
 
 
 def is_significant(p: PairStats, th: SignificanceThresholds = SignificanceThresholds()) -> bool:
-    return _significant_t(p, th) is not None
-
-
-def _significant_t(p: PairStats, th: SignificanceThresholds) -> float | None:
-    """The pair's t-score when it is a significant collocation, else None:
-    the test and the edge weight from one computation."""
-    if p.f_xy <= 0:
-        return None
-    t = t_score(p)
-    if t >= th.t_min and mutual_information(p) >= th.mi_min:
-        return t
-    return None
+    return p.f_xy > 0 and t_score(p) >= th.t_min and mutual_information(p) >= th.mi_min
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
@@ -175,18 +233,32 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
 
 
 def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
+    """Read a pair table written by ``write_pair_counts``, checked against
+    the vocabulary it was counted with: same N, same F, and every pair word
+    in it (the significance statistics divide by its frequency)."""
     path = Path(path)
     header: dict[str, str] = {}
     pairs: dict[tuple[str, str], int] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    freq = vocab.freq
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line in lines:
         if not line.strip():
             continue
         if "=" in line and "\t" not in line:
             key, value = line.split("=", 1)
             header[key] = value
             continue
-        w1, w2, count = line.split("\t")
-        pairs[(w1, w2)] = int(count)
+        try:
+            w1, w2, count = line.split("\t")
+            pairs[(w1, w2)] = int(count)
+        except ValueError:
+            problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
+        else:
+            if w1 in freq and w2 in freq:
+                continue
+            problem = f"pair word {w1 if w1 not in freq else w2!r} is not in the vocabulary"
+        # Every earlier line passed, so the first line equal to this one is this one.
+        raise ValueError(f"{path}: line {lines.index(line) + 1}: {problem}")
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
     total = int(header["N"])
@@ -195,11 +267,17 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"{path}: pair counts were taken over N={total} tokens "
             f"but the vocabulary has N={vocab.total_tokens}"
         )
+    threshold = int(header.get("F", vocab.stop_threshold))
+    if threshold != vocab.stop_threshold:
+        raise ValueError(
+            f"{path}: pair counts were taken with F={threshold} "
+            f"but the vocabulary has F={vocab.stop_threshold}"
+        )
     return PairCounts(
         pairs,
-        freq=vocab.freq,
+        freq=freq,
         total_tokens=total,
         half_width=int(header["K"]),
         cross_sentences=bool(int(header.get("CROSS", "0"))),
-        stop_threshold=int(header.get("F", vocab.stop_threshold)),
+        stop_threshold=threshold,
     )

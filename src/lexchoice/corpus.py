@@ -102,23 +102,25 @@ def _parse_slash(raw: str) -> TokenStream:
     tokens: TokenStream = []
     sentence_id = 0
     for line_no, line in enumerate(raw.splitlines(), 1):
-        if not line.strip():
+        items = line.split()
+        if not items:
             continue
-        for match in re.finditer(r"\S+", line):
-            item = match.group()
-            column = match.start() + 1
-            if "/" not in item:
-                raise CorpusFormatError(
-                    f"token {item!r} missing '/' tag separator", line_no, column
-                )
-            surface, pos = item.rsplit("/", 1)
+        for item in items:
+            surface, slash, pos = item.rpartition("/")
             if not surface or not pos:
+                # The first bad item on the line is the first item equal to it.
+                problem = "has empty surface or tag" if slash else "missing '/' tag separator"
                 raise CorpusFormatError(
-                    f"token {item!r} has empty surface or tag", line_no, column
+                    f"token {item!r} {problem}", line_no, _column(line, items.index(item))
                 )
             tokens.append(Token(surface.lower(), pos, sentence_id))
         sentence_id += 1
     return tokens
+
+
+def _column(line: str, index: int) -> int:
+    """1-based column of the ``index``-th whitespace-separated item of ``line``."""
+    return list(re.finditer(r"\S+", line))[index].start() + 1
 
 
 def _parse_tsv(raw: str) -> TokenStream:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .cooc import PairCounts, SignificanceThresholds, _significant_t, pair_key
+from .cooc import PairCounts, SignificanceThresholds, pair_key
 from .ioutil import atomic_write_text
 
 # Edge weights are stored at this precision so the text format round-trips.
@@ -234,11 +234,8 @@ def build_network(
             break
         candidates: dict[str, float] = {}
         for word in sorted(frontier):
-            for other in counts.neighbors(word):
+            for other, t in counts.significant_neighbors(word, thresholds):
                 if other in depths:
-                    continue
-                t = _significant_t(counts.stats(word, other), thresholds)
-                if t is None:
                     continue
                 if other not in candidates or t > candidates[other]:
                     candidates[other] = t
@@ -258,13 +255,10 @@ def build_network(
     # layered structure intact.
     edges: dict[tuple[str, str], float] = {}
     for w1 in sorted(depths):
-        for w2 in counts.neighbors(w1):
+        for w2, t in counts.significant_neighbors(w1, thresholds):
             if w2 <= w1 or w2 not in depths:
                 continue
-            if abs(depths[w1] - depths[w2]) > 1:
-                continue
-            t = _significant_t(counts.stats(w1, w2), thresholds)
-            if t is not None:
+            if abs(depths[w1] - depths[w2]) <= 1:
                 edges[(w1, w2)] = round(t, WEIGHT_DECIMALS)
 
     if len(edges) > caps.max_edges:

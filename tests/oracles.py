@@ -7,11 +7,19 @@ library's streaming/DP code paths.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 from lexchoice.choice import Candidate, CandidateSet
 from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
-from lexchoice.corpus import CorpusConfig, Token, TokenStream, Vocabulary, build_vocabulary
+from lexchoice.corpus import (
+    CorpusConfig,
+    CorpusFormatError,
+    Token,
+    TokenStream,
+    Vocabulary,
+    build_vocabulary,
+)
 from lexchoice.evaluation import (
     CellResult,
     SetDefinition,
@@ -56,6 +64,31 @@ def forward_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) 
                 continue
             counts[pair_key(a.surface, b.surface)] += 1
     return dict(counts)
+
+
+def regex_parse_slash(raw: str) -> TokenStream:
+    """The slash-layout parser as a regex scan of each line's tokens, with
+    the column taken from the match."""
+    tokens: TokenStream = []
+    sentence_id = 0
+    for line_no, line in enumerate(raw.splitlines(), 1):
+        if not line.strip():
+            continue
+        for match in re.finditer(r"\S+", line):
+            item = match.group()
+            column = match.start() + 1
+            if "/" not in item:
+                raise CorpusFormatError(
+                    f"token {item!r} missing '/' tag separator", line_no, column
+                )
+            surface, pos = item.rsplit("/", 1)
+            if not surface or not pos:
+                raise CorpusFormatError(
+                    f"token {item!r} has empty surface or tag", line_no, column
+                )
+            tokens.append(Token(surface.lower(), pos, sentence_id))
+        sentence_id += 1
+    return tokens
 
 
 def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tuple[TokenStream, CorpusConfig]:

@@ -323,6 +323,86 @@ def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
     assert err.startswith("error: ") and "cross_sentences" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("orders", "12"),
+        ("orders", [1, "2"]),
+        ("windows", 4),
+        ("windows", [4.0]),
+        ("windows", [True]),
+        ("max_freq", [800]),
+        ("max_freq", "800"),
+        ("max_nodes", 1.5),
+        ("max_edges", None),
+        ("t_min", "2"),
+        ("mi_min", [2.0]),
+        ("mi_min", False),
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_evaluate_rejects_mistyped_config_value(tmp_path, capsys, key, value):
+    cfg_path, _ = evaluate_config(tmp_path, **{key: value})
+    code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, problem",
+    [
+        ("planted", "sets must be a list"),
+        (["planted"], "each set needs"),
+        ([{"id": "x", "pos": "NN"}], "each set needs"),
+        ([{"id": "x", "members": ["widget", "gadget"]}], "each set needs"),
+        ([{"pos": "NN", "members": ["widget", "gadget"]}], "each set needs"),
+        ([{"id": "x", "pos": "NN", "members": "widget,gadget"}], "members must be a list"),
+        ([{"id": "x", "pos": "NN", "members": ["widget", 7]}], "members must be a list"),
+        ([{"id": "x", "pos": ["NN"], "members": ["widget", "gadget"]}], "pos must be a string"),
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_evaluate_rejects_malformed_set(tmp_path, capsys, sets, problem):
+    cfg_path, _ = evaluate_config(tmp_path, sets=sets)
+    code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and problem in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
+    reports = []
+    for t_min in (2, 2.0):
+        cfg_path, _ = evaluate_config(tmp_path, t_min=t_min, mi_min=t_min)
+        code, _, _ = run(["evaluate", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        reports.append((tmp_path / "report" / "instances.tsv").read_text())
+    assert reports[0] == reports[1]
+
+
+def test_build_rejects_pairs_counted_with_another_threshold(tmp_path, capsys):
+    corpus = tmp_path / "t.tag"
+    corpus.write_text(FIXTURE)
+    for max_freq, out in (("100", "c100"), ("800", "c800")):
+        code, _, _ = run(
+            ["stats", "--corpus", str(corpus), "--max-freq", max_freq,
+             "--out", str(tmp_path / out)],
+            capsys,
+        )
+        assert code == 0
+    (tmp_path / "c800" / "pairs.tsv").write_bytes((tmp_path / "c100" / "pairs.tsv").read_bytes())
+    code, _, err = run(
+        ["build", "--counts", str(tmp_path / "c800"), "--root", "r",
+         "--out", str(tmp_path / "nets")],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'c800' / 'pairs.tsv'}: ")
+    assert "F=100" in err and "F=800" in err
+    assert not (tmp_path / "nets").exists()
+
+
 def test_evaluate_needs_config(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LEXCHOICE_CONFIG", raising=False)
     code, _, err = run(["evaluate"], capsys)

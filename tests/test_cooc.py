@@ -1,7 +1,9 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexchoice.cooc import (
     PairStats,
@@ -16,7 +18,7 @@ from lexchoice.cooc import (
     t_score,
     write_pair_counts,
 )
-from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
+from lexchoice.corpus import CorpusConfig, Token, Vocabulary, build_vocabulary, ingest
 
 from oracles import forward_pair_counts, quadratic_pair_counts, random_stream
 
@@ -166,12 +168,58 @@ def test_quadratic_oracle_small_streams(seed):
         assert counts.pairs == quadratic_pair_counts(ts, k)
 
 
+# A sentence is a list of (word, is_stop) tokens; stops land anywhere,
+# sentence edges included, and sentence ids may skip (as ingest_files does).
+sentences = st.lists(
+    st.tuples(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans()), max_size=12),
+              st.integers(1, 2)),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences, st.integers(1, 60), st.booleans())
+def test_count_pairs_matches_quadratic_oracle(sents, k, cross):
+    ts, sid = [], 0
+    for tokens, step in sents:
+        ts.extend(Token(w, "NN", sid, is_stop) for w, is_stop in tokens)
+        sid += step
+    freq = {}
+    for tok in ts:
+        freq[tok.surface] = freq.get(tok.surface, 0) + 1
+    vocab = Vocabulary(freq, total_tokens=len(ts), stop_threshold=800)
+    counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    assert counts.pairs == quadratic_pair_counts(ts, k, cross_sentences=cross)
+
+
 def test_forward_oracle_with_cross_sentences():
     rng = random.Random(99)
     ts, cfg = random_stream(rng, 400)
     vocab = build_vocabulary(ts, cfg)
     counts = count_pairs(ts, vocab, WindowConfig(5, cross_sentences=True))
     assert counts.pairs == forward_pair_counts(ts, 5, cross_sentences=True)
+
+
+random_thresholds = st.builds(
+    SignificanceThresholds, st.floats(0.01, 3.0), st.floats(-2.0, 3.0)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 400), st.integers(2, 40),
+       st.integers(1, 8), random_thresholds)
+def test_significant_neighbors_match_pair_stats(seed, n_tokens, vocab_size, k, thresholds):
+    ts, cfg = random_stream(random.Random(seed), n_tokens, vocab_size)
+    counts = count_pairs(ts, build_vocabulary(ts, cfg), WindowConfig(k))
+    for word in counts.freq:
+        expected = [
+            (other, t_score(stats))
+            for other in counts.neighbors(word)
+            if is_significant(stats := counts.stats(word, other), thresholds)
+        ]
+        row = counts.significant_neighbors(word, thresholds)
+        assert row == expected
+        assert counts.significant_neighbors(word, thresholds) is row
 
 
 def test_pair_counts_file_roundtrip(tmp_path, tiny_stream, tiny_vocab):
@@ -199,6 +247,38 @@ def test_read_pair_counts_rejects_mismatched_vocab(tmp_path, tiny_stream, tiny_v
     other = build_vocabulary(ingest("one/NN two/NN", other_cfg), other_cfg)
     with pytest.raises(ValueError):
         read_pair_counts(path, other)
+
+
+def rewrite_pairs(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+def test_read_pair_counts_rejects_other_stop_threshold(tmp_path, tiny_stream, tiny_vocab):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    rewrite_pairs(path, "F=100\n", "F=800\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*F=800.*F=100"):
+        read_pair_counts(path, tiny_vocab)
+
+
+def test_read_pair_counts_rejects_word_missing_from_vocabulary(tmp_path, tiny_stream, tiny_vocab):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    lines = path.read_text().splitlines()
+    bad_line = next(i for i, line in enumerate(lines, 1) if line.startswith("task\t"))
+    rewrite_pairs(path, "\ntask\t", "\nchore\t")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {bad_line}: pair word 'chore'"):
+        read_pair_counts(path, tiny_vocab)
+
+
+@pytest.mark.parametrize("row", ["task\ttime", "task\ttime\tmany", "task\ttime\t2\t3"])
+def test_read_pair_counts_rejects_malformed_row(tmp_path, tiny_stream, tiny_vocab, row):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    path.write_text(path.read_text() + row + "\n")
+    line_no = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line_no}: expected"):
+        read_pair_counts(path, tiny_vocab)
 
 
 def test_window_config_validation():

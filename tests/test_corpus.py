@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexchoice.corpus import (
     CorpusConfig,
@@ -15,7 +16,7 @@ from lexchoice.corpus import (
     write_vocabulary,
 )
 
-from oracles import format_token_stream, random_stream
+from oracles import format_token_stream, random_stream, regex_parse_slash
 
 
 def test_ingest_slash_basic():
@@ -62,6 +63,34 @@ def test_ingest_malformed_token_reports_line_and_column():
 def test_ingest_empty_surface_rejected():
     with pytest.raises(CorpusFormatError):
         ingest("/NN")
+
+
+# ASCII and non-ASCII whitespace, some of which str.splitlines also breaks on.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2003\u2028\u3000"
+slash_items = st.one_of(
+    st.builds("{}/{}".format, st.text("aZé/İß", min_size=1, max_size=4),
+              st.sampled_from(["NN", "CD", "vb"])),
+    st.text("aZé/İß\u200b", min_size=1, max_size=4),
+)
+slash_texts = st.lists(
+    st.tuples(st.text(WHITESPACE, max_size=2), slash_items), max_size=12
+).map(lambda parts: "".join(space + item for space, item in parts))
+
+
+def parse_outcome(parse, raw):
+    try:
+        return parse(raw)
+    except CorpusFormatError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=300, deadline=None)
+@given(slash_texts)
+def test_slash_parser_matches_regex_oracle(raw):
+    cfg = CorpusConfig(stop_pos_tags=frozenset())
+    assert parse_outcome(lambda text: ingest(text, cfg), raw) == parse_outcome(
+        regex_parse_slash, raw
+    )
 
 
 def test_ingest_tsv_variant():

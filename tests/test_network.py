@@ -167,6 +167,23 @@ def test_lower_orders_are_depth_slices_of_an_untruncated_network(
         assert top.up_to_order(order) == build_network(root, counts, thresholds, order)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, random_thresholds)
+def test_rows_are_memoised_per_thresholds(seed, window, first, second):
+    counts, root = grown_inputs(seed, window)
+    build_network(root, counts, first, 3)
+    fresh, _ = grown_inputs(seed, window)
+    assert build_network(root, counts, second, 3) == build_network(root, fresh, second, 3)
+
+
+def test_rows_are_memoised_per_thresholds_on_a_chain():
+    counts = significant_counts([("r", "a"), ("a", "b")])
+    counts.pairs[("a", "b")] = 5  # t = 1.34, MI = 1.32: in at 1/1, out at the default 2/2
+    loose = build_network("r", counts, SignificanceThresholds(1.0, 1.0), 2)
+    strict = build_network("r", counts, SignificanceThresholds(), 2)
+    assert "b" in loose.depths and "b" not in strict.depths
+
+
 def test_up_to_order_refuses_truncated_networks_and_bad_orders():
     counts = significant_counts([("r", "a"), ("r", "b"), ("a", "c")])
     net = build_network("r", counts, max_order=2)
