@@ -216,19 +216,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise CliError(f"{key} must be a list of integers, got {value!r}")
         return value
 
-    fmt = setting("format", args.format, "slash")
+    fmt = setting("format", args.format, corpus.CorpusConfig.format)
     max_freq = integer("max_freq", args.max_freq, corpus.DEFAULT_STOP_THRESHOLD)
     windows = integers("windows", args.window or None, [4, 10, 50])
     orders = integers("orders", args.order or None, [1, 2, 3])
     thresholds = cooc.SignificanceThresholds(
-        number("t_min", args.t_min, 2.0),
-        number("mi_min", args.mi_min, 2.0),
+        number("t_min", args.t_min, cooc.SignificanceThresholds.t_min),
+        number("mi_min", args.mi_min, cooc.SignificanceThresholds.mi_min),
     )
     caps = network.NetworkCaps(
-        integer("max_nodes", args.max_nodes, 50_000),
-        integer("max_edges", args.max_edges, 500_000),
+        integer("max_nodes", args.max_nodes, network.NetworkCaps.max_nodes),
+        integer("max_edges", args.max_edges, network.NetworkCaps.max_edges),
     )
-    cross = setting("cross_sentences", args.cross_sentences or None, False)
+    cross = setting("cross_sentences", args.cross_sentences or None,
+                    cooc.WindowConfig.cross_sentences)
     if not isinstance(cross, bool):
         raise CliError(f"cross_sentences must be true or false, got {cross!r}")
     evidence_window = setting("evidence_window", args.evidence_window, None)
@@ -307,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="count a corpus into vocab and pair tables")
     p_stats.add_argument("--corpus", action="append", required=True,
                          help="tagged corpus file (repeatable, concatenated in order)")
-    p_stats.add_argument("--format", choices=["slash", "tsv"], default="slash")
-    p_stats.add_argument("--window", type=int, default=4, help="half-width k")
+    p_stats.add_argument("--format", choices=["slash", "tsv"], default=corpus.CorpusConfig.format)
+    p_stats.add_argument("--window", type=int, default=cooc.WindowConfig.half_width,
+                         help="half-width k")
     p_stats.add_argument("--cross-sentences", action="store_true")
     p_stats.add_argument("--max-freq", type=int, default=corpus.DEFAULT_STOP_THRESHOLD,
                          help="stop-word frequency threshold F")
@@ -319,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--counts", required=True, help="directory from 'stats'")
     p_build.add_argument("--root", action="append", required=True)
     p_build.add_argument("--order", type=int, default=2, help="maximum relation order D")
-    p_build.add_argument("--t-min", type=float, default=2.0)
-    p_build.add_argument("--mi-min", type=float, default=2.0)
-    p_build.add_argument("--max-nodes", type=int, default=50_000)
-    p_build.add_argument("--max-edges", type=int, default=500_000)
+    p_build.add_argument("--t-min", type=float, default=cooc.SignificanceThresholds.t_min)
+    p_build.add_argument("--mi-min", type=float, default=cooc.SignificanceThresholds.mi_min)
+    p_build.add_argument("--max-nodes", type=int, default=network.NetworkCaps.max_nodes)
+    p_build.add_argument("--max-edges", type=int, default=network.NetworkCaps.max_edges)
     p_build.add_argument("--out", required=True, help="output directory for .net files")
     p_build.set_defaults(func=cmd_build)
 

@@ -84,9 +84,7 @@ class PairCounts:
 
     The neighbour index and the significant-neighbour rows are computed on
     first use and memoised on the table, so ``pairs`` and ``freq`` must not
-    change once the table has been queried. Resetting ``_adjacency`` to
-    None before the first query is the only supported way to edit a table
-    in place.
+    change once the table has been queried.
     """
 
     pairs: dict[tuple[str, str], int]
@@ -235,30 +233,39 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
 def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     """Read a pair table written by ``write_pair_counts``, checked against
     the vocabulary it was counted with: same N, same F, and every pair word
-    in it (the significance statistics divide by its frequency)."""
+    in it (the significance statistics divide by its frequency). Each row
+    must be a pair the writer can write: its words in sorted order and
+    distinct, its count at least 1, and no pair twice."""
     path = Path(path)
     header: dict[str, str] = {}
     pairs: dict[tuple[str, str], int] = {}
     freq = vocab.freq
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines:
-        if not line.strip():
-            continue
-        if "=" in line and "\t" not in line:
-            key, value = line.split("=", 1)
-            header[key] = value
-            continue
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
             w1, w2, count = line.split("\t")
-            pairs[(w1, w2)] = int(count)
+            n = int(count)
         except ValueError:
+            if "=" in line and "\t" not in line:
+                key, value = line.split("=", 1)
+                header[key] = value
+                continue
+            if not line.strip():
+                continue
             problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
-            if w1 in freq and w2 in freq:
+            pair = (w1, w2)
+            if w1 < w2 and n > 0 and w1 in freq and w2 in freq and pair not in pairs:
+                pairs[pair] = n
                 continue
-            problem = f"pair word {w1 if w1 not in freq else w2!r} is not in the vocabulary"
-        # Every earlier line passed, so the first line equal to this one is this one.
-        raise ValueError(f"{path}: line {lines.index(line) + 1}: {problem}")
+            if w1 >= w2:
+                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
+            elif n < 1:
+                problem = f"count {n} is below 1"
+            elif pair in pairs:
+                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+            else:
+                problem = f"pair word {w1 if w1 not in freq else w2!r} is not in the vocabulary"
+        raise ValueError(f"{path}: line {line_no}: {problem}")
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
     total = int(header["N"])

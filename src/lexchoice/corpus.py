@@ -203,20 +203,36 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
+    """Read a table written by ``write_vocabulary``: an ``N=`` line, an
+    optional ``F=`` line, then ``word<TAB>count`` rows whose counts are at
+    least 1 and sum to N. Anything else raises ValueError naming the file
+    and line."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("N="):
-        raise ValueError(f"{path}: missing N= header")
-    total = int(lines[0][2:])
-    threshold = DEFAULT_STOP_THRESHOLD
-    body_start = 1
-    if len(lines) > 1 and lines[1].startswith("F="):
-        threshold = int(lines[1][2:])
-        body_start = 2
     freq: dict[str, int] = {}
-    for line in lines[body_start:]:
-        if not line.strip():
-            continue
-        word, count = line.split("\t")
-        freq[word] = int(count)
+    total = None
+    threshold = DEFAULT_STOP_THRESHOLD
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            if line_no == 1:
+                expected = "N=<tokens>"
+                if not line.startswith("N="):
+                    raise ValueError
+                total = int(line[2:])
+            elif line_no == 2 and line.startswith("F="):
+                expected = "F=<threshold>"
+                threshold = int(line[2:])
+            elif line.strip():
+                expected = "word<TAB>count, count >= 1"
+                word, count = line.split("\t")
+                freq[word] = int(count)
+                if freq[word] < 1:
+                    raise ValueError
+        except ValueError:
+            problem = f"expected '{expected}', got {line!r}"
+            raise ValueError(f"{path}: line {line_no}: {problem}") from None
+    if total is None:
+        raise ValueError(f"{path}: line 1: missing N= header")
+    counted = sum(freq.values())
+    if counted != total:
+        raise ValueError(f"{path}: line 1: N={total} but the counts sum to {counted}")
     return Vocabulary(freq, total_tokens=total, stop_threshold=threshold)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, choose
-from .cooc import PairCounts, SignificanceThresholds, WindowConfig, count_pairs
+from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
-from .network import CoocNetwork, NetworkCaps, build_network
+from .network import NetworkCaps, build_network
 
 # Critical value for one degree of freedom at the 5% level.
 CHI2_5PCT_CRITICAL = 3.841
@@ -219,12 +219,10 @@ def run_grid(
 ) -> list[CellResult]:
     """Evaluate every synonym set at every grid cell.
 
-    Pairs are counted once per window. Each set member's network is grown
-    once per window, at the highest order that window's cells use, and the
-    lower orders are its depth-<=d slices (``CoocNetwork.up_to_order``).
-    A network that hit a cap does not contain its lower orders, so for it
-    every order is built directly. Networks are queried read-only across
-    all of a cell's instances.
+    Pairs are counted once per window, and every cell of that window builds
+    its members' networks from the one pair table, so the significance rows
+    it memoises are computed once per window. Networks are queried
+    read-only across all of a cell's instances.
     """
     instances = {
         sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
@@ -237,13 +235,6 @@ def run_grid(
                 "in the held-out corpus"
             )
 
-    def at_order(net: CoocNetwork, order: int, counts: PairCounts) -> CoocNetwork:
-        if order == net.max_order:
-            return net
-        if net.truncated:
-            return build_network(net.root, counts, thresholds, order, caps)
-        return net.up_to_order(order)
-
     order_cells = grid_cells(windows, orders)
     results = {
         (window, order): CellResult(window, order, {}, {}) for window, order in order_cells
@@ -252,15 +243,11 @@ def run_grid(
         window_orders = sorted({order for k, order in order_cells if k == window})
         counts = count_pairs(train_ts, train_vocab, WindowConfig(window, cross_sentences))
         for sdef in set_defs:
-            grown = {
-                w: build_network(w, counts, thresholds, window_orders[-1], caps)
-                for w in sdef.members
-            }
             for order in window_orders:
                 members = [
                     Candidate(
                         word=w,
-                        network=at_order(grown[w], order, counts),
+                        network=build_network(w, counts, thresholds, order, caps),
                         training_freq=train_vocab.freq.get(w, 0),
                     )
                     for w in sdef.members

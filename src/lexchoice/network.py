@@ -18,15 +18,11 @@ chosen, via dynamic programming over the depth layers: a shortest path moves
 down exactly one layer per step, so same-depth edges are stored but can
 never lie on one. Ties break toward the lexicographically smallest
 predecessor, making scores and paths deterministic.
-
-Growth is breadth-first, so an uncapped network of order D already holds
-the networks of every lower order d as its depth-<=d slices
-(``CoocNetwork.up_to_order``); the evaluation grid grows one network per
-member and window and derives the lower orders from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -106,8 +102,8 @@ class CoocNetwork:
                 raise ValueError(f"edge ({w1!r}, {w2!r}) references a missing node")
             if abs(self.depths[w1] - self.depths[w2]) > 1:
                 raise ValueError(f"edge ({w1!r}, {w2!r}) spans more than one depth layer")
-            if weight <= 0:
-                raise ValueError(f"edge ({w1!r}, {w2!r}) has non-positive weight {weight}")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"edge ({w1!r}, {w2!r}) has weight {weight}, not in (0, inf)")
         adjacency = self.adjacency()
         for word, depth in self.depths.items():
             if depth == 0:
@@ -131,37 +127,6 @@ class CoocNetwork:
 
     def weight(self, w1: str, w2: str) -> float:
         return self.edges[pair_key(w1, w2)]
-
-    def up_to_order(self, order: int) -> CoocNetwork:
-        """The nodes of depth <= ``order`` and the edges among them.
-
-        This equals ``build_network(root, counts, thresholds, order)``
-        because growth is breadth-first: BFS layers 1..d and the significant
-        edges among them do not depend on ``max_order``. The invariant breaks
-        once any cap has fired (a node cap picks which candidates enter a
-        layer, an edge cap ranks edges over the whole network), so a
-        truncated network is refused: build the lower order directly.
-        """
-        if self.truncated or not 0 <= order <= self.max_order:
-            raise ValueError(
-                f"cannot derive order {order} from the order-{self.max_order} network "
-                f"of {self.root!r} (truncated: {self.truncated})"
-            )
-        depths = {w: d for w, d in self.depths.items() if d <= order}
-        edges = {
-            (w1, w2): weight
-            for (w1, w2), weight in self.edges.items()
-            if w1 in depths and w2 in depths
-        }
-        return CoocNetwork(
-            root=self.root,
-            max_order=order,
-            depths=depths,
-            edges=edges,
-            total_tokens=self.total_tokens,
-            half_width=self.half_width,
-            thresholds=self.thresholds,
-        )
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         if self._adjacency is None:
@@ -382,36 +347,57 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# Header kinds of a .net file, each parsing its one value.
+_HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int,
+                 "TMIN": float, "MIMIN": float, "TRUNCATED": str}
+
+
 def read_network(path: str | Path) -> CoocNetwork:
+    """Read a network written by ``write_network``. A malformed line, or one
+    of no known kind, raises ValueError naming the file and line; a network
+    that fails validation raises one naming the file."""
     path = Path(path)
-    header: dict[str, str] = {}
+    header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
     edges: dict[tuple[str, str], float] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        kind, rest = line.split(" ", 1)
-        if kind == "NODE":
-            word, depth = rest.rsplit(" ", 1)
-            depths[word] = int(depth)
-        elif kind == "EDGE":
-            w1, w2, weight = rest.split(" ")
-            edges[(w1, w2)] = float(weight)
-        else:
-            header[kind] = rest
+        fields = line.split(" ")
+        kind = fields[0]
+        try:
+            if kind == "EDGE":
+                _, w1, w2, weight = fields
+                edges[(w1, w2)] = float(weight)
+                continue
+            if kind == "NODE":
+                _, word, depth = fields
+                depths[word] = int(depth)
+                continue
+            if kind in _HEADER_KINDS:
+                _, value = fields
+                header[kind] = _HEADER_KINDS[kind](value)
+                continue
+            problem = f"unknown line kind {kind!r}"
+        except ValueError:
+            problem = f"malformed {kind} line {line!r}"
+        raise ValueError(f"{path}: line {line_no}: {problem}")
     for required in ("ROOT", "ORDER", "N", "K"):
         if required not in header:
             raise ValueError(f"{path}: missing {required} header line")
-    thresholds = None
-    if "TMIN" in header and "MIMIN" in header:
-        thresholds = SignificanceThresholds(float(header["TMIN"]), float(header["MIMIN"]))
-    return CoocNetwork(
-        root=header["ROOT"],
-        max_order=int(header["ORDER"]),
-        depths=depths,
-        edges=edges,
-        total_tokens=int(header["N"]),
-        half_width=int(header["K"]),
-        thresholds=thresholds,
-        truncated=header.get("TRUNCATED"),
-    )
+    try:
+        thresholds = None
+        if "TMIN" in header and "MIMIN" in header:
+            thresholds = SignificanceThresholds(header["TMIN"], header["MIMIN"])
+        return CoocNetwork(
+            root=header["ROOT"],
+            max_order=header["ORDER"],
+            depths=depths,
+            edges=edges,
+            total_tokens=header["N"],
+            half_width=header["K"],
+            thresholds=thresholds,
+            truncated=header.get("TRUNCATED"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

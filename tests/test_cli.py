@@ -381,6 +381,19 @@ def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def test_build_rejects_a_swapped_pair_row(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    pairs = counts_dir / "pairs.tsv"
+    pairs.write_text(pairs.read_text().replace("\na\tr\t20\n", "\nr\ta\t20\n", 1))
+    code, _, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "r", "--out", str(tmp_path / "nets")],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: {pairs}: line 6: pair 'r' 'a' is out of order or a self-pair\n"
+    assert not (tmp_path / "nets").exists()
+
+
 def test_build_rejects_pairs_counted_with_another_threshold(tmp_path, capsys):
     corpus = tmp_path / "t.tag"
     corpus.write_text(FIXTURE)

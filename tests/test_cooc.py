@@ -281,6 +281,37 @@ def test_read_pair_counts_rejects_malformed_row(tmp_path, tiny_stream, tiny_voca
         read_pair_counts(path, tiny_vocab)
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("time\ttask\t1", "pair 'time' 'task' is out of order"),
+        ("task\ttask\t1", "pair 'task' 'task' is out of order or a self-pair"),
+        ("task\ttime\t0", "count 0 is below 1"),
+        ("task\ttime\t-7", "count -7 is below 1"),
+    ],
+    ids=["swapped", "self-pair", "zero-count", "negative-count"],
+)
+def test_read_pair_counts_rejects_rows_the_writer_never_writes(
+    tmp_path, tiny_stream, tiny_vocab, row, problem
+):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    rewrite_pairs(path, "task\ttime\t1", row)
+    line_no = path.read_text().splitlines().index(row) + 1
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line_no}: {problem}"):
+        read_pair_counts(path, tiny_vocab)
+
+
+def test_read_pair_counts_rejects_a_repeated_pair(tmp_path, tiny_stream, tiny_vocab):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    path.write_text(path.read_text() + "task\ttime\t1\n")
+    line_no = len(path.read_text().splitlines())
+    problem = f"line {line_no}: pair 'task' 'time' repeats an earlier row"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+        read_pair_counts(path, tiny_vocab)
+
+
 def test_window_config_validation():
     with pytest.raises(ValueError):
         WindowConfig(0)

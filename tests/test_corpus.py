@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,35 @@ def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):
     assert again == tiny_vocab
     first_line = path.read_text().splitlines()[0]
     assert first_line == f"N={tiny_vocab.total_tokens}"
+
+
+@pytest.mark.parametrize(
+    "old, new, line_no, expected",
+    [
+        ("N=32\n", "N=many\n", 1, "N=<tokens>"),
+        ("F=100\n", "F=\n", 2, "F=<threshold>"),
+        ("\na\t2\n", "\na 2\n", 4, "word<TAB>count, count >= 1"),
+        ("\na\t2\n", "\na\t0\n", 4, "word<TAB>count, count >= 1"),
+    ],
+    ids=["bad-total", "bad-threshold", "space-for-tab", "zero-count"],
+)
+def test_read_vocabulary_names_file_and_line(tmp_path, tiny_vocab, old, new, line_no, expected):
+    path = tmp_path / "vocab.tsv"
+    write_vocabulary(tiny_vocab, path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new, 1))
+    problem = f"line {line_no}: expected {expected!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}"):
+        read_vocabulary(path)
+
+
+def test_read_vocabulary_rejects_counts_that_miss_the_total(tmp_path, tiny_vocab):
+    path = tmp_path / "vocab.tsv"
+    write_vocabulary(tiny_vocab, path)
+    path.write_text(path.read_text().replace("\na\t2\n", "\na\t3\n", 1))
+    problem = "line 1: N=32 but the counts sum to 33"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+        read_vocabulary(path)
 
 
 def test_vocabulary_file_deterministic(tmp_path, tiny_vocab):

@@ -276,7 +276,9 @@ def test_run_grid_and_reports(tmp_path):
     assert len(log.splitlines()) == 3  # header + 2 instances
 
 
-@pytest.mark.parametrize("caps", [NetworkCaps(max_nodes=15), NetworkCaps(max_edges=60)])
+@pytest.mark.parametrize(
+    "caps", [NetworkCaps(max_nodes=15), NetworkCaps(max_edges=60), NetworkCaps()]
+)
 def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
     pc = planted_corpus()
     cfg = CorpusConfig()
@@ -295,7 +297,7 @@ def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
     monkeypatch.setattr(evaluation, "judge_instances", recording_judge)
     cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], thresholds, caps)
 
-    assert any(net.truncated for net in networks)
+    assert any(net.truncated for net in networks) == (caps != NetworkCaps())
     counts = {k: count_pairs(train, vocab, WindowConfig(k)) for k in (4, 10)}
     for net in networks:
         direct = build_network(net.root, counts[net.half_width], thresholds, net.max_order, caps)

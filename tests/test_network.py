@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,7 +68,6 @@ def test_build_excludes_insignificant_edges():
     counts = significant_counts([("r", "a")])
     counts.pairs[("b", "r")] = 1  # t ~ 0.2, below threshold
     counts.freq.setdefault("b", 50)
-    counts._adjacency = None
     net = build_network("r", counts, max_order=2)
     assert "b" not in net.depths
 
@@ -155,18 +155,6 @@ random_thresholds = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, st.integers(0, 4))
-def test_lower_orders_are_depth_slices_of_an_untruncated_network(
-    seed, window, thresholds, max_order
-):
-    counts, root = grown_inputs(seed, window)
-    top = build_network(root, counts, thresholds, max_order)
-    assert top.truncated is None
-    for order in range(max_order + 1):
-        assert top.up_to_order(order) == build_network(root, counts, thresholds, order)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, random_thresholds)
 def test_rows_are_memoised_per_thresholds(seed, window, first, second):
@@ -182,18 +170,6 @@ def test_rows_are_memoised_per_thresholds_on_a_chain():
     loose = build_network("r", counts, SignificanceThresholds(1.0, 1.0), 2)
     strict = build_network("r", counts, SignificanceThresholds(), 2)
     assert "b" in loose.depths and "b" not in strict.depths
-
-
-def test_up_to_order_refuses_truncated_networks_and_bad_orders():
-    counts = significant_counts([("r", "a"), ("r", "b"), ("a", "c")])
-    net = build_network("r", counts, max_order=2)
-    assert net.up_to_order(1).depths == {"r": 0, "a": 1, "b": 1}
-    for order in (-1, 3):
-        with pytest.raises(ValueError):
-            net.up_to_order(order)
-    capped = build_network("r", counts, max_order=2, caps=NetworkCaps(max_nodes=2))
-    with pytest.raises(ValueError, match="truncated"):
-        capped.up_to_order(1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -409,6 +385,45 @@ def test_truncation_flag_survives_roundtrip(tmp_path):
     write_network(net, tmp_path / "r.net")
     assert "TRUNCATED nodes" in (tmp_path / "r.net").read_text()
     assert read_network(tmp_path / "r.net").truncated == "nodes"
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("NODE widget", "malformed NODE line 'NODE widget'"),
+        ("EDGE a r x6.627839", "malformed EDGE line 'EDGE a r x6.627839'"),
+        ("ORDER two", "malformed ORDER line 'ORDER two'"),
+        ("WEIGHT 3", "unknown line kind 'WEIGHT'"),
+    ],
+    ids=["node-without-depth", "edge-weight", "header-value", "unknown-kind"],
+)
+def test_read_network_names_file_and_line(tmp_path, line, problem):
+    counts = significant_counts([("r", "a")])
+    path = tmp_path / "r.net"
+    write_network(build_network("r", counts, max_order=1), path)
+    path.write_text(path.read_text() + line + "\n")
+    line_no = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
+        read_network(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ("NODE a 1\n", "", "references a missing node"),
+        ("EDGE a r 4.024922", "EDGE a r nan", "has weight nan"),
+        ("EDGE a r 4.024922", "EDGE a r inf", "has weight inf"),
+    ],
+    ids=["missing-node", "nan-weight", "infinite-weight"],
+)
+def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, problem):
+    counts = significant_counts([("r", "a")])
+    path = tmp_path / "r.net"
+    write_network(build_network("r", counts, max_order=1), path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: edge .* {problem}"):
+        read_network(path)
 
 
 def test_build_weights_match_t_scores():
