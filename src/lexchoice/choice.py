@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Token
+from .corpus import GAP, Token
 from .network import CoocNetwork, significance
-
-# Placeholder surface standing in the blanked position of a gap sentence.
-GAP = "____"
 
 
 @dataclass
@@ -137,7 +134,8 @@ def parse_gap_sentence(
     """Parse a one-line gap sentence.
 
     Tokens are whitespace-separated ``surface/TAG`` items (bare surfaces are
-    accepted with an empty tag); exactly one token must equal ``gap_marker``.
+    accepted with an empty tag); exactly one token must equal ``gap_marker``,
+    and no other may have the placeholder ``GAP`` as its surface.
     """
     tokens: list[Token] = []
     gap_index: int | None = None
@@ -152,6 +150,8 @@ def parse_gap_sentence(
             surface, pos = piece.rsplit("/", 1)
         else:
             surface, pos = piece, ""
+        if surface == GAP:
+            raise ValueError(f"token {piece!r} has the gap marker {GAP!r} as its surface")
         tokens.append(Token(surface.lower(), pos, 0, is_stop=pos in stop_pos_tags))
     if gap_index is None:
         raise ValueError(f"sentence contains no gap marker {gap_marker!r}")

@@ -79,7 +79,16 @@ def _load_counts(counts_dir: str) -> cooc.PairCounts:
     return cooc.read_pair_counts(pairs_path, vocab)
 
 
+def _network_file_name(word: str) -> str:
+    """``word.net``, refused when the name would reach into another directory."""
+    name = f"{word}.net"
+    if os.sep in name or (os.altsep and os.altsep in name):
+        raise CliError(f"word {word!r} cannot name a network file: it contains a path separator")
+    return name
+
+
 def cmd_build(args: argparse.Namespace) -> int:
+    names = {root.lower(): _network_file_name(root.lower()) for root in args.root}
     counts = _load_counts(args.counts)
     thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
     caps = network.NetworkCaps(args.max_nodes, args.max_edges)
@@ -93,7 +102,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
-        network.write_network(net, out / f"{root}.net")
+        network.write_network(net, out / names[root])
         summary = f"{root}: nodes={net.node_count} edges={net.edge_count}"
         if net.truncated:
             summary += f" truncated={net.truncated}"
@@ -107,8 +116,9 @@ def cmd_choose(args: argparse.Namespace) -> int:
         raise CliError("need at least two comma-separated candidates")
     networks_dir = Path(args.networks)
     nets: dict[str, network.CoocNetwork] = {}
+    names = {word: _network_file_name(word) for word in words}
     for word in words:
-        path = networks_dir / f"{word}.net"
+        path = networks_dir / names[word]
         if not path.exists():
             raise CliError(f"no network file for candidate {word!r}: {path}")
         nets[word] = network.read_network(path)

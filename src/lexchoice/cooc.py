@@ -17,17 +17,20 @@ A pair is a significant collocation when both statistics clear their
 thresholds (intersection, not union). The t-score doubles as the edge
 weight downstream; MI is only ever an inclusion filter.
 
-A pair table answers two derived queries lazily and memoises both on
-itself: the sorted neighbour index (``PairCounts.neighbors``) and each
-word's significant neighbours under given thresholds
-(``PairCounts.significant_neighbors``), which network growth reads. A
-table must therefore not be mutated once it has been queried.
+A pair table is stored as one row per word, ``rows[a][b] == rows[b][a]``,
+the joint count of the pair: network growth reads the full row of each word
+it visits, so the rows are counted directly and no other index is built.
+Each word's significant neighbours under given thresholds
+(``PairCounts.significant_neighbors``) are computed on first use and
+memoised on the table, which must therefore not be mutated once queried.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import _count_elements  # the C loop behind Counter.update
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,28 +81,99 @@ def pair_key(w1: str, w2: str) -> tuple[str, str]:
     return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
+class PairView(MutableMapping):
+    """The pairs of a row table as a mapping ``(w1, w2) -> count``, w1 < w2.
+
+    Reads and writes go to the rows: setting a pair sets it in both words'
+    rows, and deleting one removes a row it leaves empty.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[str, dict[str, int]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[str, str]) -> int:
+        w1, w2 = key
+        row = self._rows.get(w1)
+        if w1 < w2 and row is not None and w2 in row:
+            return row[w2]
+        raise KeyError(key)
+
+    def __setitem__(self, key: tuple[str, str], count: int) -> None:
+        w1, w2 = key
+        if not w1 < w2:
+            raise ValueError(f"pair {w1!r} {w2!r} is out of order or a self-pair")
+        for a, b in ((w1, w2), (w2, w1)):
+            row = self._rows.get(a)
+            if row is None:
+                self._rows[a] = {b: count}
+            else:
+                row[b] = count
+
+    def __delitem__(self, key: tuple[str, str]) -> None:
+        self[key]  # KeyError for an absent pair
+        w1, w2 = key
+        for a, b in ((w1, w2), (w2, w1)):
+            row = self._rows[a]
+            del row[b]
+            if not row:
+                del self._rows[a]
+
+    def __iter__(self):
+        for w1, row in self._rows.items():
+            for w2 in row:
+                if w1 < w2:
+                    yield (w1, w2)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values())) // 2
+
+    def __eq__(self, other):
+        # Two views compare their rows, without building a dict of pair keys.
+        if isinstance(other, PairView):
+            return self._rows == other._rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"PairView({dict(self.items())!r})"
+
+
 @dataclass
 class PairCounts:
     """Joint pair counts plus the marginals needed for significance tests.
 
-    The neighbour index and the significant-neighbour rows are computed on
-    first use and memoised on the table, so ``pairs`` and ``freq`` must not
-    change once the table has been queried.
+    ``rows[a][b]`` is the joint count of ``a`` and ``b``, stored in both
+    words' rows; a word with no partner has no row. ``pairs`` views the same
+    counts keyed by sorted word pairs. The significant-neighbour rows are
+    computed on first use and memoised on the table, so the counts and
+    ``freq`` must not change once the table has been queried.
     """
 
-    pairs: dict[tuple[str, str], int]
+    rows: dict[str, dict[str, int]]
     freq: dict[str, int]
     total_tokens: int
     half_width: int
     cross_sentences: bool = False
     stop_threshold: int = DEFAULT_STOP_THRESHOLD
-    _adjacency: dict[str, list[str]] | None = field(default=None, repr=False, compare=False)
-    _rows: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
+    _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
+    @classmethod
+    def from_pairs(cls, pairs: Mapping[tuple[str, str], int], **fields) -> "PairCounts":
+        """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
+        table = cls({}, **fields)
+        table.pairs.update(pairs)
+        return table
+
+    @property
+    def pairs(self) -> PairView:
+        return PairView(self.rows)
+
     def get(self, w1: str, w2: str) -> int:
-        return self.pairs.get(pair_key(w1, w2), 0)
+        row = self.rows.get(w1)
+        return 0 if row is None else row.get(w2, 0)
 
     def stats(self, w1: str, w2: str) -> PairStats:
         return PairStats(
@@ -112,15 +186,7 @@ class PairCounts:
 
     def neighbors(self, word: str) -> list[str]:
         """Words that co-occurred with ``word`` at least once, sorted."""
-        if self._adjacency is None:
-            adjacency: dict[str, list[str]] = {}
-            for w1, w2 in self.pairs:
-                adjacency.setdefault(w1, []).append(w2)
-                adjacency.setdefault(w2, []).append(w1)
-            for values in adjacency.values():
-                values.sort()
-            self._adjacency = adjacency
-        return self._adjacency.get(word, [])
+        return sorted(self.rows.get(word, ()))
 
     def significant_neighbors(
         self, word: str, thresholds: SignificanceThresholds
@@ -135,69 +201,77 @@ class PairCounts:
         Computed once per word and thresholds, then memoised on the table.
         """
         key = (word, thresholds)
-        row = self._rows.get(key)
+        row = self._significant.get(key)
         if row is not None:
             return row
-        pairs, freq = self.pairs, self.freq
+        freq = self.freq
         scaled_fx = freq.get(word, 0) * 2 * self.half_width
         total = self.total_tokens
         t_min, mi_min = thresholds.t_min, thresholds.mi_min
         row = []
-        for other in self.neighbors(word):
-            f_xy = pairs.get((word, other) if word < other else (other, word), 0)
+        for other, f_xy in sorted(self.rows.get(word, {}).items()):
             if f_xy <= 0:
                 continue
             expected = scaled_fx * freq.get(other, 0) / total
             t = (f_xy - expected) / math.sqrt(f_xy)
             if t >= t_min and math.log2(f_xy / expected) >= mi_min:
                 row.append((other, t))
-        self._rows[key] = row
+        self._significant[key] = row
         return row
 
 
 def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> PairCounts:
-    """Count windowed co-occurrences over a flagged token stream.
+    """Count windowed co-occurrences over a flagged token stream into rows.
 
-    Each sentence is walked once, keeping the positions and surfaces of its
-    non-stop tokens seen so far; a token pairs with those of them that lie
-    within ``half_width`` positions. Across sentences, when allowed, the
-    tail of the previous sentence's lists carries over.
+    The stream is cut into sentences (one piece with ``cross_sentences``),
+    each kept as the positions and surfaces of its non-stop tokens. A token
+    at position p adds every surface at positions p-k..p+k to its own row;
+    the row's entry for the word itself is dropped at the end, and so is a
+    row left empty.
     """
-    pairs: dict[tuple[str, str], int] = {}
-    get = pairs.get
     k = window.half_width
     cross = window.cross_sentences
+    rows: dict[str, dict[str, int]] = {}
     positions: list[int] = []
     surfaces: list[str] = []
-    start = 0
     sentence = None
     for i, tok in enumerate(ts):
         if tok.sentence_id != sentence:
             sentence = tok.sentence_id
-            if cross:
-                del positions[:start], surfaces[:start]
-            else:
-                positions.clear()
-                surfaces.clear()
-            start = 0
-        if tok.is_stop:
-            continue
-        word = tok.surface
-        start = bisect_left(positions, i - k, start)
-        for other in surfaces[start:]:
-            if other != word:
-                key = (word, other) if word < other else (other, word)
-                pairs[key] = get(key, 0) + 1
-        positions.append(i)
-        surfaces.append(word)
+            if not cross:
+                _count_windows(rows, positions, surfaces, k)
+                positions, surfaces = [], []
+        if not tok.is_stop:
+            positions.append(i)
+            surfaces.append(tok.surface)
+    _count_windows(rows, positions, surfaces, k)
+    for word, row in list(rows.items()):
+        del row[word]
+        if not row:
+            del rows[word]
     return PairCounts(
-        pairs,
+        rows,
         freq=vocab.freq,
         total_tokens=vocab.total_tokens,
         half_width=k,
         cross_sentences=cross,
         stop_threshold=vocab.stop_threshold,
     )
+
+
+def _count_windows(
+    rows: dict[str, dict[str, int]], positions: list[int], surfaces: list[str], k: int
+) -> None:
+    """Add to each token's row the surfaces within ``k`` positions of it,
+    itself included."""
+    lo = hi = 0
+    for p, word in zip(positions, surfaces):
+        lo = bisect_left(positions, p - k, lo)
+        hi = bisect_right(positions, p + k, hi)
+        row = rows.get(word)
+        if row is None:
+            row = rows[word] = {}
+        _count_elements(row, surfaces[lo:hi])
 
 
 def t_score(p: PairStats) -> float:
@@ -225,8 +299,10 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
         f"F={counts.stop_threshold}",
         f"CROSS={int(counts.cross_sentences)}",
     ]
-    for (w1, w2) in sorted(counts.pairs):
-        lines.append(f"{w1}\t{w2}\t{counts.pairs[(w1, w2)]}")
+    rows = counts.rows
+    for w1 in sorted(rows):
+        row = rows[w1]
+        lines.extend(f"{w1}\t{w2}\t{row[w2]}" for w2 in sorted(w2 for w2 in row if w1 < w2))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -238,7 +314,7 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     distinct, its count at least 1, and no pair twice."""
     path = Path(path)
     header: dict[str, str] = {}
-    pairs: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, int]] = {}
     freq = vocab.freq
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
@@ -253,15 +329,22 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
                 continue
             problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
-            pair = (w1, w2)
-            if w1 < w2 and n > 0 and w1 in freq and w2 in freq and pair not in pairs:
-                pairs[pair] = n
+            row = rows.get(w1)
+            if row is None:
+                row = rows[w1] = {}
+            if w1 < w2 and n > 0 and w1 in freq and w2 in freq and w2 not in row:
+                row[w2] = n
+                other = rows.get(w2)
+                if other is None:
+                    rows[w2] = {w1: n}
+                else:
+                    other[w1] = n
                 continue
             if w1 >= w2:
                 problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
             elif n < 1:
                 problem = f"count {n} is below 1"
-            elif pair in pairs:
+            elif w2 in row:
                 problem = f"pair {w1!r} {w2!r} repeats an earlier row"
             else:
                 problem = f"pair word {w1 if w1 not in freq else w2!r} is not in the vocabulary"
@@ -281,7 +364,7 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
     return PairCounts(
-        pairs,
+        rows,
         freq=freq,
         total_tokens=total,
         half_width=int(header["K"]),

@@ -37,6 +37,10 @@ DEFAULT_STOP_TAGS = frozenset(
 
 DEFAULT_STOP_THRESHOLD = 800
 
+# Placeholder surface standing in the blanked position of a gap sentence; no
+# corpus token may have it as its surface.
+GAP = "____"
+
 
 class CorpusFormatError(ValueError):
     """A line of corpus text does not match the declared tag format."""
@@ -107,9 +111,14 @@ def _parse_slash(raw: str) -> TokenStream:
             continue
         for item in items:
             surface, slash, pos = item.rpartition("/")
-            if not surface or not pos:
+            if not surface or not pos or surface == GAP:
                 # The first bad item on the line is the first item equal to it.
-                problem = "has empty surface or tag" if slash else "missing '/' tag separator"
+                if not slash:
+                    problem = "missing '/' tag separator"
+                elif surface == GAP:
+                    problem = f"has the gap marker {GAP!r} as its surface"
+                else:
+                    problem = "has empty surface or tag"
                 raise CorpusFormatError(
                     f"token {item!r} {problem}", line_no, _column(line, items.index(item))
                 )
@@ -143,6 +152,8 @@ def _parse_tsv(raw: str) -> TokenStream:
             raise CorpusFormatError(
                 f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
             )
+        if fields[0] == GAP:
+            raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
         tokens.append(Token(fields[0].lower(), fields[1], sentence_id))
         sentence_open = True
     return tokens

@@ -31,7 +31,7 @@ def make_counts(pairs: dict[tuple[str, str], int], freq: dict[str, int],
                 stop_threshold: int = 800) -> PairCounts:
     """Hand-crafted pair table; keys are normalized to sorted order."""
     table = {pair_key(*key): value for key, value in pairs.items()}
-    return PairCounts(
+    return PairCounts.from_pairs(
         table,
         freq=freq,
         total_tokens=total_tokens,

@@ -66,6 +66,20 @@ def forward_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) 
     return dict(counts)
 
 
+def sorted_key_pair_table_text(counts) -> str:
+    """The pair-table file as ``write_pair_counts`` writes it, from the
+    pair keys sorted as tuples."""
+    lines = [
+        f"N={counts.total_tokens}",
+        f"K={counts.half_width}",
+        f"F={counts.stop_threshold}",
+        f"CROSS={int(counts.cross_sentences)}",
+    ]
+    for (w1, w2) in sorted(counts.pairs):
+        lines.append(f"{w1}\t{w2}\t{counts.pairs[(w1, w2)]}")
+    return "\n".join(lines) + "\n"
+
+
 def regex_parse_slash(raw: str) -> TokenStream:
     """The slash-layout parser as a regex scan of each line's tokens, with
     the column taken from the match."""

@@ -199,6 +199,13 @@ def test_parse_gap_sentence_requires_exactly_one_gap():
         parse_gap_sentence("____ two ____")
 
 
+@pytest.mark.parametrize("text, marker", [(f"{GAP}/NN x/NN {GAP}", GAP),
+                                          (f"x/NN [gap] {GAP}", "[gap]")])
+def test_parse_gap_sentence_rejects_the_placeholder_as_a_word(text, marker):
+    with pytest.raises(ValueError, match="has the gap marker"):
+        parse_gap_sentence(text, marker)
+
+
 def test_top_contributors_sorted():
     net = evidence_network("c", {"u": 1.0, "v": 3.0, "w": 2.0})
     s = sentence(["u", "v", "w", "g"], 3)

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from lexchoice.cli import main
-from lexchoice.cooc import PairCounts, write_pair_counts
-from lexchoice.corpus import Vocabulary, write_vocabulary
+from lexchoice.cooc import PairCounts, read_pair_counts, write_pair_counts
+from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
+from lexchoice.network import build_network, write_network
 from lexchoice.synthetic import planted_corpus
 
 FIXTURE = "r/NN a/NN\nr/NN b/NN\na/NN c/NN\n"
@@ -24,8 +25,8 @@ def write_star_counts(base, roots_and_counts, freq, total):
     """Craft a counts artifact directly (vocab.tsv + pairs.tsv)."""
     vocab = Vocabulary(freq, total_tokens=total, stop_threshold=800)
     write_vocabulary(vocab, base / "vocab.tsv")
-    counts = PairCounts(
-        dict(roots_and_counts), freq=freq, total_tokens=total, half_width=4,
+    counts = PairCounts.from_pairs(
+        roots_and_counts, freq=freq, total_tokens=total, half_width=4,
         stop_threshold=800,
     )
     write_pair_counts(counts, base / "pairs.tsv")
@@ -172,6 +173,54 @@ def test_build_truncation_flag(tmp_path, capsys):
     assert code == 0
     assert "truncated=nodes" in stdout
     assert "TRUNCATED nodes" in (out / "r.net").read_text()
+
+
+@pytest.fixture
+def slash_word_stats(tmp_path, capsys):
+    """Counts of a corpus whose words ``../evil`` and ``and/or`` hold slashes."""
+    corpus = tmp_path / "slashes.tag"
+    corpus.write_text(
+        "\n".join(["r/NN ../evil/NN"] * 20 + ["r/NN and/or/CC"] * 20
+                   + ["p/NN q/NN s/NN t/NN u/NN"] * 600)
+        + "\n"
+    )
+    out = tmp_path / "counts"
+    assert run(["stats", "--corpus", str(corpus), "--out", str(out)], capsys)[0] == 0
+    return tmp_path, out
+
+
+@pytest.mark.parametrize("root", ["../evil", "and/or"])
+def test_build_rejects_a_root_with_a_path_separator(slash_word_stats, capsys, root):
+    tmp_path, counts_dir = slash_word_stats
+    out = tmp_path / "nets"
+    code, stdout, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "r", "--root", root,
+         "--order", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == (f"error: word {root!r} cannot name a network file: "
+                   "it contains a path separator\n")
+    assert not out.exists() and not (tmp_path / "evil.net").exists()
+
+
+def test_choose_rejects_a_candidate_with_a_path_separator(slash_word_stats, capsys):
+    tmp_path, counts_dir = slash_word_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--out", str(nets)],
+               capsys)[0] == 0
+    counts = read_pair_counts(counts_dir / "pairs.tsv", read_vocabulary(counts_dir / "vocab.tsv"))
+    write_network(build_network("../evil", counts), tmp_path / "evil.net")
+    code, stdout, err = run(
+        ["choose", "--networks", str(nets), "--candidates", "r,../evil",
+         "--sentence", "p/NN ____ q/NN"],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == ("error: word '../evil' cannot name a network file: "
+                   "it contains a path separator\n")
 
 
 def test_choose_fixture_ranking(fixture_stats, capsys):

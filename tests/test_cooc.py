@@ -1,11 +1,14 @@
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchoice.cooc import (
+    PairCounts,
     PairStats,
     SignificanceThresholds,
     UndefinedStatisticError,
@@ -18,9 +21,14 @@ from lexchoice.cooc import (
     t_score,
     write_pair_counts,
 )
-from lexchoice.corpus import CorpusConfig, Token, Vocabulary, build_vocabulary, ingest
+from lexchoice.corpus import GAP, CorpusConfig, Token, Vocabulary, build_vocabulary, ingest
 
-from oracles import forward_pair_counts, quadratic_pair_counts, random_stream
+from oracles import (
+    forward_pair_counts,
+    quadratic_pair_counts,
+    random_stream,
+    sorted_key_pair_table_text,
+)
 
 
 def stream(text, threshold=100):
@@ -237,6 +245,102 @@ def test_pair_counts_file_deterministic(tmp_path, tiny_stream, tiny_vocab):
     write_pair_counts(counts, tmp_path / "p1.tsv")
     write_pair_counts(counts, tmp_path / "p2.tsv")
     assert (tmp_path / "p1.tsv").read_bytes() == (tmp_path / "p2.tsv").read_bytes()
+
+
+# Surfaces the ingesters accept: no whitespace and not the gap marker, with
+# slashes, '=', case folding and control characters among them.
+surfaces = st.one_of(
+    st.sampled_from(["a", "b", "B", "a/b", "x=y", "é", "ß", "İ"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+).filter(lambda w: not any(c.isspace() for c in w) and w.lower() != GAP)
+tagged_sentences = st.lists(
+    st.lists(st.tuples(surfaces, st.sampled_from(["NN", "VB", "CD", "NNP"])),
+             min_size=1, max_size=12),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_sentences, st.sampled_from(["slash", "tsv"]), st.sampled_from([1, 2, 4, 800]),
+       st.integers(1, 60), st.booleans())
+def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
+    if fmt == "slash":
+        text = "\n".join(" ".join(f"{w}/{tag}" for w, tag in sent) for sent in sents)
+    else:
+        text = "\n\n".join("\n".join(f"{w}\t{tag}" for w, tag in sent) for sent in sents)
+    cfg = CorpusConfig(format=fmt, stop_threshold=threshold)
+    ts = ingest(text, cfg)
+    vocab = build_vocabulary(ts, cfg)
+    counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pair_counts(counts, path)
+        assert path.read_bytes() == sorted_key_pair_table_text(counts).encode("utf-8")
+        again = read_pair_counts(path, vocab)
+    assert again == counts
+    assert all(counts.rows.values()) and all(again.rows.values())
+
+
+def small_table(pairs):
+    return PairCounts.from_pairs(pairs, freq=dict.fromkeys("abcd", 5), total_tokens=20,
+                                 half_width=4)
+
+
+def test_pairs_view_writes_both_rows():
+    counts = small_table({("a", "b"): 2})
+    counts.pairs[("a", "c")] = 3
+    counts.pairs[("a", "b")] += 1
+    assert counts.rows == {"a": {"b": 3, "c": 3}, "b": {"a": 3}, "c": {"a": 3}}
+    assert counts.get("c", "a") == counts.get("a", "c") == 3
+    assert counts.neighbors("a") == ["b", "c"]
+    with pytest.raises(ValueError, match="out of order"):
+        counts.pairs[("c", "a")] = 1
+    with pytest.raises(ValueError, match="self-pair"):
+        counts.pairs[("d", "d")] = 1
+
+
+def test_pairs_view_membership_and_length():
+    counts = small_table({("a", "b"): 2, ("b", "c"): 1, ("a", "c"): 4})
+    assert ("a", "b") in counts.pairs
+    assert ("b", "a") not in counts.pairs
+    assert ("a", "d") not in counts.pairs
+    assert ("d", "z") not in counts.pairs
+    assert len(counts.pairs) == 3
+    assert sorted(counts.pairs) == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+def test_pairs_view_equals_a_plain_dict_both_ways():
+    plain = {("a", "b"): 2, ("b", "c"): 1}
+    counts = small_table(plain)
+    assert counts.pairs == plain and plain == counts.pairs
+    assert counts.pairs != {("a", "b"): 2} and {("a", "b"): 2} != counts.pairs
+    assert counts.pairs != {("a", "b"): 2, ("b", "c"): 9}
+    assert counts.pairs == small_table(plain).pairs
+    assert counts.pairs != small_table({("a", "b"): 2}).pairs
+
+
+def test_deleting_a_pair_leaves_no_empty_row():
+    counts = small_table({("a", "b"): 2, ("a", "c"): 1})
+    del counts.pairs[("a", "b")]
+    assert counts.rows == {"a": {"c": 1}, "c": {"a": 1}}
+    with pytest.raises(KeyError):
+        del counts.pairs[("a", "b")]
+    del counts.pairs[("a", "c")]
+    assert counts.rows == {} and len(counts.pairs) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_pairs_rebuilds_a_counted_table(seed):
+    ts, cfg = random_stream(random.Random(seed), 300)
+    vocab = build_vocabulary(ts, cfg)
+    counts = count_pairs(ts, vocab, WindowConfig(3, cross_sentences=bool(seed % 2)))
+    plain = dict(counts.pairs.items())
+    rebuilt = PairCounts.from_pairs(
+        plain, freq=vocab.freq, total_tokens=vocab.total_tokens, half_width=3,
+        cross_sentences=bool(seed % 2), stop_threshold=vocab.stop_threshold,
+    )
+    assert rebuilt.pairs == plain
+    assert rebuilt == counts
 
 
 def test_read_pair_counts_rejects_mismatched_vocab(tmp_path, tiny_stream, tiny_vocab):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchoice.corpus import (
+    GAP,
     CorpusConfig,
     CorpusFormatError,
     Token,
@@ -119,6 +120,26 @@ def test_ingest_files_names_the_file(tmp_path):
         ingest_files([tmp_path / "ok.tsv", tmp_path / "bad.tsv"], CorpusConfig(format="tsv"))
     assert str(excinfo.value).startswith(f"{tmp_path / 'bad.tsv'}: line 2, column 2: ")
     assert excinfo.value.line == 2
+
+
+def test_ingest_slash_rejects_the_gap_marker_as_a_surface(tmp_path):
+    path = tmp_path / "gap.tag"
+    path.write_text(f"a/DT\nb/NN  {GAP}/NN c/NN\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        ingest_files([path])
+    assert (excinfo.value.line, excinfo.value.column) == (2, 7)
+    assert str(excinfo.value) == (
+        f"{path}: line 2, column 7: token '{GAP}/NN' has the gap marker '{GAP}' as its surface"
+    )
+
+
+def test_ingest_tsv_rejects_the_gap_marker_as_a_surface(tmp_path):
+    path = tmp_path / "gap.tsv"
+    path.write_text(f"a\tDT\n\n{GAP}\tNN\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        ingest_files([path], CorpusConfig(format="tsv"))
+    assert (excinfo.value.line, excinfo.value.column) == (3, 1)
+    assert str(excinfo.value) == f"{path}: line 3, column 1: surface '{GAP}' is the gap marker"
 
 
 def test_ingest_tsv_malformed():
