@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import GAP, Token
-from .network import CoocNetwork, significance
+from .network import CoocNetwork
 
 
 @dataclass
@@ -92,19 +92,29 @@ class ChoiceScore:
         return [(word, value) for word, value in ranked[:n] if value > 0]
 
 
+def _evidence_surfaces(sentence: GapSentence, evidence_window: int | None) -> list[str]:
+    return [tok.surface for tok in sentence.evidence_tokens(evidence_window)]
+
+
+def _score_surfaces(net: CoocNetwork, surfaces: list[str]) -> ChoiceScore:
+    """Total the network's path scores over ``surfaces``, in order."""
+    scores = net.path_scores()
+    total = 0.0
+    per_word: dict[str, float] = {}
+    for surface in surfaces:
+        value = scores.get(surface, 0.0)
+        total += value
+        per_word[surface] = per_word.get(surface, 0.0) + value
+    return ChoiceScore(candidate=net.root, total=total, per_word=per_word)
+
+
 def score_candidate(
     net: CoocNetwork,
     sentence: GapSentence,
     evidence_window: int | None = None,
 ) -> ChoiceScore:
     """Total the network's relation scores over the sentence's evidence tokens."""
-    total = 0.0
-    per_word: dict[str, float] = {}
-    for tok in sentence.evidence_tokens(evidence_window):
-        value = significance(net, tok.surface).value
-        total += value
-        per_word[tok.surface] = per_word.get(tok.surface, 0.0) + value
-    return ChoiceScore(candidate=net.root, total=total, per_word=per_word)
+    return _score_surfaces(net, _evidence_surfaces(sentence, evidence_window))
 
 
 def choose(
@@ -114,14 +124,16 @@ def choose(
 ) -> list[ChoiceScore]:
     """Rank candidates by evidence total, descending.
 
-    Ties (the all-zero case included) go to the candidate with the higher
-    training frequency, then lexicographically, so the degenerate ranking
-    reproduces the most-frequent-synonym baseline.
+    The sentence's evidence is picked once and scored against each
+    candidate's network. Ties (the all-zero case included) go to the
+    candidate with the higher training frequency, then lexicographically, so
+    the degenerate ranking reproduces the most-frequent-synonym baseline.
     """
     if not cands.members:
         raise ValueError("cannot choose from an empty candidate set")
     freq = {m.word: m.training_freq for m in cands.members}
-    scores = [score_candidate(m.network, sentence, evidence_window) for m in cands.members]
+    surfaces = _evidence_surfaces(sentence, evidence_window)
+    scores = [_score_surfaces(m.network, surfaces) for m in cands.members]
     scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
     return scores
 

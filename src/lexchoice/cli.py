@@ -44,6 +44,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _evidence_window(value) -> int | None:
+    """The evidence window, refused unless null or a non-negative integer:
+    a negative window keeps no evidence at all."""
+    if value is not None and not (_is_int(value) and value >= 0):
+        raise CliError(f"evidence_window must be a non-negative integer or null, got {value!r}")
+    return value
+
+
 def _corpus_config(fmt: str, max_freq: int) -> corpus.CorpusConfig:
     return corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
 
@@ -89,8 +97,8 @@ def _network_file_name(word: str) -> str:
 
 def cmd_build(args: argparse.Namespace) -> int:
     names = {root.lower(): _network_file_name(root.lower()) for root in args.root}
-    counts = _load_counts(args.counts)
     thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
+    counts = _load_counts(args.counts)
     caps = network.NetworkCaps(args.max_nodes, args.max_edges)
     out = Path(args.out)
     failed = False
@@ -111,6 +119,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_choose(args: argparse.Namespace) -> int:
+    evidence_window = _evidence_window(args.evidence_window)
     words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
     if len(words) < 2:
         raise CliError("need at least two comma-separated candidates")
@@ -140,7 +149,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
         pos_category=args.pos,
         members=[choice.Candidate(w, nets[w], freqs[w]) for w in words],
     )
-    ranked = choice.choose(cands, sentence, args.evidence_window)
+    ranked = choice.choose(cands, sentence, evidence_window)
     fallback = ranked[0].total == 0.0
 
     if args.json:
@@ -242,9 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     cooc.WindowConfig.cross_sentences)
     if not isinstance(cross, bool):
         raise CliError(f"cross_sentences must be true or false, got {cross!r}")
-    evidence_window = setting("evidence_window", args.evidence_window, None)
-    if evidence_window is not None:
-        evidence_window = int(evidence_window)
+    evidence_window = _evidence_window(setting("evidence_window", args.evidence_window, None))
     out_dir = Path(setting("out_dir", args.out, "eval-out"))
 
     raw_sets = config.get("sets")

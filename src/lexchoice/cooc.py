@@ -23,6 +23,13 @@ it visits, so the rows are counted directly and no other index is built.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
 memoised on the table, which must therefore not be mutated once queried.
+
+Count floor: E > 0, so t = (f - E) / sqrt(f) < sqrt(f), and a pair whose
+count is below ``t_min**2`` can never pass the t test. A row is therefore
+cut to the entries whose count reaches ``t_min**2`` before it is sorted and
+scored. The floor sits a relative ``COUNT_FLOOR_MARGIN`` below ``t_min**2``:
+at f = ``t_min**2`` with a tiny E, the float t can round to exactly
+``t_min``, and such a pair passes.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ from pathlib import Path
 
 from .corpus import TokenStream, Vocabulary, DEFAULT_STOP_THRESHOLD
 from .ioutil import atomic_write_text
+
+
+# Relative slack under t_min**2 for the count floor: far above the few ulps
+# by which the float t and t_min * t_min can err, far below the gap to the
+# next integer count.
+COUNT_FLOOR_MARGIN = 1e-9
 
 
 class UndefinedStatisticError(ValueError):
@@ -58,8 +71,13 @@ class SignificanceThresholds:
     mi_min: float = 2.0
 
     def __post_init__(self):
-        if self.t_min <= 0:
-            raise ValueError("t_min must be positive (edge weights must stay positive)")
+        # NaN fails every comparison, so it passes no threshold and breaks
+        # the memo key (nan != nan); edge weights must stay positive.
+        if not 0 < self.t_min < math.inf or math.isnan(self.mi_min):
+            raise ValueError(
+                "t_min must be positive and finite and mi_min not NaN, "
+                f"got t_min={self.t_min} mi_min={self.mi_min}"
+            )
 
 
 @dataclass(frozen=True)
@@ -198,7 +216,9 @@ class PairCounts:
         The same floats as ``t_score(self.stats(word, other))`` and
         ``mutual_information`` give: the expected count is the same integer
         product divided by N, and t and MI are the same operations on it.
-        Computed once per word and thresholds, then memoised on the table.
+        Only entries at or above the count floor (module docstring) are
+        sorted and scored. Computed once per word and thresholds, then
+        memoised on the table.
         """
         key = (word, thresholds)
         row = self._significant.get(key)
@@ -208,10 +228,11 @@ class PairCounts:
         scaled_fx = freq.get(word, 0) * 2 * self.half_width
         total = self.total_tokens
         t_min, mi_min = thresholds.t_min, thresholds.mi_min
+        floor = t_min * t_min * (1 - COUNT_FLOOR_MARGIN)
+        counts = self.rows.get(word, {})
         row = []
-        for other, f_xy in sorted(self.rows.get(word, {}).items()):
-            if f_xy <= 0:
-                continue
+        for other in sorted(other for other, f_xy in counts.items() if f_xy >= floor):
+            f_xy = counts[other]
             expected = scaled_fx * freq.get(other, 0) / total
             t = (f_xy - expected) / math.sqrt(f_xy)
             if t >= t_min and math.log2(f_xy / expected) >= mi_min:

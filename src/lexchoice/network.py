@@ -18,6 +18,10 @@ chosen, via dynamic programming over the depth layers: a shortest path moves
 down exactly one layer per step, so same-depth edges are stored but can
 never lie on one. Ties break toward the lexicographically smallest
 predecessor, making scores and paths deterministic.
+
+One DP sweep scores every node at once: ``CoocNetwork.path_scores()`` is the
+map word -> score (the root scoring 0.0), filled on first use and read by
+``significance`` and by sentence scoring alike.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ class CoocNetwork:
     _adjacency: dict[str, list[tuple[str, float]]] | None = field(
         default=None, repr=False, compare=False
     )
-    _best: dict[str, float] | None = field(default=None, repr=False, compare=False)
+    _scores: dict[str, float] | None = field(default=None, repr=False, compare=False)
     _pred: dict[str, str | None] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,18 +143,22 @@ class CoocNetwork:
             self._adjacency = adjacency
         return self._adjacency
 
-    def _ensure_path_scores(self) -> None:
-        """One DP sweep over the depth layers fills the score cache for
-        every node; queries afterwards are dictionary lookups."""
-        if self._best is not None:
-            return
+    def path_scores(self) -> dict[str, float]:
+        """Every node's relation score to the root, the root's being 0.0.
+
+        One DP sweep over the depth layers fills the map, and each node's
+        chosen predecessor, on first use; the map must not be mutated."""
+        if self._scores is not None:
+            return self._scores
         adjacency = self.adjacency()
         layers: dict[int, list[str]] = {}
         for word, depth in self.depths.items():
             layers.setdefault(depth, []).append(word)
         best: dict[str, float] = {self.root: 0.0}
+        scores: dict[str, float] = {self.root: 0.0}
         pred: dict[str, str | None] = {self.root: None}
         for depth in range(1, max(layers) + 1):
+            cube = depth**3
             for word in sorted(layers.get(depth, [])):
                 chosen_score: float | None = None
                 chosen_pred: str | None = None
@@ -162,9 +170,11 @@ class CoocNetwork:
                         chosen_score = candidate
                         chosen_pred = other
                 best[word] = chosen_score  # type: ignore[assignment]  # parent guaranteed
+                scores[word] = chosen_score / cube  # type: ignore[operator]
                 pred[word] = chosen_pred
-        self._best = best
+        self._scores = scores
         self._pred = pred
+        return scores
 
 
 def build_network(
@@ -300,7 +310,7 @@ def max_sig_shortest_path(net: CoocNetwork, word: str) -> SigPath:
         raise WordNotInNetworkError(
             f"{word!r} is not in the network rooted at {net.root!r}"
         )
-    net._ensure_path_scores()
+    net.path_scores()
     assert net._pred is not None
     path = [word]
     while path[-1] != net.root:
@@ -320,11 +330,7 @@ def significance(net: CoocNetwork, word: str) -> SigScore:
     depth = net.depths.get(word)
     if depth is None:
         return SigScore(0.0, None)
-    if depth == 0:
-        return SigScore(0.0, 0)
-    net._ensure_path_scores()
-    assert net._best is not None
-    return SigScore(net._best[word] / depth**3, depth)
+    return SigScore(net.path_scores()[word], depth)
 
 
 def write_network(net: CoocNetwork, path: str | Path) -> None:

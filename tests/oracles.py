@@ -6,12 +6,19 @@ library's streaming/DP code paths.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
 
-from lexchoice.choice import Candidate, CandidateSet
-from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
+from lexchoice.choice import Candidate, CandidateSet, GapSentence
+from lexchoice.cooc import (
+    PairCounts,
+    SignificanceThresholds,
+    WindowConfig,
+    count_pairs,
+    pair_key,
+)
 from lexchoice.corpus import (
     CorpusConfig,
     CorpusFormatError,
@@ -28,7 +35,7 @@ from lexchoice.evaluation import (
     judge_instances,
     summarize,
 )
-from lexchoice.network import CoocNetwork, NetworkCaps, build_network
+from lexchoice.network import CoocNetwork, NetworkCaps, build_network, significance
 
 
 def quadratic_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) -> dict:
@@ -64,6 +71,25 @@ def forward_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) 
                 continue
             counts[pair_key(a.surface, b.surface)] += 1
     return dict(counts)
+
+
+def unfloored_significant_neighbors(
+    counts: PairCounts, word: str, thresholds: SignificanceThresholds
+) -> list[tuple[str, float]]:
+    """A word's significant neighbours with no count floor: every row entry
+    sorted and scored, with the same float operations as the library."""
+    freq = counts.freq
+    scaled_fx = freq.get(word, 0) * 2 * counts.half_width
+    total = counts.total_tokens
+    row = []
+    for other, f_xy in sorted(counts.rows.get(word, {}).items()):
+        if f_xy <= 0:
+            continue
+        expected = scaled_fx * freq.get(other, 0) / total
+        t = (f_xy - expected) / math.sqrt(f_xy)
+        if t >= thresholds.t_min and math.log2(f_xy / expected) >= thresholds.mi_min:
+            row.append((other, t))
+    return row
 
 
 def sorted_key_pair_table_text(counts) -> str:
@@ -176,12 +202,14 @@ def enumerate_shortest_path_scores(net: CoocNetwork, word: str) -> list[tuple[fl
     return found
 
 
-def random_layered_network(rng: random.Random, max_nodes: int = 8) -> CoocNetwork:
-    """Random valid network: every non-root node gets a parent one layer up,
-    plus extra same-layer and adjacent-layer edges."""
+def random_layered_network(
+    rng: random.Random, max_nodes: int = 8, root: str = "w0"
+) -> CoocNetwork:
+    """Random valid network over ``root`` and words ``w1``, ``w2``, ...: every
+    non-root node gets a parent one layer up, plus extra same-layer and
+    adjacent-layer edges."""
     n = rng.randint(2, max_nodes)
-    words = [f"w{i}" for i in range(n)]
-    root = words[0]
+    words = [root] + [f"w{i}" for i in range(1, n)]
     depths = {root: 0}
     for word in words[1:]:
         depths[word] = rng.randint(1, min(3, max(depths.values()) + 1))
@@ -205,6 +233,25 @@ def random_layered_network(rng: random.Random, max_nodes: int = 8) -> CoocNetwor
         total_tokens=10_000,
         half_width=4,
     )
+
+
+def summed_significance(
+    net: CoocNetwork, sentence: GapSentence, evidence_window: int | None = None
+) -> tuple[float, dict[str, float]]:
+    """A candidate's evidence total and per-word breakdown, by one
+    ``significance`` call per evidence token, left to right."""
+    total = 0.0
+    per_word: dict[str, float] = {}
+    for i, tok in enumerate(sentence.tokens):
+        distance = abs(i - sentence.gap_index)
+        if distance == 0 or tok.is_stop:
+            continue
+        if evidence_window is not None and distance > evidence_window:
+            continue
+        value = significance(net, tok.surface).value
+        total += value
+        per_word[tok.surface] = per_word.get(tok.surface, 0.0) + value
+    return total, per_word
 
 
 def format_token_stream(ts: TokenStream) -> str:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexchoice.choice import (
     GAP,
@@ -14,6 +15,8 @@ from lexchoice.choice import (
 from lexchoice.cooc import pair_key
 from lexchoice.corpus import DEFAULT_STOP_TAGS, Token
 from lexchoice.network import CoocNetwork
+
+from oracles import random_layered_network, summed_significance
 
 
 def evidence_network(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -211,3 +214,30 @@ def test_top_contributors_sorted():
     s = sentence(["u", "v", "w", "g"], 3)
     score = score_candidate(net, s)
     assert score.top_contributors(2) == [("v", pytest.approx(3.0)), ("w", pytest.approx(2.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1, 3]))
+def test_scores_match_summed_significance(seed, evidence_window):
+    """Every candidate's total and breakdown equal the sum of one
+    significance() per evidence token, bit for bit, and choose ranks them."""
+    rng = random.Random(seed)
+    roots = ["c0", "c1", "c2"][: rng.randint(2, 3)]
+    members = [
+        Candidate(root, random_layered_network(rng, 8, root=root), rng.randint(0, 3))
+        for root in roots
+    ]
+    pool = roots + [f"w{i}" for i in range(1, 9)] + ["zz"]
+    tokens = [Token(rng.choice(pool), "NN", 0, is_stop=rng.random() < 0.2)
+              for _ in range(rng.randint(1, 14))]
+    s = GapSentence.blank_out(tokens, rng.randrange(len(tokens)))
+    expected = {m.word: summed_significance(m.network, s, evidence_window) for m in members}
+    for m in members:
+        score = score_candidate(m.network, s, evidence_window)
+        assert (score.total, score.per_word) == expected[m.word]
+    ranked = choose(CandidateSet("s", "NN", members), s, evidence_window)
+    freq = {m.word: m.training_freq for m in members}
+    assert [r.candidate for r in ranked] == sorted(
+        roots, key=lambda w: (-expected[w][0], -freq[w], w)
+    )
+    assert all((r.total, r.per_word) == expected[r.candidate] for r in ranked)

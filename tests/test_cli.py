@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,6 +265,22 @@ def test_choose_stop_only_sentence_falls_back(fixture_stats, capsys):
     assert "winner: r" in stdout
 
 
+def test_choose_checks_evidence_window(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--order", "2", "--out", str(nets)], capsys)[0] == 0
+    argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
+            "--sentence", "c/NN here/RB ____"]
+    code, stdout, _ = run(argv + ["--evidence-window", "1"], capsys)
+    assert code == 0 and "baseline fallback" in stdout
+    code, stdout, _ = run(argv + ["--evidence-window", "2"], capsys)
+    assert code == 0 and "baseline fallback" not in stdout
+    code, stdout, err = run(argv + ["--evidence-window", "-1"], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: evidence_window must be ") and "-1" in err
+
+
 def test_choose_missing_network_names_candidate(tmp_path, capsys):
     code, _, err = run(
         ["choose", "--networks", str(tmp_path), "--candidates", "x,y",
@@ -351,18 +368,20 @@ def test_evaluate_unknown_candidate_rejected(tmp_path, capsys):
     assert "nonexistent" in err
 
 
-def test_evaluate_casts_evidence_window(tmp_path, capsys):
+def test_evaluate_checks_evidence_window(tmp_path, capsys):
     reports = []
-    for value in (3, "3"):
+    for value, flags in ((3, []), (None, ["--evidence-window", "3"])):
         cfg_path, _ = evaluate_config(tmp_path, evidence_window=value)
-        code, stdout, _ = run(["evaluate", "--config", str(cfg_path)], capsys)
+        code, _, _ = run(["evaluate", "--config", str(cfg_path)] + flags, capsys)
         assert code == 0
         reports.append((tmp_path / "report" / "instances.tsv").read_text())
     assert reports[0] == reports[1]
-    cfg_path, _ = evaluate_config(tmp_path, evidence_window="three")
-    code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    cfg_path, _ = evaluate_config(tmp_path, out_dir=str(tmp_path / "negative"))
+    code, _, err = run(["evaluate", "--config", str(cfg_path), "--evidence-window", "-1"],
+                       capsys)
     assert code == 1
-    assert err.startswith("error: ") and "three" in err
+    assert err.startswith("error: evidence_window must be ") and "-1" in err
+    assert not (tmp_path / "negative").exists()
 
 
 def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
@@ -387,6 +406,11 @@ def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
         ("t_min", "2"),
         ("mi_min", [2.0]),
         ("mi_min", False),
+        ("evidence_window", "3"),
+        ("evidence_window", "three"),
+        ("evidence_window", 3.7),
+        ("evidence_window", True),
+        ("evidence_window", -1),
     ],
     ids=lambda v: json.dumps(v),
 )
@@ -428,6 +452,36 @@ def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
         assert code == 0
         reports.append((tmp_path / "report" / "instances.tsv").read_text())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-min", "nan"], ["--mi-min", "nan"], ["--t-min", "inf"]],
+    ids=lambda v: " ".join(v),
+)
+def test_build_rejects_nan_and_infinite_thresholds(fixture_stats, capsys, flags):
+    tmp_path, counts_dir = fixture_stats
+    out = tmp_path / "nets"
+    code, stdout, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "r", "--out", str(out)] + flags,
+        capsys,
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and "t_min" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [({}, ["--t-min", "nan"]), ({"mi_min": math.nan}, []), ({"t_min": math.inf}, [])],
+    ids=["t-min-flag", "mi-min-config", "t-min-config"],
+)
+def test_evaluate_rejects_nan_and_infinite_thresholds(tmp_path, capsys, overrides, flags):
+    cfg_path, _ = evaluate_config(tmp_path, **overrides)
+    code, _, err = run(["evaluate", "--config", str(cfg_path)] + flags, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "t_min" in err
+    assert not (tmp_path / "report").exists()
 
 
 def test_build_rejects_a_swapped_pair_row(fixture_stats, capsys):

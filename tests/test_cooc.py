@@ -28,6 +28,7 @@ from oracles import (
     quadratic_pair_counts,
     random_stream,
     sorted_key_pair_table_text,
+    unfloored_significant_neighbors,
 )
 
 
@@ -230,6 +231,56 @@ def test_significant_neighbors_match_pair_stats(seed, n_tokens, vocab_size, k, t
         assert counts.significant_neighbors(word, thresholds) is row
 
 
+@st.composite
+def floor_tables(draw):
+    """A row of counts at and beside n, with ``t_min`` at, just above or
+    just below sqrt(n) (or anywhere), and N from small to so large that the
+    expected counts all but vanish."""
+    n = draw(st.integers(1, 2_000))
+    root = math.sqrt(n)
+    t_min = draw(st.one_of(
+        st.sampled_from([root, math.nextafter(root, math.inf), math.nextafter(root, 0.0)]),
+        st.floats(0.01, 50.0),
+    ))
+    near = st.integers(max(1, n - 2), n + 2)
+    counts = draw(st.lists(st.one_of(near, st.integers(1, 3 * n + 3)), min_size=1, max_size=12))
+    freq = {"x": draw(st.integers(1, 60))}
+    row = {}
+    for i, f_xy in enumerate(counts):
+        freq[f"y{i}"] = draw(st.integers(1, 60))
+        row[("x", f"y{i}")] = f_xy
+    total = draw(st.one_of(st.integers(50, 10**7), st.sampled_from([10**12, 10**18, 10**24])))
+    table = PairCounts.from_pairs(row, freq=freq, total_tokens=total,
+                                  half_width=draw(st.integers(1, 10)))
+    mi_min = draw(st.one_of(st.floats(-3.0, 8.0), st.just(-math.inf)))
+    return table, SignificanceThresholds(t_min, mi_min)
+
+
+@settings(max_examples=600, deadline=None)
+@given(floor_tables())
+def test_count_floor_keeps_every_passing_pair(case):
+    counts, thresholds = case
+    for word in counts.rows:
+        assert counts.significant_neighbors(word, thresholds) == unfloored_significant_neighbors(
+            counts, word, thresholds
+        )
+
+
+@pytest.mark.parametrize(
+    "n, t_min",
+    [(4, 2.0), (5, math.sqrt(5)), (3, math.nextafter(math.sqrt(3), math.inf)),
+     (6, math.nextafter(math.sqrt(6), math.inf))],
+)
+def test_count_floor_keeps_a_pair_whose_t_rounds_to_t_min(n, t_min):
+    # With E = 2e-24, t = n / sqrt(n) in floats, which rounds to at least
+    # t_min; for n other than 4, n is below the float t_min * t_min.
+    counts = PairCounts.from_pairs({("x", "y"): n}, freq={"x": 1, "y": 1},
+                                   total_tokens=10**24, half_width=1)
+    thresholds = SignificanceThresholds(t_min, 2.0)
+    assert counts.significant_neighbors("x", thresholds) == [("y", n / math.sqrt(n))]
+    assert n / math.sqrt(n) >= t_min and (n == 4 or n < t_min * t_min)
+
+
 def test_pair_counts_file_roundtrip(tmp_path, tiny_stream, tiny_vocab):
     counts = count_pairs(tiny_stream, tiny_vocab, WindowConfig(4))
     path = tmp_path / "pairs.tsv"
@@ -424,6 +475,20 @@ def test_window_config_validation():
 def test_thresholds_require_positive_t():
     with pytest.raises(ValueError):
         SignificanceThresholds(t_min=0.0)
+
+
+@pytest.mark.parametrize(
+    "t_min, mi_min",
+    [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (-math.inf, 2.0)],
+    ids=["nan-t", "nan-mi", "inf-t", "minus-inf-t"],
+)
+def test_thresholds_reject_nan_and_unbounded_values(t_min, mi_min):
+    with pytest.raises(ValueError, match="t_min"):
+        SignificanceThresholds(t_min, mi_min)
+
+
+def test_thresholds_allow_unbounded_mi():
+    assert SignificanceThresholds(2.0, -math.inf).mi_min == -math.inf
 
 
 def test_pair_key_orders():

@@ -426,6 +426,18 @@ def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, probl
         read_network(path)
 
 
+@pytest.mark.parametrize("old, new", [("TMIN 2.0", "TMIN nan"), ("MIMIN 2.0", "MIMIN nan"),
+                                      ("TMIN 2.0", "TMIN inf")])
+def test_read_network_names_file_of_invalid_thresholds(tmp_path, old, new):
+    counts = significant_counts([("r", "a")])
+    path = tmp_path / "r.net"
+    write_network(build_network("r", counts, max_order=1), path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*t_min"):
+        read_network(path)
+
+
 def test_build_weights_match_t_scores():
     counts = significant_counts([("r", "a")])
     net = build_network("r", counts, max_order=1)
