@@ -75,9 +75,6 @@ class CandidateSet:
         if len(set(words)) != len(words):
             raise ValueError("duplicate candidate words")
 
-    def words(self) -> list[str]:
-        return [m.word for m in self.members]
-
 
 @dataclass
 class ChoiceScore:

@@ -120,6 +120,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_choose(args: argparse.Namespace) -> int:
     evidence_window = _evidence_window(args.evidence_window)
+    if args.top < 0:
+        raise CliError(f"--top must be a non-negative integer, got {args.top}")
     words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
     if len(words) < 2:
         raise CliError("need at least two comma-separated candidates")

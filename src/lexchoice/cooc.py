@@ -72,10 +72,11 @@ class SignificanceThresholds:
 
     def __post_init__(self):
         # NaN fails every comparison, so it passes no threshold and breaks
-        # the memo key (nan != nan); edge weights must stay positive.
-        if not 0 < self.t_min < math.inf or math.isnan(self.mi_min):
+        # the memo key (nan != nan); no finite MI reaches mi_min = +inf; edge
+        # weights must stay positive.
+        if not 0 < self.t_min < math.inf or not self.mi_min < math.inf:
             raise ValueError(
-                "t_min must be positive and finite and mi_min not NaN, "
+                "t_min must be positive and finite and mi_min below +inf and not NaN, "
                 f"got t_min={self.t_min} mi_min={self.mi_min}"
             )
 
@@ -327,14 +328,47 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# The header keys of a pair table, each with what its integer value means
+# and the test that value must pass.
+_PAIR_HEADER = {
+    "N": ("tokens", lambda n: True),
+    "K": ("half-width >= 1", lambda n: n >= 1),
+    "F": ("threshold >= 1", lambda n: n >= 1),
+    "CROSS": ("0 or 1", lambda n: n in (0, 1)),
+}
+
+
+def _read_pair_header(line: str, header: dict[str, int], after_rows: bool) -> str | None:
+    """File the header line ``key=value`` under ``header``, or say what is
+    wrong with it."""
+    key, value = line.split("=", 1)
+    if after_rows:
+        return f"header line {key}= after the first pair row"
+    if key not in _PAIR_HEADER:
+        return f"unknown header key {key!r}"
+    if key in header:
+        return f"header key {key}= repeats an earlier line"
+    meaning, test = _PAIR_HEADER[key]
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or not test(number):
+        return f"expected '{key}=<{meaning}>', got {line!r}"
+    header[key] = number
+    return None
+
+
 def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     """Read a pair table written by ``write_pair_counts``, checked against
     the vocabulary it was counted with: same N, same F, and every pair word
     in it (the significance statistics divide by its frequency). Each row
     must be a pair the writer can write: its words in sorted order and
-    distinct, its count at least 1, and no pair twice."""
+    distinct, its count at least 1, and no pair twice. The header lines
+    come first, each key at most once with an integer value: N and K, and
+    optionally F and CROSS; K and F are at least 1 and CROSS is 0 or 1."""
     path = Path(path)
-    header: dict[str, str] = {}
+    header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
     freq = vocab.freq
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -343,12 +377,13 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             n = int(count)
         except ValueError:
             if "=" in line and "\t" not in line:
-                key, value = line.split("=", 1)
-                header[key] = value
+                problem = _read_pair_header(line, header, bool(rows))
+                if problem is None:
+                    continue
+            elif not line.strip():
                 continue
-            if not line.strip():
-                continue
-            problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
+            else:
+                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
             row = rows.get(w1)
             if row is None:
@@ -372,13 +407,13 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
         raise ValueError(f"{path}: line {line_no}: {problem}")
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
-    total = int(header["N"])
+    total = header["N"]
     if total != vocab.total_tokens:
         raise ValueError(
             f"{path}: pair counts were taken over N={total} tokens "
             f"but the vocabulary has N={vocab.total_tokens}"
         )
-    threshold = int(header.get("F", vocab.stop_threshold))
+    threshold = header.get("F", vocab.stop_threshold)
     if threshold != vocab.stop_threshold:
         raise ValueError(
             f"{path}: pair counts were taken with F={threshold} "
@@ -388,7 +423,7 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
         rows,
         freq=freq,
         total_tokens=total,
-        half_width=int(header["K"]),
-        cross_sentences=bool(int(header.get("CROSS", "0"))),
+        half_width=header["K"],
+        cross_sentences=bool(header.get("CROSS", 0)),
         stop_threshold=threshold,
     )

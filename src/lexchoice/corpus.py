@@ -95,9 +95,6 @@ class Vocabulary:
         if self.total_tokens != sum(self.freq.values()):
             raise ValueError("vocabulary total_tokens does not match sum of counts")
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.freq
-
     def is_frequency_stopped(self, word: str) -> bool:
         return self.freq.get(word, 0) > self.stop_threshold
 
@@ -215,9 +212,9 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Read a table written by ``write_vocabulary``: an ``N=`` line, an
-    optional ``F=`` line, then ``word<TAB>count`` rows whose counts are at
-    least 1 and sum to N. Anything else raises ValueError naming the file
-    and line."""
+    optional ``F=`` line of at least 1, then ``word<TAB>count`` rows whose
+    counts are at least 1 and sum to N. Anything else raises ValueError
+    naming the file and line."""
     path = Path(path)
     freq: dict[str, int] = {}
     total = None
@@ -232,6 +229,8 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
             elif line_no == 2 and line.startswith("F="):
                 expected = "F=<threshold>"
                 threshold = int(line[2:])
+                if threshold < 1:
+                    raise ValueError
             elif line.strip():
                 expected = "word<TAB>count, count >= 1"
                 word, count = line.split("\t")

@@ -57,7 +57,6 @@ class EvalReport:
     baseline_accuracy: float
     chi2: float
     significant_at_5pct: bool
-    config: dict | None = None
 
     def __post_init__(self):
         if self.sample_size < 1:
@@ -156,11 +155,7 @@ def chi_square(correct_a: int, n_a: int, correct_b: int, n_b: int) -> tuple[floa
     return chi2, chi2 > CHI2_5PCT_CRITICAL
 
 
-def summarize(
-    cands: CandidateSet,
-    outcomes: list[InstanceOutcome],
-    config: dict | None = None,
-) -> EvalReport:
+def summarize(cands: CandidateSet, outcomes: list[InstanceOutcome]) -> EvalReport:
     """Accuracy of the choice program and of the baseline over the outcomes."""
     n = len(outcomes)
     baseline_word = baseline_choose(cands)
@@ -174,7 +169,6 @@ def summarize(
         baseline_accuracy=baseline_correct / n,
         chi2=chi2,
         significant_at_5pct=significant,
-        config=config,
     )
 
 
@@ -253,16 +247,10 @@ def run_grid(
                     for w in sdef.members
                 ]
                 cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-                config = {
-                    "window": window,
-                    "order": order,
-                    "t_min": thresholds.t_min,
-                    "mi_min": thresholds.mi_min,
-                }
                 cell = results[(window, order)]
                 cell_outcomes = judge_instances(cands, instances[sdef.set_id], evidence_window)
                 cell.outcomes[sdef.set_id] = cell_outcomes
-                cell.reports[sdef.set_id] = summarize(cands, cell_outcomes, config)
+                cell.reports[sdef.set_id] = summarize(cands, cell_outcomes)
     return [results[cell] for cell in order_cells]
 
 

@@ -19,15 +19,16 @@ down exactly one layer per step, so same-depth edges are stored but can
 never lie on one. Ties break toward the lexicographically smallest
 predecessor, making scores and paths deterministic.
 
-One DP sweep scores every node at once: ``CoocNetwork.path_scores()`` is the
-map word -> score (the root scoring 0.0), filled on first use and read by
-``significance`` and by sentence scoring alike.
+One DP sweep scores every node at once when the network is constructed, and
+that sweep is also the check that every non-root node has a parent edge:
+``CoocNetwork.path_scores()`` is the map word -> score (the root scoring
+0.0) that it fills, read by ``significance`` and by sentence scoring alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,41 +83,55 @@ class CoocNetwork:
     half_width: int
     thresholds: SignificanceThresholds | None = None
     truncated: str | None = None
-    _adjacency: dict[str, list[tuple[str, float]]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _scores: dict[str, float] | None = field(default=None, repr=False, compare=False)
-    _pred: dict[str, str | None] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.depths.get(self.root) != 0:
+        """Check the depths and edges, then score every node in one DP sweep
+        by (depth, word) that is also the check that each non-root node has
+        a parent edge. Only parent edges can lie on a shortest path. They are
+        tried in sorted order and only a strictly larger sum replaces the
+        held one, so ties go to the lexicographically smallest predecessor."""
+        depths = self.depths
+        if depths.get(self.root) != 0:
             raise ValueError("network root must be present at depth 0")
-        for word, depth in self.depths.items():
+        for word, depth in depths.items():
             if depth < 0 or depth > self.max_order:
                 raise ValueError(f"node {word!r} depth {depth} outside 0..{self.max_order}")
             if depth == 0 and word != self.root:
                 raise ValueError(f"non-root node {word!r} at depth 0")
+        parents: dict[str, list[tuple[str, float]]] = {word: [] for word in depths}
         for (w1, w2), weight in self.edges.items():
             if w1 >= w2:
                 raise ValueError(f"edge key ({w1!r}, {w2!r}) not in sorted order")
-            if w1 not in self.depths or w2 not in self.depths:
+            if w1 not in depths or w2 not in depths:
                 raise ValueError(f"edge ({w1!r}, {w2!r}) references a missing node")
-            if abs(self.depths[w1] - self.depths[w2]) > 1:
+            step = depths[w2] - depths[w1]
+            if abs(step) > 1:
                 raise ValueError(f"edge ({w1!r}, {w2!r}) spans more than one depth layer")
             if not 0 < weight < math.inf:
                 raise ValueError(f"edge ({w1!r}, {w2!r}) has weight {weight}, not in (0, inf)")
-        adjacency = self.adjacency()
-        for word, depth in self.depths.items():
+            if step == 1:
+                parents[w2].append((w1, weight))
+            elif step == -1:
+                parents[w1].append((w2, weight))
+        best: dict[str, float] = {self.root: 0.0}
+        self._scores: dict[str, float] = {self.root: 0.0}
+        self._pred: dict[str, str | None] = {self.root: None}
+        for word in sorted(depths, key=lambda w: (depths[w], w)):
+            depth = depths[word]
             if depth == 0:
                 continue
-            if not any(self.depths[other] == depth - 1 for other, _ in adjacency.get(word, [])):
+            chosen_score = -math.inf
+            chosen_pred: str | None = None
+            for other, weight in sorted(parents[word]):
+                candidate = best[other] + weight / depth
+                if candidate > chosen_score:
+                    chosen_score = candidate
+                    chosen_pred = other
+            if chosen_pred is None:
                 raise ValueError(f"node {word!r} at depth {depth} has no parent edge")
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.depths
+            best[word] = chosen_score
+            self._scores[word] = chosen_score / depth**3
+            self._pred[word] = chosen_pred
 
     @property
     def node_count(self) -> int:
@@ -129,52 +144,11 @@ class CoocNetwork:
     def depth(self, word: str) -> int | None:
         return self.depths.get(word)
 
-    def weight(self, w1: str, w2: str) -> float:
-        return self.edges[pair_key(w1, w2)]
-
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        if self._adjacency is None:
-            adjacency: dict[str, list[tuple[str, float]]] = {w: [] for w in self.depths}
-            for (w1, w2), weight in self.edges.items():
-                adjacency[w1].append((w2, weight))
-                adjacency[w2].append((w1, weight))
-            for values in adjacency.values():
-                values.sort()
-            self._adjacency = adjacency
-        return self._adjacency
-
     def path_scores(self) -> dict[str, float]:
         """Every node's relation score to the root, the root's being 0.0.
 
-        One DP sweep over the depth layers fills the map, and each node's
-        chosen predecessor, on first use; the map must not be mutated."""
-        if self._scores is not None:
-            return self._scores
-        adjacency = self.adjacency()
-        layers: dict[int, list[str]] = {}
-        for word, depth in self.depths.items():
-            layers.setdefault(depth, []).append(word)
-        best: dict[str, float] = {self.root: 0.0}
-        scores: dict[str, float] = {self.root: 0.0}
-        pred: dict[str, str | None] = {self.root: None}
-        for depth in range(1, max(layers) + 1):
-            cube = depth**3
-            for word in sorted(layers.get(depth, [])):
-                chosen_score: float | None = None
-                chosen_pred: str | None = None
-                for other, weight in adjacency[word]:
-                    if self.depths[other] != depth - 1:
-                        continue
-                    candidate = best[other] + weight / depth
-                    if chosen_score is None or candidate > chosen_score:
-                        chosen_score = candidate
-                        chosen_pred = other
-                best[word] = chosen_score  # type: ignore[assignment]  # parent guaranteed
-                scores[word] = chosen_score / cube  # type: ignore[operator]
-                pred[word] = chosen_pred
-        self._scores = scores
-        self._pred = pred
-        return scores
+        Filled at construction; the map must not be mutated."""
+        return self._scores
 
 
 def build_network(
@@ -310,12 +284,8 @@ def max_sig_shortest_path(net: CoocNetwork, word: str) -> SigPath:
         raise WordNotInNetworkError(
             f"{word!r} is not in the network rooted at {net.root!r}"
         )
-    net.path_scores()
-    assert net._pred is not None
     path = [word]
-    while path[-1] != net.root:
-        predecessor = net._pred[path[-1]]
-        assert predecessor is not None
+    while (predecessor := net._pred[path[-1]]) is not None:
         path.append(predecessor)
     return SigPath(tuple(reversed(path)))
 

@@ -184,7 +184,10 @@ def enumerate_shortest_path_scores(net: CoocNetwork, word: str) -> list[tuple[fl
     """Every root-to-word path that descends one layer per step (exactly the
     shortest paths), scored term by term the way a path walk would."""
     target_depth = net.depths[word]
-    adjacency = net.adjacency()
+    adjacency: dict[str, list[tuple[str, float]]] = {w: [] for w in net.depths}
+    for (w1, w2), weight in net.edges.items():
+        adjacency[w1].append((w2, weight))
+        adjacency[w2].append((w1, weight))
     found: list[tuple[float, tuple[str, ...]]] = []
 
     def walk(path: list[str], score: float) -> None:
@@ -350,8 +353,6 @@ def per_cell_grid(
             instances = extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
             outcomes = judge_instances(cands, instances)
             cell.outcomes[sdef.set_id] = outcomes
-            config = {"window": window, "order": order,
-                      "t_min": thresholds.t_min, "mi_min": thresholds.mi_min}
-            cell.reports[sdef.set_id] = summarize(cands, outcomes, config)
+            cell.reports[sdef.set_id] = summarize(cands, outcomes)
         cells.append(cell)
     return cells

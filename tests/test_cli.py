@@ -281,6 +281,20 @@ def test_choose_checks_evidence_window(fixture_stats, capsys):
     assert err.startswith("error: evidence_window must be ") and "-1" in err
 
 
+def test_choose_refuses_a_negative_top(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--order", "2", "--out", str(nets)], capsys)[0] == 0
+    argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
+            "--sentence", "c/NN a/NN b/NN ____"]
+    code, stdout, _ = run(argv + ["--top", "0"], capsys)
+    assert code == 0 and "evidence:" not in stdout and "winner: r" in stdout
+    code, stdout, err = run(argv + ["--top", "-1"], capsys)
+    assert code == 1 and stdout == ""
+    assert err == "error: --top must be a non-negative integer, got -1\n"
+
+
 def test_choose_missing_network_names_candidate(tmp_path, capsys):
     code, _, err = run(
         ["choose", "--networks", str(tmp_path), "--candidates", "x,y",
@@ -456,7 +470,7 @@ def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--t-min", "nan"], ["--mi-min", "nan"], ["--t-min", "inf"]],
+    [["--t-min", "nan"], ["--mi-min", "nan"], ["--t-min", "inf"], ["--mi-min", "inf"]],
     ids=lambda v: " ".join(v),
 )
 def test_build_rejects_nan_and_infinite_thresholds(fixture_stats, capsys, flags):
@@ -473,8 +487,9 @@ def test_build_rejects_nan_and_infinite_thresholds(fixture_stats, capsys, flags)
 
 @pytest.mark.parametrize(
     "overrides, flags",
-    [({}, ["--t-min", "nan"]), ({"mi_min": math.nan}, []), ({"t_min": math.inf}, [])],
-    ids=["t-min-flag", "mi-min-config", "t-min-config"],
+    [({}, ["--t-min", "nan"]), ({"mi_min": math.nan}, []), ({"t_min": math.inf}, []),
+     ({"mi_min": math.inf}, []), ({}, ["--mi-min", "inf"])],
+    ids=["t-min-flag", "mi-min-config", "t-min-config", "mi-min-inf-config", "mi-min-inf-flag"],
 )
 def test_evaluate_rejects_nan_and_infinite_thresholds(tmp_path, capsys, overrides, flags):
     cfg_path, _ = evaluate_config(tmp_path, **overrides)
@@ -494,6 +509,19 @@ def test_build_rejects_a_swapped_pair_row(fixture_stats, capsys):
     )
     assert code == 1
     assert err == f"error: {pairs}: line 6: pair 'r' 'a' is out of order or a self-pair\n"
+    assert not (tmp_path / "nets").exists()
+
+
+def test_build_rejects_a_zero_window_header(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    pairs = counts_dir / "pairs.tsv"
+    pairs.write_text(pairs.read_text().replace("\nK=4\n", "\nK=0\n", 1))
+    code, _, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "r", "--out", str(tmp_path / "nets")],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: {pairs}: line 2: expected 'K=<half-width >= 1>', got 'K=0'\n"
     assert not (tmp_path / "nets").exists()
 
 

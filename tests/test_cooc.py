@@ -437,6 +437,37 @@ def test_read_pair_counts_rejects_malformed_row(tmp_path, tiny_stream, tiny_voca
 
 
 @pytest.mark.parametrize(
+    "old, new, line_no, problem",
+    [
+        ("N=32\n", "N=abc\n", 1, "expected 'N=<tokens>', got 'N=abc'"),
+        ("K=4\n", "K=x\n", 2, "expected 'K=<half-width >= 1>', got 'K=x'"),
+        ("K=4\n", "K=0\n", 2, "expected 'K=<half-width >= 1>', got 'K=0'"),
+        ("K=4\n", "K=-3\n", 2, "expected 'K=<half-width >= 1>', got 'K=-3'"),
+        ("F=100\n", "F=abc\n", 3, "expected 'F=<threshold >= 1>', got 'F=abc'"),
+        ("F=100\n", "F=0\n", 3, "expected 'F=<threshold >= 1>', got 'F=0'"),
+        ("CROSS=0\n", "CROSS=2\n", 4, "expected 'CROSS=<0 or 1>', got 'CROSS=2'"),
+        ("CROSS=0\n", "CROSS=0\nMODE=1\n", 5, "unknown header key 'MODE'"),
+        ("CROSS=0\n", "CROSS=0\nK=9\n", 5, "header key K= repeats an earlier line"),
+        ("\ntask\ttime\t1\n", "\ntask\ttime\t1\nK=4\n", None,
+         "header line K= after the first pair row"),
+    ],
+    ids=["text-total", "text-window", "zero-window", "negative-window", "text-threshold",
+         "zero-threshold", "cross-2", "unknown-key", "repeated-key", "after-rows"],
+)
+def test_read_pair_counts_rejects_bad_header_lines(
+    tmp_path, tiny_stream, tiny_vocab, old, new, line_no, problem
+):
+    path = tmp_path / "pairs.tsv"
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
+    assert old in path.read_text()
+    rewrite_pairs(path, old, new)
+    if line_no is None:
+        line_no = path.read_text().splitlines().index("K=4", 4) + 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
+        read_pair_counts(path, tiny_vocab)
+
+
+@pytest.mark.parametrize(
     "row, problem",
     [
         ("time\ttask\t1", "pair 'time' 'task' is out of order"),
@@ -479,8 +510,8 @@ def test_thresholds_require_positive_t():
 
 @pytest.mark.parametrize(
     "t_min, mi_min",
-    [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (-math.inf, 2.0)],
-    ids=["nan-t", "nan-mi", "inf-t", "minus-inf-t"],
+    [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (-math.inf, 2.0), (2.0, math.inf)],
+    ids=["nan-t", "nan-mi", "inf-t", "minus-inf-t", "inf-mi"],
 )
 def test_thresholds_reject_nan_and_unbounded_values(t_min, mi_min):
     with pytest.raises(ValueError, match="t_min"):

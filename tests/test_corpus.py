@@ -232,8 +232,11 @@ def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):
         ("F=100\n", "F=\n", 2, "F=<threshold>"),
         ("\na\t2\n", "\na 2\n", 4, "word<TAB>count, count >= 1"),
         ("\na\t2\n", "\na\t0\n", 4, "word<TAB>count, count >= 1"),
+        ("F=100\n", "F=0\n", 2, "F=<threshold>"),
+        ("F=100\n", "F=-5\n", 2, "F=<threshold>"),
     ],
-    ids=["bad-total", "bad-threshold", "space-for-tab", "zero-count"],
+    ids=["bad-total", "bad-threshold", "space-for-tab", "zero-count", "zero-threshold",
+         "negative-threshold"],
 )
 def test_read_vocabulary_names_file_and_line(tmp_path, tiny_vocab, old, new, line_no, expected):
     path = tmp_path / "vocab.tsv"

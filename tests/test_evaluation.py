@@ -91,11 +91,12 @@ def test_extract_groups_inflected_tags():
     assert len(instances) == 1
 
 
-def judged(cands: CandidateSet, text: str, config: dict | None = None):
+def judged(cands: CandidateSet, text: str):
     """The run_grid path: extract, judge, summarize."""
     ts = heldout(text)
-    instances = extract_instances(ts, cands.words(), cands.pos_category, cands.set_id)
-    return summarize(cands, judge_instances(cands, instances), config)
+    words = [m.word for m in cands.members]
+    instances = extract_instances(ts, words, cands.pos_category, cands.set_id)
+    return summarize(cands, judge_instances(cands, instances))
 
 
 def test_extract_instances_carry_set_id():
@@ -135,11 +136,10 @@ def test_evaluate_counts_correct_choices():
             "calm/NN beta/NN",       # beta chosen, gold beta: correct
         ]
     )
-    report = judged(cands, text, config={"window": 4})
+    report = judged(cands, text)
     assert report.sample_size == 4
     assert report.accuracy == pytest.approx(0.75)
     assert report.baseline_accuracy == pytest.approx(0.25)  # baseline always beta
-    assert report.config == {"window": 4}
 
 
 def test_evaluate_all_correct():

@@ -337,6 +337,23 @@ def test_network_validation_rejects_broken_structures():
         CoocNetwork("r", 1, {"r": 0, "a": 1}, {pair_key("r", "a"): -1.0}, 10, 4)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_network_without_a_parent_edge_is_refused(seed):
+    rng = random.Random(seed)
+    net = random_layered_network(rng)
+    orphan = rng.choice(sorted(w for w in net.depths if w != net.root))
+    depth = net.depths[orphan]
+    edges = {
+        (w1, w2): weight
+        for (w1, w2), weight in net.edges.items()
+        if not (orphan in (w1, w2) and net.depths[w1] + net.depths[w2] == 2 * depth - 1)
+    }
+    problem = f"node {orphan!r} at depth {depth} has no parent edge"
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        CoocNetwork(net.root, net.max_order, net.depths, edges, net.total_tokens, net.half_width)
+
+
 def test_serialization_roundtrip(tmp_path):
     counts = significant_counts([("r", "a"), ("r", "b"), ("a", "c"), ("a", "b")])
     net = build_network("r", counts, SignificanceThresholds(2.0, 2.0), max_order=2)
@@ -427,7 +444,7 @@ def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, probl
 
 
 @pytest.mark.parametrize("old, new", [("TMIN 2.0", "TMIN nan"), ("MIMIN 2.0", "MIMIN nan"),
-                                      ("TMIN 2.0", "TMIN inf")])
+                                      ("TMIN 2.0", "TMIN inf"), ("MIMIN 2.0", "MIMIN inf")])
 def test_read_network_names_file_of_invalid_thresholds(tmp_path, old, new):
     counts = significant_counts([("r", "a")])
     path = tmp_path / "r.net"
