@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Walk through the training side of the pipeline on a small corpus:
 ingest tagged text, apply the stop policy, count windowed co-occurrences,
-score pairs with t-scores and mutual information, and grow a co-occurrence
-network around a root word.
+keep the pairs whose t-score and mutual information both clear their
+thresholds, and grow a co-occurrence network around a root word.
 
 Run: python demos/01_network_from_corpus.py
 """
@@ -10,7 +10,7 @@ Run: python demos/01_network_from_corpus.py
 import tempfile
 from pathlib import Path
 
-from lexchoice.cooc import WindowConfig, count_pairs, mutual_information, t_score
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs
 from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
 from lexchoice.network import build_network, max_sig_shortest_path, significance, write_network
 
@@ -49,10 +49,12 @@ def main() -> None:
 
     counts = count_pairs(stream, vocab, WindowConfig(half_width=4))
     print(f"windowed pair table (+-4 words, same sentence): {len(counts.pairs)} pairs")
-    for pair in [("guests", "dinner"), ("guests", "wine"), ("coffee", "breakfast")]:
-        stats = counts.stats(*pair)
-        print(f"  f({pair[0]},{pair[1]}) = {stats.f_xy:2d}   "
-              f"t = {t_score(stats):5.2f}   MI = {mutual_information(stats):5.2f} bits")
+    thresholds = SignificanceThresholds()
+    print(f"significant collocates: t >= {thresholds.t_min}, MI >= {thresholds.mi_min} bits")
+    for w1, w2 in [("guests", "dinner"), ("guests", "wine"), ("coffee", "breakfast")]:
+        t = dict(counts.significant_neighbors(w1, thresholds)).get(w2)
+        shown = "not significant" if t is None else f"t = {t:5.2f}"
+        print(f"  f({w1},{w2}) = {counts.get(w1, w2):2d}   {shown}")
     print()
 
     net = build_network("dinner", counts, max_order=2)

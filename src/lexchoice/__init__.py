@@ -20,13 +20,9 @@ from .choice import (
 )
 from .cooc import (
     PairCounts,
-    PairStats,
     SignificanceThresholds,
     WindowConfig,
     count_pairs,
-    is_significant,
-    mutual_information,
-    t_score,
 )
 from .corpus import (
     CorpusConfig,

@@ -148,7 +148,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
 
     cands = choice.CandidateSet(
         set_id="cli",
-        pos_category=args.pos,
+        pos_category="",
         members=[choice.Candidate(w, nets[w], freqs[w]) for w in words],
     )
     ranked = choice.choose(cands, sentence, evidence_window)
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_choose.add_argument("--sentence", required=True,
                           help="tagged sentence with the gap marker in place")
     p_choose.add_argument("--gap-marker", default=choice.GAP)
-    p_choose.add_argument("--pos", default="NN", help="candidate POS category label")
     p_choose.add_argument("--vocab", default=None,
                           help="vocab.tsv for training frequencies (default: networks dir)")
     p_choose.add_argument("--evidence-window", type=int, default=None,

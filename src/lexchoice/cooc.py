@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import _count_elements  # the C loop behind Counter.update
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,10 +49,6 @@ from .ioutil import atomic_write_text
 # by which the float t and t_min * t_min can err, far below the gap to the
 # next integer count.
 COUNT_FLOOR_MARGIN = 1e-9
-
-
-class UndefinedStatisticError(ValueError):
-    """Statistic requested for a pair that never co-occurred (f_xy = 0)."""
 
 
 @dataclass(frozen=True)
@@ -81,30 +77,14 @@ class SignificanceThresholds:
             )
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Everything needed to score one word pair."""
-
-    f_xy: int
-    f_x: int
-    f_y: int
-    total_tokens: int
-    half_width: int
-
-    @property
-    def expected(self) -> float:
-        return self.f_x * self.f_y * 2 * self.half_width / self.total_tokens
-
-
 def pair_key(w1: str, w2: str) -> tuple[str, str]:
     return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
-class PairView(MutableMapping):
+class PairView(Mapping):
     """The pairs of a row table as a mapping ``(w1, w2) -> count``, w1 < w2.
 
-    Reads and writes go to the rows: setting a pair sets it in both words'
-    rows, and deleting one removes a row it leaves empty.
+    Reads go to the rows, and setting a pair sets it in both words' rows.
     """
 
     __slots__ = ("_rows",)
@@ -129,15 +109,6 @@ class PairView(MutableMapping):
                 self._rows[a] = {b: count}
             else:
                 row[b] = count
-
-    def __delitem__(self, key: tuple[str, str]) -> None:
-        self[key]  # KeyError for an absent pair
-        w1, w2 = key
-        for a, b in ((w1, w2), (w2, w1)):
-            row = self._rows[a]
-            del row[b]
-            if not row:
-                del self._rows[a]
 
     def __iter__(self):
         for w1, row in self._rows.items():
@@ -183,7 +154,9 @@ class PairCounts:
     def from_pairs(cls, pairs: Mapping[tuple[str, str], int], **fields) -> "PairCounts":
         """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
         table = cls({}, **fields)
-        table.pairs.update(pairs)
+        view = table.pairs
+        for key, count in pairs.items():
+            view[key] = count
         return table
 
     @property
@@ -193,15 +166,6 @@ class PairCounts:
     def get(self, w1: str, w2: str) -> int:
         row = self.rows.get(w1)
         return 0 if row is None else row.get(w2, 0)
-
-    def stats(self, w1: str, w2: str) -> PairStats:
-        return PairStats(
-            f_xy=self.get(w1, w2),
-            f_x=self.freq.get(w1, 0),
-            f_y=self.freq.get(w2, 0),
-            total_tokens=self.total_tokens,
-            half_width=self.half_width,
-        )
 
     def neighbors(self, word: str) -> list[str]:
         """Words that co-occurred with ``word`` at least once, sorted."""
@@ -214,9 +178,9 @@ class PairCounts:
         collocate of ``word``, in ``neighbors(word)`` order, t being the
         pair's t-score.
 
-        The same floats as ``t_score(self.stats(word, other))`` and
-        ``mutual_information`` give: the expected count is the same integer
-        product divided by N, and t and MI are the same operations on it.
+        With f the pair's count, E = f(word) * 2k * f(other) / N (one exact
+        integer product, then one division), t = (f - E) / sqrt(f) and
+        MI = log2(f / E); the pair is kept when t >= t_min and MI >= mi_min.
         Only entries at or above the count floor (module docstring) are
         sorted and scored. Computed once per word and thresholds, then
         memoised on the table.
@@ -294,24 +258,6 @@ def _count_windows(
         if row is None:
             row = rows[word] = {}
         _count_elements(row, surfaces[lo:hi])
-
-
-def t_score(p: PairStats) -> float:
-    """Observed minus expected joint count, normalized by sqrt(observed)."""
-    if p.f_xy <= 0:
-        raise UndefinedStatisticError("t-score undefined for f_xy = 0")
-    return (p.f_xy - p.expected) / math.sqrt(p.f_xy)
-
-
-def mutual_information(p: PairStats) -> float:
-    """log2 of observed over expected joint count, in bits."""
-    if p.f_xy <= 0:
-        raise UndefinedStatisticError("mutual information undefined for f_xy = 0")
-    return math.log2(p.f_xy / p.expected)
-
-
-def is_significant(p: PairStats, th: SignificanceThresholds = SignificanceThresholds()) -> bool:
-    return p.f_xy > 0 and t_score(p) >= th.t_min and mutual_information(p) >= th.mi_min
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:

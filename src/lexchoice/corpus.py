@@ -59,7 +59,6 @@ class CorpusFormatError(ValueError):
 class CorpusConfig:
     format: str = "slash"
     stop_threshold: int = DEFAULT_STOP_THRESHOLD
-    stop_pos_tags: frozenset[str] = DEFAULT_STOP_TAGS
 
     def __post_init__(self):
         if self.format not in ("slash", "tsv"):
@@ -159,12 +158,13 @@ def _parse_tsv(raw: str) -> TokenStream:
 def ingest(raw: str, cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     """Parse tagged text into a token stream, in corpus order.
 
-    Stop flags are set from tags alone here; frequency-based stops need the
-    full vocabulary and are applied by build_vocabulary.
+    Stop flags are set from tags alone here (``DEFAULT_STOP_TAGS``);
+    frequency-based stops need the full vocabulary and are applied by
+    build_vocabulary.
     """
     tokens = _parse_slash(raw) if cfg.format == "slash" else _parse_tsv(raw)
     for tok in tokens:
-        tok.is_stop = tok.pos in cfg.stop_pos_tags
+        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS
     return tokens
 
 
@@ -186,13 +186,15 @@ def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) ->
 
 
 def apply_stop_policy(ts: TokenStream, vocab: Vocabulary, cfg: CorpusConfig) -> None:
-    """Recompute every token's stop flag from tags and vocabulary frequencies.
+    """Recompute every token's stop flag from tags (``DEFAULT_STOP_TAGS``)
+    and vocabulary frequencies; the frequency threshold is the vocabulary's
+    own, so ``cfg`` is not read.
 
     The vocabulary is normally the training one: frequency-based stops are a
     training-corpus property even when flagging held-out text.
     """
     for tok in ts:
-        tok.is_stop = tok.pos in cfg.stop_pos_tags or vocab.is_frequency_stopped(tok.surface)
+        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS or vocab.is_frequency_stopped(tok.surface)
 
 
 def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Vocabulary:

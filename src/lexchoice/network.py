@@ -329,9 +329,11 @@ _HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int,
 
 
 def read_network(path: str | Path) -> CoocNetwork:
-    """Read a network written by ``write_network``. A malformed line, or one
-    of no known kind, raises ValueError naming the file and line; a network
-    that fails validation raises one naming the file."""
+    """Read a network written by ``write_network``. A malformed line, one of
+    no known kind, or a second line for the same header kind, NODE word or
+    EDGE key raises ValueError naming the file and line; a network that
+    fails validation, or has only one of TMIN and MIMIN, raises one naming
+    the file."""
     path = Path(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
@@ -344,26 +346,38 @@ def read_network(path: str | Path) -> CoocNetwork:
         try:
             if kind == "EDGE":
                 _, w1, w2, weight = fields
-                edges[(w1, w2)] = float(weight)
-                continue
-            if kind == "NODE":
+                weight = float(weight)
+                if (w1, w2) not in edges:
+                    edges[(w1, w2)] = weight
+                    continue
+                problem = f"repeated EDGE line for {w1!r} {w2!r}"
+            elif kind == "NODE":
                 _, word, depth = fields
-                depths[word] = int(depth)
-                continue
-            if kind in _HEADER_KINDS:
+                depth = int(depth)
+                if word not in depths:
+                    depths[word] = depth
+                    continue
+                problem = f"repeated NODE line for {word!r}"
+            elif kind in _HEADER_KINDS:
                 _, value = fields
-                header[kind] = _HEADER_KINDS[kind](value)
-                continue
-            problem = f"unknown line kind {kind!r}"
+                value = _HEADER_KINDS[kind](value)
+                if kind not in header:
+                    header[kind] = value
+                    continue
+                problem = f"repeated {kind} line"
+            else:
+                problem = f"unknown line kind {kind!r}"
         except ValueError:
             problem = f"malformed {kind} line {line!r}"
         raise ValueError(f"{path}: line {line_no}: {problem}")
     for required in ("ROOT", "ORDER", "N", "K"):
         if required not in header:
             raise ValueError(f"{path}: missing {required} header line")
+    if ("TMIN" in header) != ("MIMIN" in header):
+        raise ValueError(f"{path}: TMIN and MIMIN header lines must come together")
     try:
         thresholds = None
-        if "TMIN" in header and "MIMIN" in header:
+        if "TMIN" in header:
             thresholds = SignificanceThresholds(header["TMIN"], header["MIMIN"])
         return CoocNetwork(
             root=header["ROOT"],

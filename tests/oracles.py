@@ -20,6 +20,7 @@ from lexchoice.cooc import (
     pair_key,
 )
 from lexchoice.corpus import (
+    DEFAULT_STOP_TAGS,
     CorpusConfig,
     CorpusFormatError,
     Token,
@@ -73,21 +74,25 @@ def forward_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) 
     return dict(counts)
 
 
+def pair_statistics(f_xy: int, f_x: int, f_y: int, total: int, k: int) -> tuple[float, float]:
+    """The t-score and mutual information (bits) of a pair seen ``f_xy`` >= 1
+    times, against E = f_x * f_y * 2k / N: one exact integer product, then
+    one division, as in the library."""
+    expected = f_x * f_y * 2 * k / total
+    return (f_xy - expected) / math.sqrt(f_xy), math.log2(f_xy / expected)
+
+
 def unfloored_significant_neighbors(
     counts: PairCounts, word: str, thresholds: SignificanceThresholds
 ) -> list[tuple[str, float]]:
     """A word's significant neighbours with no count floor: every row entry
-    sorted and scored, with the same float operations as the library."""
+    sorted and scored by ``pair_statistics``."""
     freq = counts.freq
-    scaled_fx = freq.get(word, 0) * 2 * counts.half_width
-    total = counts.total_tokens
     row = []
     for other, f_xy in sorted(counts.rows.get(word, {}).items()):
-        if f_xy <= 0:
-            continue
-        expected = scaled_fx * freq.get(other, 0) / total
-        t = (f_xy - expected) / math.sqrt(f_xy)
-        if t >= thresholds.t_min and math.log2(f_xy / expected) >= thresholds.mi_min:
+        t, mi = pair_statistics(f_xy, freq[word], freq[other], counts.total_tokens,
+                                counts.half_width)
+        if t >= thresholds.t_min and mi >= thresholds.mi_min:
             row.append((other, t))
     return row
 
@@ -108,7 +113,7 @@ def sorted_key_pair_table_text(counts) -> str:
 
 def regex_parse_slash(raw: str) -> TokenStream:
     """The slash-layout parser as a regex scan of each line's tokens, with
-    the column taken from the match."""
+    the column taken from the match and the stop flags from the tags."""
     tokens: TokenStream = []
     sentence_id = 0
     for line_no, line in enumerate(raw.splitlines(), 1):
@@ -126,7 +131,7 @@ def regex_parse_slash(raw: str) -> TokenStream:
                 raise CorpusFormatError(
                     f"token {item!r} has empty surface or tag", line_no, column
                 )
-            tokens.append(Token(surface.lower(), pos, sentence_id))
+            tokens.append(Token(surface.lower(), pos, sentence_id, pos in DEFAULT_STOP_TAGS))
         sentence_id += 1
     return tokens
 

@@ -9,22 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from lexchoice.cooc import (
     PairCounts,
-    PairStats,
     SignificanceThresholds,
-    UndefinedStatisticError,
     WindowConfig,
     count_pairs,
-    is_significant,
-    mutual_information,
     pair_key,
     read_pair_counts,
-    t_score,
     write_pair_counts,
 )
 from lexchoice.corpus import GAP, CorpusConfig, Token, Vocabulary, build_vocabulary, ingest
 
 from oracles import (
     forward_pair_counts,
+    pair_statistics,
     quadratic_pair_counts,
     random_stream,
     sorted_key_pair_table_text,
@@ -79,68 +75,84 @@ def test_counts_symmetric_by_construction():
     assert counts.get("a", "b") == counts.get("b", "a") == 4
 
 
+def one_pair(f_xy, f_x, f_y, total, k):
+    """A table holding the one pair ("x", "y")."""
+    return PairCounts.from_pairs({("x", "y"): f_xy}, freq={"x": f_x, "y": f_y},
+                                 total_tokens=total, half_width=k)
+
+
+def x_row(counts, t_min, mi_min):
+    return counts.significant_neighbors("x", SignificanceThresholds(t_min, mi_min))
+
+
+# The least positive t_min: every pair with t > 0 clears it, and its count
+# floor underflows to 0.
+ANY_T = math.ulp(0.0)
+
+
 def test_t_score_worked_value():
-    p = PairStats(f_xy=16, f_x=100, f_y=200, total_tokens=100_000, half_width=4)
-    assert p.expected == pytest.approx(1.6, abs=1e-12)
-    assert t_score(p) == pytest.approx(3.6, abs=1e-12)
+    # E = 100 * 200 * 2*4 / 100000 = 1.6, t = (16 - 1.6) / sqrt(16)
+    [(other, t)] = x_row(one_pair(16, 100, 200, 100_000, 4), 2.0, 2.0)
+    assert other == "y"
+    assert t == pytest.approx(3.6, abs=1e-12)
 
 
 def test_t_score_zero_when_observed_equals_expected():
-    # E = 10*100*2*5/1000 = 10 = f_xy
-    p = PairStats(f_xy=10, f_x=10, f_y=100, total_tokens=1000, half_width=5)
-    assert p.expected == pytest.approx(10.0)
-    assert t_score(p) == pytest.approx(0.0, abs=1e-12)
+    # E = 10*100*2*5/1000 = 10 = f_xy: t = 0 fails the least positive t_min,
+    # and one more co-occurrence passes it.
+    assert pair_statistics(10, 10, 100, 1000, 5) == (0.0, 0.0)
+    assert x_row(one_pair(10, 10, 100, 1000, 5), ANY_T, -math.inf) == []
+    assert x_row(one_pair(11, 10, 100, 1000, 5), ANY_T, -math.inf) == [("y", 1 / math.sqrt(11))]
 
 
 def test_t_score_rare_pair_limit():
-    p = PairStats(f_xy=1, f_x=1, f_y=1, total_tokens=10**9, half_width=4)
-    assert t_score(p) == pytest.approx(1.0, abs=1e-6)
+    [(_, t)] = x_row(one_pair(1, 1, 1, 10**9, 4), 0.5, 2.0)
+    assert t == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mutual_information_worked_value():
-    p = PairStats(f_xy=16, f_x=100, f_y=200, total_tokens=100_000, half_width=4)
-    assert mutual_information(p) == pytest.approx(math.log2(10), abs=1e-12)
+    counts = one_pair(16, 100, 200, 100_000, 4)
+    _, mi = pair_statistics(16, 100, 200, 100_000, 4)
+    assert mi == pytest.approx(math.log2(10), abs=1e-12)
+    # The pair passes with mi_min at its MI and fails one float above it.
+    assert [other for other, _ in x_row(counts, 2.0, mi)] == ["y"]
+    assert x_row(counts, 2.0, math.nextafter(mi, math.inf)) == []
 
 
 def test_mutual_information_zero_and_negative():
-    p0 = PairStats(f_xy=10, f_x=10, f_y=100, total_tokens=1000, half_width=5)
-    assert mutual_information(p0) == pytest.approx(0.0, abs=1e-12)
-    p_neg = PairStats(f_xy=4, f_x=10, f_y=100, total_tokens=1000, half_width=5)
-    assert mutual_information(p_neg) < 0
-
-
-def test_statistics_undefined_for_unseen_pair():
-    p = PairStats(f_xy=0, f_x=5, f_y=5, total_tokens=1000, half_width=4)
-    with pytest.raises(UndefinedStatisticError):
-        t_score(p)
-    with pytest.raises(UndefinedStatisticError):
-        mutual_information(p)
-    assert not is_significant(p)
+    # f = E gives MI = 0 and f < E gives MI < 0; t has the same sign, so
+    # neither pair passes any thresholds.
+    assert pair_statistics(10, 10, 100, 1000, 5)[1] == 0.0
+    assert pair_statistics(4, 10, 100, 1000, 5)[1] < 0
+    for f_xy in (10, 4):
+        assert x_row(one_pair(f_xy, 10, 100, 1000, 5), ANY_T, -math.inf) == []
 
 
 def test_is_significant_requires_both_measures():
-    good = PairStats(f_xy=16, f_x=100, f_y=200, total_tokens=100_000, half_width=4)
-    assert is_significant(good)  # t=3.6, MI=3.32 against 2.0/2.0 defaults
+    good = one_pair(16, 100, 200, 100_000, 4)  # t=3.6, MI=3.32
+    assert [other for other, _ in x_row(good, 2.0, 2.0)] == ["y"]
+    assert x_row(good, 3.7, 2.0) == []
     # t = 50 but MI = 1 bit: high-volume pair only twice as frequent as chance
-    lopsided = PairStats(f_xy=10_000, f_x=1_000, f_y=5_000, total_tokens=8_000, half_width=4)
-    assert t_score(lopsided) > 2.0
-    assert mutual_information(lopsided) == pytest.approx(1.0)
-    assert not is_significant(lopsided)
+    lopsided = one_pair(10_000, 1_000, 5_000, 8_000, 4)
+    t, mi = pair_statistics(10_000, 1_000, 5_000, 8_000, 4)
+    assert t > 2.0
+    assert mi == pytest.approx(1.0)
+    assert x_row(lopsided, 2.0, 2.0) == []
+    assert x_row(lopsided, 2.0, 1.0) == [("y", t)]
 
 
 def test_sign_agreement_of_t_and_mi():
+    # t > 0 exactly when f > E, and then MI > 0 too: the pair passes the
+    # least positive t_min with mi_min at -inf and just above 0 alike.
     rng = random.Random(11)
     for _ in range(200):
-        p = PairStats(
-            f_xy=rng.randint(1, 50),
-            f_x=rng.randint(1, 500),
-            f_y=rng.randint(1, 500),
-            total_tokens=rng.randint(1_000, 100_000),
-            half_width=rng.choice([1, 4, 10, 50]),
-        )
-        t = t_score(p)
-        mi = mutual_information(p)
-        assert (t > 0) == (mi > 0) or p.f_xy == pytest.approx(p.expected)
+        f_xy, f_x, f_y = rng.randint(1, 50), rng.randint(1, 500), rng.randint(1, 500)
+        total, k = rng.randint(1_000, 100_000), rng.choice([1, 4, 10, 50])
+        above = f_xy * total > f_x * f_y * 2 * k
+        counts = one_pair(f_xy, f_x, f_y, total, k)
+        assert bool(x_row(counts, ANY_T, -math.inf)) == above
+        assert bool(x_row(counts, ANY_T, math.ulp(0.0))) == above
+        assert (pair_statistics(f_xy, f_x, f_y, total, k)[1] > 0) == above
 
 
 def test_joint_count_bounded_by_marginals():
@@ -221,13 +233,8 @@ def test_significant_neighbors_match_pair_stats(seed, n_tokens, vocab_size, k, t
     ts, cfg = random_stream(random.Random(seed), n_tokens, vocab_size)
     counts = count_pairs(ts, build_vocabulary(ts, cfg), WindowConfig(k))
     for word in counts.freq:
-        expected = [
-            (other, t_score(stats))
-            for other in counts.neighbors(word)
-            if is_significant(stats := counts.stats(word, other), thresholds)
-        ]
         row = counts.significant_neighbors(word, thresholds)
-        assert row == expected
+        assert row == unfloored_significant_neighbors(counts, word, thresholds)
         assert counts.significant_neighbors(word, thresholds) is row
 
 
@@ -368,16 +375,6 @@ def test_pairs_view_equals_a_plain_dict_both_ways():
     assert counts.pairs != {("a", "b"): 2, ("b", "c"): 9}
     assert counts.pairs == small_table(plain).pairs
     assert counts.pairs != small_table({("a", "b"): 2}).pairs
-
-
-def test_deleting_a_pair_leaves_no_empty_row():
-    counts = small_table({("a", "b"): 2, ("a", "c"): 1})
-    del counts.pairs[("a", "b")]
-    assert counts.rows == {"a": {"c": 1}, "c": {"a": 1}}
-    with pytest.raises(KeyError):
-        del counts.pairs[("a", "b")]
-    del counts.pairs[("a", "c")]
-    assert counts.rows == {} and len(counts.pairs) == 0
 
 
 @pytest.mark.parametrize("seed", range(4))

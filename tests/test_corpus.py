@@ -89,10 +89,7 @@ def parse_outcome(parse, raw):
 @settings(max_examples=300, deadline=None)
 @given(slash_texts)
 def test_slash_parser_matches_regex_oracle(raw):
-    cfg = CorpusConfig(stop_pos_tags=frozenset())
-    assert parse_outcome(lambda text: ingest(text, cfg), raw) == parse_outcome(
-        regex_parse_slash, raw
-    )
+    assert parse_outcome(ingest, raw) == parse_outcome(regex_parse_slash, raw)
 
 
 def test_ingest_tsv_variant():

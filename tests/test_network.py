@@ -411,8 +411,16 @@ def test_truncation_flag_survives_roundtrip(tmp_path):
         ("EDGE a r x6.627839", "malformed EDGE line 'EDGE a r x6.627839'"),
         ("ORDER two", "malformed ORDER line 'ORDER two'"),
         ("WEIGHT 3", "unknown line kind 'WEIGHT'"),
+        ("ORDER 5", "repeated ORDER line"),
+        ("N 7", "repeated N line"),
+        ("TMIN 2.0", "repeated TMIN line"),
+        ("NODE a 1", "repeated NODE line for 'a'"),
+        ("NODE a 2", "repeated NODE line for 'a'"),
+        ("EDGE a r 9.0", "repeated EDGE line for 'a' 'r'"),
     ],
-    ids=["node-without-depth", "edge-weight", "header-value", "unknown-kind"],
+    ids=["node-without-depth", "edge-weight", "header-value", "unknown-kind", "repeated-order",
+         "repeated-total", "repeated-tmin", "repeated-node", "node-at-other-depth",
+         "repeated-edge"],
 )
 def test_read_network_names_file_and_line(tmp_path, line, problem):
     counts = significant_counts([("r", "a")])
@@ -427,11 +435,13 @@ def test_read_network_names_file_and_line(tmp_path, line, problem):
 @pytest.mark.parametrize(
     "old, new, problem",
     [
-        ("NODE a 1\n", "", "references a missing node"),
-        ("EDGE a r 4.024922", "EDGE a r nan", "has weight nan"),
-        ("EDGE a r 4.024922", "EDGE a r inf", "has weight inf"),
+        ("NODE a 1\n", "", "edge .* references a missing node"),
+        ("EDGE a r 4.024922", "EDGE a r nan", "edge .* has weight nan"),
+        ("EDGE a r 4.024922", "EDGE a r inf", "edge .* has weight inf"),
+        ("MIMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
+        ("TMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
     ],
-    ids=["missing-node", "nan-weight", "infinite-weight"],
+    ids=["missing-node", "nan-weight", "infinite-weight", "tmin-alone", "mimin-alone"],
 )
 def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, problem):
     counts = significant_counts([("r", "a")])
@@ -439,7 +449,7 @@ def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, probl
     write_network(build_network("r", counts, max_order=1), path)
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: edge .* {problem}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {problem}"):
         read_network(path)
 
 
