@@ -128,8 +128,13 @@ def choose(
     """
     if not cands.members:
         raise ValueError("cannot choose from an empty candidate set")
+    return _rank(cands, _evidence_surfaces(sentence, evidence_window))
+
+
+def _rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
+    """Score ``surfaces`` against each candidate's network and rank as
+    ``choose`` does."""
     freq = {m.word: m.training_freq for m in cands.members}
-    surfaces = _evidence_surfaces(sentence, evidence_window)
     scores = [_score_surfaces(m.network, surfaces) for m in cands.members]
     scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
     return scores

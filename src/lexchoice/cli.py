@@ -235,6 +235,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         value = setting(key, flag_value, default)
         if not isinstance(value, list) or not all(_is_int(v) for v in value):
             raise CliError(f"{key} must be a list of integers, got {value!r}")
+        for i, v in enumerate(value):
+            if v in value[:i]:
+                raise CliError(
+                    f"{key} must be a list of distinct integers, got {v} twice in {value!r}"
+                )
         return value
 
     fmt = setting("format", args.format, corpus.CorpusConfig.format)

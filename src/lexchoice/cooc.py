@@ -19,7 +19,9 @@ weight downstream; MI is only ever an inclusion filter.
 
 A pair table is stored as one row per word, ``rows[a][b] == rows[b][a]``,
 the joint count of the pair: network growth reads the full row of each word
-it visits, so the rows are counted directly and no other index is built.
+it visits, and reads few of the words, so ``count_pairs`` only records each
+non-stop occurrence under its word and a row is counted the first time it
+is read (``PairRows``). Iterating or sizing the rows counts every row left.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
 memoised on the table, which must therefore not be mutated once queried.
@@ -81,6 +83,92 @@ def pair_key(w1: str, w2: str) -> tuple[str, str]:
     return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
+class PairRows(Mapping):
+    """The rows of a pair table, ``word -> {other: joint count}``.
+
+    A word may map to its occurrences instead of a counted row: the indices,
+    in stream order, of its entries in ``surfaces``, the stream's non-stop
+    surfaces, whose stream positions are ``positions``. The first read of
+    the word counts its row from them, adding every surface within
+    ``half_width`` positions of each occurrence and dropping the word itself,
+    and puts the row in their place, or drops the word if the row is empty;
+    so the words keep their first-seen order. Iterating, sizing and
+    comparing the rows count every row left first.
+    """
+
+    __slots__ = ("_rows", "_half_width", "_positions", "_surfaces", "_complete")
+
+    def __init__(self, rows: dict, half_width: int = 0, positions: list[int] | None = None,
+                 surfaces: list[str] | None = None):
+        self._rows = rows
+        self._half_width = half_width
+        self._positions = positions
+        self._surfaces = surfaces
+        self._complete = False
+
+    def get(self, word: str, default=None):
+        row = self._rows.get(word)
+        if row.__class__ is list:
+            row = self._count(word, row)
+        return default if row is None else row
+
+    def _count(self, word: str, occurrences: list[int]) -> dict[str, int] | None:
+        positions, surfaces, k = self._positions, self._surfaces, self._half_width
+        n = len(positions)
+        row: dict[str, int] = {}
+        for i in occurrences:
+            # Positions rise by at least 1 per index, so the window of the
+            # occurrence at index i lies within indices i - k .. i + k.
+            p = positions[i]
+            lo = bisect_left(positions, p - k, i - k if i > k else 0, i)
+            hi = bisect_right(positions, p + k, i, i + k + 1 if i + k < n else n)
+            _count_elements(row, surfaces[lo:hi])
+        del row[word]
+        if row:
+            self._rows[word] = row
+            return row
+        del self._rows[word]
+        return None
+
+    def _counted(self) -> dict[str, dict[str, int]]:
+        """The rows as a plain dict, every row counted."""
+        if not self._complete:
+            for word, row in list(self._rows.items()):
+                if row.__class__ is list:
+                    self._count(word, row)
+            self._complete = True
+        return self._rows
+
+    def __getitem__(self, word: str) -> dict[str, int]:
+        row = self.get(word)
+        if row is None:
+            raise KeyError(word)
+        return row
+
+    def __setitem__(self, word: str, row: dict[str, int]) -> None:
+        self._rows[word] = row
+
+    def __iter__(self):
+        return iter(self._counted())
+
+    def __len__(self) -> int:
+        return len(self._counted())
+
+    def items(self):
+        return self._counted().items()
+
+    def values(self):
+        return self._counted().values()
+
+    def __eq__(self, other):
+        if isinstance(other, PairRows):
+            other = other._counted()
+        return self._counted() == other
+
+    def __repr__(self) -> str:
+        return f"PairRows({self._counted()!r})"
+
+
 class PairView(Mapping):
     """The pairs of a row table as a mapping ``(w1, w2) -> count``, w1 < w2.
 
@@ -89,7 +177,7 @@ class PairView(Mapping):
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: dict[str, dict[str, int]]):
+    def __init__(self, rows: PairRows):
         self._rows = rows
 
     def __getitem__(self, key: tuple[str, str]) -> int:
@@ -134,13 +222,14 @@ class PairCounts:
     """Joint pair counts plus the marginals needed for significance tests.
 
     ``rows[a][b]`` is the joint count of ``a`` and ``b``, stored in both
-    words' rows; a word with no partner has no row. ``pairs`` views the same
-    counts keyed by sorted word pairs. The significant-neighbour rows are
-    computed on first use and memoised on the table, so the counts and
-    ``freq`` must not change once the table has been queried.
+    words' rows and counted on first read (``PairRows``); a word with no
+    partner has no row. ``pairs`` views the same counts keyed by sorted word
+    pairs. The significant-neighbour rows are computed on first use and
+    memoised on the table, so the counts and ``freq`` must not change once
+    the table has been queried.
     """
 
-    rows: dict[str, dict[str, int]]
+    rows: PairRows
     freq: dict[str, int]
     total_tokens: int
     half_width: int
@@ -153,7 +242,7 @@ class PairCounts:
     @classmethod
     def from_pairs(cls, pairs: Mapping[tuple[str, str], int], **fields) -> "PairCounts":
         """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
-        table = cls({}, **fields)
+        table = cls(PairRows({}), **fields)
         view = table.pairs
         for key, count in pairs.items():
             view[key] = count
@@ -207,57 +296,44 @@ class PairCounts:
 
 
 def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> PairCounts:
-    """Count windowed co-occurrences over a flagged token stream into rows.
+    """Windowed co-occurrence counts over a flagged token stream, each row
+    counted when first read.
 
-    The stream is cut into sentences (one piece with ``cross_sentences``),
-    each kept as the positions and surfaces of its non-stop tokens. A token
-    at position p adds every surface at positions p-k..p+k to its own row;
-    the row's entry for the word itself is dropped at the end, and so is a
-    row left empty.
+    One pass keeps the position and surface of every non-stop token and
+    records the token under its surface (``PairRows``). Unless
+    ``cross_sentences`` is set, each sentence's positions start
+    ``half_width + 1`` further on than the text's, so no window reaches
+    across a sentence end.
     """
     k = window.half_width
     cross = window.cross_sentences
-    rows: dict[str, dict[str, int]] = {}
+    gap = 0 if cross else k + 1
+    occurrences: dict[str, list[int]] = {}
     positions: list[int] = []
     surfaces: list[str] = []
+    offset = 0
     sentence = None
     for i, tok in enumerate(ts):
         if tok.sentence_id != sentence:
             sentence = tok.sentence_id
-            if not cross:
-                _count_windows(rows, positions, surfaces, k)
-                positions, surfaces = [], []
+            offset += gap
         if not tok.is_stop:
-            positions.append(i)
-            surfaces.append(tok.surface)
-    _count_windows(rows, positions, surfaces, k)
-    for word, row in list(rows.items()):
-        del row[word]
-        if not row:
-            del rows[word]
+            word = tok.surface
+            seen = occurrences.get(word)
+            if seen is None:
+                occurrences[word] = [len(positions)]
+            else:
+                seen.append(len(positions))
+            positions.append(i + offset)
+            surfaces.append(word)
     return PairCounts(
-        rows,
+        PairRows(occurrences, k, positions, surfaces),
         freq=vocab.freq,
         total_tokens=vocab.total_tokens,
         half_width=k,
         cross_sentences=cross,
         stop_threshold=vocab.stop_threshold,
     )
-
-
-def _count_windows(
-    rows: dict[str, dict[str, int]], positions: list[int], surfaces: list[str], k: int
-) -> None:
-    """Add to each token's row the surfaces within ``k`` positions of it,
-    itself included."""
-    lo = hi = 0
-    for p, word in zip(positions, surfaces):
-        lo = bisect_left(positions, p - k, lo)
-        hi = bisect_right(positions, p + k, hi)
-        row = rows.get(word)
-        if row is None:
-            row = rows[word] = {}
-        _count_elements(row, surfaces[lo:hi])
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
@@ -317,6 +393,10 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
     freq = vocab.freq
+    # Each pair word maps to the vocabulary's own key object, so the rows
+    # hold no second copy of a word and lookups between them match by
+    # identity.
+    keys = {word: word for word in freq}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
             w1, w2, count = line.split("\t")
@@ -331,25 +411,29 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             else:
                 problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
-            row = rows.get(w1)
-            if row is None:
-                row = rows[w1] = {}
-            if w1 < w2 and n > 0 and w1 in freq and w2 in freq and w2 not in row:
-                row[w2] = n
-                other = rows.get(w2)
-                if other is None:
-                    rows[w2] = {w1: n}
+            a = keys.get(w1)
+            b = keys.get(w2)
+            row = rows.get(a)
+            fresh = row is None or b not in row
+            if w1 < w2 and n > 0 and a is not None and b is not None and fresh:
+                if row is None:
+                    rows[a] = {b: n}
                 else:
-                    other[w1] = n
+                    row[b] = n
+                other = rows.get(b)
+                if other is None:
+                    rows[b] = {a: n}
+                else:
+                    other[a] = n
                 continue
             if w1 >= w2:
                 problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
             elif n < 1:
                 problem = f"count {n} is below 1"
-            elif w2 in row:
-                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+            elif a is None or b is None:
+                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
             else:
-                problem = f"pair word {w1 if w1 not in freq else w2!r} is not in the vocabulary"
+                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
         raise ValueError(f"{path}: line {line_no}: {problem}")
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
@@ -366,7 +450,7 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
     return PairCounts(
-        rows,
+        PairRows(rows),
         freq=freq,
         total_tokens=total,
         half_width=header["K"],

@@ -11,7 +11,9 @@ supported:
   cannot express either and which the space-separated ``.net`` format
   cannot carry.
 
-Surfaces are lowercased on ingestion; tags are kept verbatim. A token is a
+Surfaces are lowercased on ingestion; tags are kept verbatim. Both are
+interned (``sys.intern``), so a stream holds one string object per distinct
+surface and tag, and dict probes on them match by identity. A token is a
 stop word when its tag marks a number, symbol, or proper noun, or when its
 corpus-wide raw frequency exceeds the ``stop_threshold`` (F). Stop tokens
 stay in the stream, flagged, so that window positions remain occupied.
@@ -23,6 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 
 from .ioutil import atomic_write_text
 
@@ -67,7 +70,7 @@ class CorpusConfig:
             raise ValueError("stop_threshold must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     surface: str
     pos: str
@@ -118,7 +121,7 @@ def _parse_slash(raw: str) -> TokenStream:
                 raise CorpusFormatError(
                     f"token {item!r} {problem}", line_no, _column(line, items.index(item))
                 )
-            tokens.append(Token(surface.lower(), pos, sentence_id))
+            tokens.append(Token(intern(surface.lower()), intern(pos), sentence_id))
         sentence_id += 1
     return tokens
 
@@ -150,7 +153,7 @@ def _parse_tsv(raw: str) -> TokenStream:
             )
         if fields[0] == GAP:
             raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
-        tokens.append(Token(fields[0].lower(), fields[1], sentence_id))
+        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id))
         sentence_open = True
     return tokens
 
@@ -215,13 +218,15 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Read a table written by ``write_vocabulary``: an ``N=`` line, an
     optional ``F=`` line of at least 1, then ``word<TAB>count`` rows whose
-    counts are at least 1 and sum to N. Anything else raises ValueError
-    naming the file and line."""
+    counts are at least 1 and sum to N, each word non-empty, free of
+    whitespace and on one row only. Anything else raises ValueError naming
+    the file and line."""
     path = Path(path)
     freq: dict[str, int] = {}
     total = None
     threshold = DEFAULT_STOP_THRESHOLD
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        problem = None
         try:
             if line_no == 1:
                 expected = "N=<tokens>"
@@ -236,12 +241,19 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
             elif line.strip():
                 expected = "word<TAB>count, count >= 1"
                 word, count = line.split("\t")
-                freq[word] = int(count)
-                if freq[word] < 1:
+                n = int(count)
+                if n < 1:
                     raise ValueError
+                if word.split() != [word]:  # empty, or breaks at whitespace
+                    problem = f"word {word!r} is empty or holds whitespace"
+                elif word in freq:
+                    problem = f"word {word!r} repeats an earlier row"
+                else:
+                    freq[word] = n
         except ValueError:
             problem = f"expected '{expected}', got {line!r}"
-            raise ValueError(f"{path}: line {line_no}: {problem}") from None
+        if problem is not None:
+            raise ValueError(f"{path}: line {line_no}: {problem}")
     if total is None:
         raise ValueError(f"{path}: line 1: missing N= header")
     counted = sum(freq.values())

@@ -12,10 +12,10 @@ typicality judgments, so a strong frequency baseline can legitimately win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
-from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, choose
+from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, _evidence_surfaces, _rank
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
 from .network import NetworkCaps, build_network
@@ -47,6 +47,11 @@ class GapInstance:
     set_id: str
     sentence_id: int = 0
     position: int = 0
+    # The sentence's evidence surfaces per evidence window, picked on first
+    # judgement (``judge_instances``).
+    _evidence: dict[int | None, list[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -127,10 +132,17 @@ def judge_instances(
     instances: list[GapInstance],
     evidence_window: int | None = None,
 ) -> list[InstanceOutcome]:
-    return [
-        InstanceOutcome(inst, choose(cands, inst.sentence, evidence_window))
-        for inst in instances
-    ]
+    """Rank the candidates for each instance, as ``choose`` does. Each
+    instance's evidence is picked once and kept on it, so a grid judging it
+    in every cell picks it once."""
+    outcomes = []
+    for inst in instances:
+        surfaces = inst._evidence.get(evidence_window)
+        if surfaces is None:
+            surfaces = _evidence_surfaces(inst.sentence, evidence_window)
+            inst._evidence[evidence_window] = surfaces
+        outcomes.append(InstanceOutcome(inst, _rank(cands, surfaces)))
+    return outcomes
 
 
 def chi_square(correct_a: int, n_a: int, correct_b: int, n_b: int) -> tuple[float, bool]:
@@ -215,7 +227,9 @@ def run_grid(
 
     Pairs are counted once per window, and every cell of that window builds
     its members' networks from the one pair table, so the significance rows
-    it memoises are computed once per window. Networks are queried
+    it memoises, and the pair rows behind them, are computed once per window
+    and only for the words the networks reach. Each instance's evidence is
+    picked once, in the first cell that judges it. Networks are queried
     read-only across all of a cell's instances.
     """
     instances = {

@@ -413,6 +413,8 @@ def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
         ("windows", 4),
         ("windows", [4.0]),
         ("windows", [True]),
+        ("windows", [4, 10, 4]),
+        ("orders", [1, 1]),
         ("max_freq", [800]),
         ("max_freq", "800"),
         ("max_nodes", 1.5),
@@ -433,6 +435,15 @@ def test_evaluate_rejects_mistyped_config_value(tmp_path, capsys, key, value):
     code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
     assert code == 1
     assert err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_refuses_a_repeated_window_flag(tmp_path, capsys):
+    cfg_path, _ = evaluate_config(tmp_path)
+    code, _, err = run(["evaluate", "--config", str(cfg_path), "--window", "4", "--window", "4"],
+                       capsys)
+    assert code == 1
+    assert err.startswith("error: windows must be a list of distinct integers, got 4 twice")
     assert not (tmp_path / "report").exists()
 
 

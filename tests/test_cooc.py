@@ -16,7 +16,16 @@ from lexchoice.cooc import (
     read_pair_counts,
     write_pair_counts,
 )
-from lexchoice.corpus import GAP, CorpusConfig, Token, Vocabulary, build_vocabulary, ingest
+from lexchoice.corpus import (
+    GAP,
+    CorpusConfig,
+    Token,
+    Vocabulary,
+    build_vocabulary,
+    ingest,
+    read_vocabulary,
+    write_vocabulary,
+)
 
 from oracles import (
     forward_pair_counts,
@@ -67,6 +76,14 @@ def test_window_does_not_cross_sentences_by_default():
     assert count_pairs(ts, vocab, WindowConfig(5)).pairs == {}
     crossed = count_pairs(ts, vocab, WindowConfig(5, cross_sentences=True))
     assert crossed.pairs == {("x", "y"): 1}
+
+
+def test_a_word_without_partners_has_no_row_before_any_read():
+    ts, vocab = stream("x/NN 1989/CD\ny/NN z/NN")
+    counts = count_pairs(ts, vocab, WindowConfig(1))
+    assert len(counts.rows) == 2
+    assert list(counts.rows) == ["y", "z"]
+    assert "x" not in counts.rows and counts.get("x", "y") == 0
 
 
 def test_counts_symmetric_by_construction():
@@ -213,6 +230,63 @@ def test_count_pairs_matches_quadratic_oracle(sents, k, cross):
     assert counts.pairs == quadratic_pair_counts(ts, k, cross_sentences=cross)
 
 
+def oracle_rows(pairs: dict) -> dict[str, dict[str, int]]:
+    rows: dict[str, dict[str, int]] = {}
+    for (w1, w2), f_xy in pairs.items():
+        rows.setdefault(w1, {})[w2] = f_xy
+        rows.setdefault(w2, {})[w1] = f_xy
+    return rows
+
+
+READERS = ["get", "neighbors", "significant_neighbors"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 30), st.booleans(),
+       st.data())
+def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k, cross, data):
+    ts, cfg = random_stream(random.Random(seed), n_tokens, 15)
+    vocab = build_vocabulary(ts, cfg)
+    expected = quadratic_pair_counts(ts, k, cross_sentences=cross)
+    rows = oracle_rows(expected)
+    counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    words = sorted(vocab.freq)
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(READERS)),
+                               unique_by=lambda read: read[0]) if words else st.just([]))
+    for word, reader in reads:
+        if reader == "get":
+            assert [counts.get(word, other) for other in words] == [
+                rows.get(word, {}).get(other, 0) for other in words]
+        elif reader == "neighbors":
+            assert counts.neighbors(word) == sorted(rows.get(word, {}))
+        else:
+            counts.significant_neighbors(word, SignificanceThresholds(ANY_T, -math.inf))
+        assert counts.rows.get(word) == rows.get(word)
+    if expected and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(expected)))
+        counts.pairs[key] += 1
+        expected[key] += 1
+        rows = oracle_rows(expected)
+        assert counts.rows.get(key[0]) == rows[key[0]]
+        assert counts.rows.get(key[1]) == rows[key[1]]
+    forcing = data.draw(st.permutations(["view", "len", "write"]))
+    for force in forcing:
+        if force == "view":
+            assert counts.pairs == expected
+        elif force == "len":
+            assert len(counts.pairs) == len(expected)
+            assert len(counts.rows) == len(rows)
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "pairs.tsv"
+                write_pair_counts(counts, path)
+                text = path.read_text(encoding="utf-8")
+            assert text == sorted_key_pair_table_text(counts)
+        assert {word: counts.rows.get(word) for word in words} == {
+            word: rows.get(word) for word in words}
+    assert counts.rows == rows
+
+
 def test_forward_oracle_with_cross_sentences():
     rng = random.Random(99)
     ts, cfg = random_stream(rng, 400)
@@ -296,6 +370,20 @@ def test_pair_counts_file_roundtrip(tmp_path, tiny_stream, tiny_vocab):
     assert again == counts
     header = path.read_text().splitlines()[:2]
     assert header == [f"N={tiny_vocab.total_tokens}", "K=4"]
+
+
+def test_read_pair_counts_keys_rows_with_the_vocabulary_objects(tmp_path, tiny_stream,
+                                                                tiny_vocab):
+    write_vocabulary(tiny_vocab, tmp_path / "vocab.tsv")
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)),
+                      tmp_path / "pairs.tsv")
+    vocab = read_vocabulary(tmp_path / "vocab.tsv")
+    key = {word: word for word in vocab.freq}
+    counts = read_pair_counts(tmp_path / "pairs.tsv", vocab)
+    assert len(counts.rows) > 5
+    for word, row in counts.rows.items():
+        assert word is key[word]
+        assert all(other is key[other] for other in row)
 
 
 def test_pair_counts_file_deterministic(tmp_path, tiny_stream, tiny_vocab):

@@ -223,25 +223,27 @@ def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):
 
 
 @pytest.mark.parametrize(
-    "old, new, line_no, expected",
+    "old, new, line_no, problem",
     [
-        ("N=32\n", "N=many\n", 1, "N=<tokens>"),
-        ("F=100\n", "F=\n", 2, "F=<threshold>"),
-        ("\na\t2\n", "\na 2\n", 4, "word<TAB>count, count >= 1"),
-        ("\na\t2\n", "\na\t0\n", 4, "word<TAB>count, count >= 1"),
-        ("F=100\n", "F=0\n", 2, "F=<threshold>"),
-        ("F=100\n", "F=-5\n", 2, "F=<threshold>"),
+        ("N=32\n", "N=many\n", 1, "expected 'N=<tokens>'"),
+        ("F=100\n", "F=\n", 2, "expected 'F=<threshold>'"),
+        ("\na\t2\n", "\na 2\n", 4, "expected 'word<TAB>count, count >= 1'"),
+        ("\na\t2\n", "\na\t0\n", 4, "expected 'word<TAB>count, count >= 1'"),
+        ("F=100\n", "F=0\n", 2, "expected 'F=<threshold>'"),
+        ("F=100\n", "F=-5\n", 2, "expected 'F=<threshold>'"),
+        ("\na\t2\n", "\na\t2\na\t2\n", 5, "word 'a' repeats an earlier row"),
+        ("\na\t2\n", "\n\t2\n", 4, "word '' is empty or holds whitespace"),
+        ("\na\t2\n", "\na b\t2\n", 4, "word 'a b' is empty or holds whitespace"),
     ],
     ids=["bad-total", "bad-threshold", "space-for-tab", "zero-count", "zero-threshold",
-         "negative-threshold"],
+         "negative-threshold", "repeated-word", "empty-word", "whitespace-word"],
 )
-def test_read_vocabulary_names_file_and_line(tmp_path, tiny_vocab, old, new, line_no, expected):
+def test_read_vocabulary_names_file_and_line(tmp_path, tiny_vocab, old, new, line_no, problem):
     path = tmp_path / "vocab.tsv"
     write_vocabulary(tiny_vocab, path)
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new, 1))
-    problem = f"line {line_no}: expected {expected!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}"):
         read_vocabulary(path)
 
 
@@ -273,3 +275,19 @@ def test_apply_stop_policy_uses_training_frequencies():
 def test_token_surface_must_be_nonempty():
     with pytest.raises(ValueError):
         Token("", "NN", 0)
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("slash", "The/DT task/NN and/CC the/DT task/NN\ntask/NN ./.\n"),
+     ("tsv", "The\tDT\ntask\tNN\n\nthe\tDT\ntask\tNN\n")],
+)
+def test_ingest_keeps_one_string_per_surface_and_tag(fmt, text):
+    ts = ingest(text, CorpusConfig(format=fmt))
+    assert not any(hasattr(tok, "__dict__") for tok in ts)
+    for field in ("surface", "pos"):
+        by_text = {}
+        for tok in ts:
+            value = getattr(tok, field)
+            assert by_text.setdefault(value, value) is value
+    assert [tok.surface for tok in ts].count("the") == 2

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from lexchoice import evaluation
-from lexchoice.choice import GAP, Candidate, CandidateSet
+from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence
 from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
 from lexchoice.corpus import CorpusConfig, apply_stop_policy, build_vocabulary, ingest
 from lexchoice.evaluation import (
@@ -304,3 +304,24 @@ def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
         assert net == direct
     assert cells == per_cell_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3],
                                   thresholds, caps)
+
+
+def test_run_grid_picks_each_instance_evidence_once(monkeypatch):
+    pc = planted_corpus()
+    cfg = CorpusConfig()
+    train = ingest(pc.train_text, cfg)
+    vocab = build_vocabulary(train, cfg)
+    held = ingest(pc.heldout_text, cfg)
+    apply_stop_policy(held, vocab, cfg)
+    picked = []
+    real_pick = GapSentence.evidence_tokens
+
+    def counting_pick(sentence, evidence_window=None):
+        picked.append(sentence)
+        return real_pick(sentence, evidence_window)
+
+    monkeypatch.setattr(GapSentence, "evidence_tokens", counting_pick)
+    cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], evidence_window=3)
+    instances = cells[0].outcomes[pc.set_def.set_id]
+    assert len(cells) == 6 and len(picked) == len(instances) > 1
+    assert {id(s) for s in picked} == {id(o.instance.sentence) for o in instances}
