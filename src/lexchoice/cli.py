@@ -135,6 +135,8 @@ def cmd_choose(args: argparse.Namespace) -> int:
         nets[word] = network.read_network(path)
 
     vocab_path = Path(args.vocab) if args.vocab else networks_dir / "vocab.tsv"
+    if args.vocab and not vocab_path.exists():
+        raise CliError(f"vocabulary file not found: {vocab_path}")
     vocab = corpus.read_vocabulary(vocab_path) if vocab_path.exists() else None
     freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
 
@@ -275,7 +277,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         members = s["members"]
         if not isinstance(members, list) or not all(isinstance(w, str) for w in members):
             raise CliError(f"set {s['id']!r}: members must be a list of words, got {members!r}")
-        set_defs.append(evaluation.SetDefinition(str(s["id"]), s["pos"], members))
+        set_id = str(s["id"])
+        if any(sdef.set_id == set_id for sdef in set_defs):
+            raise CliError(f"set ids must be distinct, got {set_id!r} twice")
+        set_defs.append(evaluation.SetDefinition(set_id, s["pos"], members))
 
     cfg = _corpus_config(fmt, max_freq)
     train_ts = _read_corpus([str(p) for p in train_paths], cfg)

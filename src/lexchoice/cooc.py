@@ -21,7 +21,8 @@ A pair table is stored as one row per word, ``rows[a][b] == rows[b][a]``,
 the joint count of the pair: network growth reads the full row of each word
 it visits, and reads few of the words, so ``count_pairs`` only records each
 non-stop occurrence under its word and a row is counted the first time it
-is read (``PairRows``). Iterating or sizing the rows counts every row left.
+is read (``PairCounts.row``). ``PairCounts.rows``, which the writer and the
+pair view's iteration, size and equality use, counts every row left.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
 memoised on the table, which must therefore not be mutated once queried.
@@ -83,37 +84,93 @@ def pair_key(w1: str, w2: str) -> tuple[str, str]:
     return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
-class PairRows(Mapping):
-    """The rows of a pair table, ``word -> {other: joint count}``.
+class PairView(Mapping):
+    """The pairs of a table as a mapping ``(w1, w2) -> count``, w1 < w2.
 
-    A word may map to its occurrences instead of a counted row: the indices,
-    in stream order, of its entries in ``surfaces``, the stream's non-stop
-    surfaces, whose stream positions are ``positions``. The first read of
-    the word counts its row from them, adding every surface within
-    ``half_width`` positions of each occurrence and dropping the word itself,
-    and puts the row in their place, or drops the word if the row is empty;
-    so the words keep their first-seen order. Iterating, sizing and
-    comparing the rows count every row left first.
+    Reads go to the table's rows, and setting a pair sets it in both words'
+    rows.
     """
 
-    __slots__ = ("_rows", "_half_width", "_positions", "_surfaces", "_complete")
+    __slots__ = ("_table",)
 
-    def __init__(self, rows: dict, half_width: int = 0, positions: list[int] | None = None,
-                 surfaces: list[str] | None = None):
-        self._rows = rows
-        self._half_width = half_width
-        self._positions = positions
-        self._surfaces = surfaces
-        self._complete = False
+    def __init__(self, table: PairCounts):
+        self._table = table
 
-    def get(self, word: str, default=None):
-        row = self._rows.get(word)
-        if row.__class__ is list:
-            row = self._count(word, row)
-        return default if row is None else row
+    def __getitem__(self, key: tuple[str, str]) -> int:
+        w1, w2 = key
+        row = self._table.row(w1)
+        if w1 < w2 and row is not None and w2 in row:
+            return row[w2]
+        raise KeyError(key)
 
-    def _count(self, word: str, occurrences: list[int]) -> dict[str, int] | None:
-        positions, surfaces, k = self._positions, self._surfaces, self._half_width
+    def __setitem__(self, key: tuple[str, str], count: int) -> None:
+        w1, w2 = key
+        if not w1 < w2:
+            raise ValueError(f"pair {w1!r} {w2!r} is out of order or a self-pair")
+        for a, b in ((w1, w2), (w2, w1)):
+            row = self._table.row(a)
+            if row is None:
+                self._table._rows[a] = {b: count}
+            else:
+                row[b] = count
+
+    def __iter__(self):
+        for w1, row in self._table.rows.items():
+            for w2 in row:
+                if w1 < w2:
+                    yield (w1, w2)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._table.rows.values())) // 2
+
+    def __eq__(self, other):
+        # Two views compare their rows, without building a dict of pair keys.
+        if isinstance(other, PairView):
+            return self._table.rows == other._table.rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"PairView({dict(self.items())!r})"
+
+
+@dataclass
+class PairCounts:
+    """Joint pair counts plus the marginals needed for significance tests.
+
+    ``row(a)[b]`` is the joint count of ``a`` and ``b``, stored in both
+    words' rows; a word with no partner has no row. Until its first read, a
+    word's entry in ``_rows`` holds its occurrences instead of a row: the
+    indices, in stream order, of its entries in ``_surfaces``, the stream's
+    non-stop surfaces, whose stream positions are ``_positions``. ``rows``
+    counts every row left and returns them all. ``pairs`` views the same
+    counts keyed by sorted word pairs. The significant-neighbour rows are
+    computed on first use and memoised on the table, so the counts and
+    ``freq`` must not change once the table has been queried.
+    """
+
+    _rows: dict[str, dict[str, int] | list[int]]
+    freq: dict[str, int]
+    total_tokens: int
+    half_width: int
+    cross_sentences: bool = False
+    stop_threshold: int = DEFAULT_STOP_THRESHOLD
+    _positions: list[int] = field(default_factory=list, repr=False)
+    _surfaces: list[str] = field(default_factory=list, repr=False)
+    _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def row(self, word: str) -> dict[str, int] | None:
+        """``word``'s row, ``{other: joint count}``, or None if it has no
+        partner. The first read counts the row from the word's occurrences,
+        adding every surface within ``half_width`` positions of each one and
+        dropping the word itself, and puts the row in their place, or drops
+        the word if the row is empty; so the words keep their first-seen
+        order."""
+        occurrences = self._rows.get(word)
+        if occurrences.__class__ is not list:
+            return occurrences
+        positions, surfaces, k = self._positions, self._surfaces, self.half_width
         n = len(positions)
         row: dict[str, int] = {}
         for i in occurrences:
@@ -130,135 +187,33 @@ class PairRows(Mapping):
         del self._rows[word]
         return None
 
-    def _counted(self) -> dict[str, dict[str, int]]:
-        """The rows as a plain dict, every row counted."""
-        if not self._complete:
-            for word, row in list(self._rows.items()):
-                if row.__class__ is list:
-                    self._count(word, row)
-            self._complete = True
+    @property
+    def rows(self) -> dict[str, dict[str, int]]:
+        """Every row, ``word -> {other: joint count}``, each counted."""
+        for word in [word for word, row in self._rows.items() if row.__class__ is list]:
+            self.row(word)
         return self._rows
-
-    def __getitem__(self, word: str) -> dict[str, int]:
-        row = self.get(word)
-        if row is None:
-            raise KeyError(word)
-        return row
-
-    def __setitem__(self, word: str, row: dict[str, int]) -> None:
-        self._rows[word] = row
-
-    def __iter__(self):
-        return iter(self._counted())
-
-    def __len__(self) -> int:
-        return len(self._counted())
-
-    def items(self):
-        return self._counted().items()
-
-    def values(self):
-        return self._counted().values()
-
-    def __eq__(self, other):
-        if isinstance(other, PairRows):
-            other = other._counted()
-        return self._counted() == other
-
-    def __repr__(self) -> str:
-        return f"PairRows({self._counted()!r})"
-
-
-class PairView(Mapping):
-    """The pairs of a row table as a mapping ``(w1, w2) -> count``, w1 < w2.
-
-    Reads go to the rows, and setting a pair sets it in both words' rows.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: PairRows):
-        self._rows = rows
-
-    def __getitem__(self, key: tuple[str, str]) -> int:
-        w1, w2 = key
-        row = self._rows.get(w1)
-        if w1 < w2 and row is not None and w2 in row:
-            return row[w2]
-        raise KeyError(key)
-
-    def __setitem__(self, key: tuple[str, str], count: int) -> None:
-        w1, w2 = key
-        if not w1 < w2:
-            raise ValueError(f"pair {w1!r} {w2!r} is out of order or a self-pair")
-        for a, b in ((w1, w2), (w2, w1)):
-            row = self._rows.get(a)
-            if row is None:
-                self._rows[a] = {b: count}
-            else:
-                row[b] = count
-
-    def __iter__(self):
-        for w1, row in self._rows.items():
-            for w2 in row:
-                if w1 < w2:
-                    yield (w1, w2)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._rows.values())) // 2
-
-    def __eq__(self, other):
-        # Two views compare their rows, without building a dict of pair keys.
-        if isinstance(other, PairView):
-            return self._rows == other._rows
-        return super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return f"PairView({dict(self.items())!r})"
-
-
-@dataclass
-class PairCounts:
-    """Joint pair counts plus the marginals needed for significance tests.
-
-    ``rows[a][b]`` is the joint count of ``a`` and ``b``, stored in both
-    words' rows and counted on first read (``PairRows``); a word with no
-    partner has no row. ``pairs`` views the same counts keyed by sorted word
-    pairs. The significant-neighbour rows are computed on first use and
-    memoised on the table, so the counts and ``freq`` must not change once
-    the table has been queried.
-    """
-
-    rows: PairRows
-    freq: dict[str, int]
-    total_tokens: int
-    half_width: int
-    cross_sentences: bool = False
-    stop_threshold: int = DEFAULT_STOP_THRESHOLD
-    _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[tuple[str, str], int], **fields) -> "PairCounts":
-        """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
-        table = cls(PairRows({}), **fields)
-        view = table.pairs
-        for key, count in pairs.items():
-            view[key] = count
-        return table
 
     @property
     def pairs(self) -> PairView:
-        return PairView(self.rows)
+        return PairView(self)
+
+    def __eq__(self, other):
+        # Pending occurrences and counted rows differ, so compare counted rows.
+        if not isinstance(other, PairCounts):
+            return NotImplemented
+        return (self.rows, self.freq, self.total_tokens, self.half_width,
+                self.cross_sentences, self.stop_threshold) == (
+            other.rows, other.freq, other.total_tokens, other.half_width,
+            other.cross_sentences, other.stop_threshold)
 
     def get(self, w1: str, w2: str) -> int:
-        row = self.rows.get(w1)
+        row = self.row(w1)
         return 0 if row is None else row.get(w2, 0)
 
     def neighbors(self, word: str) -> list[str]:
         """Words that co-occurred with ``word`` at least once, sorted."""
-        return sorted(self.rows.get(word, ()))
+        return sorted(self.row(word) or ())
 
     def significant_neighbors(
         self, word: str, thresholds: SignificanceThresholds
@@ -283,7 +238,7 @@ class PairCounts:
         total = self.total_tokens
         t_min, mi_min = thresholds.t_min, thresholds.mi_min
         floor = t_min * t_min * (1 - COUNT_FLOOR_MARGIN)
-        counts = self.rows.get(word, {})
+        counts = self.row(word) or {}
         row = []
         for other in sorted(other for other, f_xy in counts.items() if f_xy >= floor):
             f_xy = counts[other]
@@ -300,8 +255,8 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     counted when first read.
 
     One pass keeps the position and surface of every non-stop token and
-    records the token under its surface (``PairRows``). Unless
-    ``cross_sentences`` is set, each sentence's positions start
+    records the token under its surface, for ``PairCounts.row`` to count
+    from. Unless ``cross_sentences`` is set, each sentence's positions start
     ``half_width + 1`` further on than the text's, so no window reaches
     across a sentence end.
     """
@@ -327,12 +282,14 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
             positions.append(i + offset)
             surfaces.append(word)
     return PairCounts(
-        PairRows(occurrences, k, positions, surfaces),
+        occurrences,
         freq=vocab.freq,
         total_tokens=vocab.total_tokens,
         half_width=k,
         cross_sentences=cross,
         stop_threshold=vocab.stop_threshold,
+        _positions=positions,
+        _surfaces=surfaces,
     )
 
 
@@ -450,7 +407,7 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
     return PairCounts(
-        PairRows(rows),
+        rows,
         freq=freq,
         total_tokens=total,
         half_width=header["K"],

@@ -232,6 +232,10 @@ def run_grid(
     picked once, in the first cell that judges it. Networks are queried
     read-only across all of a cell's instances.
     """
+    order_cells = grid_cells(windows, orders)
+    if not order_cells:
+        raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
+                         "evaluate (window 50 has no order 3)")
     instances = {
         sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
         for sdef in set_defs
@@ -243,7 +247,6 @@ def run_grid(
                 "in the held-out corpus"
             )
 
-    order_cells = grid_cells(windows, orders)
     results = {
         (window, order): CellResult(window, order, {}, {}) for window, order in order_cells
     }

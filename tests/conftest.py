@@ -26,12 +26,26 @@ def tiny_vocab(tiny_stream, tiny_config):
     return build_vocabulary(tiny_stream, tiny_config)
 
 
+def mirrored_rows(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:
+    """The rows of a pair table, ``rows[w1][w2] == rows[w2][w1]``, holding ``pairs``."""
+    rows: dict[str, dict[str, int]] = {}
+    for (w1, w2), count in pairs.items():
+        rows.setdefault(w1, {})[w2] = count
+        rows.setdefault(w2, {})[w1] = count
+    return rows
+
+
+def from_pairs(pairs: dict[tuple[str, str], int], **fields) -> PairCounts:
+    """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
+    return PairCounts(mirrored_rows(pairs), **fields)
+
+
 def make_counts(pairs: dict[tuple[str, str], int], freq: dict[str, int],
                 total_tokens: int = 10_000, half_width: int = 4,
                 stop_threshold: int = 800) -> PairCounts:
     """Hand-crafted pair table; keys are normalized to sorted order."""
     table = {pair_key(*key): value for key, value in pairs.items()}
-    return PairCounts.from_pairs(
+    return from_pairs(
         table,
         freq=freq,
         total_tokens=total_tokens,

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from lexchoice.cli import main
-from lexchoice.cooc import PairCounts, read_pair_counts, write_pair_counts
+from lexchoice.cooc import read_pair_counts, write_pair_counts
 from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
 from lexchoice.network import build_network, write_network
 from lexchoice.synthetic import planted_corpus
+
+from conftest import from_pairs
 
 FIXTURE = "r/NN a/NN\nr/NN b/NN\na/NN c/NN\n"
 
@@ -26,7 +28,7 @@ def write_star_counts(base, roots_and_counts, freq, total):
     """Craft a counts artifact directly (vocab.tsv + pairs.tsv)."""
     vocab = Vocabulary(freq, total_tokens=total, stop_threshold=800)
     write_vocabulary(vocab, base / "vocab.tsv")
-    counts = PairCounts.from_pairs(
+    counts = from_pairs(
         roots_and_counts, freq=freq, total_tokens=total, half_width=4,
         stop_threshold=800,
     )
@@ -295,6 +297,21 @@ def test_choose_refuses_a_negative_top(fixture_stats, capsys):
     assert err == "error: --top must be a non-negative integer, got -1\n"
 
 
+def test_choose_refuses_a_missing_vocab_file(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--order", "1", "--out", str(nets)], capsys)[0] == 0
+    missing = counts_dir / "vocb.tsv"
+    code, stdout, err = run(
+        ["choose", "--networks", str(nets), "--candidates", "r,b", "--vocab", str(missing),
+         "--sentence", "1989/CD ____"],
+        capsys,
+    )
+    assert code == 1 and stdout == ""
+    assert err == f"error: vocabulary file not found: {missing}\n"
+
+
 def test_choose_missing_network_names_candidate(tmp_path, capsys):
     code, _, err = run(
         ["choose", "--networks", str(tmp_path), "--candidates", "x,y",
@@ -447,6 +464,16 @@ def test_evaluate_refuses_a_repeated_window_flag(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("windows, orders", [([4], []), ([], [1, 2]), ([50], [3])],
+                         ids=lambda v: json.dumps(v))
+def test_evaluate_refuses_an_empty_grid(tmp_path, capsys, windows, orders):
+    cfg_path, _ = evaluate_config(tmp_path, windows=windows, orders=orders)
+    code, stdout, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: windows {windows} and orders {orders} leave no grid cell")
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize(
     "sets, problem",
     [
@@ -458,6 +485,9 @@ def test_evaluate_refuses_a_repeated_window_flag(tmp_path, capsys):
         ([{"id": "x", "pos": "NN", "members": "widget,gadget"}], "members must be a list"),
         ([{"id": "x", "pos": "NN", "members": ["widget", 7]}], "members must be a list"),
         ([{"id": "x", "pos": ["NN"], "members": ["widget", "gadget"]}], "pos must be a string"),
+        ([{"id": "a", "pos": "NN", "members": ["widget", "gadget"]},
+          {"id": "a", "pos": "NN", "members": ["gadget", "widget"]}],
+         "set ids must be distinct, got 'a' twice"),
     ],
     ids=lambda v: json.dumps(v),
 )

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexchoice import cooc
 from lexchoice.cooc import (
-    PairCounts,
     SignificanceThresholds,
     WindowConfig,
     count_pairs,
@@ -21,12 +21,16 @@ from lexchoice.corpus import (
     CorpusConfig,
     Token,
     Vocabulary,
+    apply_stop_policy,
     build_vocabulary,
     ingest,
     read_vocabulary,
     write_vocabulary,
 )
+from lexchoice.evaluation import run_grid
+from lexchoice.synthetic import planted_corpus
 
+from conftest import from_pairs, mirrored_rows
 from oracles import (
     forward_pair_counts,
     pair_statistics,
@@ -94,8 +98,8 @@ def test_counts_symmetric_by_construction():
 
 def one_pair(f_xy, f_x, f_y, total, k):
     """A table holding the one pair ("x", "y")."""
-    return PairCounts.from_pairs({("x", "y"): f_xy}, freq={"x": f_x, "y": f_y},
-                                 total_tokens=total, half_width=k)
+    return from_pairs({("x", "y"): f_xy}, freq={"x": f_x, "y": f_y},
+                      total_tokens=total, half_width=k)
 
 
 def x_row(counts, t_min, mi_min):
@@ -230,14 +234,6 @@ def test_count_pairs_matches_quadratic_oracle(sents, k, cross):
     assert counts.pairs == quadratic_pair_counts(ts, k, cross_sentences=cross)
 
 
-def oracle_rows(pairs: dict) -> dict[str, dict[str, int]]:
-    rows: dict[str, dict[str, int]] = {}
-    for (w1, w2), f_xy in pairs.items():
-        rows.setdefault(w1, {})[w2] = f_xy
-        rows.setdefault(w2, {})[w1] = f_xy
-    return rows
-
-
 READERS = ["get", "neighbors", "significant_neighbors"]
 
 
@@ -248,7 +244,7 @@ def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k
     ts, cfg = random_stream(random.Random(seed), n_tokens, 15)
     vocab = build_vocabulary(ts, cfg)
     expected = quadratic_pair_counts(ts, k, cross_sentences=cross)
-    rows = oracle_rows(expected)
+    rows = mirrored_rows(expected)
     counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
     words = sorted(vocab.freq)
     reads = data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(READERS)),
@@ -261,14 +257,14 @@ def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k
             assert counts.neighbors(word) == sorted(rows.get(word, {}))
         else:
             counts.significant_neighbors(word, SignificanceThresholds(ANY_T, -math.inf))
-        assert counts.rows.get(word) == rows.get(word)
+        assert counts.row(word) == rows.get(word)
     if expected and data.draw(st.booleans()):
         key = data.draw(st.sampled_from(sorted(expected)))
         counts.pairs[key] += 1
         expected[key] += 1
-        rows = oracle_rows(expected)
-        assert counts.rows.get(key[0]) == rows[key[0]]
-        assert counts.rows.get(key[1]) == rows[key[1]]
+        rows = mirrored_rows(expected)
+        assert counts.row(key[0]) == rows[key[0]]
+        assert counts.row(key[1]) == rows[key[1]]
     forcing = data.draw(st.permutations(["view", "len", "write"]))
     for force in forcing:
         if force == "view":
@@ -282,9 +278,37 @@ def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k
                 write_pair_counts(counts, path)
                 text = path.read_text(encoding="utf-8")
             assert text == sorted_key_pair_table_text(counts)
-        assert {word: counts.rows.get(word) for word in words} == {
+        assert {word: counts.row(word) for word in words} == {
             word: rows.get(word) for word in words}
     assert counts.rows == rows
+
+
+def test_rows_are_counted_only_when_read(monkeypatch):
+    calls = []
+    real_count_elements = cooc._count_elements
+
+    def count_elements(row, surfaces):
+        calls.append(surfaces)
+        real_count_elements(row, surfaces)
+
+    monkeypatch.setattr(cooc, "_count_elements", count_elements)
+    pc = planted_corpus()
+    cfg = CorpusConfig()
+    train = ingest(pc.train_text, cfg)
+    vocab = build_vocabulary(train, cfg)
+    counts = count_pairs(train, vocab, WindowConfig(4))
+    assert calls == []
+    word = pc.set_def.members[0]
+    occurrences = sum(tok.surface == word and not tok.is_stop for tok in train)
+    row = counts.row(word)
+    assert row and len(calls) == occurrences
+    assert counts.row(word) is row and counts.neighbors(word) == sorted(row)
+    assert len(calls) == occurrences
+    calls.clear()
+    heldout = ingest(pc.heldout_text, cfg)
+    apply_stop_policy(heldout, vocab, cfg)
+    run_grid(train, vocab, heldout, [pc.set_def], [4], [1, 2])
+    assert 0 < len(calls) < sum(not tok.is_stop for tok in train)
 
 
 def test_forward_oracle_with_cross_sentences():
@@ -331,8 +355,8 @@ def floor_tables(draw):
         freq[f"y{i}"] = draw(st.integers(1, 60))
         row[("x", f"y{i}")] = f_xy
     total = draw(st.one_of(st.integers(50, 10**7), st.sampled_from([10**12, 10**18, 10**24])))
-    table = PairCounts.from_pairs(row, freq=freq, total_tokens=total,
-                                  half_width=draw(st.integers(1, 10)))
+    table = from_pairs(row, freq=freq, total_tokens=total,
+                       half_width=draw(st.integers(1, 10)))
     mi_min = draw(st.one_of(st.floats(-3.0, 8.0), st.just(-math.inf)))
     return table, SignificanceThresholds(t_min, mi_min)
 
@@ -355,8 +379,8 @@ def test_count_floor_keeps_every_passing_pair(case):
 def test_count_floor_keeps_a_pair_whose_t_rounds_to_t_min(n, t_min):
     # With E = 2e-24, t = n / sqrt(n) in floats, which rounds to at least
     # t_min; for n other than 4, n is below the float t_min * t_min.
-    counts = PairCounts.from_pairs({("x", "y"): n}, freq={"x": 1, "y": 1},
-                                   total_tokens=10**24, half_width=1)
+    counts = from_pairs({("x", "y"): n}, freq={"x": 1, "y": 1},
+                        total_tokens=10**24, half_width=1)
     thresholds = SignificanceThresholds(t_min, 2.0)
     assert counts.significant_neighbors("x", thresholds) == [("y", n / math.sqrt(n))]
     assert n / math.sqrt(n) >= t_min and (n == 4 or n < t_min * t_min)
@@ -428,8 +452,7 @@ def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
 
 
 def small_table(pairs):
-    return PairCounts.from_pairs(pairs, freq=dict.fromkeys("abcd", 5), total_tokens=20,
-                                 half_width=4)
+    return from_pairs(pairs, freq=dict.fromkeys("abcd", 5), total_tokens=20, half_width=4)
 
 
 def test_pairs_view_writes_both_rows():
@@ -471,7 +494,7 @@ def test_from_pairs_rebuilds_a_counted_table(seed):
     vocab = build_vocabulary(ts, cfg)
     counts = count_pairs(ts, vocab, WindowConfig(3, cross_sentences=bool(seed % 2)))
     plain = dict(counts.pairs.items())
-    rebuilt = PairCounts.from_pairs(
+    rebuilt = from_pairs(
         plain, freq=vocab.freq, total_tokens=vocab.total_tokens, half_width=3,
         cross_sentences=bool(seed % 2), stop_threshold=vocab.stop_threshold,
     )
