@@ -10,7 +10,7 @@ Run: python demos/02_fill_the_gap.py
 
 from lexchoice.choice import Candidate, CandidateSet, choose, parse_gap_sentence
 from lexchoice.cooc import WindowConfig, count_pairs
-from lexchoice.corpus import DEFAULT_STOP_TAGS, CorpusConfig, build_vocabulary, ingest
+from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
 from lexchoice.network import build_network
 
 # Same miniature corpus as demo 01: "dinner" keeps company with "guests",
@@ -58,7 +58,7 @@ def main() -> None:
 
     for text in SENTENCES:
         print(f"\nsentence: {text}")
-        sentence = parse_gap_sentence(text, stop_pos_tags=DEFAULT_STOP_TAGS)
+        sentence = parse_gap_sentence(text)
         ranked = choose(cands, sentence)
         for rank, score in enumerate(ranked, 1):
             nets = {m.word: m.network for m in members}

@@ -16,7 +16,6 @@ from .choice import (
     GapSentence,
     choose,
     parse_gap_sentence,
-    score_candidate,
 )
 from .cooc import (
     PairCounts,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import GAP, Token
+from .corpus import DEFAULT_STOP_TAGS, GAP, Token
 from .network import CoocNetwork
 
 
@@ -105,15 +105,6 @@ def _score_surfaces(net: CoocNetwork, surfaces: list[str]) -> ChoiceScore:
     return ChoiceScore(candidate=net.root, total=total, per_word=per_word)
 
 
-def score_candidate(
-    net: CoocNetwork,
-    sentence: GapSentence,
-    evidence_window: int | None = None,
-) -> ChoiceScore:
-    """Total the network's relation scores over the sentence's evidence tokens."""
-    return _score_surfaces(net, _evidence_surfaces(sentence, evidence_window))
-
-
 def choose(
     cands: CandidateSet,
     sentence: GapSentence,
@@ -126,8 +117,6 @@ def choose(
     candidate with the higher training frequency, then lexicographically, so
     the degenerate ranking reproduces the most-frequent-synonym baseline.
     """
-    if not cands.members:
-        raise ValueError("cannot choose from an empty candidate set")
     return _rank(cands, _evidence_surfaces(sentence, evidence_window))
 
 
@@ -143,13 +132,15 @@ def _rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
 def parse_gap_sentence(
     text: str,
     gap_marker: str = GAP,
-    stop_pos_tags: frozenset[str] = frozenset(),
+    stop_pos_tags: frozenset[str] = DEFAULT_STOP_TAGS,
 ) -> GapSentence:
     """Parse a one-line gap sentence.
 
     Tokens are whitespace-separated ``surface/TAG`` items (bare surfaces are
     accepted with an empty tag); exactly one token must equal ``gap_marker``,
-    and no other may have the placeholder ``GAP`` as its surface.
+    and no other may have the placeholder ``GAP`` as its surface. A token
+    whose tag is in ``stop_pos_tags`` is flagged a stop word, as ingest
+    flags training tokens, so it never counts as evidence.
     """
     tokens: list[Token] = []
     gap_index: int | None = None

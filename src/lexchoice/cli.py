@@ -52,10 +52,6 @@ def _evidence_window(value) -> int | None:
     return value
 
 
-def _corpus_config(fmt: str, max_freq: int) -> corpus.CorpusConfig:
-    return corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
-
-
 def _read_corpus(paths: list[str], cfg: corpus.CorpusConfig) -> corpus.TokenStream:
     for path in paths:
         if not Path(path).exists():
@@ -64,7 +60,7 @@ def _read_corpus(paths: list[str], cfg: corpus.CorpusConfig) -> corpus.TokenStre
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _corpus_config(args.format, args.max_freq)
+    cfg = corpus.CorpusConfig(format=args.format, stop_threshold=args.max_freq)
     stream = _read_corpus(args.corpus, cfg)
     vocab = corpus.build_vocabulary(stream, cfg)
     window = cooc.WindowConfig(args.window, args.cross_sentences)
@@ -123,8 +119,6 @@ def cmd_choose(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise CliError(f"--top must be a non-negative integer, got {args.top}")
     words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
-    if len(words) < 2:
-        raise CliError("need at least two comma-separated candidates")
     networks_dir = Path(args.networks)
     nets: dict[str, network.CoocNetwork] = {}
     names = {word: _network_file_name(word) for word in words}
@@ -140,9 +134,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
     vocab = corpus.read_vocabulary(vocab_path) if vocab_path.exists() else None
     freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
 
-    sentence = choice.parse_gap_sentence(
-        args.sentence, args.gap_marker, corpus.DEFAULT_STOP_TAGS
-    )
+    sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker)
     if vocab is not None:
         for tok in sentence.tokens:
             if vocab.is_frequency_stopped(tok.surface):
@@ -203,14 +195,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return flag_value
         return config.get(key, default)
 
+    def paths(key: str, value) -> list[str]:
+        if isinstance(value, str):
+            return [value]
+        if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+            raise CliError(f"{key} must be a path or a list of paths, got {value!r}")
+        return value
+
     train_paths = setting("train_corpus", args.train, None)
     heldout_paths = setting("heldout_corpus", args.heldout, None)
     if not train_paths or not heldout_paths:
         raise CliError("evaluate needs train_corpus and heldout_corpus (config or flags)")
-    if isinstance(train_paths, str):
-        train_paths = [train_paths]
-    if isinstance(heldout_paths, str):
-        heldout_paths = [heldout_paths]
+    train_paths = paths("train_corpus", train_paths)
+    heldout_paths = paths("heldout_corpus", heldout_paths)
 
     train_resolved = {Path(p).resolve() for p in train_paths}
     overlap = train_resolved.intersection(Path(p).resolve() for p in heldout_paths)
@@ -237,11 +234,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         value = setting(key, flag_value, default)
         if not isinstance(value, list) or not all(_is_int(v) for v in value):
             raise CliError(f"{key} must be a list of integers, got {value!r}")
-        for i, v in enumerate(value):
-            if v in value[:i]:
-                raise CliError(
-                    f"{key} must be a list of distinct integers, got {v} twice in {value!r}"
-                )
         return value
 
     fmt = setting("format", args.format, corpus.CorpusConfig.format)
@@ -261,7 +253,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not isinstance(cross, bool):
         raise CliError(f"cross_sentences must be true or false, got {cross!r}")
     evidence_window = _evidence_window(setting("evidence_window", args.evidence_window, None))
-    out_dir = Path(setting("out_dir", args.out, "eval-out"))
+    out_dir = setting("out_dir", args.out, "eval-out")
+    if not isinstance(out_dir, str):
+        raise CliError(f"out_dir must be a path, got {out_dir!r}")
 
     raw_sets = config.get("sets")
     if not raw_sets:
@@ -277,24 +271,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         members = s["members"]
         if not isinstance(members, list) or not all(isinstance(w, str) for w in members):
             raise CliError(f"set {s['id']!r}: members must be a list of words, got {members!r}")
-        set_id = str(s["id"])
-        if any(sdef.set_id == set_id for sdef in set_defs):
-            raise CliError(f"set ids must be distinct, got {set_id!r} twice")
-        set_defs.append(evaluation.SetDefinition(set_id, s["pos"], members))
+        set_defs.append(evaluation.SetDefinition(str(s["id"]), s["pos"], members))
 
-    cfg = _corpus_config(fmt, max_freq)
-    train_ts = _read_corpus([str(p) for p in train_paths], cfg)
-    heldout_ts = _read_corpus([str(p) for p in heldout_paths], cfg)
+    cfg = corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
+    train_ts = _read_corpus(train_paths, cfg)
+    heldout_ts = _read_corpus(heldout_paths, cfg)
     train_vocab = corpus.build_vocabulary(train_ts, cfg)
     corpus.apply_stop_policy(heldout_ts, train_vocab, cfg)
-
-    for sdef in set_defs:
-        missing = [w for w in sdef.members if w not in train_vocab.freq]
-        if missing:
-            raise CliError(
-                f"set {sdef.set_id!r}: candidate(s) {', '.join(missing)} "
-                "never occur in the training corpus"
-            )
 
     cells = evaluation.run_grid(
         train_ts,
@@ -309,8 +292,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         evidence_window=evidence_window,
     )
     header = {
-        "train": ",".join(str(p) for p in train_paths),
-        "heldout": ",".join(str(p) for p in heldout_paths),
+        "train": ",".join(train_paths),
+        "heldout": ",".join(heldout_paths),
         "format": fmt,
         "max_freq": max_freq,
         "t_min": thresholds.t_min,
@@ -321,8 +304,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "max_edges": caps.max_edges,
     }
     report_text = evaluation.render_grid_report(cells, set_defs, header)
-    atomic_write_text(out_dir / "report.tsv", report_text)
-    atomic_write_text(out_dir / "instances.tsv", evaluation.render_instance_log(cells))
+    atomic_write_text(Path(out_dir, "report.tsv"), report_text)
+    atomic_write_text(Path(out_dir, "instances.tsv"), evaluation.render_instance_log(cells))
     print(report_text, end="")
     return 0
 

@@ -13,6 +13,8 @@ typicality judgments, so a strong frequency baseline can legitimately win.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, _evidence_surfaces, _rank
@@ -94,12 +96,8 @@ def extract_instances(
     """One instance per candidate-word occurrence in the held-out stream."""
     targets = {w.lower() for w in words}
     instances: list[GapInstance] = []
-    sentence: list = []
-    current_id: int | None = None
-
-    def flush():
-        if current_id is None:
-            return
+    for sentence_id, group in groupby(held_out, attrgetter("sentence_id")):
+        sentence = list(group)
         for i, tok in enumerate(sentence):
             if tok.surface in targets and coarse_category(tok.pos) == pos_category:
                 instances.append(
@@ -107,24 +105,17 @@ def extract_instances(
                         sentence=GapSentence.blank_out(sentence, i),
                         gold=tok.surface,
                         set_id=set_id,
-                        sentence_id=current_id,
+                        sentence_id=sentence_id,
                         position=i,
                     )
                 )
-
-    for tok in held_out:
-        if current_id is not None and tok.sentence_id != current_id:
-            flush()
-            sentence = []
-        current_id = tok.sentence_id
-        sentence.append(tok)
-    flush()
     return instances
 
 
 def baseline_choose(cands: CandidateSet) -> str:
-    """The candidate most frequent in the training corpus (ties lexicographic)."""
-    return min(cands.members, key=lambda m: (-m.training_freq, m.word)).word
+    """The candidate most frequent in the training corpus (ties lexicographic):
+    ``choose``'s ranking when no word gives evidence."""
+    return _rank(cands, [])[0].candidate
 
 
 def judge_instances(
@@ -231,7 +222,19 @@ def run_grid(
     and only for the words the networks reach. Each instance's evidence is
     picked once, in the first cell that judges it. Networks are queried
     read-only across all of a cell's instances.
+
+    A window, an order or a set id listed twice is refused before any
+    counting: the cells or the columns it names would be one.
     """
+    for name, values in (("windows", windows), ("orders", orders)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} must be a list of distinct integers, "
+                             f"got {repeated[0]} twice in {values!r}")
+    set_ids = [sdef.set_id for sdef in set_defs]
+    repeated = [s for i, s in enumerate(set_ids) if s in set_ids[:i]]
+    if repeated:
+        raise ValueError(f"set ids must be distinct, got {repeated[0]!r} twice")
     order_cells = grid_cells(windows, orders)
     if not order_cells:
         raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "

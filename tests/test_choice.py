@@ -7,14 +7,15 @@ from lexchoice.choice import (
     GAP,
     Candidate,
     CandidateSet,
+    ChoiceScore,
     GapSentence,
     choose,
     parse_gap_sentence,
-    score_candidate,
 )
-from lexchoice.cooc import pair_key
-from lexchoice.corpus import DEFAULT_STOP_TAGS, Token
-from lexchoice.network import CoocNetwork
+from lexchoice.cooc import WindowConfig, count_pairs, pair_key
+from lexchoice.corpus import Token, build_vocabulary, ingest
+from lexchoice.network import CoocNetwork, build_network
+from lexchoice.synthetic import planted_corpus
 
 from oracles import random_layered_network, summed_significance
 
@@ -35,10 +36,17 @@ def sentence(words: list[str], gap_index: int, stops: set[str] = frozenset()) ->
     return GapSentence.blank_out(tokens, gap_index)
 
 
+def score_of(net: CoocNetwork, s: GapSentence, evidence_window: int | None = None) -> ChoiceScore:
+    """``net``'s score from ``choose``, ranked against a rival with no edges."""
+    members = [Candidate(net.root, net, 0), Candidate("_rival", root_only("_rival"), 0)]
+    ranked = choose(CandidateSet("s", "NN", members), s, evidence_window)
+    return next(score for score in ranked if score.candidate == net.root)
+
+
 def test_score_counts_each_occurrence():
     net = evidence_network("c", {"learn": 0.41, "plant": 2.00})
     s = sentence(["learn", "c", "plant", "learn"], 1)
-    score = score_candidate(net, s)
+    score = score_of(net, s)
     assert score.total == pytest.approx(0.41 * 2 + 2.00, rel=1e-12)
     assert score.per_word == {
         "learn": pytest.approx(0.82, rel=1e-12),
@@ -49,13 +57,13 @@ def test_score_counts_each_occurrence():
 def test_score_skips_gap_and_stops():
     net = evidence_network("c", {"learn": 1.0})
     s = sentence(["learn", "c", "learn"], 1, stops={"learn"})
-    assert score_candidate(net, s).total == 0.0
+    assert score_of(net, s).total == 0.0
 
 
 def test_score_empty_evidence_is_zero():
     net = evidence_network("c", {"learn": 1.0})
     s = sentence(["the", "c", "of"], 1, stops={"the", "of"})
-    assert score_candidate(net, s).total == 0.0
+    assert score_of(net, s).total == 0.0
 
 
 def test_gap_token_never_scores_even_if_candidate_word():
@@ -63,14 +71,14 @@ def test_gap_token_never_scores_even_if_candidate_word():
     net = evidence_network("c", {"c2": 3.0})
     s = sentence(["c2", "c"], 1)
     assert s.tokens[1].surface == GAP
-    score = score_candidate(net, s)
+    score = score_of(net, s)
     assert GAP not in score.per_word
 
 
 def test_unknown_words_contribute_zero():
     net = evidence_network("c", {"learn": 1.5})
     s = sentence(["learn", "c", "mystery"], 1)
-    score = score_candidate(net, s)
+    score = score_of(net, s)
     assert score.total == pytest.approx(1.5)
     assert score.per_word["mystery"] == 0.0
 
@@ -78,8 +86,8 @@ def test_unknown_words_contribute_zero():
 def test_evidence_window_restricts_positions():
     net = evidence_network("c", {"near": 1.0, "far": 1.0})
     s = sentence(["far", "x", "x", "near", "c", "x"], 4)
-    assert score_candidate(net, s).total == pytest.approx(2.0)
-    assert score_candidate(net, s, evidence_window=1).total == pytest.approx(1.0)
+    assert score_of(net, s).total == pytest.approx(2.0)
+    assert score_of(net, s, evidence_window=1).total == pytest.approx(1.0)
 
 
 def test_choose_ranks_by_total():
@@ -132,8 +140,8 @@ def test_additivity_over_concatenation():
     s1 = sentence(["u", "c", "v"], 1)
     s2 = sentence(["v", "v", "u", "pad"], 3)  # gap lands on the padding token
     combined = GapSentence.blank_out(s1.tokens + s2.tokens, 1)
-    expected = score_candidate(net, s1).total + score_candidate(net, s2).total
-    assert score_candidate(net, combined).total == pytest.approx(expected, rel=1e-12)
+    expected = score_of(net, s1).total + score_of(net, s2).total
+    assert score_of(net, combined).total == pytest.approx(expected, rel=1e-12)
 
 
 def test_argmax_stable_under_global_scaling():
@@ -166,7 +174,7 @@ def test_totals_never_negative():
             continue
         net = evidence_network("c", direct)
         sent_words = [rng.choice(words + ["zz"]) for _ in range(10)] + ["g"]
-        score = score_candidate(net, sentence(sent_words, len(sent_words) - 1))
+        score = score_of(net, sentence(sent_words, len(sent_words) - 1))
         assert score.total >= 0.0
         assert all(v >= 0.0 for v in score.per_word.values())
 
@@ -182,11 +190,30 @@ def test_choose_deterministic():
 
 
 def test_parse_gap_sentence():
-    s = parse_gap_sentence("The/DT Army/NNP ____ was/VBD big/JJ", stop_pos_tags=DEFAULT_STOP_TAGS)
+    text = "The/DT Army/NNP ____ was/VBD 12/CD big/JJ"
+    s = parse_gap_sentence(text)
     assert s.gap_index == 2
     assert s.tokens[2].surface == GAP
-    assert s.tokens[1].is_stop  # proper noun
+    # the proper noun and the number are flagged by the default stop tags
+    assert [t.is_stop for t in s.tokens] == [False, True, False, False, True, False]
     assert s.tokens[0].surface == "the"
+    assert not any(t.is_stop for t in parse_gap_sentence(text, GAP, frozenset()).tokens)
+
+
+def test_planted_bridge_as_proper_noun_gives_no_evidence():
+    """Tagged NNP, the planted bridge word is a stop word, as it is to
+    ``lexchoice choose``: the gap falls back to the more frequent rival.
+    Tagged NN, it is second-order evidence for the target."""
+    pc = planted_corpus()
+    stream = ingest(pc.train_text)
+    vocab = build_vocabulary(stream)
+    counts = count_pairs(stream, vocab, WindowConfig(4))
+    members = [Candidate(w, build_network(w, counts), vocab.freq[w]) for w in pc.set_def.members]
+    cands = CandidateSet("planted", "NN", members)
+    ranked = choose(cands, parse_gap_sentence("Factory/NNP hx001/NN ____ hx002/NN"))
+    assert (ranked[0].candidate, ranked[0].total) == (pc.rival, 0.0)
+    ranked = choose(cands, parse_gap_sentence("factory/NN hx001/NN ____ hx002/NN"))
+    assert ranked[0].candidate == pc.target and ranked[0].total > 0.0
 
 
 def test_parse_gap_sentence_accepts_bare_words():
@@ -212,7 +239,7 @@ def test_parse_gap_sentence_rejects_the_placeholder_as_a_word(text, marker):
 def test_top_contributors_sorted():
     net = evidence_network("c", {"u": 1.0, "v": 3.0, "w": 2.0})
     s = sentence(["u", "v", "w", "g"], 3)
-    score = score_candidate(net, s)
+    score = score_of(net, s)
     assert score.top_contributors(2) == [("v", pytest.approx(3.0)), ("w", pytest.approx(2.0))]
 
 
@@ -233,7 +260,7 @@ def test_scores_match_summed_significance(seed, evidence_window):
     s = GapSentence.blank_out(tokens, rng.randrange(len(tokens)))
     expected = {m.word: summed_significance(m.network, s, evidence_window) for m in members}
     for m in members:
-        score = score_candidate(m.network, s, evidence_window)
+        score = score_of(m.network, s, evidence_window)
         assert (score.total, score.per_word) == expected[m.word]
     ranked = choose(CandidateSet("s", "NN", members), s, evidence_window)
     freq = {m.word: m.training_freq for m in members}

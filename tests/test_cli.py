@@ -312,6 +312,19 @@ def test_choose_refuses_a_missing_vocab_file(fixture_stats, capsys):
     assert err == f"error: vocabulary file not found: {missing}\n"
 
 
+def test_choose_needs_two_candidates(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--out", str(nets)],
+               capsys)[0] == 0
+    code, stdout, err = run(
+        ["choose", "--networks", str(nets), "--candidates", "r", "--sentence", "c/NN ____"],
+        capsys,
+    )
+    assert code == 1 and stdout == ""
+    assert err == "error: a candidate set needs at least two members\n"
+
+
 def test_choose_missing_network_names_candidate(tmp_path, capsys):
     code, _, err = run(
         ["choose", "--networks", str(tmp_path), "--candidates", "x,y",
@@ -444,6 +457,12 @@ def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
         ("evidence_window", 3.7),
         ("evidence_window", True),
         ("evidence_window", -1),
+        ("train_corpus", [1]),
+        ("train_corpus", 7),
+        ("heldout_corpus", [1]),
+        ("heldout_corpus", 7),
+        ("out_dir", 5),
+        ("out_dir", None),
     ],
     ids=lambda v: json.dumps(v),
 )

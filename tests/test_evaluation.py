@@ -1,9 +1,12 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lexchoice import evaluation
-from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence
+from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence, choose
+from lexchoice.corpus import Token
 from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
 from lexchoice.corpus import CorpusConfig, apply_stop_policy, build_vocabulary, ingest
 from lexchoice.evaluation import (
@@ -123,6 +126,18 @@ def test_baseline_choose_most_frequent():
     assert baseline_choose(set_with({"error": 64, "mistake": 61, "oversight": 37})) == "error"
     assert baseline_choose(set_with({"job": 418, "task": 123, "duty": 48})) == "job"
     assert baseline_choose(set_with({"b": 7, "a": 7})) == "a"
+
+
+@given(st.dictionaries(st.text("abc", min_size=1, max_size=2), st.integers(0, 3),
+                       min_size=2, max_size=6))
+def test_baseline_is_the_ranking_without_evidence(freqs):
+    """Frequency ties included, the baseline is ``choose``'s winner for a
+    sentence whose only words are stop words."""
+    members = [Candidate(w, star(w, {"cue": 2.0}), f) for w, f in freqs.items()]
+    cands = CandidateSet("x", "NN", members)
+    tokens = [Token("cue", "NNP", 0, is_stop=True), Token("gap", "NN", 0)]
+    no_evidence = GapSentence.blank_out(tokens, 1)
+    assert baseline_choose(cands) == choose(cands, no_evidence)[0].candidate
 
 
 def test_evaluate_counts_correct_choices():
@@ -251,6 +266,31 @@ def test_run_grid_rejects_sets_absent_from_heldout():
     sdef = SetDefinition("s", "NN", ["alpha", "beta"])
     with pytest.raises(ValueError, match="no occurrences"):
         run_grid(train, vocab, heldout_ts, [sdef], windows=[4], orders=[1])
+
+
+@pytest.mark.parametrize(
+    "set_ids, windows, orders, problem",
+    [
+        (["a", "a"], [4], [1], "set ids must be distinct, got 'a' twice"),
+        (["a", "b"], [4, 10, 4], [1],
+         "windows must be a list of distinct integers, got 4 twice in [4, 10, 4]"),
+        (["a", "b"], [4], [2, 1, 2],
+         "orders must be a list of distinct integers, got 2 twice in [2, 1, 2]"),
+    ],
+    ids=["set-id", "window", "order"],
+)
+def test_run_grid_refuses_repeats_before_counting(monkeypatch, set_ids, windows, orders,
+                                                   problem):
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    held = ingest(pc.heldout_text)
+    set_defs = [SetDefinition(set_id, "NN", pc.set_def.members) for set_id in set_ids]
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        run_grid(train, build_vocabulary(train), held, set_defs, windows, orders)
 
 
 def test_run_grid_and_reports(tmp_path):
