@@ -16,6 +16,13 @@ from .corpus import DEFAULT_STOP_TAGS, GAP, Token
 from .network import CoocNetwork
 
 
+def check_evidence_window(evidence_window: int | None) -> None:
+    """Refuse a negative evidence window: it keeps no evidence, so every
+    choice would fall back to the baseline."""
+    if evidence_window is not None and evidence_window < 0:
+        raise ValueError(f"evidence_window must be non-negative, got {evidence_window}")
+
+
 @dataclass
 class GapSentence:
     """A tagged sentence with one position blanked out."""
@@ -38,6 +45,7 @@ class GapSentence:
     def evidence_tokens(self, evidence_window: int | None = None) -> list[Token]:
         """Non-stop tokens usable as evidence, optionally only those within
         ``evidence_window`` positions of the gap."""
+        check_evidence_window(evidence_window)
         picked = []
         for i, tok in enumerate(self.tokens):
             if i == self.gap_index or tok.is_stop:

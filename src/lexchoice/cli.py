@@ -44,14 +44,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _evidence_window(value) -> int | None:
-    """The evidence window, refused unless null or a non-negative integer:
-    a negative window keeps no evidence at all."""
-    if value is not None and not (_is_int(value) and value >= 0):
-        raise CliError(f"evidence_window must be a non-negative integer or null, got {value!r}")
-    return value
-
-
 def _read_corpus(paths: list[str], cfg: corpus.CorpusConfig) -> corpus.TokenStream:
     for path in paths:
         if not Path(path).exists():
@@ -115,7 +107,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_choose(args: argparse.Namespace) -> int:
-    evidence_window = _evidence_window(args.evidence_window)
     if args.top < 0:
         raise CliError(f"--top must be a non-negative integer, got {args.top}")
     words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
@@ -145,7 +136,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
         pos_category="",
         members=[choice.Candidate(w, nets[w], freqs[w]) for w in words],
     )
-    ranked = choice.choose(cands, sentence, evidence_window)
+    ranked = choice.choose(cands, sentence, args.evidence_window)
     fallback = ranked[0].total == 0.0
 
     if args.json:
@@ -252,7 +243,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     cooc.WindowConfig.cross_sentences)
     if not isinstance(cross, bool):
         raise CliError(f"cross_sentences must be true or false, got {cross!r}")
-    evidence_window = _evidence_window(setting("evidence_window", args.evidence_window, None))
+    evidence_window = setting("evidence_window", args.evidence_window, None)
+    if evidence_window is not None and not _is_int(evidence_window):
+        raise CliError(f"evidence_window must be an integer or null, got {evidence_window!r}")
     out_dir = setting("out_dir", args.out, "eval-out")
     if not isinstance(out_dir, str):
         raise CliError(f"out_dir must be a path, got {out_dir!r}")
@@ -266,12 +259,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for s in raw_sets:
         if not isinstance(s, dict) or not {"id", "pos", "members"} <= s.keys():
             raise CliError(f"each set needs 'id', 'pos' and 'members', got {s!r}")
+        if not isinstance(s["id"], str):
+            raise CliError(f"set id must be a string, got {s['id']!r}")
         if not isinstance(s["pos"], str):
             raise CliError(f"set {s['id']!r}: pos must be a string, got {s['pos']!r}")
         members = s["members"]
         if not isinstance(members, list) or not all(isinstance(w, str) for w in members):
             raise CliError(f"set {s['id']!r}: members must be a list of words, got {members!r}")
-        set_defs.append(evaluation.SetDefinition(str(s["id"]), s["pos"], members))
+        set_defs.append(evaluation.SetDefinition(s["id"], s["pos"], members))
 
     cfg = corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
     train_ts = _read_corpus(train_paths, cfg)
@@ -303,6 +298,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "max_nodes": caps.max_nodes,
         "max_edges": caps.max_edges,
     }
+    if cross:
+        header["cross_sentences"] = "true"
+    if evidence_window is not None:
+        header["evidence_window"] = evidence_window
     report_text = evaluation.render_grid_report(cells, set_defs, header)
     atomic_write_text(Path(out_dir, "report.tsv"), report_text)
     atomic_write_text(Path(out_dir, "instances.tsv"), evaluation.render_instance_log(cells))

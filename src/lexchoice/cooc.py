@@ -80,10 +80,6 @@ class SignificanceThresholds:
             )
 
 
-def pair_key(w1: str, w2: str) -> tuple[str, str]:
-    return (w1, w2) if w1 <= w2 else (w2, w1)
-
-
 class PairView(Mapping):
     """The pairs of a table as a mapping ``(w1, w2) -> count``, w1 < w2.
 

@@ -17,7 +17,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
-from .choice import Candidate, CandidateSet, ChoiceScore, GapSentence, _evidence_surfaces, _rank
+from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _evidence_surfaces,
+                     _rank, check_evidence_window)
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
 from .network import NetworkCaps, build_network
@@ -185,6 +186,9 @@ class SetDefinition:
         self.members = [w.lower() for w in self.members]
         if len(self.members) < 2:
             raise ValueError(f"set {self.set_id!r} needs at least two members")
+        for i, word in enumerate(self.members):
+            if word in self.members[:i]:
+                raise ValueError(f"set {self.set_id!r}: member {word!r} is listed twice")
 
 
 @dataclass
@@ -224,8 +228,10 @@ def run_grid(
     read-only across all of a cell's instances.
 
     A window, an order or a set id listed twice is refused before any
-    counting: the cells or the columns it names would be one.
+    counting: the cells or the columns it names would be one. So is a
+    negative evidence window.
     """
+    check_evidence_window(evidence_window)
     for name, values in (("windows", windows), ("orders", orders)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:

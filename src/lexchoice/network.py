@@ -27,12 +27,13 @@ that sweep is also the check that every non-root node has a parent edge:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .cooc import PairCounts, SignificanceThresholds, pair_key
+from .cooc import PairCounts, SignificanceThresholds
 from .ioutil import atomic_write_text
 
 # Edge weights are stored at this precision so the text format round-trips.
@@ -160,10 +161,11 @@ def build_network(
 ) -> CoocNetwork:
     """Grow the co-occurrence network for ``root`` breadth-first.
 
-    A word enters at the first depth it is reached. When the node cap fills
-    mid-layer, the strongest candidates (by best incoming t-score) are
-    admitted first; when the edge cap overflows, the weakest edges go first,
-    but each node always keeps its strongest parent edge.
+    A word enters at the first depth it is reached, so every depth is the
+    word's distance from the root. When the node cap fills mid-layer, the
+    strongest candidates (by best incoming t-score) are admitted first and
+    growth ends there; when the edge cap overflows, the weakest edges go
+    first, but each node always keeps its strongest parent edge.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -179,35 +181,27 @@ def build_network(
     frontier = [root]
     truncated: list[str] = []
     for depth in range(1, max_order + 1):
-        if not frontier:
-            break
         candidates: dict[str, float] = {}
-        for word in sorted(frontier):
+        for word in frontier:
             for other, t in counts.significant_neighbors(word, thresholds):
                 if other in depths:
                     continue
                 if other not in candidates or t > candidates[other]:
                     candidates[other] = t
-        admitted = sorted(candidates, key=lambda w: (-candidates[w], w))
+        frontier = sorted(candidates, key=lambda w: (-candidates[w], w))
         room = caps.max_nodes - len(depths)
-        if len(admitted) > room:
-            admitted = admitted[:room]
-            if "nodes" not in truncated:
-                truncated.append("nodes")
-        for word in admitted:
+        if len(frontier) > room:
+            del frontier[room:]
+            truncated.append("nodes")
+        for word in frontier:
             depths[word] = depth
-        frontier = admitted
+        if not frontier or truncated:
+            break
 
-    # Retain every significant edge among included nodes. Edges spanning more
-    # than one layer can only arise when the node cap displaced a word to a
-    # deeper layer than its graph distance; they are dropped to keep the
-    # layered structure intact.
     edges: dict[tuple[str, str], float] = {}
     for w1 in sorted(depths):
         for w2, t in counts.significant_neighbors(w1, thresholds):
-            if w2 <= w1 or w2 not in depths:
-                continue
-            if abs(depths[w1] - depths[w2]) <= 1:
+            if w2 > w1 and w2 in depths:
                 edges[(w1, w2)] = round(t, WEIGHT_DECIMALS)
 
     if len(edges) > caps.max_edges:
@@ -226,56 +220,36 @@ def build_network(
     )
 
 
-def _best_parent_edges(
-    depths: dict[str, int],
-    edges: dict[tuple[str, str], float],
-) -> dict[str, tuple[str, str]]:
-    """Each non-root node's strongest edge to the layer above, in one pass
-    over the edges. Highest weight wins; ties fall to the lexicographically
-    smaller parent."""
-    best: dict[str, tuple[float, str]] = {}
-    for (w1, w2), weight in edges.items():
-        for child, parent in ((w1, w2), (w2, w1)):
-            if depths[parent] != depths[child] - 1:
-                continue
-            held = best.get(child)
-            if held is None or weight > held[0] or (weight == held[0] and parent < held[1]):
-                best[child] = (weight, parent)
-    return {child: pair_key(child, parent) for child, (_, parent) in best.items()}
-
-
 def _apply_edge_cap(
     depths: dict[str, int],
     edges: dict[tuple[str, str], float],
     max_edges: int,
 ) -> tuple[dict[str, int], dict[tuple[str, str], float]]:
-    """Drop lowest-t edges until the cap holds, protecting each node's
-    strongest parent edge; if even the parent edges overflow the cap, trim
-    nodes deepest layer first, weakest parent edge first within a layer
-    (never orphaning anyone: a trimmed node's children sit in a deeper
-    layer, which is trimmed before it)."""
-    protected = _best_parent_edges(depths, edges)
-    overflow = len(protected) - max_edges
-    if overflow > 0:
-        ranked = sorted(protected, key=lambda w: (-depths[w], edges[protected[w]], w))
-        victims = set(ranked[:overflow])
-        depths = {w: d for w, d in depths.items() if w not in victims}
-        protected = {w: key for w, key in protected.items() if w not in victims}
-        edges = {
-            (w1, w2): weight
-            for (w1, w2), weight in edges.items()
-            if w1 not in victims and w2 not in victims
-        }
-
-    protected_keys = set(protected.values())
-    if len(edges) > max_edges:
-        spare = sorted(
-            (key for key in edges if key not in protected_keys),
-            key=lambda key: (-edges[key], key),
-        )
-        keep = protected_keys.union(spare[: max_edges - len(protected_keys)])
-        edges = {key: edges[key] for key in sorted(keep)}
-    return depths, edges
+    """Keep the strongest edges (ties by key) up to the cap, protecting each
+    node's strongest parent edge, the first met for it in that order (a tie
+    goes to the smaller parent, whose key is the smaller). If even the parent
+    edges overflow the cap, trim nodes deepest layer first, weakest parent
+    edge first within a layer (never orphaning anyone: a trimmed node's
+    children sit in a deeper layer, which is trimmed before it). ``edges``
+    must be in key order, as ``build_network`` makes it: the weight sort is
+    stable, so ties and the kept edges stay in key order."""
+    ranked = sorted(edges, key=edges.__getitem__, reverse=True)
+    protected: dict[str, tuple[str, str]] = {}
+    for key in ranked:
+        w1, w2 = key
+        step = depths[w2] - depths[w1]
+        if step:
+            protected.setdefault(w2 if step > 0 else w1, key)
+    victims = set(heapq.nsmallest(len(protected) - max_edges, protected,
+                                  key=lambda w: (-depths[w], edges[protected[w]], w)))
+    # With victims, the kept parent edges fill the cap on their own.
+    keep = {key for w, key in protected.items() if w not in victims}
+    for key in ranked:
+        if len(keep) >= max_edges:
+            break
+        keep.add(key)
+    depths = {w: d for w, d in depths.items() if w not in victims}
+    return depths, {key: weight for key, weight in edges.items() if key in keep}
 
 
 def max_sig_shortest_path(net: CoocNetwork, word: str) -> SigPath:

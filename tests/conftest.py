@@ -1,6 +1,6 @@
 import pytest
 
-from lexchoice.cooc import PairCounts, pair_key
+from lexchoice.cooc import PairCounts
 from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
 
 TINY_CORPUS = """\
@@ -24,6 +24,11 @@ def tiny_stream(tiny_config):
 @pytest.fixture
 def tiny_vocab(tiny_stream, tiny_config):
     return build_vocabulary(tiny_stream, tiny_config)
+
+
+def pair_key(w1: str, w2: str) -> tuple[str, str]:
+    """The pair's table key: its two words in sorted order."""
+    return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
 def mirrored_rows(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:

@@ -17,7 +17,6 @@ from lexchoice.cooc import (
     SignificanceThresholds,
     WindowConfig,
     count_pairs,
-    pair_key,
 )
 from lexchoice.corpus import (
     DEFAULT_STOP_TAGS,
@@ -37,6 +36,8 @@ from lexchoice.evaluation import (
     summarize,
 )
 from lexchoice.network import CoocNetwork, NetworkCaps, build_network, significance
+
+from conftest import pair_key
 
 
 def quadratic_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from lexchoice.cli import main
-from lexchoice.cooc import WindowConfig, count_pairs, pair_key
+from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import (
     CorpusConfig,
     apply_stop_policy,
@@ -22,6 +22,7 @@ from lexchoice.evaluation import SetDefinition, chi_square, run_grid
 from lexchoice.network import CoocNetwork, significance
 from lexchoice.synthetic import planted_corpus
 
+from conftest import pair_key
 from oracles import (
     enumerate_shortest_path_scores,
     forward_pair_counts,

@@ -12,11 +12,12 @@ from lexchoice.choice import (
     choose,
     parse_gap_sentence,
 )
-from lexchoice.cooc import WindowConfig, count_pairs, pair_key
+from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import Token, build_vocabulary, ingest
 from lexchoice.network import CoocNetwork, build_network
 from lexchoice.synthetic import planted_corpus
 
+from conftest import pair_key
 from oracles import random_layered_network, summed_significance
 
 
@@ -88,6 +89,15 @@ def test_evidence_window_restricts_positions():
     s = sentence(["far", "x", "x", "near", "c", "x"], 4)
     assert score_of(net, s).total == pytest.approx(2.0)
     assert score_of(net, s, evidence_window=1).total == pytest.approx(1.0)
+
+
+def test_negative_evidence_window_is_refused():
+    net = evidence_network("c", {"near": 1.0})
+    s = sentence(["near", "c"], 1)
+    with pytest.raises(ValueError, match="evidence_window must be non-negative, got -1"):
+        s.evidence_tokens(-1)
+    with pytest.raises(ValueError, match="evidence_window must be non-negative"):
+        score_of(net, s, evidence_window=-1)
 
 
 def test_choose_ranks_by_total():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lexchoice import evaluation
 from lexchoice.cli import main
 from lexchoice.cooc import read_pair_counts, write_pair_counts
 from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
@@ -504,6 +505,10 @@ def test_evaluate_refuses_an_empty_grid(tmp_path, capsys, windows, orders):
         ([{"id": "x", "pos": "NN", "members": "widget,gadget"}], "members must be a list"),
         ([{"id": "x", "pos": "NN", "members": ["widget", 7]}], "members must be a list"),
         ([{"id": "x", "pos": ["NN"], "members": ["widget", "gadget"]}], "pos must be a string"),
+        ([{"id": ["a"], "pos": "NN", "members": ["widget", "gadget"]}],
+         "set id must be a string, got ['a']"),
+        ([{"id": "s", "pos": "NN", "members": ["widget", "gadget", "Widget"]}],
+         "set 's': member 'widget' is listed twice"),
         ([{"id": "a", "pos": "NN", "members": ["widget", "gadget"]},
           {"id": "a", "pos": "NN", "members": ["gadget", "widget"]}],
          "set ids must be distinct, got 'a' twice"),
@@ -516,6 +521,37 @@ def test_evaluate_rejects_malformed_set(tmp_path, capsys, sets, problem):
     assert code == 1
     assert err.startswith("error: ") and problem in err
     assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_refuses_a_repeated_member_before_counting(tmp_path, capsys, monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    cfg_path, _ = evaluate_config(
+        tmp_path, sets=[{"id": "s", "pos": "NN", "members": ["widget", "gadget", "Widget"]}]
+    )
+    code, stdout, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "error: set 's': member 'widget' is listed twice\n"
+    assert not (tmp_path / "report").exists()
+
+
+def config_line(report: str) -> str:
+    return next(line for line in report.splitlines() if line.startswith("# config: "))
+
+
+def test_evaluate_config_line_names_set_window_options(tmp_path, capsys):
+    lines = {}
+    for name, overrides in (("default", {}), ("window", {"evidence_window": 1}),
+                            ("cross", {"cross_sentences": True})):
+        cfg_path, _ = evaluate_config(tmp_path, **overrides)
+        assert run(["evaluate", "--config", str(cfg_path)], capsys)[0] == 0
+        lines[name] = config_line((tmp_path / "report" / "report.tsv").read_text())
+    assert "cross_sentences" not in lines["default"]
+    assert "evidence_window" not in lines["default"]
+    for name, setting in (("window", "evidence_window=1"), ("cross", "cross_sentences=true")):
+        assert sorted(lines[name].split()) == sorted(lines["default"].split() + [setting])
 
 
 def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):

@@ -12,7 +12,6 @@ from lexchoice.cooc import (
     SignificanceThresholds,
     WindowConfig,
     count_pairs,
-    pair_key,
     read_pair_counts,
     write_pair_counts,
 )
@@ -30,7 +29,7 @@ from lexchoice.corpus import (
 from lexchoice.evaluation import run_grid
 from lexchoice.synthetic import planted_corpus
 
-from conftest import from_pairs, mirrored_rows
+from conftest import from_pairs, mirrored_rows, pair_key
 from oracles import (
     forward_pair_counts,
     pair_statistics,

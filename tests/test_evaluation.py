@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from lexchoice import evaluation
 from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence, choose
 from lexchoice.corpus import Token
-from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs
 from lexchoice.corpus import CorpusConfig, apply_stop_policy, build_vocabulary, ingest
 from lexchoice.evaluation import (
     CHI2_5PCT_CRITICAL,
@@ -27,6 +27,7 @@ from lexchoice.evaluation import (
 from lexchoice.network import CoocNetwork, NetworkCaps, build_network
 from lexchoice.synthetic import planted_corpus
 
+from conftest import pair_key
 from oracles import per_cell_grid
 
 
@@ -291,6 +292,36 @@ def test_run_grid_refuses_repeats_before_counting(monkeypatch, set_ids, windows,
     set_defs = [SetDefinition(set_id, "NN", pc.set_def.members) for set_id in set_ids]
     with pytest.raises(ValueError, match=re.escape(problem)):
         run_grid(train, build_vocabulary(train), held, set_defs, windows, orders)
+
+
+def test_run_grid_refuses_a_negative_evidence_window_before_counting(monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    held = ingest(pc.heldout_text)
+    with pytest.raises(ValueError, match="evidence_window must be non-negative, got -1"):
+        run_grid(train, build_vocabulary(train), held, [pc.set_def], [4], [2],
+                 evidence_window=-1)
+
+
+def test_judge_instances_refuses_a_negative_evidence_window():
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    vocab = build_vocabulary(train)
+    counts = count_pairs(train, vocab, WindowConfig(4))
+    members = [Candidate(w, build_network(w, counts), vocab.freq[w]) for w in pc.set_def.members]
+    cands = CandidateSet("planted", "NN", members)
+    instances = extract_instances(ingest(pc.heldout_text), pc.set_def.members, "NN")
+    with pytest.raises(ValueError, match="evidence_window must be non-negative"):
+        judge_instances(cands, instances, -1)
+
+
+def test_set_definition_refuses_a_repeated_member():
+    with pytest.raises(ValueError, match=re.escape("set 's': member 'widget' is listed twice")):
+        SetDefinition("s", "NN", ["widget", "gadget", "Widget"])
 
 
 def test_run_grid_and_reports(tmp_path):

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, pair_key
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs
 from lexchoice.network import (
     CoocNetwork,
     InvalidRootError,
     NetworkCaps,
     WordNotInNetworkError,
+    _apply_edge_cap,
     build_network,
     max_sig_shortest_path,
     read_network,
@@ -19,13 +20,14 @@ from lexchoice.network import (
     write_network,
 )
 
-from conftest import significant_counts
+from conftest import pair_key, significant_counts
 from oracles import (
     bfs_depths,
     enumerate_shortest_path_scores,
     quadratic_edge_cap,
     random_layered_network,
     topic_stream,
+    unfloored_significant_neighbors,
 )
 
 
@@ -185,6 +187,45 @@ def test_edge_cap_matches_reference(seed, window, thresholds, max_nodes, edge_sh
         depths, edges = quadratic_edge_cap(depths, edges, max_edges)
         assert "edges" in net.truncated
     assert (net.depths, net.edges) == (depths, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=1))
+def test_edge_cap_matches_reference_under_tied_weights(seed, weights):
+    # Weights from a small set, so equal weights meet at every step of the
+    # ranking: among parent edges, spare edges and the victims' layers.
+    rng = random.Random(seed)
+    net = random_layered_network(rng, max_nodes=12)
+    edges = {key: rng.choice(weights) for key in sorted(net.edges)}
+    for max_edges in range(len(edges) + 1):
+        depths, capped = _apply_edge_cap(net.depths, edges, max_edges)
+        assert (depths, capped) == quadratic_edge_cap(net.depths, edges, max_edges)
+        assert len(capped) <= max_edges and list(capped) == sorted(capped)
+        CoocNetwork(net.root, net.max_order, depths, capped, 10_000, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds)
+def test_node_cap_keeps_depths_as_distances(seed, window, thresholds):
+    counts, root = grown_inputs(seed, window)
+    adjacency = {
+        word: {other for other, _ in unfloored_significant_neighbors(counts, word, thresholds)}
+        for word in counts.freq
+    }
+    distances = bfs_depths(root, adjacency, 4)
+    for max_nodes in range(1, 41):
+        net = build_network(root, counts, thresholds, 4, NetworkCaps(max_nodes, 10**9))
+        assert {word: distances[word] for word in net.depths} == net.depths
+        assert list(net.edges) == sorted(net.edges)  # the order the edge cap needs
+        assert all(abs(net.depths[w1] - net.depths[w2]) <= 1 for w1, w2 in net.edges)
+        assert net.truncated in (None, "nodes")
+        if net.truncated is None:
+            assert net.depths == distances
+        else:
+            # Growth ends in the layer where the cap fills: every nearer word is in.
+            last = max(net.depths.values())
+            assert len(net.depths) == max_nodes
+            assert {w for w, d in distances.items() if d < last} <= net.depths.keys()
 
 
 @pytest.mark.parametrize("seed", range(10))
