@@ -23,6 +23,15 @@ def check_evidence_window(evidence_window: int | None) -> None:
         raise ValueError(f"evidence_window must be non-negative, got {evidence_window}")
 
 
+def _check_members(set_id: str, words: list[str]) -> None:
+    """Refuse a synonym set of fewer than two words or with a word listed twice."""
+    if len(words) < 2:
+        raise ValueError(f"set {set_id!r} needs at least two members")
+    for i, word in enumerate(words):
+        if word in words[:i]:
+            raise ValueError(f"set {set_id!r}: member {word!r} is listed twice")
+
+
 @dataclass
 class GapSentence:
     """A tagged sentence with one position blanked out."""
@@ -77,11 +86,7 @@ class CandidateSet:
     members: list[Candidate]
 
     def __post_init__(self):
-        if len(self.members) < 2:
-            raise ValueError("a candidate set needs at least two members")
-        words = [m.word for m in self.members]
-        if len(set(words)) != len(words):
-            raise ValueError("duplicate candidate words")
+        _check_members(self.set_id, [m.word for m in self.members])
 
 
 @dataclass

@@ -32,16 +32,55 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError(f"evaluate config must be a JSON object, got {config!r}")
+    return config
 
 
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass in Python but not in JSON."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_PATHS = "a path or a list of paths"
+_NUMBER = "a number"
+# Each type an evaluate setting may want, named as its error message names it.
+# A lone path is made a list before its test.
+_TYPE_TESTS = {
+    _PATHS: lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
+    "a path": lambda v: isinstance(v, str),
+    "an integer": _is_int,
+    "an integer or null": lambda v: v is None or _is_int(v),
+    _NUMBER: lambda v: _is_int(v) or isinstance(v, float),
+    "a list of integers": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+    "true or false": lambda v: isinstance(v, bool),
+}
+
+# Every evaluate setting: config key -> (flag dest, default, wanted type,
+# name on the report's '# config:' line or None). A type of None leaves the
+# check to the library class the value goes to.
+_EVALUATE_SETTINGS = {
+    "train_corpus": ("train", None, _PATHS, "train"),
+    "heldout_corpus": ("heldout", None, _PATHS, "heldout"),
+    "format": ("format", corpus.CorpusConfig.format, None, "format"),
+    "max_freq": ("max_freq", corpus.DEFAULT_STOP_THRESHOLD, "an integer", "max_freq"),
+    "windows": ("window", [4, 10, 50], "a list of integers", "windows"),
+    "orders": ("order", [1, 2, 3], "a list of integers", "orders"),
+    "t_min": ("t_min", cooc.SignificanceThresholds.t_min, _NUMBER, "t_min"),
+    "mi_min": ("mi_min", cooc.SignificanceThresholds.mi_min, _NUMBER, "mi_min"),
+    "max_nodes": ("max_nodes", network.NetworkCaps.max_nodes, "an integer", "max_nodes"),
+    "max_edges": ("max_edges", network.NetworkCaps.max_edges, "an integer", "max_edges"),
+    "cross_sentences": ("cross_sentences", cooc.WindowConfig.cross_sentences, "true or false",
+                        "cross_sentences"),
+    "evidence_window": ("evidence_window", None, "an integer or null", "evidence_window"),
+    "out_dir": ("out", "eval-out", "a path", None),
+}
+_SET_KEYS = {"id", "pos", "members"}
 
 
 def _read_corpus(paths: list[str], cfg: corpus.CorpusConfig) -> corpus.TokenStream:
@@ -110,6 +149,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise CliError(f"--top must be a non-negative integer, got {args.top}")
     words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
+    choice._check_members("cli", words)
     networks_dir = Path(args.networks)
     nets: dict[str, network.CoocNetwork] = {}
     names = {word: _network_file_name(word) for word in words}
@@ -178,87 +218,48 @@ def cmd_choose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _evaluate_settings(args: argparse.Namespace, config: dict) -> dict:
+    """Each setting's flag if given, else its config value or default, type-checked."""
+    for key in sorted(config.keys() - _EVALUATE_SETTINGS.keys() - {"sets"}):
+        raise CliError(f"unknown evaluate config key {key!r}")
+    values = {}
+    for key, (dest, default, wanted, _) in _EVALUATE_SETTINGS.items():
+        flag = getattr(args, dest)
+        value = config.get(key, default) if flag is None else flag
+        if wanted == _PATHS and not value:
+            raise CliError("evaluate needs train_corpus and heldout_corpus (config or flags)")
+        if wanted == _PATHS and isinstance(value, str):
+            value = [value]
+        if wanted is not None and not _TYPE_TESTS[wanted](value):
+            raise CliError(f"{key} must be {wanted}, got {value!r}")
+        values[key] = float(value) if wanted == _NUMBER else value
+    return values
 
-    def setting(key: str, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        return config.get(key, default)
 
-    def paths(key: str, value) -> list[str]:
-        if isinstance(value, str):
-            return [value]
-        if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
-            raise CliError(f"{key} must be a path or a list of paths, got {value!r}")
-        return value
+def _report_config(values: dict) -> dict:
+    """The '# config:' line's mapping; a None or False value is left out, 0 is not."""
+    header = {}
+    for key, (_, _, _, name) in _EVALUATE_SETTINGS.items():
+        value = values[key]
+        if name is None or value is None or value is False:
+            continue
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        header[name] = "true" if value is True else value
+    return header
 
-    train_paths = setting("train_corpus", args.train, None)
-    heldout_paths = setting("heldout_corpus", args.heldout, None)
-    if not train_paths or not heldout_paths:
-        raise CliError("evaluate needs train_corpus and heldout_corpus (config or flags)")
-    train_paths = paths("train_corpus", train_paths)
-    heldout_paths = paths("heldout_corpus", heldout_paths)
 
-    train_resolved = {Path(p).resolve() for p in train_paths}
-    overlap = train_resolved.intersection(Path(p).resolve() for p in heldout_paths)
-    if overlap:
-        raise CliError(
-            "training and held-out corpora overlap "
-            f"({', '.join(str(p) for p in sorted(overlap))}); "
-            "evaluation requires disjoint corpora"
-        )
-
-    def integer(key: str, flag_value, default) -> int:
-        value = setting(key, flag_value, default)
-        if not _is_int(value):
-            raise CliError(f"{key} must be an integer, got {value!r}")
-        return value
-
-    def number(key: str, flag_value, default) -> float:
-        value = setting(key, flag_value, default)
-        if not (_is_int(value) or isinstance(value, float)):
-            raise CliError(f"{key} must be a number, got {value!r}")
-        return float(value)
-
-    def integers(key: str, flag_value, default) -> list[int]:
-        value = setting(key, flag_value, default)
-        if not isinstance(value, list) or not all(_is_int(v) for v in value):
-            raise CliError(f"{key} must be a list of integers, got {value!r}")
-        return value
-
-    fmt = setting("format", args.format, corpus.CorpusConfig.format)
-    max_freq = integer("max_freq", args.max_freq, corpus.DEFAULT_STOP_THRESHOLD)
-    windows = integers("windows", args.window or None, [4, 10, 50])
-    orders = integers("orders", args.order or None, [1, 2, 3])
-    thresholds = cooc.SignificanceThresholds(
-        number("t_min", args.t_min, cooc.SignificanceThresholds.t_min),
-        number("mi_min", args.mi_min, cooc.SignificanceThresholds.mi_min),
-    )
-    caps = network.NetworkCaps(
-        integer("max_nodes", args.max_nodes, network.NetworkCaps.max_nodes),
-        integer("max_edges", args.max_edges, network.NetworkCaps.max_edges),
-    )
-    cross = setting("cross_sentences", args.cross_sentences or None,
-                    cooc.WindowConfig.cross_sentences)
-    if not isinstance(cross, bool):
-        raise CliError(f"cross_sentences must be true or false, got {cross!r}")
-    evidence_window = setting("evidence_window", args.evidence_window, None)
-    if evidence_window is not None and not _is_int(evidence_window):
-        raise CliError(f"evidence_window must be an integer or null, got {evidence_window!r}")
-    out_dir = setting("out_dir", args.out, "eval-out")
-    if not isinstance(out_dir, str):
-        raise CliError(f"out_dir must be a path, got {out_dir!r}")
-
-    raw_sets = config.get("sets")
+def _set_definitions(raw_sets) -> list[evaluation.SetDefinition]:
     if not raw_sets:
         raise CliError("evaluate config must define candidate sets under 'sets'")
     if not isinstance(raw_sets, list):
         raise CliError(f"sets must be a list, got {raw_sets!r}")
     set_defs = []
     for s in raw_sets:
-        if not isinstance(s, dict) or not {"id", "pos", "members"} <= s.keys():
+        if not isinstance(s, dict) or not _SET_KEYS <= s.keys():
             raise CliError(f"each set needs 'id', 'pos' and 'members', got {s!r}")
+        for key in sorted(s.keys() - _SET_KEYS):
+            raise CliError(f"unknown evaluate set key {key!r}")
         if not isinstance(s["id"], str):
             raise CliError(f"set id must be a string, got {s['id']!r}")
         if not isinstance(s["pos"], str):
@@ -267,44 +268,39 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not isinstance(members, list) or not all(isinstance(w, str) for w in members):
             raise CliError(f"set {s['id']!r}: members must be a list of words, got {members!r}")
         set_defs.append(evaluation.SetDefinition(s["id"], s["pos"], members))
+    return set_defs
 
-    cfg = corpus.CorpusConfig(format=fmt, stop_threshold=max_freq)
-    train_ts = _read_corpus(train_paths, cfg)
-    heldout_ts = _read_corpus(heldout_paths, cfg)
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
+    values = _evaluate_settings(args, config)
+    overlap = {Path(p).resolve() for p in values["train_corpus"]}.intersection(
+        Path(p).resolve() for p in values["heldout_corpus"])
+    if overlap:
+        raise CliError(
+            "training and held-out corpora overlap "
+            f"({', '.join(str(p) for p in sorted(overlap))}); "
+            "evaluation requires disjoint corpora"
+        )
+    thresholds = cooc.SignificanceThresholds(values["t_min"], values["mi_min"])
+    caps = network.NetworkCaps(values["max_nodes"], values["max_edges"])
+    set_defs = _set_definitions(config.get("sets"))
+
+    cfg = corpus.CorpusConfig(format=values["format"], stop_threshold=values["max_freq"])
+    train_ts = _read_corpus(values["train_corpus"], cfg)
+    heldout_ts = _read_corpus(values["heldout_corpus"], cfg)
     train_vocab = corpus.build_vocabulary(train_ts, cfg)
     corpus.apply_stop_policy(heldout_ts, train_vocab, cfg)
 
     cells = evaluation.run_grid(
-        train_ts,
-        train_vocab,
-        heldout_ts,
-        set_defs,
-        windows,
-        orders,
-        thresholds,
-        caps,
-        cross_sentences=cross,
-        evidence_window=evidence_window,
+        train_ts, train_vocab, heldout_ts, set_defs, values["windows"], values["orders"],
+        thresholds, caps, cross_sentences=values["cross_sentences"],
+        evidence_window=values["evidence_window"],
     )
-    header = {
-        "train": ",".join(train_paths),
-        "heldout": ",".join(heldout_paths),
-        "format": fmt,
-        "max_freq": max_freq,
-        "t_min": thresholds.t_min,
-        "mi_min": thresholds.mi_min,
-        "windows": ",".join(str(w) for w in windows),
-        "orders": ",".join(str(d) for d in orders),
-        "max_nodes": caps.max_nodes,
-        "max_edges": caps.max_edges,
-    }
-    if cross:
-        header["cross_sentences"] = "true"
-    if evidence_window is not None:
-        header["evidence_window"] = evidence_window
-    report_text = evaluation.render_grid_report(cells, set_defs, header)
-    atomic_write_text(Path(out_dir, "report.tsv"), report_text)
-    atomic_write_text(Path(out_dir, "instances.tsv"), evaluation.render_instance_log(cells))
+    report_text = evaluation.render_grid_report(cells, set_defs, _report_config(values))
+    atomic_write_text(Path(values["out_dir"], "report.tsv"), report_text)
+    atomic_write_text(Path(values["out_dir"], "instances.tsv"),
+                      evaluation.render_instance_log(cells))
     print(report_text, end="")
     return 0
 
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-freq", type=int, default=None)
     p_eval.add_argument("--max-nodes", type=int, default=None)
     p_eval.add_argument("--max-edges", type=int, default=None)
-    p_eval.add_argument("--cross-sentences", action="store_true")
+    p_eval.add_argument("--cross-sentences", action="store_true", default=None)
     p_eval.add_argument("--evidence-window", type=int, default=None)
     p_eval.add_argument("--out", default=None, help="report output directory")
     p_eval.set_defaults(func=cmd_evaluate)

@@ -17,8 +17,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
-from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _evidence_surfaces,
-                     _rank, check_evidence_window)
+from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
+                     _evidence_surfaces, _rank, check_evidence_window)
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
 from .network import NetworkCaps, build_network
@@ -184,11 +184,7 @@ class SetDefinition:
 
     def __post_init__(self):
         self.members = [w.lower() for w in self.members]
-        if len(self.members) < 2:
-            raise ValueError(f"set {self.set_id!r} needs at least two members")
-        for i, word in enumerate(self.members):
-            if word in self.members[:i]:
-                raise ValueError(f"set {self.set_id!r}: member {word!r} is listed twice")
+        _check_members(self.set_id, self.members)
 
 
 @dataclass

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from lexchoice import evaluation
-from lexchoice.cli import main
-from lexchoice.cooc import read_pair_counts, write_pair_counts
-from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
-from lexchoice.network import build_network, write_network
+from lexchoice import evaluation, network
+from lexchoice.cli import _EVALUATE_SETTINGS, build_parser, main
+from lexchoice.cooc import SignificanceThresholds, read_pair_counts, write_pair_counts
+from lexchoice.corpus import (CorpusConfig, Vocabulary, apply_stop_policy, build_vocabulary,
+                              ingest_files, read_vocabulary, write_vocabulary)
+from lexchoice.network import NetworkCaps, build_network, write_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import from_pairs
@@ -323,7 +324,26 @@ def test_choose_needs_two_candidates(fixture_stats, capsys):
         capsys,
     )
     assert code == 1 and stdout == ""
-    assert err == "error: a candidate set needs at least two members\n"
+    assert err == "error: set 'cli' needs at least two members\n"
+
+
+def test_choose_refuses_a_repeated_candidate_before_reading_networks(
+        fixture_stats, capsys, monkeypatch):
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--out", str(nets)], capsys)[0] == 0
+    reads = []
+    read_network = network.read_network
+    monkeypatch.setattr(network, "read_network",
+                        lambda path: reads.append(path) or read_network(path))
+    code, stdout, err = run(
+        ["choose", "--networks", str(nets), "--candidates", "r,b,R", "--sentence", "c/NN ____"],
+        capsys,
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: set 'cli': member 'r' is listed twice\n"
+    assert reads == []
 
 
 def test_choose_missing_network_names_candidate(tmp_path, capsys):
@@ -464,6 +484,10 @@ def test_evaluate_requires_boolean_cross_sentences(tmp_path, capsys):
         ("heldout_corpus", 7),
         ("out_dir", 5),
         ("out_dir", None),
+        ("window", [4]),
+        ("order", [1]),
+        ("t-min", 2.0),
+        ("Sets", []),
     ],
     ids=lambda v: json.dumps(v),
 )
@@ -471,8 +495,27 @@ def test_evaluate_rejects_mistyped_config_value(tmp_path, capsys, key, value):
     cfg_path, _ = evaluate_config(tmp_path, **{key: value})
     code, _, err = run(["evaluate", "--config", str(cfg_path)], capsys)
     assert code == 1
-    assert err.startswith(f"error: {key} must be ")
+    if key in ("window", "order", "t-min", "Sets"):
+        assert err == f"error: unknown evaluate config key {key!r}\n"
+    else:
+        assert err.startswith(f"error: {key} must be ")
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("config", [[1, 2], "train.tag", 7], ids=lambda v: json.dumps(v))
+def test_evaluate_rejects_a_config_that_is_not_an_object(tmp_path, capsys, config):
+    cfg_path = tmp_path / "eval.json"
+    cfg_path.write_text(json.dumps(config))
+    code, stdout, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: evaluate config must be a JSON object, got {config!r}\n"
+
+
+def test_every_evaluate_flag_is_a_setting():
+    args = vars(build_parser().parse_args(["evaluate"]))
+    flags = args.keys() - {"config", "command", "func"}
+    assert flags == {dest for dest, _, _, _ in _EVALUATE_SETTINGS.values()}
+    assert all(args[flag] is None for flag in flags)
 
 
 def test_evaluate_refuses_a_repeated_window_flag(tmp_path, capsys):
@@ -512,6 +555,10 @@ def test_evaluate_refuses_an_empty_grid(tmp_path, capsys, windows, orders):
         ([{"id": "a", "pos": "NN", "members": ["widget", "gadget"]},
           {"id": "a", "pos": "NN", "members": ["gadget", "widget"]}],
          "set ids must be distinct, got 'a' twice"),
+        ([{"id": "x", "pos": "NN", "members": ["widget", "gadget"], "name": "x"}],
+         "unknown evaluate set key 'name'"),
+        ([{"id": "x", "pos": "NN", "members": ["widget", "gadget"], "weight": 1, "gold": "w"}],
+         "unknown evaluate set key 'gold'"),
     ],
     ids=lambda v: json.dumps(v),
 )
@@ -552,6 +599,54 @@ def test_evaluate_config_line_names_set_window_options(tmp_path, capsys):
     assert "evidence_window" not in lines["default"]
     for name, setting in (("window", "evidence_window=1"), ("cross", "cross_sentences=true")):
         assert sorted(lines[name].split()) == sorted(lines["default"].split() + [setting])
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, settings",
+    [
+        ({}, [], {}),
+        ({"t_min": 2.5}, ["--window", "10", "--window", "4", "--order", "2", "--t-min", "3",
+                          "--max-nodes", "40"],
+         {"windows": [10, 4], "orders": [2], "t_min": 3.0, "max_nodes": 40}),
+        ({"cross_sentences": True, "evidence_window": 0, "t_min": 2, "max_edges": 60}, [],
+         {"cross_sentences": True, "evidence_window": 0, "t_min": 2.0, "max_edges": 60}),
+    ],
+    ids=["config", "flags", "cross-sentences"],
+)
+def test_evaluate_equals_rendered_run_grid(tmp_path, capsys, overrides, flags, settings):
+    cfg_path, config = evaluate_config(tmp_path, **overrides)
+    assert run(["evaluate", "--config", str(cfg_path)] + flags, capsys)[0] == 0
+    want = {"windows": [4], "orders": [1, 2], "t_min": 2.0, "max_nodes": 50_000,
+         "max_edges": 500_000, "cross_sentences": False, "evidence_window": None, **settings}
+    cfg = CorpusConfig()
+    train = ingest_files([config["train_corpus"]], cfg)
+    heldout = ingest_files([config["heldout_corpus"]], cfg)
+    vocab = build_vocabulary(train, cfg)
+    apply_stop_policy(heldout, vocab, cfg)
+    set_defs = [evaluation.SetDefinition("planted", "NN", config["sets"][0]["members"])]
+    cells = evaluation.run_grid(
+        train, vocab, heldout, set_defs, want["windows"], want["orders"],
+        SignificanceThresholds(want["t_min"], 2.0),
+        NetworkCaps(want["max_nodes"], want["max_edges"]),
+        cross_sentences=want["cross_sentences"], evidence_window=want["evidence_window"],
+    )
+    header = {"train": config["train_corpus"], "heldout": config["heldout_corpus"],
+              "format": "slash", "max_freq": 800, "t_min": want["t_min"], "mi_min": 2.0,
+              "windows": ",".join(map(str, want["windows"])),
+              "orders": ",".join(map(str, want["orders"])),
+              "max_nodes": want["max_nodes"], "max_edges": want["max_edges"]}
+    if want["cross_sentences"]:
+        header.update(cross_sentences="true", evidence_window=0)
+    report = (tmp_path / "report" / "report.tsv").read_text()
+    assert report == evaluation.render_grid_report(cells, set_defs, header)
+    assert ((tmp_path / "report" / "instances.tsv").read_text()
+            == evaluation.render_instance_log(cells))
+    if want["cross_sentences"]:
+        assert config_line(report) == (
+            f"# config: cross_sentences=true evidence_window=0 format=slash "
+            f"heldout={config['heldout_corpus']} max_edges=60 max_freq=800 max_nodes=50000 "
+            f"mi_min=2.0 orders=1,2 t_min=2.0 train={config['train_corpus']} windows=4"
+        )
 
 
 def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
