@@ -71,7 +71,7 @@ def main() -> None:
     # them through "guests": a second-order relation.
     path = max_sig_shortest_path(net, "wine")
     score = significance(net, "wine")
-    print(f"best path dinner -> wine: {' - '.join(path.words)}")
+    print(f"best path dinner -> wine: {' - '.join(path)}")
     print(f"relation order {score.order}, score {score.value:.4f}")
     print(f"(a first-order neighbor keeps its full edge t-score: "
           f"sig(dinner, guests) = {significance(net, 'guests').value:.4f})\n")

@@ -63,7 +63,7 @@ def main() -> None:
         for rank, score in enumerate(ranked, 1):
             nets = {m.word: m.network for m in members}
             evidence = ", ".join(
-                f"{word} ({value:.3f}, order {nets[score.candidate].depth(word)})"
+                f"{word} ({value:.3f}, order {nets[score.candidate].depths.get(word)})"
                 for word, value in score.top_contributors(3)
             )
             print(f"  {rank}. {score.candidate:<10} total={score.total:.4f}"

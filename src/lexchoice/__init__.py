@@ -43,7 +43,6 @@ from .network import (
     CoocNetwork,
     InvalidRootError,
     NetworkCaps,
-    SigPath,
     SigScore,
     build_network,
     max_sig_shortest_path,

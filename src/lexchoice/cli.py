@@ -158,6 +158,15 @@ def cmd_choose(args: argparse.Namespace) -> int:
         if not path.exists():
             raise CliError(f"no network file for candidate {word!r}: {path}")
         nets[word] = network.read_network(path)
+    # Scores of networks from different tables or settings do not compare.
+    built = {w: {"N": n.total_tokens, "K": n.half_width, "ORDER": n.max_order,
+                 "TMIN": n.thresholds and n.thresholds.t_min,
+                 "MIMIN": n.thresholds and n.thresholds.mi_min} for w, n in nets.items()}
+    for word in words[1:]:
+        for key, value in built[word].items():
+            if value != built[words[0]][key]:
+                raise CliError(f"candidates {words[0]!r} and {word!r} were built "
+                               f"differently: {key} {built[words[0]][key]} vs {value}")
 
     vocab_path = Path(args.vocab) if args.vocab else networks_dir / "vocab.tsv"
     if args.vocab and not vocab_path.exists():
@@ -191,7 +200,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
                         {
                             "word": word,
                             "contribution": value,
-                            "order": nets[score.candidate].depth(word),
+                            "order": nets[score.candidate].depths.get(word),
                         }
                         for word, value in score.top_contributors(args.top)
                     ],
@@ -207,7 +216,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
         contributors = score.top_contributors(args.top)
         if contributors:
             parts = [
-                f"{word}={value:.6f}@{nets[score.candidate].depth(word)}"
+                f"{word}={value:.6f}@{nets[score.candidate].depths.get(word)}"
                 for word, value in contributors
             ]
             print(f"   evidence: {' '.join(parts)}")

@@ -121,7 +121,8 @@ def _parse_slash(raw: str) -> TokenStream:
                 raise CorpusFormatError(
                     f"token {item!r} {problem}", line_no, _column(line, items.index(item))
                 )
-            tokens.append(Token(intern(surface.lower()), intern(pos), sentence_id))
+            tokens.append(Token(intern(surface.lower()), intern(pos), sentence_id,
+                                pos in DEFAULT_STOP_TAGS))
         sentence_id += 1
     return tokens
 
@@ -153,7 +154,8 @@ def _parse_tsv(raw: str) -> TokenStream:
             )
         if fields[0] == GAP:
             raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
-        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id))
+        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id,
+                            fields[1] in DEFAULT_STOP_TAGS))
         sentence_open = True
     return tokens
 
@@ -161,14 +163,10 @@ def _parse_tsv(raw: str) -> TokenStream:
 def ingest(raw: str, cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     """Parse tagged text into a token stream, in corpus order.
 
-    Stop flags are set from tags alone here (``DEFAULT_STOP_TAGS``);
-    frequency-based stops need the full vocabulary and are applied by
-    build_vocabulary.
+    The parsers flag stops by tag (``DEFAULT_STOP_TAGS``); build_vocabulary
+    adds the frequency stops, which need the whole vocabulary.
     """
-    tokens = _parse_slash(raw) if cfg.format == "slash" else _parse_tsv(raw)
-    for tok in tokens:
-        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS
-    return tokens
+    return _parse_slash(raw) if cfg.format == "slash" else _parse_tsv(raw)
 
 
 def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) -> TokenStream:

@@ -47,7 +47,6 @@ def coarse_category(tag: str) -> str:
 class GapInstance:
     sentence: GapSentence
     gold: str
-    set_id: str
     sentence_id: int = 0
     position: int = 0
     # The sentence's evidence surfaces per evidence window, picked on first
@@ -92,7 +91,6 @@ def extract_instances(
     held_out: TokenStream,
     words: Iterable[str],
     pos_category: str,
-    set_id: str = "",
 ) -> list[GapInstance]:
     """One instance per candidate-word occurrence in the held-out stream."""
     targets = {w.lower() for w in words}
@@ -105,7 +103,6 @@ def extract_instances(
                     GapInstance(
                         sentence=GapSentence.blank_out(sentence, i),
                         gold=tok.surface,
-                        set_id=set_id,
                         sentence_id=sentence_id,
                         position=i,
                     )
@@ -242,7 +239,7 @@ def run_grid(
         raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
                          "evaluate (window 50 has no order 3)")
     instances = {
-        sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
+        sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category)
         for sdef in set_defs
     }
     for sdef in set_defs:

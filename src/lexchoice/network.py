@@ -44,10 +44,6 @@ class InvalidRootError(ValueError):
     """Root word is unknown or excluded by the stop policy."""
 
 
-class WordNotInNetworkError(KeyError):
-    """Path requested for a word the network does not contain."""
-
-
 @dataclass(frozen=True)
 class NetworkCaps:
     max_nodes: int = 50_000
@@ -65,15 +61,6 @@ class SigScore(NamedTuple):
     order: int | None
 
 
-@dataclass(frozen=True)
-class SigPath:
-    words: tuple[str, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.words) - 1
-
-
 @dataclass
 class CoocNetwork:
     root: str
@@ -86,11 +73,13 @@ class CoocNetwork:
     truncated: str | None = None
 
     def __post_init__(self):
-        """Check the depths and edges, then score every node in one DP sweep
+        """Check K, N, the depths and edges, then score every node in one DP sweep
         by (depth, word) that is also the check that each non-root node has
         a parent edge. Only parent edges can lie on a shortest path. They are
         tried in sorted order and only a strictly larger sum replaces the
         held one, so ties go to the lexicographically smallest predecessor."""
+        if self.half_width < 1 or self.total_tokens < 1:
+            raise ValueError(f"network K {self.half_width} and N {self.total_tokens} must be >= 1")
         depths = self.depths
         if depths.get(self.root) != 0:
             raise ValueError("network root must be present at depth 0")
@@ -141,9 +130,6 @@ class CoocNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def depth(self, word: str) -> int | None:
-        return self.depths.get(word)
 
     def path_scores(self) -> dict[str, float]:
         """Every node's relation score to the root, the root's being 0.0.
@@ -252,16 +238,13 @@ def _apply_edge_cap(
     return depths, {key: weight for key, weight in edges.items() if key in keep}
 
 
-def max_sig_shortest_path(net: CoocNetwork, word: str) -> SigPath:
-    """The shortest root-to-word path with the largest discounted t-score sum."""
-    if word not in net.depths:
-        raise WordNotInNetworkError(
-            f"{word!r} is not in the network rooted at {net.root!r}"
-        )
+def max_sig_shortest_path(net: CoocNetwork, word: str) -> tuple[str, ...]:
+    """The shortest root-to-word path with the largest discounted t-score
+    sum, as its words, root first. A word that is not a node raises KeyError."""
     path = [word]
     while (predecessor := net._pred[path[-1]]) is not None:
         path.append(predecessor)
-    return SigPath(tuple(reversed(path)))
+    return tuple(reversed(path))
 
 
 def significance(net: CoocNetwork, word: str) -> SigScore:

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from lexchoice.cooc import PairCounts
-from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
+from lexchoice.corpus import GAP, CorpusConfig, build_vocabulary, ingest
 
 TINY_CORPUS = """\
 the/DT team/NN 's/POS most/RBS urgent/JJ task/NN was/VBD to/TO learn/VB fast/RB
@@ -26,9 +27,39 @@ def tiny_vocab(tiny_stream, tiny_config):
     return build_vocabulary(tiny_stream, tiny_config)
 
 
+# Surfaces the ingesters accept: no whitespace and not the gap marker, with
+# slashes, '=', case folding and control characters among them.
+surfaces = st.one_of(
+    st.sampled_from(["a", "b", "B", "a/b", "x=y", "é", "ß", "İ"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+).filter(lambda w: not any(c.isspace() for c in w) and w.lower() != GAP)
+
+
+def tagged_sentences_of(words: st.SearchStrategy[str],
+                        max_sentences: int = 8) -> st.SearchStrategy:
+    """Lists of 1 to 12 ``(surface, tag)`` tokens drawn from ``words``, one per sentence."""
+    return st.lists(st.lists(st.tuples(words, st.sampled_from(["NN", "VB", "CD", "NNP"])),
+                             min_size=1, max_size=12),
+                    max_size=max_sentences)
+
+
+def tagged_text(sents: list[list[tuple[str, str]]], fmt: str) -> str:
+    """``(surface, tag)`` sentences as corpus text in the ``slash`` or ``tsv`` layout."""
+    if fmt == "slash":
+        return "\n".join(" ".join(f"{w}/{tag}" for w, tag in sent) for sent in sents)
+    return "\n\n".join("\n".join(f"{w}\t{tag}" for w, tag in sent) for sent in sents)
+
+
 def pair_key(w1: str, w2: str) -> tuple[str, str]:
     """The pair's table key: its two words in sorted order."""
     return (w1, w2) if w1 <= w2 else (w2, w1)
+
+
+def assert_same_table(got: PairCounts, want: PairCounts) -> None:
+    """``got`` holds ``want``'s pair counts, marginals and window settings."""
+    assert got.pairs == want.pairs
+    for name in ("freq", "total_tokens", "half_width", "cross_sentences", "stop_threshold"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def mirrored_rows(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:

@@ -356,7 +356,7 @@ def per_cell_grid(
                 for w in sdef.members
             ]
             cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-            instances = extract_instances(heldout_ts, sdef.members, sdef.pos_category, sdef.set_id)
+            instances = extract_instances(heldout_ts, sdef.members, sdef.pos_category)
             outcomes = judge_instances(cands, instances)
             cell.outcomes[sdef.set_id] = outcomes
             cell.reports[sdef.set_id] = summarize(cands, outcomes)

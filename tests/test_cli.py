@@ -1,21 +1,27 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexchoice import evaluation, network
+from lexchoice.choice import Candidate, CandidateSet, choose, parse_gap_sentence
 from lexchoice.cli import _EVALUATE_SETTINGS, build_parser, main
-from lexchoice.cooc import SignificanceThresholds, read_pair_counts, write_pair_counts
+from lexchoice.cooc import (SignificanceThresholds, WindowConfig, count_pairs, read_pair_counts,
+                            write_pair_counts)
 from lexchoice.corpus import (CorpusConfig, Vocabulary, apply_stop_policy, build_vocabulary,
-                              ingest_files, read_vocabulary, write_vocabulary)
-from lexchoice.network import NetworkCaps, build_network, write_network
+                              ingest, ingest_files, read_vocabulary, write_vocabulary)
+from lexchoice.network import NetworkCaps, build_network, read_network, write_network
 from lexchoice.synthetic import planted_corpus
 
-from conftest import from_pairs
+from conftest import from_pairs, surfaces, tagged_sentences_of, tagged_text
 
 FIXTURE = "r/NN a/NN\nr/NN b/NN\na/NN c/NN\n"
 
@@ -371,6 +377,133 @@ def test_choose_json_output(fixture_stats, capsys):
     assert payload["winner"] == "r"
     assert payload["ranking"][0]["evidence"][0]["word"] == "c"
     assert payload["ranking"][0]["evidence"][0]["order"] == 2
+
+
+@pytest.mark.parametrize(
+    "table, flags, field",
+    [
+        ("k10", ["--order", "3", "--t-min", "1.0"], "K 4 vs 10"),
+        ("twice", [], "N 16300 vs 32600"),
+        ("k4", ["--order", "2"], "ORDER 1 vs 2"),
+        ("k4", ["--t-min", "1.0"], "TMIN 2.0 vs 1.0"),
+        ("k4", ["--mi-min", "1.5"], "MIMIN 2.0 vs 1.5"),
+    ],
+    ids=["window", "tokens", "order", "t-min", "mi-min"],
+)
+def test_choose_refuses_candidates_built_differently(tmp_path, capsys, table, flags, field):
+    pc = planted_corpus()
+    corpora = {"k4": (pc.train_text, "4"), "k10": (pc.train_text, "10"),
+               "twice": (pc.train_text * 2, "4")}
+    for name in dict.fromkeys(["k4", table]):
+        text, window = corpora[name]
+        (tmp_path / f"{name}.tag").write_text(text)
+        assert run(["stats", "--corpus", str(tmp_path / f"{name}.tag"), "--window", window,
+                    "--out", str(tmp_path / name)], capsys)[0] == 0
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(tmp_path / "k4"), "--root", "widget",
+                "--order", "1", "--out", str(nets)], capsys)[0] == 0
+    assert run(["build", "--counts", str(tmp_path / table), "--root", "gadget",
+                "--order", "1", *flags, "--out", str(nets)], capsys)[0] == 0
+    # The check comes before the (here missing) vocabulary is read.
+    code, stdout, err = run(
+        ["choose", "--networks", str(nets), "--candidates", "widget,gadget",
+         "--vocab", str(tmp_path / "missing.tsv"), "--sentence", "factory/NN ____"],
+        capsys,
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: candidates 'widget' and 'gadget' were built differently: {field}\n"
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its output captured, for use under hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Mostly a few words, so that pairs repeat. Tiny corpora rarely hold a pair
+# with t >= 2, so the thresholds stay low and networks often have edges.
+repeating_sentences = tagged_sentences_of(
+    st.one_of(st.sampled_from(["a", "B", "c", "a/b", "x=y"]), surfaces), max_sentences=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_sentences, st.sampled_from(["slash", "tsv"]),
+       st.one_of(st.just(800), st.integers(1, 8)), st.one_of(st.just(1), st.integers(1, 12)),
+       st.booleans(), st.sampled_from([(0.5, -1.0), (1.0, 0.0), (1.0, 1.0)]),
+       st.integers(0, 3), st.integers(1, 3))
+def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, thresholds, max_edges,
+                                       choose_order):
+    """Text the ingesters accept survives stats -> build -> read_network and
+    choose: every network read back equals ``build_network`` on the in-memory
+    table, a root holding a path separator is refused by name with nothing
+    written, and ``choose --json`` equals library ``choose``. A command line
+    cannot carry NUL, so roots holding one are not built, and a candidate
+    holding ',' cannot be listed in ``--candidates``."""
+    text = tagged_text(sents, fmt)
+    cfg = CorpusConfig(format=fmt, stop_threshold=max_freq)
+    ts = ingest(text, cfg)
+    vocab = build_vocabulary(ts, cfg)
+    counts = count_pairs(ts, vocab, WindowConfig(k, cross))
+    sig = SignificanceThresholds(*thresholds)
+    sig_flags = [f"--t-min={sig.t_min}", f"--mi-min={sig.mi_min}"]
+    roots = [w for w in vocab.freq if not vocab.is_frequency_stopped(w)]
+    named = [w for w in roots if os.sep not in w and "\0" not in w]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus").write_text(text, encoding="utf-8")
+        stats = ["stats", "--corpus", str(tmp / "corpus"), f"--format={fmt}", f"--window={k}",
+                 f"--max-freq={max_freq}", "--out", str(tmp / "c")]
+        assert run_quietly(stats + ["--cross-sentences"] * cross)[0] == 0
+        build = ["build", "--counts", str(tmp / "c"), *sig_flags, *[f"--root={w}" for w in named]]
+        built = {}
+        for order in (1, 2, 3):
+            for cap in (None, max_edges):
+                out = tmp / f"nets-{order}-{cap}"
+                cap_flags = [] if cap is None else [f"--max-edges={cap}"]
+                caps = NetworkCaps() if cap is None else NetworkCaps(max_edges=cap)
+                if named:
+                    assert run_quietly(build + [f"--order={order}", *cap_flags,
+                                                "--out", str(out)])[0] == 0
+                built[order, cap] = {w: build_network(w, counts, sig, order, caps) for w in named}
+                for root in named:
+                    assert read_network(out / f"{root}.net") == built[order, cap][root]
+
+        before = sorted(tmp.rglob("*"))
+        for root in roots:
+            if os.sep in root:
+                assert run_quietly(build + [f"--root={root}", "--out", str(tmp / "refused")]) == (
+                    1, "", f"error: word {root!r} cannot name a network file: "
+                           "it contains a path separator\n")
+        assert sorted(tmp.rglob("*")) == before
+
+        nets = built[choose_order, None]
+        pair = sorted((w for w in named if "," not in w), key=lambda w: -nets[w].node_count)[:2]
+        if len(pair) < 2:
+            return
+        gap_text = " ".join([f"{w}/{tag}" for w, tag in sents[0]] + ["____"])
+        code, stdout, err = run_quietly(
+            ["choose", "--networks", str(tmp / f"nets-{choose_order}-None"),
+             f"--candidates={','.join(pair)}", "--vocab", str(tmp / "c" / "vocab.tsv"),
+             f"--sentence={gap_text}", "--json"])
+    assert (code, err) == (0, "")
+    sentence = parse_gap_sentence(gap_text)
+    for tok in sentence.tokens:
+        tok.is_stop = tok.is_stop or vocab.is_frequency_stopped(tok.surface)
+    ranked = choose(CandidateSet("cli", "", [Candidate(w, nets[w], vocab.freq[w]) for w in pair]),
+                    sentence)
+    assert json.loads(stdout) == {
+        "winner": ranked[0].candidate,
+        "baseline_fallback": ranked[0].total == 0.0,
+        "ranking": [
+            {"candidate": score.candidate, "total": score.total,
+             "evidence": [{"word": word, "contribution": value,
+                           "order": nets[score.candidate].depths.get(word)}
+                          for word, value in score.top_contributors()]}
+            for score in ranked
+        ],
+    }
 
 
 def evaluate_config(tmp_path, **overrides):

@@ -16,7 +16,6 @@ from lexchoice.cooc import (
     write_pair_counts,
 )
 from lexchoice.corpus import (
-    GAP,
     CorpusConfig,
     Token,
     Vocabulary,
@@ -29,7 +28,8 @@ from lexchoice.corpus import (
 from lexchoice.evaluation import run_grid
 from lexchoice.synthetic import planted_corpus
 
-from conftest import from_pairs, mirrored_rows, pair_key
+from conftest import (assert_same_table, from_pairs, mirrored_rows, pair_key, surfaces,
+                      tagged_sentences_of, tagged_text)
 from oracles import (
     forward_pair_counts,
     pair_statistics,
@@ -390,7 +390,7 @@ def test_pair_counts_file_roundtrip(tmp_path, tiny_stream, tiny_vocab):
     path = tmp_path / "pairs.tsv"
     write_pair_counts(counts, path)
     again = read_pair_counts(path, tiny_vocab)
-    assert again == counts
+    assert_same_table(again, counts)
     header = path.read_text().splitlines()[:2]
     assert header == [f"N={tiny_vocab.total_tokens}", "K=4"]
 
@@ -416,27 +416,11 @@ def test_pair_counts_file_deterministic(tmp_path, tiny_stream, tiny_vocab):
     assert (tmp_path / "p1.tsv").read_bytes() == (tmp_path / "p2.tsv").read_bytes()
 
 
-# Surfaces the ingesters accept: no whitespace and not the gap marker, with
-# slashes, '=', case folding and control characters among them.
-surfaces = st.one_of(
-    st.sampled_from(["a", "b", "B", "a/b", "x=y", "é", "ß", "İ"]),
-    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
-).filter(lambda w: not any(c.isspace() for c in w) and w.lower() != GAP)
-tagged_sentences = st.lists(
-    st.lists(st.tuples(surfaces, st.sampled_from(["NN", "VB", "CD", "NNP"])),
-             min_size=1, max_size=12),
-    max_size=8,
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(tagged_sentences, st.sampled_from(["slash", "tsv"]), st.sampled_from([1, 2, 4, 800]),
-       st.integers(1, 60), st.booleans())
+@given(tagged_sentences_of(surfaces), st.sampled_from(["slash", "tsv"]),
+       st.sampled_from([1, 2, 4, 800]), st.integers(1, 60), st.booleans())
 def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
-    if fmt == "slash":
-        text = "\n".join(" ".join(f"{w}/{tag}" for w, tag in sent) for sent in sents)
-    else:
-        text = "\n\n".join("\n".join(f"{w}\t{tag}" for w, tag in sent) for sent in sents)
+    text = tagged_text(sents, fmt)
     cfg = CorpusConfig(format=fmt, stop_threshold=threshold)
     ts = ingest(text, cfg)
     vocab = build_vocabulary(ts, cfg)
@@ -446,7 +430,7 @@ def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
         write_pair_counts(counts, path)
         assert path.read_bytes() == sorted_key_pair_table_text(counts).encode("utf-8")
         again = read_pair_counts(path, vocab)
-    assert again == counts
+    assert_same_table(again, counts)
     assert all(counts.rows.values()) and all(again.rows.values())
 
 
@@ -498,7 +482,7 @@ def test_from_pairs_rebuilds_a_counted_table(seed):
         cross_sentences=bool(seed % 2), stop_threshold=vocab.stop_threshold,
     )
     assert rebuilt.pairs == plain
-    assert rebuilt == counts
+    assert_same_table(rebuilt, counts)
 
 
 def test_read_pair_counts_rejects_mismatched_vocab(tmp_path, tiny_stream, tiny_vocab):

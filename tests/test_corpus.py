@@ -40,8 +40,12 @@ def test_ingest_number_tag_is_stop():
 
 
 def test_ingest_proper_noun_and_symbol_stops():
-    ts = ingest("Smith/NNP says/VBZ %/SYM yes/UH")
-    assert [t.is_stop for t in ts] == [True, False, True, False]
+    slash = ingest("Smith/NNP says/VBZ %/SYM yes/UH")
+    tsv = ingest("Smith\tNNP\nsays\tVBZ\n%\tSYM\nyes\tUH\n", CorpusConfig(format="tsv"))
+    for ts in (slash, tsv):
+        assert [(t.surface, t.pos) for t in ts] == [
+            ("smith", "NNP"), ("says", "VBZ"), ("%", "SYM"), ("yes", "UH")]
+        assert [t.is_stop for t in ts] == [True, False, True, False]
 
 
 def test_ingest_sentence_boundaries():

@@ -61,7 +61,7 @@ def two_candidate_set(freq_a=5, freq_b=9) -> CandidateSet:
 
 def test_extract_one_instance_per_occurrence():
     ts = heldout("i/PRP made/VBD a/DT mistake/NN today/NN")
-    instances = extract_instances(ts, ["error", "mistake", "oversight"], "NN", "2")
+    instances = extract_instances(ts, ["error", "mistake", "oversight"], "NN")
     assert len(instances) == 1
     inst = instances[0]
     assert inst.gold == "mistake"
@@ -70,7 +70,7 @@ def test_extract_one_instance_per_occurrence():
 
 def test_extract_two_occurrences_leave_each_other_visible():
     ts = heldout("the/DT error/NN hid/VBD the/DT mistake/NN")
-    instances = extract_instances(ts, ["error", "mistake"], "NN", "2")
+    instances = extract_instances(ts, ["error", "mistake"], "NN")
     assert [i.gold for i in instances] == ["error", "mistake"]
     first, second = instances
     surfaces_first = [t.surface for t in first.sentence.tokens]
@@ -81,17 +81,17 @@ def test_extract_two_occurrences_leave_each_other_visible():
 
 def test_extract_matches_pos_category():
     ts = heldout("the/DT task/NN to/TO task/VB him/PRP fell/VBD to/TO Task/NNP")
-    noun_instances = extract_instances(ts, ["task"], "NN", "3")
+    noun_instances = extract_instances(ts, ["task"], "NN")
     assert len(noun_instances) == 1  # verb and proper-noun occurrences excluded
     assert noun_instances[0].position == 1
-    verb_instances = extract_instances(ts, ["task"], "VB", "3v")
+    verb_instances = extract_instances(ts, ["task"], "VB")
     assert len(verb_instances) == 1
     assert verb_instances[0].position == 3
 
 
 def test_extract_groups_inflected_tags():
     ts = heldout("tough/JJ tasks/NNS await/VBP")
-    instances = extract_instances(ts, ["tasks"], "NN", "3")
+    instances = extract_instances(ts, ["tasks"], "NN")
     assert len(instances) == 1
 
 
@@ -99,15 +99,14 @@ def judged(cands: CandidateSet, text: str):
     """The run_grid path: extract, judge, summarize."""
     ts = heldout(text)
     words = [m.word for m in cands.members]
-    instances = extract_instances(ts, words, cands.pos_category, cands.set_id)
+    instances = extract_instances(ts, words, cands.pos_category)
     return summarize(cands, judge_instances(cands, instances))
 
 
 def test_extract_instances_carry_set_id():
     ts = heldout("an/DT alpha/NN and/CC a/DT beta/NN arrived/VBD")
-    instances = extract_instances(ts, ["alpha", "beta"], "NN", "s")
+    instances = extract_instances(ts, ["alpha", "beta"], "NN")
     assert [i.gold for i in instances] == ["alpha", "beta"]
-    assert all(i.set_id == "s" for i in instances)
 
 
 def test_coarse_category():

@@ -11,7 +11,6 @@ from lexchoice.network import (
     CoocNetwork,
     InvalidRootError,
     NetworkCaps,
-    WordNotInNetworkError,
     _apply_edge_cap,
     build_network,
     max_sig_shortest_path,
@@ -253,9 +252,7 @@ def test_depths_match_independent_bfs(seed):
 
 def test_unique_path_returned():
     net = chain_network([2.0, 2.56])
-    path = max_sig_shortest_path(net, "n2")
-    assert path.words == ("r", "n1", "n2")
-    assert path.order == 2
+    assert max_sig_shortest_path(net, "n2") == ("r", "n1", "n2")
 
 
 def test_path_prefers_higher_discounted_sum():
@@ -273,7 +270,7 @@ def test_path_prefers_higher_discounted_sum():
         total_tokens=10_000,
         half_width=4,
     )
-    assert max_sig_shortest_path(net, "c").words == ("r", "b", "c")
+    assert max_sig_shortest_path(net, "c") == ("r", "b", "c")
     assert significance(net, "c").value == pytest.approx(3.5 / 8)
 
 
@@ -291,18 +288,18 @@ def test_path_tie_breaks_lexicographically():
         total_tokens=10_000,
         half_width=4,
     )
-    assert max_sig_shortest_path(net, "c").words == ("r", "a", "c")
+    assert max_sig_shortest_path(net, "c") == ("r", "a", "c")
 
 
 def test_path_for_missing_word_raises():
     net = chain_network([2.0])
-    with pytest.raises(WordNotInNetworkError):
+    with pytest.raises(KeyError):
         max_sig_shortest_path(net, "ghost")
 
 
 def test_path_to_root_is_trivial():
     net = chain_network([2.0])
-    assert max_sig_shortest_path(net, "r").words == ("r",)
+    assert max_sig_shortest_path(net, "r") == ("r",)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -481,8 +478,11 @@ def test_read_network_names_file_and_line(tmp_path, line, problem):
         ("EDGE a r 4.024922", "EDGE a r inf", "edge .* has weight inf"),
         ("MIMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
         ("TMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
+        ("K 4\n", "K 0\n", r"network K 0 and N 10000 must be >= 1$"),
+        ("N 10000\n", "N -16300\n", r"network K 4 and N -16300 must be >= 1$"),
     ],
-    ids=["missing-node", "nan-weight", "infinite-weight", "tmin-alone", "mimin-alone"],
+    ids=["missing-node", "nan-weight", "infinite-weight", "tmin-alone", "mimin-alone",
+         "zero-half-width", "negative-token-total"],
 )
 def test_read_network_names_file_of_an_invalid_network(tmp_path, old, new, problem):
     counts = significant_counts([("r", "a")])
