@@ -102,27 +102,34 @@ class Vocabulary:
 
 
 def _parse_slash(raw: str) -> TokenStream:
+    """Parse slash text. Each distinct ``surface/TAG`` item is split, checked
+    and interned once, the first time it occurs; a bad item is never kept."""
     tokens: TokenStream = []
+    parsed: dict[str, tuple[str, str, bool]] = {}
     sentence_id = 0
     for line_no, line in enumerate(raw.splitlines(), 1):
         items = line.split()
         if not items:
             continue
         for item in items:
-            surface, slash, pos = item.rpartition("/")
-            if not surface or not pos or surface == GAP:
-                # The first bad item on the line is the first item equal to it.
-                if not slash:
-                    problem = "missing '/' tag separator"
-                elif surface == GAP:
-                    problem = f"has the gap marker {GAP!r} as its surface"
-                else:
-                    problem = "has empty surface or tag"
-                raise CorpusFormatError(
-                    f"token {item!r} {problem}", line_no, _column(line, items.index(item))
-                )
-            tokens.append(Token(intern(surface.lower()), intern(pos), sentence_id,
-                                pos in DEFAULT_STOP_TAGS))
+            fields = parsed.get(item)
+            if fields is None:
+                surface, slash, pos = item.rpartition("/")
+                if not surface or not pos or surface == GAP:
+                    # The first bad item on the line is the first item equal to it.
+                    if not slash:
+                        problem = "missing '/' tag separator"
+                    elif surface == GAP:
+                        problem = f"has the gap marker {GAP!r} as its surface"
+                    else:
+                        problem = "has empty surface or tag"
+                    raise CorpusFormatError(
+                        f"token {item!r} {problem}", line_no, _column(line, items.index(item))
+                    )
+                fields = parsed[item] = (intern(surface.lower()), intern(pos),
+                                         pos in DEFAULT_STOP_TAGS)
+            surface, pos, is_stop = fields
+            tokens.append(Token(surface, pos, sentence_id, is_stop))
         sentence_id += 1
     return tokens
 

@@ -21,7 +21,9 @@ from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_m
                      _evidence_surfaces, _rank, check_evidence_window)
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
-from .network import NetworkCaps, build_network
+# ``build_network`` stays importable here for profilers that wrap
+# ``evaluation.build_network``; ``run_grid`` calls ``scoring_network``.
+from .network import NetworkCaps, build_network, scoring_network  # noqa: F401
 
 # Critical value for one degree of freedom at the 5% level.
 CHI2_5PCT_CRITICAL = 3.841
@@ -216,9 +218,13 @@ def run_grid(
     Pairs are counted once per window, and every cell of that window builds
     its members' networks from the one pair table, so the significance rows
     it memoises, and the pair rows behind them, are computed once per window
-    and only for the words the networks reach. Each instance's evidence is
-    picked once, in the first cell that judges it. Networks are queried
-    read-only across all of a cell's instances.
+    and only for the words the networks reach. The networks are
+    ``scoring_network``'s: the relation scores read only shortest paths, so
+    the same-depth edges that ``build_network`` keeps are left out, and the
+    rows of each network's deepest layer, which only those edges need, are
+    never counted. Each instance's evidence is picked once, in the first
+    cell that judges it. Networks are queried read-only across all of a
+    cell's instances.
 
     A window, an order or a set id listed twice is refused before any
     counting: the cells or the columns it names would be one. So is a
@@ -260,7 +266,7 @@ def run_grid(
                 members = [
                     Candidate(
                         word=w,
-                        network=build_network(w, counts, thresholds, order, caps),
+                        network=scoring_network(w, counts, thresholds, order, caps),
                         training_freq=train_vocab.freq.get(w, 0),
                     )
                     for w in sdef.members

@@ -4,9 +4,10 @@ A network is grown breadth-first from a root word: connect the root to every
 word it significantly co-occurs with, then recursively connect those words to
 their own significant co-occurrences, up to ``max_order`` hops. A word's
 depth is the order of its relation to the root (first-order neighbors at
-depth 1, second-order at depth 2, ...). All significant edges among included
-nodes are kept, weighted by their t-scores; higher-order relations are never
-materialized as edges, they are read off shortest paths.
+depth 1, second-order at depth 2, ...). Edges are significant
+co-occurrences between included nodes, weighted by their t-scores;
+higher-order relations are never materialized as edges, they are read off
+shortest paths.
 
 The relation score for a word w at depth d discounts each edge on a shortest
 root-to-w path by its position i and the whole sum by the cube of the order:
@@ -23,6 +24,16 @@ One DP sweep scores every node at once when the network is constructed, and
 that sweep is also the check that every non-root node has a parent edge:
 ``CoocNetwork.path_scores()`` is the map word -> score (the root scoring
 0.0) that it fills, read by ``significance`` and by sentence scoring alike.
+
+Two builders share the growth step (``_grow``). ``build_network`` keeps
+every significant edge among the nodes, same-depth ones too: it makes the
+``.net`` files and the networks ``choose`` reads. ``scoring_network`` keeps
+only the edges between adjacent layers, which give the same scores, and so
+never reads the rows of the nodes at depth ``max_order``, which only the
+same-depth edges among them need; the evaluation grid scores with it, since
+no grid result reads a same-depth edge. Where the edge cap could fire, the
+edges it keeps decide the scores, so ``scoring_network`` returns
+``build_network``'s network.
 """
 
 from __future__ import annotations
@@ -138,23 +149,32 @@ class CoocNetwork:
         return self._scores
 
 
-def build_network(
+def _grow(
     root: str,
     counts: PairCounts,
-    thresholds: SignificanceThresholds = SignificanceThresholds(),
-    max_order: int = 2,
-    caps: NetworkCaps = NetworkCaps(),
-) -> CoocNetwork:
-    """Grow the co-occurrence network for ``root`` breadth-first.
+    thresholds: SignificanceThresholds,
+    max_order: int,
+    caps: NetworkCaps,
+) -> tuple[dict[str, int], list[str]]:
+    """Check the root, the order and the thresholds, then grow ``root``'s
+    nodes breadth-first: ``(depths, truncated)``, ``truncated`` being
+    ``["nodes"]`` when the node cap ended growth and empty otherwise.
 
     A word enters at the first depth it is reached, so every depth is the
     word's distance from the root. When the node cap fills mid-layer, the
     strongest candidates (by best incoming t-score) are admitted first and
-    growth ends there; when the edge cap overflows, the weakest edges go
-    first, but each node always keeps its strongest parent edge.
+    growth ends there. Growth reads the significance row of each node it
+    grows from: never one at depth ``max_order`` or in the layer where the
+    node cap fills.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    if thresholds.t_min < 10**-WEIGHT_DECIMALS:
+        # A t-score below half the weight precision would be stored as 0.
+        raise ValueError(
+            f"t_min {thresholds.t_min} is below the edge weight precision "
+            f"1e-{WEIGHT_DECIMALS}"
+        )
     if root not in counts.freq:
         raise InvalidRootError(f"root word {root!r} is not in the vocabulary")
     if counts.freq[root] > counts.stop_threshold:
@@ -183,7 +203,23 @@ def build_network(
             depths[word] = depth
         if not frontier or truncated:
             break
+    return depths, truncated
 
+
+def build_network(
+    root: str,
+    counts: PairCounts,
+    thresholds: SignificanceThresholds = SignificanceThresholds(),
+    max_order: int = 2,
+    caps: NetworkCaps = NetworkCaps(),
+) -> CoocNetwork:
+    """Grow the co-occurrence network for ``root`` breadth-first (``_grow``)
+    and keep every significant edge among its nodes, same-depth ones too.
+
+    When the edge cap overflows, the weakest edges go first, but each node
+    always keeps its strongest parent edge.
+    """
+    depths, truncated = _grow(root, counts, thresholds, max_order, caps)
     edges: dict[tuple[str, str], float] = {}
     for w1 in sorted(depths):
         for w2, t in counts.significant_neighbors(w1, thresholds):
@@ -202,7 +238,47 @@ def build_network(
         total_tokens=counts.total_tokens,
         half_width=counts.half_width,
         thresholds=thresholds,
-        truncated=",".join(truncated) if truncated else None,
+        truncated=",".join(truncated) or None,
+    )
+
+
+def scoring_network(
+    root: str,
+    counts: PairCounts,
+    thresholds: SignificanceThresholds = SignificanceThresholds(),
+    max_order: int = 2,
+    caps: NetworkCaps = NetworkCaps(),
+) -> CoocNetwork:
+    """``build_network``'s network less its same-depth edges, which no
+    shortest path uses: the same depths, truncation and path scores.
+
+    Each edge between adjacent layers is in the significance row of its
+    upper node, which growth has already read, so, unlike ``build_network``,
+    this counts and scores no row of a node at depth ``max_order``. When the
+    n(n-1)/2 possible edges among the n nodes exceed ``caps.max_edges``, the
+    edge cap could fire, and the edges it keeps decide the scores; then this
+    is ``build_network``'s network.
+    """
+    depths, truncated = _grow(root, counts, thresholds, max_order, caps)
+    n = len(depths)
+    if n * (n - 1) // 2 > caps.max_edges:
+        return build_network(root, counts, thresholds, max_order, caps)
+    deepest = max(depths.values())
+    edges: dict[tuple[str, str], float] = {}
+    for w1, depth in depths.items():
+        if depth < deepest:
+            for w2, t in counts.significant_neighbors(w1, thresholds):
+                if depths.get(w2) == depth + 1:
+                    edges[(w1, w2) if w1 < w2 else (w2, w1)] = round(t, WEIGHT_DECIMALS)
+    return CoocNetwork(
+        root=root,
+        max_order=max_order,
+        depths=depths,
+        edges=edges,
+        total_tokens=counts.total_tokens,
+        half_width=counts.half_width,
+        thresholds=thresholds,
+        truncated=",".join(truncated) or None,
     )
 
 

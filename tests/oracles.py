@@ -6,6 +6,7 @@ library's streaming/DP code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -362,3 +363,16 @@ def per_cell_grid(
             cell.reports[sdef.set_id] = summarize(cands, outcomes)
         cells.append(cell)
     return cells
+
+
+def expected_scoring_network(direct: CoocNetwork, caps: NetworkCaps) -> CoocNetwork:
+    """What ``scoring_network`` must return where ``build_network`` returned
+    ``direct`` under ``caps``: ``direct`` itself when the edge cap could fire
+    (it fired, or the n(n-1)/2 possible edges among its n grown nodes exceed
+    ``caps.max_edges``), else ``direct`` less its same-depth edges."""
+    n = len(direct.depths)
+    if "edges" in (direct.truncated or "") or n * (n - 1) // 2 > caps.max_edges:
+        return direct
+    edges = {key: weight for key, weight in direct.edges.items()
+             if direct.depths[key[0]] != direct.depths[key[1]]}
+    return dataclasses.replace(direct, edges=edges)

@@ -794,7 +794,8 @@ def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--t-min", "nan"], ["--mi-min", "nan"], ["--t-min", "inf"], ["--mi-min", "inf"]],
+    [["--t-min", "nan"], ["--mi-min", "nan"], ["--t-min", "inf"], ["--mi-min", "inf"],
+     ["--t-min", "1e-12"]],
     ids=lambda v: " ".join(v),
 )
 def test_build_rejects_nan_and_infinite_thresholds(fixture_stats, capsys, flags):
@@ -812,8 +813,9 @@ def test_build_rejects_nan_and_infinite_thresholds(fixture_stats, capsys, flags)
 @pytest.mark.parametrize(
     "overrides, flags",
     [({}, ["--t-min", "nan"]), ({"mi_min": math.nan}, []), ({"t_min": math.inf}, []),
-     ({"mi_min": math.inf}, []), ({}, ["--mi-min", "inf"])],
-    ids=["t-min-flag", "mi-min-config", "t-min-config", "mi-min-inf-config", "mi-min-inf-flag"],
+     ({"mi_min": math.inf}, []), ({}, ["--mi-min", "inf"]), ({"t_min": 1e-12}, [])],
+    ids=["t-min-flag", "mi-min-config", "t-min-config", "mi-min-inf-config", "mi-min-inf-flag",
+         "t-min-below-weight-precision-config"],
 )
 def test_evaluate_rejects_nan_and_infinite_thresholds(tmp_path, capsys, overrides, flags):
     cfg_path, _ = evaluate_config(tmp_path, **overrides)

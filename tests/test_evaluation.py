@@ -28,7 +28,7 @@ from lexchoice.network import CoocNetwork, NetworkCaps, build_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import pair_key
-from oracles import per_cell_grid
+from oracles import expected_scoring_network, per_cell_grid
 
 
 def star(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -371,7 +371,7 @@ def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
     counts = {k: count_pairs(train, vocab, WindowConfig(k)) for k in (4, 10)}
     for net in networks:
         direct = build_network(net.root, counts[net.half_width], thresholds, net.max_order, caps)
-        assert net == direct
+        assert net == expected_scoring_network(direct, caps)
     assert cells == per_cell_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3],
                                   thresholds, caps)
 

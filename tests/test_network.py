@@ -15,14 +15,16 @@ from lexchoice.network import (
     build_network,
     max_sig_shortest_path,
     read_network,
+    scoring_network,
     significance,
     write_network,
 )
 
-from conftest import pair_key, significant_counts
+from conftest import from_pairs, pair_key, significant_counts
 from oracles import (
     bfs_depths,
     enumerate_shortest_path_scores,
+    expected_scoring_network,
     quadratic_edge_cap,
     random_layered_network,
     topic_stream,
@@ -225,6 +227,46 @@ def test_node_cap_keeps_depths_as_distances(seed, window, thresholds):
             last = max(net.depths.values())
             assert len(net.depths) == max_nodes
             assert {w for w, d in distances.items() if d < last} <= net.depths.keys()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, st.integers(0, 4),
+       st.integers(1, 40), st.one_of(st.just(NetworkCaps().max_edges), st.integers(0, 60)))
+def test_scoring_network_is_build_network_less_same_depth_edges(
+    seed, window, thresholds, order, max_nodes, max_edges
+):
+    counts, root = grown_inputs(seed, window)
+    caps = NetworkCaps(max_nodes, max_edges)
+    direct = build_network(root, counts, thresholds, order, caps)
+    fresh, _ = grown_inputs(seed, window)
+    net = scoring_network(root, fresh, thresholds, order, caps)
+    assert net == expected_scoring_network(direct, caps)
+    assert net.path_scores() == direct.path_scores()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), random_thresholds, st.integers(1, 4))
+def test_scoring_network_counts_no_deepest_layer_row(seed, window, thresholds, order):
+    # A row not yet counted is still the word's list of occurrences.
+    counts, root = grown_inputs(seed, window)
+    net = scoring_network(root, counts, thresholds, order)
+    deepest = [word for word, depth in net.depths.items() if depth == order]
+    assert all(counts._rows[word].__class__ is list for word in deepest)
+    build_network(root, counts, thresholds, order)
+    assert all(counts._rows[word].__class__ is dict for word in deepest)
+
+
+def test_t_min_below_the_weight_precision_is_refused():
+    # t = 1 - E is about 1.2e-10: it passes t_min = 1e-12 and would round to 0.0.
+    counts = from_pairs({("a", "b"): 1}, freq={"a": 1000000001, "b": 1},
+                        total_tokens=8000000009, half_width=4, stop_threshold=10**12)
+    for builder in (build_network, scoring_network):
+        with pytest.raises(ValueError) as excinfo:
+            builder("a", counts, SignificanceThresholds(1e-12, -1e9), 1)
+        assert str(excinfo.value) == "t_min 1e-12 is below the edge weight precision 1e-6"
+        assert counts._significant == {}  # refused before any row is read
+    net = build_network("a", counts, SignificanceThresholds(1e-6, -1e9), 1)
+    assert net.depths == {"a": 0} and net.edges == {}
 
 
 @pytest.mark.parametrize("seed", range(10))
