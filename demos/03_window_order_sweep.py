@@ -24,7 +24,7 @@ def main() -> None:
     train = ingest(pc.train_text, cfg)
     heldout = ingest(pc.heldout_text, cfg)
     vocab = build_vocabulary(train, cfg)
-    apply_stop_policy(heldout, vocab, cfg)
+    apply_stop_policy(heldout, vocab)
 
     print(f"training corpus: {vocab.total_tokens} tokens")
     print(f"candidates: {pc.target} (planted target) vs {pc.rival} "

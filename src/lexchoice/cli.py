@@ -176,9 +176,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
 
     sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker)
     if vocab is not None:
-        for tok in sentence.tokens:
-            if vocab.is_frequency_stopped(tok.surface):
-                tok.is_stop = True
+        corpus.apply_stop_policy(sentence.tokens, vocab)
 
     cands = choice.CandidateSet(
         set_id="cli",
@@ -187,43 +185,29 @@ def cmd_choose(args: argparse.Namespace) -> int:
     )
     ranked = choice.choose(cands, sentence, args.evidence_window)
     fallback = ranked[0].total == 0.0
+    # One record per candidate, which both outputs show.
+    ranking = [
+        {"candidate": score.candidate, "total": score.total,
+         "evidence": [{"word": word, "contribution": value,
+                       "order": nets[score.candidate].depths.get(word)}
+                      for word, value in score.top_contributors(args.top)]}
+        for score in ranked
+    ]
 
     if args.json:
-        payload = {
-            "winner": ranked[0].candidate,
-            "baseline_fallback": fallback,
-            "ranking": [
-                {
-                    "candidate": score.candidate,
-                    "total": score.total,
-                    "evidence": [
-                        {
-                            "word": word,
-                            "contribution": value,
-                            "order": nets[score.candidate].depths.get(word),
-                        }
-                        for word, value in score.top_contributors(args.top)
-                    ],
-                }
-                for score in ranked
-            ],
-        }
+        payload = {"winner": ranked[0].candidate, "baseline_fallback": fallback,
+                   "ranking": ranking}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
-    for rank, score in enumerate(ranked, 1):
-        print(f"{rank}. {score.candidate}  total={score.total:.6f}")
-        contributors = score.top_contributors(args.top)
-        if contributors:
-            parts = [
-                f"{word}={value:.6f}@{nets[score.candidate].depths.get(word)}"
-                for word, value in contributors
-            ]
+    for rank, record in enumerate(ranking, 1):
+        print(f"{rank}. {record['candidate']}  total={record['total']:.6f}")
+        if record["evidence"]:
+            parts = [f"{e['word']}={e['contribution']:.6f}@{e['order']}"
+                     for e in record["evidence"]]
             print(f"   evidence: {' '.join(parts)}")
-    if fallback:
-        print(f"winner: {ranked[0].candidate} (baseline fallback: most frequent candidate)")
-    else:
-        print(f"winner: {ranked[0].candidate}")
+    suffix = " (baseline fallback: most frequent candidate)" if fallback else ""
+    print(f"winner: {ranked[0].candidate}{suffix}")
     return 0
 
 
@@ -299,7 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train_ts = _read_corpus(values["train_corpus"], cfg)
     heldout_ts = _read_corpus(values["heldout_corpus"], cfg)
     train_vocab = corpus.build_vocabulary(train_ts, cfg)
-    corpus.apply_stop_policy(heldout_ts, train_vocab, cfg)
+    corpus.apply_stop_policy(heldout_ts, train_vocab)
 
     cells = evaluation.run_grid(
         train_ts, train_vocab, heldout_ts, set_defs, values["windows"], values["orders"],

@@ -7,8 +7,11 @@ tokens occupy their window positions (distances stay faithful to the text)
 but never form pairs, and a word never pairs with another occurrence of
 itself.
 
-Statistics use the window-scaled expected count E = f(x) * f(y) * 2k / N,
-where the 2k factor reflects the 2k neighbor slots around each token:
+A table holds the vocabulary it was counted with (``PairCounts.vocab``),
+which alone owns N, each f(x) and the stop threshold F, so a table cannot
+disagree with its marginals. Statistics use the window-scaled expected
+count E = f(x) * f(y) * 2k / N, where the 2k factor reflects the 2k
+neighbor slots around each token:
 
 * t-score  t  = (f(x,y) - E) / sqrt(f(x,y))
 * mutual information  MI = log2(f(x,y) / E), in bits
@@ -44,7 +47,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import TokenStream, Vocabulary, DEFAULT_STOP_THRESHOLD
+from .corpus import TokenStream, Vocabulary
 from .ioutil import atomic_write_text
 
 
@@ -131,7 +134,7 @@ class PairView(Mapping):
 
 @dataclass(eq=False)
 class PairCounts:
-    """Joint pair counts plus the marginals needed for significance tests.
+    """Joint pair counts plus the vocabulary they were counted with.
 
     ``row(a)[b]`` is the joint count of ``a`` and ``b``, stored in both
     words' rows; a word with no partner has no row. Until its first read, a
@@ -139,17 +142,17 @@ class PairCounts:
     indices, in stream order, of its entries in ``_surfaces``, the stream's
     non-stop surfaces, whose stream positions are ``_positions``. ``rows``
     counts every row left and returns them all. ``pairs`` views the same
-    counts keyed by sorted word pairs. The significant-neighbour rows are
-    computed on first use and memoised on the table, so the counts and
-    ``freq`` must not change once the table has been queried.
+    counts keyed by sorted word pairs. The vocabulary alone holds the
+    marginals and the stop rule: N, each f(x) and the threshold F. The
+    significant-neighbour rows are computed on first use and memoised on the
+    table, so neither the counts nor the vocabulary may change once the
+    table has been queried.
     """
 
     _rows: dict[str, dict[str, int] | list[int]]
-    freq: dict[str, int]
-    total_tokens: int
+    vocab: Vocabulary
     half_width: int
     cross_sentences: bool = False
-    stop_threshold: int = DEFAULT_STOP_THRESHOLD
     _positions: list[int] = field(default_factory=list, repr=False)
     _surfaces: list[str] = field(default_factory=list, repr=False)
     _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
@@ -220,9 +223,9 @@ class PairCounts:
         row = self._significant.get(key)
         if row is not None:
             return row
-        freq = self.freq
+        freq = self.vocab.freq
         scaled_fx = freq.get(word, 0) * 2 * self.half_width
-        total = self.total_tokens
+        total = self.vocab.total_tokens
         t_min, mi_min = thresholds.t_min, thresholds.mi_min
         floor = t_min * t_min * (1 - COUNT_FLOOR_MARGIN)
         counts = self.row(word) or {}
@@ -268,23 +271,14 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
                 seen.append(len(positions))
             positions.append(i + offset)
             surfaces.append(word)
-    return PairCounts(
-        occurrences,
-        freq=vocab.freq,
-        total_tokens=vocab.total_tokens,
-        half_width=k,
-        cross_sentences=cross,
-        stop_threshold=vocab.stop_threshold,
-        _positions=positions,
-        _surfaces=surfaces,
-    )
+    return PairCounts(occurrences, vocab, k, cross, _positions=positions, _surfaces=surfaces)
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
     lines = [
-        f"N={counts.total_tokens}",
+        f"N={counts.vocab.total_tokens}",
         f"K={counts.half_width}",
-        f"F={counts.stop_threshold}",
+        f"F={counts.vocab.stop_threshold}",
         f"CROSS={int(counts.cross_sentences)}",
     ]
     rows = counts.rows
@@ -336,11 +330,10 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     path = Path(path)
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
-    freq = vocab.freq
     # Each pair word maps to the vocabulary's own key object, so the rows
     # hold no second copy of a word and lookups between them match by
     # identity.
-    keys = {word: word for word in freq}
+    keys = {word: word for word in vocab.freq}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
             w1, w2, count = line.split("\t")
@@ -393,11 +386,4 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"{path}: pair counts were taken with F={threshold} "
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
-    return PairCounts(
-        rows,
-        freq=freq,
-        total_tokens=total,
-        half_width=header["K"],
-        cross_sentences=bool(header.get("CROSS", 0)),
-        stop_threshold=threshold,
-    )
+    return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)))

@@ -87,7 +87,9 @@ TokenStream = list[Token]
 
 @dataclass
 class Vocabulary:
-    """Corpus-wide raw frequencies plus the stop-frequency threshold."""
+    """Corpus-wide raw frequencies plus the stop-frequency threshold: N,
+    each f(x) and F, read by the statistics and the stop rule alike. N is
+    the sum of the frequencies."""
 
     freq: dict[str, int]
     total_tokens: int
@@ -98,6 +100,7 @@ class Vocabulary:
             raise ValueError("vocabulary total_tokens does not match sum of counts")
 
     def is_frequency_stopped(self, word: str) -> bool:
+        """The frequency stop rule: ``word`` occurs more than F times."""
         return self.freq.get(word, 0) > self.stop_threshold
 
 
@@ -140,29 +143,37 @@ def _column(line: str, index: int) -> int:
 
 
 def _parse_tsv(raw: str) -> TokenStream:
+    """Parse tsv text. Each distinct token line is split, checked and
+    interned once, the first time it occurs; a bad line is never kept."""
     tokens: TokenStream = []
+    parsed: dict[str, tuple[str, str, bool]] = {}
     sentence_id = 0
     sentence_open = False
     for line_no, line in enumerate(raw.splitlines(), 1):
-        if not line.strip():
-            if sentence_open:
-                sentence_id += 1
-                sentence_open = False
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise CorpusFormatError(
-                f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
-            )
-        space = re.search(r"\s", fields[0])
-        if space:
-            raise CorpusFormatError(
-                f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
-            )
-        if fields[0] == GAP:
-            raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
-        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id,
-                            fields[1] in DEFAULT_STOP_TAGS))
+        fields = parsed.get(line)
+        if fields is None:
+            if not line.strip():
+                if sentence_open:
+                    sentence_id += 1
+                    sentence_open = False
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise CorpusFormatError(
+                    f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
+                )
+            surface, pos = parts
+            space = re.search(r"\s", surface)
+            if space:
+                raise CorpusFormatError(
+                    f"surface {surface!r} contains whitespace", line_no, space.start() + 1
+                )
+            if surface == GAP:
+                raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
+            fields = parsed[line] = (intern(surface.lower()), intern(pos),
+                                     pos in DEFAULT_STOP_TAGS)
+        surface, pos, is_stop = fields
+        tokens.append(Token(surface, pos, sentence_id, is_stop))
         sentence_open = True
     return tokens
 
@@ -193,13 +204,16 @@ def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) ->
     return stream
 
 
-def apply_stop_policy(ts: TokenStream, vocab: Vocabulary, cfg: CorpusConfig) -> None:
+def apply_stop_policy(ts: TokenStream, vocab: Vocabulary,
+                      cfg: CorpusConfig | None = None) -> None:
     """Recompute every token's stop flag from tags (``DEFAULT_STOP_TAGS``)
-    and vocabulary frequencies; the frequency threshold is the vocabulary's
-    own, so ``cfg`` is not read.
+    and ``vocab.is_frequency_stopped``. ``cfg`` is not read: the threshold
+    is the vocabulary's own, and the argument is kept only for callers that
+    still pass it.
 
     The vocabulary is normally the training one: frequency-based stops are a
-    training-corpus property even when flagging held-out text.
+    training-corpus property even when flagging held-out text or a gap
+    sentence.
     """
     for tok in ts:
         tok.is_stop = tok.pos in DEFAULT_STOP_TAGS or vocab.is_frequency_stopped(tok.surface)
@@ -209,7 +223,7 @@ def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Voc
     """Count every token occurrence and re-flag the stream's stop words in place."""
     freq = Counter(tok.surface for tok in ts)
     vocab = Vocabulary(dict(freq), total_tokens=len(ts), stop_threshold=cfg.stop_threshold)
-    apply_stop_policy(ts, vocab, cfg)
+    apply_stop_policy(ts, vocab)
     return vocab
 
 

@@ -175,12 +175,13 @@ def _grow(
             f"t_min {thresholds.t_min} is below the edge weight precision "
             f"1e-{WEIGHT_DECIMALS}"
         )
-    if root not in counts.freq:
+    vocab = counts.vocab
+    if root not in vocab.freq:
         raise InvalidRootError(f"root word {root!r} is not in the vocabulary")
-    if counts.freq[root] > counts.stop_threshold:
+    if vocab.is_frequency_stopped(root):
         raise InvalidRootError(
             f"root word {root!r} is a stop word "
-            f"(frequency {counts.freq[root]} > {counts.stop_threshold})"
+            f"(frequency {vocab.freq[root]} > {vocab.stop_threshold})"
         )
 
     depths: dict[str, int] = {root: 0}
@@ -235,7 +236,7 @@ def build_network(
         max_order=max_order,
         depths=depths,
         edges=edges,
-        total_tokens=counts.total_tokens,
+        total_tokens=counts.vocab.total_tokens,
         half_width=counts.half_width,
         thresholds=thresholds,
         truncated=",".join(truncated) or None,
@@ -275,7 +276,7 @@ def scoring_network(
         max_order=max_order,
         depths=depths,
         edges=edges,
-        total_tokens=counts.total_tokens,
+        total_tokens=counts.vocab.total_tokens,
         half_width=counts.half_width,
         thresholds=thresholds,
         truncated=",".join(truncated) or None,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lexchoice.cooc import PairCounts
-from lexchoice.corpus import GAP, CorpusConfig, build_vocabulary, ingest
+from lexchoice.corpus import GAP, CorpusConfig, Vocabulary, build_vocabulary, ingest
 
 TINY_CORPUS = """\
 the/DT team/NN 's/POS most/RBS urgent/JJ task/NN was/VBD to/TO learn/VB fast/RB
@@ -56,9 +56,9 @@ def pair_key(w1: str, w2: str) -> tuple[str, str]:
 
 
 def assert_same_table(got: PairCounts, want: PairCounts) -> None:
-    """``got`` holds ``want``'s pair counts, marginals and window settings."""
+    """``got`` holds ``want``'s pair counts, vocabulary and window settings."""
     assert got.pairs == want.pairs
-    for name in ("freq", "total_tokens", "half_width", "cross_sentences", "stop_threshold"):
+    for name in ("vocab", "half_width", "cross_sentences"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -71,9 +71,27 @@ def mirrored_rows(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]
     return rows
 
 
-def from_pairs(pairs: dict[tuple[str, str], int], **fields) -> PairCounts:
-    """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2."""
-    return PairCounts(mirrored_rows(pairs), **fields)
+# A word in no pair, whose count brings a hand-made vocabulary up to its N.
+FILLER = "<filler>"
+
+
+def filled_vocabulary(freq: dict[str, int], total_tokens: int,
+                      stop_threshold: int = 800) -> Vocabulary:
+    """``freq`` plus ``FILLER`` for the tokens it leaves out of
+    ``total_tokens``: a consistent vocabulary under which every pair of
+    ``freq``'s words has the t and MI that N = ``total_tokens`` gives."""
+    filler = total_tokens - sum(freq.values())
+    assert filler >= 0 and FILLER not in freq
+    return Vocabulary({**freq, FILLER: filler} if filler else freq, total_tokens, stop_threshold)
+
+
+def from_pairs(pairs: dict[tuple[str, str], int], freq: dict[str, int], total_tokens: int,
+               half_width: int, cross_sentences: bool = False,
+               stop_threshold: int = 800) -> PairCounts:
+    """A table holding ``pairs``, each keyed ``(w1, w2)`` with w1 < w2,
+    under ``filled_vocabulary(freq, total_tokens, stop_threshold)``."""
+    vocab = filled_vocabulary(freq, total_tokens, stop_threshold)
+    return PairCounts(mirrored_rows(pairs), vocab, half_width, cross_sentences)
 
 
 def make_counts(pairs: dict[tuple[str, str], int], freq: dict[str, int],
@@ -81,13 +99,7 @@ def make_counts(pairs: dict[tuple[str, str], int], freq: dict[str, int],
                 stop_threshold: int = 800) -> PairCounts:
     """Hand-crafted pair table; keys are normalized to sorted order."""
     table = {pair_key(*key): value for key, value in pairs.items()}
-    return from_pairs(
-        table,
-        freq=freq,
-        total_tokens=total_tokens,
-        half_width=half_width,
-        stop_threshold=stop_threshold,
-    )
+    return from_pairs(table, freq, total_tokens, half_width, stop_threshold=stop_threshold)
 
 
 def significant_counts(edges: list[tuple[str, str]], extra_freq: dict[str, int] | None = None) -> PairCounts:

@@ -89,10 +89,10 @@ def unfloored_significant_neighbors(
 ) -> list[tuple[str, float]]:
     """A word's significant neighbours with no count floor: every row entry
     sorted and scored by ``pair_statistics``."""
-    freq = counts.freq
+    freq = counts.vocab.freq
     row = []
     for other, f_xy in sorted(counts.rows.get(word, {}).items()):
-        t, mi = pair_statistics(f_xy, freq[word], freq[other], counts.total_tokens,
+        t, mi = pair_statistics(f_xy, freq[word], freq[other], counts.vocab.total_tokens,
                                 counts.half_width)
         if t >= thresholds.t_min and mi >= thresholds.mi_min:
             row.append((other, t))
@@ -103,9 +103,9 @@ def sorted_key_pair_table_text(counts) -> str:
     """The pair-table file as ``write_pair_counts`` writes it, from the
     pair keys sorted as tuples."""
     lines = [
-        f"N={counts.total_tokens}",
+        f"N={counts.vocab.total_tokens}",
         f"K={counts.half_width}",
-        f"F={counts.stop_threshold}",
+        f"F={counts.vocab.stop_threshold}",
         f"CROSS={int(counts.cross_sentences)}",
     ]
     for (w1, w2) in sorted(counts.pairs):

@@ -275,6 +275,26 @@ def test_choose_stop_only_sentence_falls_back(fixture_stats, capsys):
     assert "winner: r" in stdout
 
 
+def test_choose_treats_a_frequency_stopped_word_as_no_evidence(fixture_stats, capsys):
+    """c, the sentence's only word its tag does not stop, is evidence for r
+    under the training F = 800; under a vocabulary whose F = 19 its 20
+    occurrences make it a stop word, and the choice falls back."""
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--order", "2", "--out", str(nets)], capsys)[0] == 0
+    low_f = tmp_path / "low-f.tsv"
+    low_f.write_text((counts_dir / "vocab.tsv").read_text().replace("\nF=800\n", "\nF=19\n", 1))
+    argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
+            "--sentence", "c/NN ____ 1989/CD"]
+    code, stdout, _ = run(argv + ["--vocab", str(counts_dir / "vocab.tsv")], capsys)
+    assert code == 0 and "evidence: c=" in stdout and "baseline fallback" not in stdout
+    code, stdout, _ = run(argv + ["--vocab", str(low_f)], capsys)
+    assert code == 0
+    assert stdout.splitlines() == ["1. r  total=0.000000", "2. b  total=0.000000",
+                                   "winner: r (baseline fallback: most frequent candidate)"]
+
+
 def test_choose_checks_evidence_window(fixture_stats, capsys):
     tmp_path, counts_dir = fixture_stats
     nets = tmp_path / "nets"

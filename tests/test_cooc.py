@@ -329,7 +329,7 @@ random_thresholds = st.builds(
 def test_significant_neighbors_match_pair_stats(seed, n_tokens, vocab_size, k, thresholds):
     ts, cfg = random_stream(random.Random(seed), n_tokens, vocab_size)
     counts = count_pairs(ts, build_vocabulary(ts, cfg), WindowConfig(k))
-    for word in counts.freq:
+    for word in counts.vocab.freq:
         row = counts.significant_neighbors(word, thresholds)
         assert row == unfloored_significant_neighbors(counts, word, thresholds)
         assert counts.significant_neighbors(word, thresholds) is row
@@ -353,7 +353,9 @@ def floor_tables(draw):
     for i, f_xy in enumerate(counts):
         freq[f"y{i}"] = draw(st.integers(1, 60))
         row[("x", f"y{i}")] = f_xy
-    total = draw(st.one_of(st.integers(50, 10**7), st.sampled_from([10**12, 10**18, 10**24])))
+    # N is at least the sum of the marginals, as in any vocabulary.
+    total = draw(st.one_of(st.integers(max(50, sum(freq.values())), 10**7),
+                           st.sampled_from([10**12, 10**18, 10**24])))
     table = from_pairs(row, freq=freq, total_tokens=total,
                        half_width=draw(st.integers(1, 10)))
     mi_min = draw(st.one_of(st.floats(-3.0, 8.0), st.just(-math.inf)))
@@ -483,6 +485,13 @@ def test_from_pairs_rebuilds_a_counted_table(seed):
     )
     assert rebuilt.pairs == plain
     assert_same_table(rebuilt, counts)
+
+
+def test_a_table_holds_the_very_vocabulary_it_was_given(tmp_path, tiny_stream, tiny_vocab):
+    counts = count_pairs(tiny_stream, tiny_vocab, WindowConfig(4))
+    assert counts.vocab is tiny_vocab
+    write_pair_counts(counts, tmp_path / "pairs.tsv")
+    assert read_pair_counts(tmp_path / "pairs.tsv", tiny_vocab).vocab is tiny_vocab
 
 
 def test_read_pair_counts_rejects_mismatched_vocab(tmp_path, tiny_stream, tiny_vocab):

@@ -18,6 +18,7 @@ from lexchoice.corpus import (
     write_vocabulary,
 )
 
+from conftest import surfaces, tagged_sentences_of, tagged_text
 from oracles import format_token_stream, random_stream, regex_parse_slash
 
 
@@ -104,6 +105,14 @@ def test_ingest_tsv_variant():
         ("b", "NN", 0),
         ("c", "VB", 1),
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_sentences_of(surfaces))
+def test_tsv_and_slash_layouts_parse_alike(sents):
+    streams = [ingest(tagged_text(sents, fmt), CorpusConfig(format=fmt)) for fmt in ("slash", "tsv")]
+    slash, tsv = ([(t.surface, t.pos, t.sentence_id, t.is_stop) for t in ts] for ts in streams)
+    assert tsv == slash
 
 
 def test_ingest_tsv_rejects_whitespace_in_surface():
@@ -271,7 +280,7 @@ def test_apply_stop_policy_uses_training_frequencies():
     train = ingest("busy/JJ busy/JJ busy/JJ word/NN", cfg)
     vocab = build_vocabulary(train, cfg)
     heldout = ingest("busy/JJ word/NN fresh/NN", cfg)
-    apply_stop_policy(heldout, vocab, cfg)
+    apply_stop_policy(heldout, vocab)
     flags = {t.surface: t.is_stop for t in heldout}
     assert flags == {"busy": True, "word": False, "fresh": False}
 

@@ -68,9 +68,8 @@ def test_build_respects_order_bound():
 
 
 def test_build_excludes_insignificant_edges():
-    counts = significant_counts([("r", "a")])
+    counts = significant_counts([("r", "a")], extra_freq={"b": 50})
     counts.pairs[("b", "r")] = 1  # t ~ 0.2, below threshold
-    counts.freq.setdefault("b", 50)
     net = build_network("r", counts, max_order=2)
     assert "b" not in net.depths
 
@@ -211,7 +210,7 @@ def test_node_cap_keeps_depths_as_distances(seed, window, thresholds):
     counts, root = grown_inputs(seed, window)
     adjacency = {
         word: {other for other, _ in unfloored_significant_neighbors(counts, word, thresholds)}
-        for word in counts.freq
+        for word in counts.vocab.freq
     }
     distances = bfs_depths(root, adjacency, 4)
     for max_nodes in range(1, 41):
