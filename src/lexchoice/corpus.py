@@ -143,37 +143,29 @@ def _column(line: str, index: int) -> int:
 
 
 def _parse_tsv(raw: str) -> TokenStream:
-    """Parse tsv text. Each distinct token line is split, checked and
-    interned once, the first time it occurs; a bad line is never kept."""
     tokens: TokenStream = []
-    parsed: dict[str, tuple[str, str, bool]] = {}
     sentence_id = 0
     sentence_open = False
     for line_no, line in enumerate(raw.splitlines(), 1):
-        fields = parsed.get(line)
-        if fields is None:
-            if not line.strip():
-                if sentence_open:
-                    sentence_id += 1
-                    sentence_open = False
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise CorpusFormatError(
-                    f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
-                )
-            surface, pos = parts
-            space = re.search(r"\s", surface)
-            if space:
-                raise CorpusFormatError(
-                    f"surface {surface!r} contains whitespace", line_no, space.start() + 1
-                )
-            if surface == GAP:
-                raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
-            fields = parsed[line] = (intern(surface.lower()), intern(pos),
-                                     pos in DEFAULT_STOP_TAGS)
-        surface, pos, is_stop = fields
-        tokens.append(Token(surface, pos, sentence_id, is_stop))
+        if not line.strip():
+            if sentence_open:
+                sentence_id += 1
+                sentence_open = False
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise CorpusFormatError(
+                f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
+            )
+        space = re.search(r"\s", fields[0])
+        if space:
+            raise CorpusFormatError(
+                f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
+            )
+        if fields[0] == GAP:
+            raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
+        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id,
+                            fields[1] in DEFAULT_STOP_TAGS))
         sentence_open = True
     return tokens
 

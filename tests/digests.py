@@ -9,7 +9,7 @@ artifact byte fails tier-1.
 
 The digests are pinned for CPython on Linux: a ``math.log2`` or ``sqrt``
 result near a threshold may differ under another libm, so elsewhere the
-comparison is skipped.
+tests that compare them are reported as skipped.
 
 A change that alters an artifact on purpose regenerates the file, recording
 the commit checked out, with
@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 PINNED_PATH = Path(__file__).resolve().parent / "digests.json"
 PINNED_HERE = sys.platform == "linux" and platform.python_implementation() == "CPython"
+NOT_PINNED = "digests are pinned for CPython on Linux"
 BENCH_SEED = 5
 
 sys.path.insert(0, str(BENCH))
