@@ -8,7 +8,8 @@ back to training frequency when no word provides evidence.
 Run: python demos/02_fill_the_gap.py
 """
 
-from lexchoice.choice import Candidate, CandidateSet, choose, parse_gap_sentence
+from lexchoice.choice import (Candidate, CandidateSet, choose, evidence_breakdown,
+                              parse_gap_sentence, top_contributors)
 from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import CorpusConfig, build_vocabulary, ingest
 from lexchoice.network import build_network
@@ -61,10 +62,10 @@ def main() -> None:
         sentence = parse_gap_sentence(text)
         ranked = choose(cands, sentence)
         for rank, score in enumerate(ranked, 1):
-            nets = {m.word: m.network for m in members}
+            net = next(m.network for m in members if m.word == score.candidate)
             evidence = ", ".join(
-                f"{word} ({value:.3f}, order {nets[score.candidate].depths.get(word)})"
-                for word, value in score.top_contributors(3)
+                f"{word} ({value:.3f}, order {net.depths.get(word)})"
+                for word, value in top_contributors(evidence_breakdown(net, sentence), 3)
             )
             print(f"  {rank}. {score.candidate:<10} total={score.total:.4f}"
                   + (f"   evidence: {evidence}" if evidence else ""))

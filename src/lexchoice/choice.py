@@ -6,11 +6,18 @@ score for that word. Repeated words add evidence once per occurrence.
 Unknown and unreachable words contribute nothing, so the totals are never
 negative; when every candidate totals zero the ranking falls back to the
 training-frequency baseline.
+
+A ranking holds totals alone. The per-word breakdown of a total
+(``evidence_breakdown``) is derived again from the network and the sentence
+by the code that shows it, so a ranking keeps no map of a network's scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from .corpus import DEFAULT_STOP_TAGS, GAP, Token
 from .network import CoocNetwork
@@ -91,31 +98,40 @@ class CandidateSet:
 
 @dataclass
 class ChoiceScore:
-    """One candidate's evidence total and its per-word breakdown."""
+    """One candidate's evidence total."""
 
     candidate: str
     total: float
-    per_word: dict[str, float] = field(default_factory=dict)
-
-    def top_contributors(self, n: int = 5) -> list[tuple[str, float]]:
-        ranked = sorted(self.per_word.items(), key=lambda item: (-item[1], item[0]))
-        return [(word, value) for word, value in ranked[:n] if value > 0]
 
 
 def _evidence_surfaces(sentence: GapSentence, evidence_window: int | None) -> list[str]:
     return [tok.surface for tok in sentence.evidence_tokens(evidence_window)]
 
 
-def _score_surfaces(net: CoocNetwork, surfaces: list[str]) -> ChoiceScore:
-    """Total the network's path scores over ``surfaces``, in order."""
+def _total(net: CoocNetwork, surfaces: list[str]) -> float:
+    """The network's path scores over ``surfaces``, added left to right from
+    0.0 (``sum`` may add them otherwise, with other rounding)."""
+    return reduce(add, map(net.path_scores().get, surfaces, repeat(0.0)), 0.0)
+
+
+def evidence_breakdown(
+    net: CoocNetwork, sentence: GapSentence, evidence_window: int | None = None
+) -> dict[str, float]:
+    """Each evidence word's part of ``net``'s total for ``sentence``: its
+    path score once per occurrence, added in sentence order, in the order
+    the words first occur."""
     scores = net.path_scores()
-    total = 0.0
     per_word: dict[str, float] = {}
-    for surface in surfaces:
-        value = scores.get(surface, 0.0)
-        total += value
-        per_word[surface] = per_word.get(surface, 0.0) + value
-    return ChoiceScore(candidate=net.root, total=total, per_word=per_word)
+    for surface in _evidence_surfaces(sentence, evidence_window):
+        per_word[surface] = per_word.get(surface, 0.0) + scores.get(surface, 0.0)
+    return per_word
+
+
+def top_contributors(per_word: dict[str, float], n: int = 5) -> list[tuple[str, float]]:
+    """The ``n`` largest positive parts of an ``evidence_breakdown``,
+    largest first, ties to the smaller word."""
+    ranked = sorted(per_word.items(), key=lambda item: (-item[1], item[0]))
+    return [(word, value) for word, value in ranked[:n] if value > 0]
 
 
 def choose(
@@ -134,10 +150,10 @@ def choose(
 
 
 def _rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
-    """Score ``surfaces`` against each candidate's network and rank as
+    """Total ``surfaces`` against each candidate's network and rank as
     ``choose`` does."""
     freq = {m.word: m.training_freq for m in cands.members}
-    scores = [_score_surfaces(m.network, surfaces) for m in cands.members]
+    scores = [ChoiceScore(m.word, _total(m.network, surfaces)) for m in cands.members]
     scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
     return scores
 

@@ -148,7 +148,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_choose(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise CliError(f"--top must be a non-negative integer, got {args.top}")
-    words = [w.strip().lower() for w in args.candidates.split(",") if w.strip()]
+    if not args.candidates:
+        raise CliError("choose needs its candidates: --candidates a,b or --candidate a "
+                       "--candidate b")
+    words = [w.strip().lower() for w in args.candidates if w.strip()]
     choice._check_members("cli", words)
     networks_dir = Path(args.networks)
     nets: dict[str, network.CoocNetwork] = {}
@@ -186,13 +189,15 @@ def cmd_choose(args: argparse.Namespace) -> int:
     ranked = choice.choose(cands, sentence, args.evidence_window)
     fallback = ranked[0].total == 0.0
     # One record per candidate, which both outputs show.
-    ranking = [
-        {"candidate": score.candidate, "total": score.total,
-         "evidence": [{"word": word, "contribution": value,
-                       "order": nets[score.candidate].depths.get(word)}
-                      for word, value in score.top_contributors(args.top)]}
-        for score in ranked
-    ]
+    ranking = []
+    for score in ranked:
+        net = nets[score.candidate]
+        per_word = choice.evidence_breakdown(net, sentence, args.evidence_window)
+        ranking.append({"candidate": score.candidate, "total": score.total,
+                        "evidence": [{"word": word, "contribution": value,
+                                      "order": net.depths.get(word)}
+                                     for word, value in choice.top_contributors(per_word,
+                                                                                args.top)]})
 
     if args.json:
         payload = {"winner": ranked[0].candidate, "baseline_fallback": fallback,
@@ -330,7 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_choose = sub.add_parser("choose", help="rank candidates for a gap sentence")
     p_choose.add_argument("--networks", required=True, help="directory of .net files")
-    p_choose.add_argument("--candidates", required=True, help="comma-separated words")
+    p_choose.add_argument("--candidates", action="extend", type=lambda text: text.split(","),
+                          metavar="WORDS", help="comma-separated words")
+    p_choose.add_argument("--candidate", dest="candidates", action="append", metavar="WORD",
+                          help="one word, which may hold ',' (repeatable)")
     p_choose.add_argument("--sentence", required=True,
                           help="tagged sentence with the gap marker in place")
     p_choose.add_argument("--gap-marker", default=choice.GAP)

@@ -26,6 +26,10 @@ it visits, and reads few of the words, so ``count_pairs`` only records each
 non-stop occurrence under its word and a row is counted the first time it
 is read (``PairCounts.row``). ``PairCounts.rows``, which the writer and the
 pair view's iteration, size and equality use, counts every row left.
+The occurrence record is read-only, and the rows a narrower window counts
+from it are the rows ``count_pairs`` counts at that window, so one record
+serves every window up to the one it was made at
+(``PairCounts.at_half_width``): a grid walks its training stream once.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
 memoised on the table, which must therefore not be mutated once queried.
@@ -46,6 +50,7 @@ from collections import _count_elements  # the C loop behind Counter.update
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary
 from .ioutil import atomic_write_text
@@ -132,29 +137,41 @@ class PairView(Mapping):
         return f"PairView({dict(self.items())!r})"
 
 
+class _Occurrences(NamedTuple):
+    """Where the non-stop tokens of a stream sit, as ``count_pairs`` records
+    them: each token's position and surface in stream order, and each word's
+    indices into both. Unless the record was made across sentences, each
+    sentence's positions start ``half_width + 1`` further on than the
+    text's, so no window of ``half_width`` or less reaches across a sentence
+    end. Never mutated once made, so tables may share it."""
+
+    by_word: dict[str, list[int]]
+    positions: list[int]
+    surfaces: list[str]
+    half_width: int
+
+
 @dataclass(eq=False)
 class PairCounts:
     """Joint pair counts plus the vocabulary they were counted with.
 
     ``row(a)[b]`` is the joint count of ``a`` and ``b``, stored in both
     words' rows; a word with no partner has no row. Until its first read, a
-    word's entry in ``_rows`` holds its occurrences instead of a row: the
-    indices, in stream order, of its entries in ``_surfaces``, the stream's
-    non-stop surfaces, whose stream positions are ``_positions``. ``rows``
-    counts every row left and returns them all. ``pairs`` views the same
-    counts keyed by sorted word pairs. The vocabulary alone holds the
-    marginals and the stop rule: N, each f(x) and the threshold F. The
-    significant-neighbour rows are computed on first use and memoised on the
-    table, so neither the counts nor the vocabulary may change once the
-    table has been queried.
+    word's entry in ``_rows`` holds its occurrences instead of a row: its
+    list in the occurrence record ``_record``, which only tables made by
+    ``count_pairs`` or ``at_half_width`` have. ``rows`` counts every row
+    left and returns them all. ``pairs`` views the same counts keyed by
+    sorted word pairs. The vocabulary alone holds the marginals and the stop
+    rule: N, each f(x) and the threshold F. The significant-neighbour rows
+    are computed on first use and memoised on the table, so neither the
+    counts nor the vocabulary may change once the table has been queried.
     """
 
     _rows: dict[str, dict[str, int] | list[int]]
     vocab: Vocabulary
     half_width: int
     cross_sentences: bool = False
-    _positions: list[int] = field(default_factory=list, repr=False)
-    _surfaces: list[str] = field(default_factory=list, repr=False)
+    _record: _Occurrences | None = field(default=None, repr=False)
     _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
         default_factory=dict, repr=False
     )
@@ -169,7 +186,8 @@ class PairCounts:
         occurrences = self._rows.get(word)
         if occurrences.__class__ is not list:
             return occurrences
-        positions, surfaces, k = self._positions, self._surfaces, self.half_width
+        _, positions, surfaces, _ = self._record
+        k = self.half_width
         n = len(positions)
         row: dict[str, int] = {}
         for i in occurrences:
@@ -185,6 +203,24 @@ class PairCounts:
             return row
         del self._rows[word]
         return None
+
+    def at_half_width(self, half_width: int) -> PairCounts:
+        """The table ``count_pairs`` counts at ``half_width`` over the same
+        stream, vocabulary and sentence setting, made from this table's
+        occurrence record without a pass over the stream. The new table
+        shares only the read-only record and counts and memoises its own
+        rows, so neither table's reads or writes reach the other. A
+        sentence-bounded record keeps windows inside their sentence only up
+        to the half-width it was made at, so a wider one is refused."""
+        record = self._record
+        if record is None:
+            raise ValueError("a pair table read from a file has no occurrence record")
+        WindowConfig(half_width)  # refuses a half-width below 1
+        if half_width > record.half_width and not self.cross_sentences:
+            raise ValueError(f"half-width {half_width} exceeds the record's {record.half_width}: "
+                             "its windows would reach across sentence ends")
+        return PairCounts(dict(record.by_word), self.vocab, half_width, self.cross_sentences,
+                          record)
 
     @property
     def rows(self) -> dict[str, dict[str, int]]:
@@ -245,10 +281,9 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     counted when first read.
 
     One pass keeps the position and surface of every non-stop token and
-    records the token under its surface, for ``PairCounts.row`` to count
-    from. Unless ``cross_sentences`` is set, each sentence's positions start
-    ``half_width + 1`` further on than the text's, so no window reaches
-    across a sentence end.
+    records the token under its surface (``_Occurrences``), for
+    ``PairCounts.row`` to count from and ``PairCounts.at_half_width`` to
+    derive the table of any narrower window from.
     """
     k = window.half_width
     cross = window.cross_sentences
@@ -271,7 +306,8 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
                 seen.append(len(positions))
             positions.append(i + offset)
             surfaces.append(word)
-    return PairCounts(occurrences, vocab, k, cross, _positions=positions, _surfaces=surfaces)
+    return PairCounts(dict(occurrences), vocab, k, cross,
+                      _Occurrences(occurrences, positions, surfaces, k))
 
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> None:

@@ -88,14 +88,21 @@ TokenStream = list[Token]
 @dataclass
 class Vocabulary:
     """Corpus-wide raw frequencies plus the stop-frequency threshold: N,
-    each f(x) and F, read by the statistics and the stop rule alike. N is
-    the sum of the frequencies."""
+    each f(x) and F, read by the statistics and the stop rule alike. Each
+    count and F are at least 1, and N is the sum of the counts."""
 
     freq: dict[str, int]
     total_tokens: int
     stop_threshold: int
 
     def __post_init__(self):
+        # A count below 1 would reach the statistics' log2 and sqrt as a
+        # zero or negative expected count.
+        if self.freq and min(self.freq.values()) < 1:
+            word, count = next((w, n) for w, n in self.freq.items() if n < 1)
+            raise ValueError(f"vocabulary count of {word!r} is {count}, below 1")
+        if self.stop_threshold < 1:
+            raise ValueError(f"vocabulary stop threshold must be >= 1, got {self.stop_threshold}")
         if self.total_tokens != sum(self.freq.values()):
             raise ValueError("vocabulary total_tokens does not match sum of counts")
 

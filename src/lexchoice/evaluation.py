@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable
 
 from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
                      _evidence_surfaces, _rank, check_evidence_window)
@@ -90,25 +89,30 @@ class InstanceOutcome:
 
 
 def extract_instances(
-    held_out: TokenStream,
-    words: Iterable[str],
-    pos_category: str,
-) -> list[GapInstance]:
-    """One instance per candidate-word occurrence in the held-out stream."""
-    targets = {w.lower() for w in words}
-    instances: list[GapInstance] = []
+    held_out: TokenStream, set_defs: list[SetDefinition]
+) -> dict[str, list[GapInstance]]:
+    """Each set's instances, one per occurrence of a member word in its
+    coarse category, in stream order, from one pass over the held-out
+    stream. An occurrence that two sets both claim is one instance in each
+    set's list."""
+    claims: dict[str, dict[str, list[list[GapInstance]]]] = {}
+    instances: dict[str, list[GapInstance]] = {}
+    for sdef in set_defs:
+        found = instances.setdefault(sdef.set_id, [])
+        for word in sdef.members:
+            claims.setdefault(word, {}).setdefault(sdef.pos_category, []).append(found)
     for sentence_id, group in groupby(held_out, attrgetter("sentence_id")):
         sentence = list(group)
         for i, tok in enumerate(sentence):
-            if tok.surface in targets and coarse_category(tok.pos) == pos_category:
-                instances.append(
-                    GapInstance(
-                        sentence=GapSentence.blank_out(sentence, i),
-                        gold=tok.surface,
-                        sentence_id=sentence_id,
-                        position=i,
-                    )
-                )
+            by_category = claims.get(tok.surface)
+            if by_category is None:
+                continue
+            lists = by_category.get(coarse_category(tok.pos))
+            if lists is not None:
+                instance = GapInstance(GapSentence.blank_out(sentence, i), tok.surface,
+                                       sentence_id, i)
+                for found in lists:
+                    found.append(instance)
     return instances
 
 
@@ -215,8 +219,11 @@ def run_grid(
 ) -> list[CellResult]:
     """Evaluate every synonym set at every grid cell.
 
-    Pairs are counted once per window, and every cell of that window builds
-    its members' networks from the one pair table, so the significance rows
+    The training stream is walked once, by ``count_pairs`` at the widest
+    window, and each window's pair table is derived from that occurrence
+    record (``PairCounts.at_half_width``); the held-out stream is walked
+    once, by ``extract_instances``. Every cell of a window builds its
+    members' networks from the window's one table, so the significance rows
     it memoises, and the pair rows behind them, are computed once per window
     and only for the words the networks reach. The networks are
     ``scoring_network``'s: the relation scores read only shortest paths, so
@@ -224,7 +231,7 @@ def run_grid(
     rows of each network's deepest layer, which only those edges need, are
     never counted. Each instance's evidence is picked once, in the first
     cell that judges it. Networks are queried read-only across all of a
-    cell's instances.
+    cell's instances, and an outcome keeps only each candidate's total.
 
     A window, an order or a set id listed twice is refused before any
     counting: the cells or the columns it names would be one. So is a
@@ -244,10 +251,7 @@ def run_grid(
     if not order_cells:
         raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
                          "evaluate (window 50 has no order 3)")
-    instances = {
-        sdef.set_id: extract_instances(heldout_ts, sdef.members, sdef.pos_category)
-        for sdef in set_defs
-    }
+    instances = extract_instances(heldout_ts, set_defs)
     for sdef in set_defs:
         if not instances[sdef.set_id]:
             raise ValueError(
@@ -258,9 +262,12 @@ def run_grid(
     results = {
         (window, order): CellResult(window, order, {}, {}) for window, order in order_cells
     }
-    for window in dict.fromkeys(window for window, _ in order_cells):
+    cell_windows = list(dict.fromkeys(window for window, _ in order_cells))
+    widest = WindowConfig(max(cell_windows), cross_sentences)
+    record = count_pairs(train_ts, train_vocab, widest)
+    for window in cell_windows:
         window_orders = sorted({order for k, order in order_cells if k == window})
-        counts = count_pairs(train_ts, train_vocab, WindowConfig(window, cross_sentences))
+        counts = record.at_half_width(window)
         for sdef in set_defs:
             for order in window_orders:
                 members = [

@@ -11,6 +11,9 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
 
 from lexchoice.choice import Candidate, CandidateSet, GapSentence
 from lexchoice.cooc import (
@@ -30,8 +33,9 @@ from lexchoice.corpus import (
 )
 from lexchoice.evaluation import (
     CellResult,
+    GapInstance,
     SetDefinition,
-    extract_instances,
+    coarse_category,
     grid_cells,
     judge_instances,
     summarize,
@@ -334,6 +338,30 @@ def quadratic_edge_cap(
     return depths, edges
 
 
+def per_set_instances(
+    held_out: TokenStream,
+    words: Iterable[str],
+    pos_category: str,
+) -> list[GapInstance]:
+    """One set's instances, one per occurrence of one of ``words`` in
+    ``pos_category``, from a pass of its own over the held-out stream."""
+    targets = {w.lower() for w in words}
+    instances: list[GapInstance] = []
+    for sentence_id, group in groupby(held_out, attrgetter("sentence_id")):
+        sentence = list(group)
+        for i, tok in enumerate(sentence):
+            if tok.surface in targets and coarse_category(tok.pos) == pos_category:
+                instances.append(
+                    GapInstance(
+                        sentence=GapSentence.blank_out(sentence, i),
+                        gold=tok.surface,
+                        sentence_id=sentence_id,
+                        position=i,
+                    )
+                )
+    return instances
+
+
 def per_cell_grid(
     train_ts: TokenStream,
     train_vocab: Vocabulary,
@@ -343,12 +371,14 @@ def per_cell_grid(
     orders: list[int],
     thresholds: SignificanceThresholds,
     caps: NetworkCaps,
+    cross_sentences: bool = False,
 ) -> list[CellResult]:
-    """The evaluation grid with pairs recounted and every network built
-    afresh for each (window, order, set) cell."""
+    """The evaluation grid with pairs recounted, every network built afresh
+    and every set's instances extracted anew for each (window, order, set)
+    cell."""
     cells: list[CellResult] = []
     for window, order in grid_cells(windows, orders):
-        counts = count_pairs(train_ts, train_vocab, WindowConfig(window))
+        counts = count_pairs(train_ts, train_vocab, WindowConfig(window, cross_sentences))
         cell = CellResult(window, order, {}, {})
         for sdef in set_defs:
             members = [
@@ -357,7 +387,7 @@ def per_cell_grid(
                 for w in sdef.members
             ]
             cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-            instances = extract_instances(heldout_ts, sdef.members, sdef.pos_category)
+            instances = per_set_instances(heldout_ts, sdef.members, sdef.pos_category)
             outcomes = judge_instances(cands, instances)
             cell.outcomes[sdef.set_id] = outcomes
             cell.reports[sdef.set_id] = summarize(cands, outcomes)

@@ -10,7 +10,9 @@ from lexchoice.choice import (
     ChoiceScore,
     GapSentence,
     choose,
+    evidence_breakdown,
     parse_gap_sentence,
+    top_contributors,
 )
 from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import Token, build_vocabulary, ingest
@@ -49,7 +51,7 @@ def test_score_counts_each_occurrence():
     s = sentence(["learn", "c", "plant", "learn"], 1)
     score = score_of(net, s)
     assert score.total == pytest.approx(0.41 * 2 + 2.00, rel=1e-12)
-    assert score.per_word == {
+    assert evidence_breakdown(net, s) == {
         "learn": pytest.approx(0.82, rel=1e-12),
         "plant": pytest.approx(2.0),
     }
@@ -72,8 +74,7 @@ def test_gap_token_never_scores_even_if_candidate_word():
     net = evidence_network("c", {"c2": 3.0})
     s = sentence(["c2", "c"], 1)
     assert s.tokens[1].surface == GAP
-    score = score_of(net, s)
-    assert GAP not in score.per_word
+    assert GAP not in evidence_breakdown(net, s)
 
 
 def test_unknown_words_contribute_zero():
@@ -81,7 +82,7 @@ def test_unknown_words_contribute_zero():
     s = sentence(["learn", "c", "mystery"], 1)
     score = score_of(net, s)
     assert score.total == pytest.approx(1.5)
-    assert score.per_word["mystery"] == 0.0
+    assert evidence_breakdown(net, s)["mystery"] == 0.0
 
 
 def test_evidence_window_restricts_positions():
@@ -184,9 +185,9 @@ def test_totals_never_negative():
             continue
         net = evidence_network("c", direct)
         sent_words = [rng.choice(words + ["zz"]) for _ in range(10)] + ["g"]
-        score = score_of(net, sentence(sent_words, len(sent_words) - 1))
-        assert score.total >= 0.0
-        assert all(v >= 0.0 for v in score.per_word.values())
+        s = sentence(sent_words, len(sent_words) - 1)
+        assert score_of(net, s).total >= 0.0
+        assert all(v >= 0.0 for v in evidence_breakdown(net, s).values())
 
 
 def test_choose_deterministic():
@@ -249,15 +250,15 @@ def test_parse_gap_sentence_rejects_the_placeholder_as_a_word(text, marker):
 def test_top_contributors_sorted():
     net = evidence_network("c", {"u": 1.0, "v": 3.0, "w": 2.0})
     s = sentence(["u", "v", "w", "g"], 3)
-    score = score_of(net, s)
-    assert score.top_contributors(2) == [("v", pytest.approx(3.0)), ("w", pytest.approx(2.0))]
+    assert top_contributors(evidence_breakdown(net, s), 2) == [("v", pytest.approx(3.0)), ("w", pytest.approx(2.0))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1, 3]))
 def test_scores_match_summed_significance(seed, evidence_window):
     """Every candidate's total and breakdown equal the sum of one
-    significance() per evidence token, bit for bit, and choose ranks them."""
+    significance() per evidence token, bit for bit, and choose ranks them
+    by totals alone."""
     rng = random.Random(seed)
     roots = ["c0", "c1", "c2"][: rng.randint(2, 3)]
     members = [
@@ -271,10 +272,12 @@ def test_scores_match_summed_significance(seed, evidence_window):
     expected = {m.word: summed_significance(m.network, s, evidence_window) for m in members}
     for m in members:
         score = score_of(m.network, s, evidence_window)
-        assert (score.total, score.per_word) == expected[m.word]
+        assert (score.total, evidence_breakdown(m.network, s, evidence_window)) == expected[m.word]
     ranked = choose(CandidateSet("s", "NN", members), s, evidence_window)
     freq = {m.word: m.training_freq for m in members}
     assert [r.candidate for r in ranked] == sorted(
         roots, key=lambda w: (-expected[w][0], -freq[w], w)
     )
-    assert all((r.total, r.per_word) == expected[r.candidate] for r in ranked)
+    assert [vars(r) for r in ranked] == [
+        {"candidate": r.candidate, "total": expected[r.candidate][0]} for r in ranked
+    ]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchoice import evaluation, network
-from lexchoice.choice import Candidate, CandidateSet, choose, parse_gap_sentence
+from lexchoice.choice import (Candidate, CandidateSet, choose, evidence_breakdown,
+                              parse_gap_sentence, top_contributors)
 from lexchoice.cli import _EVALUATE_SETTINGS, build_parser, main
 from lexchoice.cooc import (SignificanceThresholds, WindowConfig, count_pairs, read_pair_counts,
                             write_pair_counts)
@@ -353,6 +354,32 @@ def test_choose_needs_two_candidates(fixture_stats, capsys):
     assert err == "error: set 'cli' needs at least two members\n"
 
 
+def test_choose_takes_a_candidate_holding_a_comma(tmp_path, capsys):
+    """``--candidate`` names one word, ',' included; ``--candidates``
+    splits on ','. Both add to one list, in command-line order."""
+    corpus = tmp_path / "corpus.tag"
+    corpus.write_text("\n".join(["r,s/NN a/NN"] * 20 + ["b/NN c/NN"] * 30
+                                + ["p/NN q/NN t/NN u/NN"] * 600) + "\n")
+    counts, nets = tmp_path / "counts", tmp_path / "nets"
+    assert run(["stats", "--corpus", str(corpus), "--out", str(counts)], capsys)[0] == 0
+    assert run(["build", "--counts", str(counts), "--root", "r,s", "--root", "b",
+                "--out", str(nets)], capsys)[0] == 0
+    choose_argv = ["choose", "--networks", str(nets), "--vocab", str(counts / "vocab.tsv"),
+                   "--sentence", "a/NN ____"]
+    code, stdout, err = run(choose_argv + ["--candidate", "R,S", "--candidates", "b"], capsys)
+    assert (code, err) == (0, "")
+    lines = stdout.splitlines()
+    assert lines[0].startswith("1. r,s  total=") and lines[1].startswith("   evidence: a=")
+    assert lines[-1] == "winner: r,s"
+    code, stdout, err = run(choose_argv + ["--candidates", "r,s,b"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: no network file for candidate 'r'")
+    code, stdout, err = run(choose_argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert err == ("error: choose needs its candidates: --candidates a,b or --candidate a "
+                   "--candidate b\n")
+
+
 def test_choose_refuses_a_repeated_candidate_before_reading_networks(
         fixture_stats, capsys, monkeypatch):
     tmp_path, counts_dir = fixture_stats
@@ -458,9 +485,9 @@ def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, threshold
     """Text the ingesters accept survives stats -> build -> read_network and
     choose: every network read back equals ``build_network`` on the in-memory
     table, a root holding a path separator is refused by name with nothing
-    written, and ``choose --json`` equals library ``choose``. A command line
-    cannot carry NUL, so roots holding one are not built, and a candidate
-    holding ',' cannot be listed in ``--candidates``."""
+    written, and ``choose --json`` equals library ``choose``, each candidate
+    named by its own ``--candidate``. A command line cannot carry NUL, so
+    roots holding one are not built."""
     text = tagged_text(sents, fmt)
     cfg = CorpusConfig(format=fmt, stop_threshold=max_freq)
     ts = ingest(text, cfg)
@@ -499,13 +526,13 @@ def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, threshold
         assert sorted(tmp.rglob("*")) == before
 
         nets = built[choose_order, None]
-        pair = sorted((w for w in named if "," not in w), key=lambda w: -nets[w].node_count)[:2]
+        pair = sorted(named, key=lambda w: -nets[w].node_count)[:2]
         if len(pair) < 2:
             return
         gap_text = " ".join([f"{w}/{tag}" for w, tag in sents[0]] + ["____"])
         code, stdout, err = run_quietly(
             ["choose", "--networks", str(tmp / f"nets-{choose_order}-None"),
-             f"--candidates={','.join(pair)}", "--vocab", str(tmp / "c" / "vocab.tsv"),
+             *[f"--candidate={w}" for w in pair], "--vocab", str(tmp / "c" / "vocab.tsv"),
              f"--sentence={gap_text}", "--json"])
     assert (code, err) == (0, "")
     sentence = parse_gap_sentence(gap_text)
@@ -520,7 +547,8 @@ def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, threshold
             {"candidate": score.candidate, "total": score.total,
              "evidence": [{"word": word, "contribution": value,
                            "order": nets[score.candidate].depths.get(word)}
-                          for word, value in score.top_contributors()]}
+                          for word, value in top_contributors(
+                              evidence_breakdown(nets[score.candidate], sentence))]}
             for score in ranked
         ],
     }

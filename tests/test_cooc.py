@@ -418,6 +418,69 @@ def test_pair_counts_file_deterministic(tmp_path, tiny_stream, tiny_vocab):
     assert (tmp_path / "p1.tsv").read_bytes() == (tmp_path / "p2.tsv").read_bytes()
 
 
+def table_text(counts) -> str:
+    """The bytes ``write_pair_counts`` writes for ``counts``, as text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        write_pair_counts(counts, path)
+        return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 30), st.booleans(),
+       st.data())
+def test_a_table_derived_from_a_wider_record_equals_count_pairs(seed, n_tokens, widest, cross,
+                                                                data):
+    """A table derived at any k <= K (any k at all across sentences) from
+    the record ``count_pairs`` made at K, its rows forced first or not,
+    holds the rows and writes the text of ``count_pairs`` at k."""
+    ts, cfg = random_stream(random.Random(seed), n_tokens, 15)
+    vocab = build_vocabulary(ts, cfg)
+    record = count_pairs(ts, vocab, WindowConfig(widest, cross_sentences=cross))
+    if data.draw(st.booleans()):
+        record.rows
+    k = data.draw(st.integers(1, widest + 10 * cross))
+    derived = record.at_half_width(k)
+    direct = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    assert (derived.vocab, derived.half_width, derived.cross_sentences) == (vocab, k, cross)
+    assert derived.rows == direct.rows
+    assert table_text(derived) == table_text(direct)
+
+
+def test_tables_sharing_a_record_count_their_own_rows():
+    """Forcing the record table's rows, or writing through one derived
+    table's pair view, changes no other table of the same record."""
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    vocab = build_vocabulary(train)
+    record = count_pairs(train, vocab, WindowConfig(10))
+    narrow, sibling = record.at_half_width(4), record.at_half_width(4)
+    expected = {k: count_pairs(train, vocab, WindowConfig(k)).rows for k in (4, 10)}
+    assert record.rows == expected[10]
+    assert narrow.rows == expected[4]
+    key = next(iter(narrow.pairs))
+    narrow.pairs[key] += 1
+    assert narrow.pairs[key] == expected[4][key[0]][key[1]] + 1
+    assert sibling.rows == expected[4]
+    assert record.rows == expected[10]
+    assert record.at_half_width(4).rows == expected[4]
+    assert narrow.at_half_width(10).rows == expected[10]
+
+
+def test_a_record_refuses_a_wider_sentence_bounded_window(tmp_path, tiny_stream, tiny_vocab):
+    record = count_pairs(tiny_stream, tiny_vocab, WindowConfig(4))
+    with pytest.raises(ValueError, match="half-width 5 exceeds the record's 4"):
+        record.at_half_width(5)
+    with pytest.raises(ValueError, match="half_width must be >= 1"):
+        record.at_half_width(0)
+    crossed = count_pairs(tiny_stream, tiny_vocab, WindowConfig(4, cross_sentences=True))
+    assert crossed.at_half_width(5).rows == count_pairs(
+        tiny_stream, tiny_vocab, WindowConfig(5, cross_sentences=True)).rows
+    write_pair_counts(record, tmp_path / "pairs.tsv")
+    with pytest.raises(ValueError, match="read from a file has no occurrence record"):
+        read_pair_counts(tmp_path / "pairs.tsv", tiny_vocab).at_half_width(4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(tagged_sentences_of(surfaces), st.sampled_from(["slash", "tsv"]),
        st.sampled_from([1, 2, 4, 800]), st.integers(1, 60), st.booleans())

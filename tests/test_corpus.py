@@ -183,6 +183,19 @@ def test_vocabulary_totals_invariant():
         Vocabulary({"a": 2}, total_tokens=3, stop_threshold=10)
 
 
+def test_vocabulary_refuses_a_count_below_1():
+    # N matches the counts' sum, so only the count itself is at fault.
+    with pytest.raises(ValueError, match="vocabulary count of 'b' is -2, below 1"):
+        Vocabulary({"a": 5, "b": -2}, total_tokens=3, stop_threshold=800)
+    with pytest.raises(ValueError, match="vocabulary count of 'b' is 0, below 1"):
+        Vocabulary({"a": 5, "b": 0}, total_tokens=5, stop_threshold=800)
+
+
+def test_vocabulary_refuses_a_stop_threshold_below_1():
+    with pytest.raises(ValueError, match="vocabulary stop threshold must be >= 1, got 0"):
+        Vocabulary({"a": 1, "b": 1}, total_tokens=2, stop_threshold=0)
+
+
 def test_stop_flag_counts_all_occurrences():
     # the frequency threshold sees stop-tagged occurrences too
     cfg = CorpusConfig(stop_threshold=2)

@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lexchoice import evaluation
 from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence, choose
@@ -27,8 +27,8 @@ from lexchoice.evaluation import (
 from lexchoice.network import CoocNetwork, NetworkCaps, build_network
 from lexchoice.synthetic import planted_corpus
 
-from conftest import pair_key
-from oracles import expected_scoring_network, per_cell_grid
+from conftest import pair_key, tagged_sentences_of, tagged_text
+from oracles import expected_scoring_network, per_cell_grid, per_set_instances
 
 
 def star(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -59,9 +59,14 @@ def two_candidate_set(freq_a=5, freq_b=9) -> CandidateSet:
     )
 
 
+def instances_of(ts, words: list[str], pos_category: str):
+    """The instances ``extract_instances`` finds for one set of ``words``."""
+    return extract_instances(ts, [SetDefinition("s", pos_category, words)])["s"]
+
+
 def test_extract_one_instance_per_occurrence():
     ts = heldout("i/PRP made/VBD a/DT mistake/NN today/NN")
-    instances = extract_instances(ts, ["error", "mistake", "oversight"], "NN")
+    instances = instances_of(ts, ["error", "mistake", "oversight"], "NN")
     assert len(instances) == 1
     inst = instances[0]
     assert inst.gold == "mistake"
@@ -70,7 +75,7 @@ def test_extract_one_instance_per_occurrence():
 
 def test_extract_two_occurrences_leave_each_other_visible():
     ts = heldout("the/DT error/NN hid/VBD the/DT mistake/NN")
-    instances = extract_instances(ts, ["error", "mistake"], "NN")
+    instances = instances_of(ts, ["error", "mistake"], "NN")
     assert [i.gold for i in instances] == ["error", "mistake"]
     first, second = instances
     surfaces_first = [t.surface for t in first.sentence.tokens]
@@ -81,17 +86,17 @@ def test_extract_two_occurrences_leave_each_other_visible():
 
 def test_extract_matches_pos_category():
     ts = heldout("the/DT task/NN to/TO task/VB him/PRP fell/VBD to/TO Task/NNP")
-    noun_instances = extract_instances(ts, ["task"], "NN")
+    noun_instances = instances_of(ts, ["task", "chore"], "NN")
     assert len(noun_instances) == 1  # verb and proper-noun occurrences excluded
     assert noun_instances[0].position == 1
-    verb_instances = extract_instances(ts, ["task"], "VB")
+    verb_instances = instances_of(ts, ["task", "chore"], "VB")
     assert len(verb_instances) == 1
     assert verb_instances[0].position == 3
 
 
 def test_extract_groups_inflected_tags():
     ts = heldout("tough/JJ tasks/NNS await/VBP")
-    instances = extract_instances(ts, ["tasks"], "NN")
+    instances = instances_of(ts, ["tasks", "chores"], "NN")
     assert len(instances) == 1
 
 
@@ -99,13 +104,13 @@ def judged(cands: CandidateSet, text: str):
     """The run_grid path: extract, judge, summarize."""
     ts = heldout(text)
     words = [m.word for m in cands.members]
-    instances = extract_instances(ts, words, cands.pos_category)
+    instances = instances_of(ts, words, cands.pos_category)
     return summarize(cands, judge_instances(cands, instances))
 
 
 def test_extract_instances_carry_set_id():
     ts = heldout("an/DT alpha/NN and/CC a/DT beta/NN arrived/VBD")
-    instances = extract_instances(ts, ["alpha", "beta"], "NN")
+    instances = instances_of(ts, ["alpha", "beta"], "NN")
     assert [i.gold for i in instances] == ["alpha", "beta"]
 
 
@@ -313,7 +318,7 @@ def test_judge_instances_refuses_a_negative_evidence_window():
     counts = count_pairs(train, vocab, WindowConfig(4))
     members = [Candidate(w, build_network(w, counts), vocab.freq[w]) for w in pc.set_def.members]
     cands = CandidateSet("planted", "NN", members)
-    instances = extract_instances(ingest(pc.heldout_text), pc.set_def.members, "NN")
+    instances = extract_instances(ingest(pc.heldout_text), [pc.set_def])[pc.set_def.set_id]
     with pytest.raises(ValueError, match="evidence_window must be non-negative"):
         judge_instances(cands, instances, -1)
 
@@ -395,3 +400,75 @@ def test_run_grid_picks_each_instance_evidence_once(monkeypatch):
     instances = cells[0].outcomes[pc.set_def.set_id]
     assert len(cells) == 6 and len(picked) == len(instances) > 1
     assert {id(s) for s in picked} == {id(o.instance.sentence) for o in instances}
+
+
+def test_run_grid_walks_the_training_stream_once(monkeypatch):
+    """One ``count_pairs``, at the widest window, serves every window."""
+    windows = []
+    real_count = evaluation.count_pairs
+
+    def counting(ts, vocab, window):
+        windows.append(window)
+        return real_count(ts, vocab, window)
+
+    monkeypatch.setattr(evaluation, "count_pairs", counting)
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    held = ingest(pc.heldout_text)
+    run_grid(train, build_vocabulary(train), held, [pc.set_def], [10, 4, 50], [1, 2],
+             cross_sentences=True)
+    assert windows == [WindowConfig(50, cross_sentences=True)]
+
+
+def test_grid_outcomes_hold_totals_alone():
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    held = ingest(pc.heldout_text)
+    cells = run_grid(train, build_vocabulary(train), held, [pc.set_def], [4], [2])
+    scores = [s for o in cells[0].outcomes[pc.set_def.set_id] for s in o.ranked]
+    assert scores and all(vars(s).keys() == {"candidate", "total"} for s in scores)
+
+
+# Few words, so that pairs repeat and networks have edges.
+grid_text = tagged_sentences_of(st.sampled_from(["a", "b", "c", "d", "e", "F", "g/h"]),
+                                max_sentences=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_text, grid_text, st.sampled_from([2, 5, 800]), st.booleans(),
+       st.lists(st.sampled_from([1, 2, 4, 10, 50]), min_size=1, max_size=3, unique=True),
+       st.lists(st.sampled_from([1, 2, 3]), min_size=1, unique=True),
+       st.sampled_from([(0.5, -1.0), (1.0, 0.0), (2.0, 2.0)]), st.data())
+def test_run_grid_equals_the_per_cell_grid_on_random_text(train_sents, held_sents, max_freq,
+                                                           cross, windows, orders, thresholds,
+                                                           data):
+    """On random tagged text and random sets of ingested words, two parts
+    of speech and overlapping members among them, ``run_grid`` equals the
+    grid recounted, rebuilt and re-extracted per cell, windows in any order
+    and either sentence setting; and a set absent from the held-out text is
+    refused."""
+    assume(grid_cells(windows, orders))
+    cfg = CorpusConfig(stop_threshold=max_freq)
+    train = ingest(tagged_text(train_sents, "slash"), cfg)
+    vocab = build_vocabulary(train, cfg)
+    # The training text ends the held-out text, so most sets occur in it.
+    held = ingest(tagged_text(held_sents + train_sents, "slash"), cfg)
+    apply_stop_policy(held, vocab, cfg)
+    roots = sorted(w for w in vocab.freq if not vocab.is_frequency_stopped(w))
+    assume(len(roots) >= 2)
+    set_defs = [
+        SetDefinition(f"s{i}", data.draw(st.sampled_from(["NN", "VB"])),
+                      data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=3,
+                                         unique=True)))
+        for i in range(data.draw(st.integers(1, 3)))
+    ]
+    instances = extract_instances(held, set_defs)
+    assert instances == {sdef.set_id: per_set_instances(held, sdef.members, sdef.pos_category)
+                         for sdef in set_defs}
+    thresholds = SignificanceThresholds(*thresholds)
+    args = (train, vocab, held, set_defs, windows, orders, thresholds, NetworkCaps())
+    if not all(instances.values()):
+        with pytest.raises(ValueError, match="in the held-out corpus"):
+            run_grid(*args, cross_sentences=cross)
+        return
+    assert run_grid(*args, cross_sentences=cross) == per_cell_grid(*args, cross_sentences=cross)
