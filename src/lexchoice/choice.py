@@ -165,11 +165,14 @@ def parse_gap_sentence(
 ) -> GapSentence:
     """Parse a one-line gap sentence.
 
-    Tokens are whitespace-separated ``surface/TAG`` items (bare surfaces are
-    accepted with an empty tag); exactly one token must equal ``gap_marker``,
-    and no other may have the placeholder ``GAP`` as its surface. A token
-    whose tag is in ``stop_pos_tags`` is flagged a stop word, as ingest
-    flags training tokens, so it never counts as evidence.
+    Tokens are whitespace-separated ``surface/TAG`` items, split at the
+    last slash, so ``a/b/NN`` has surface ``a/b``; a bare surface has an
+    empty tag, and an empty surface (``/NN``) is refused by ``Token``.
+    Exactly one token must equal ``gap_marker``, and no other may have the
+    placeholder ``GAP`` as its surface. Surfaces are lowercased, and every
+    token has sentence id 0. A token whose tag is in ``stop_pos_tags`` is
+    flagged a stop word, as ingest flags training tokens, so it never
+    counts as evidence.
     """
     tokens: list[Token] = []
     gap_index: int | None = None
@@ -178,15 +181,14 @@ def parse_gap_sentence(
             if gap_index is not None:
                 raise ValueError("sentence contains more than one gap marker")
             gap_index = len(tokens)
-            tokens.append(Token(GAP, "GAP", 0, is_stop=False))
+            tokens.append(Token(GAP, "GAP", 0, False))
             continue
-        if "/" in piece:
-            surface, pos = piece.rsplit("/", 1)
-        else:
-            surface, pos = piece, ""
+        surface, slash, pos = piece.rpartition("/")
+        if not slash:
+            surface, pos = pos, ""
         if surface == GAP:
             raise ValueError(f"token {piece!r} has the gap marker {GAP!r} as its surface")
-        tokens.append(Token(surface.lower(), pos, 0, is_stop=pos in stop_pos_tags))
+        tokens.append(Token(surface.lower(), pos, 0, pos in stop_pos_tags))
     if gap_index is None:
         raise ValueError(f"sentence contains no gap marker {gap_marker!r}")
     return GapSentence(tokens, gap_index)

@@ -175,6 +175,12 @@ def cmd_choose(args: argparse.Namespace) -> int:
     if args.vocab and not vocab_path.exists():
         raise CliError(f"vocabulary file not found: {vocab_path}")
     vocab = corpus.read_vocabulary(vocab_path) if vocab_path.exists() else None
+    # Another corpus's vocabulary would give the fallback and the stop rule
+    # the wrong frequencies.
+    total = nets[words[0]].total_tokens
+    if vocab is not None and vocab.total_tokens != total:
+        raise CliError(f"vocabulary {vocab_path} has N={vocab.total_tokens} but the networks "
+                       f"were built with N={total}")
     freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
 
     sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker)

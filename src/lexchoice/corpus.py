@@ -70,16 +70,27 @@ class CorpusConfig:
             raise ValueError("stop_threshold must be positive")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Token:
+    """One corpus position: its surface (non-empty, lowercased by the
+    parsers), its tag, the sentence it belongs to, and its stop flag.
+    Built positionally or by keyword; ``is_stop`` and ``sentence_id`` stay
+    writable for the stop policy and for ``ingest_files``' sentence
+    offsets."""
+
     surface: str
     pos: str
     sentence_id: int
     is_stop: bool = False
 
-    def __post_init__(self):
-        if not self.surface:
+    # Written by hand: the generated __init__ plus __post_init__ cost two frames per token.
+    def __init__(self, surface: str, pos: str, sentence_id: int, is_stop: bool = False):
+        if not surface:
             raise ValueError("token surface must be non-empty")
+        self.surface = surface
+        self.pos = pos
+        self.sentence_id = sentence_id
+        self.is_stop = is_stop
 
 
 TokenStream = list[Token]
@@ -195,8 +206,9 @@ def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) ->
             part = ingest(Path(path).read_text(encoding="utf-8"), cfg)
         except CorpusFormatError as exc:
             raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
-        for tok in part:
-            tok.sentence_id += offset
+        if offset:
+            for tok in part:
+                tok.sentence_id += offset
         stream.extend(part)
         if part:
             offset = part[-1].sentence_id + 1

@@ -43,6 +43,12 @@ def tagged_sentences_of(words: st.SearchStrategy[str],
                     max_size=max_sentences)
 
 
+# Few words, so that pairs repeat. Most pairs on such text fall short of
+# t = 0.5, so a test wanting evidence draws a t_min near 0.
+grid_text = tagged_sentences_of(st.sampled_from(["a", "b", "c", "d", "e", "F", "g/h"]),
+                                max_sentences=16)
+
+
 def tagged_text(sents: list[list[tuple[str, str]]], fmt: str) -> str:
     """``(surface, tag)`` sentences as corpus text in the ``slash`` or ``tsv`` layout."""
     if fmt == "slash":

@@ -24,6 +24,7 @@ from lexchoice.cooc import (
 )
 from lexchoice.corpus import (
     DEFAULT_STOP_TAGS,
+    GAP,
     CorpusConfig,
     CorpusFormatError,
     Token,
@@ -140,6 +141,34 @@ def regex_parse_slash(raw: str) -> TokenStream:
             tokens.append(Token(surface.lower(), pos, sentence_id, pos in DEFAULT_STOP_TAGS))
         sentence_id += 1
     return tokens
+
+
+def reference_parse_gap_sentence(
+    text: str,
+    gap_marker: str = GAP,
+    stop_pos_tags: frozenset[str] = DEFAULT_STOP_TAGS,
+) -> GapSentence:
+    """``choice.parse_gap_sentence`` as a membership test and a ``rsplit``
+    per piece, each token built by keyword."""
+    tokens: list[Token] = []
+    gap_index: int | None = None
+    for piece in text.split():
+        if piece == gap_marker:
+            if gap_index is not None:
+                raise ValueError("sentence contains more than one gap marker")
+            gap_index = len(tokens)
+            tokens.append(Token(GAP, "GAP", 0, is_stop=False))
+            continue
+        if "/" in piece:
+            surface, pos = piece.rsplit("/", 1)
+        else:
+            surface, pos = piece, ""
+        if surface == GAP:
+            raise ValueError(f"token {piece!r} has the gap marker {GAP!r} as its surface")
+        tokens.append(Token(surface.lower(), pos, 0, is_stop=pos in stop_pos_tags))
+    if gap_index is None:
+        raise ValueError(f"sentence contains no gap marker {gap_marker!r}")
+    return GapSentence(tokens, gap_index)
 
 
 def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tuple[TokenStream, CorpusConfig]:

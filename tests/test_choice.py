@@ -15,12 +15,13 @@ from lexchoice.choice import (
     top_contributors,
 )
 from lexchoice.cooc import WindowConfig, count_pairs
-from lexchoice.corpus import Token, build_vocabulary, ingest
+from lexchoice.corpus import DEFAULT_STOP_TAGS, Token, build_vocabulary, ingest
 from lexchoice.network import CoocNetwork, build_network
 from lexchoice.synthetic import planted_corpus
 
-from conftest import pair_key
-from oracles import random_layered_network, summed_significance
+from conftest import pair_key, surfaces
+from oracles import (random_layered_network, reference_parse_gap_sentence,
+                     summed_significance)
 
 
 def evidence_network(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -245,6 +246,39 @@ def test_parse_gap_sentence_requires_exactly_one_gap():
 def test_parse_gap_sentence_rejects_the_placeholder_as_a_word(text, marker):
     with pytest.raises(ValueError, match="has the gap marker"):
         parse_gap_sentence(text, marker)
+
+
+# Bare words, slashes anywhere, stop tags, case, the placeholder and the
+# markers drawn below, mixed with random surfaces and tags.
+gap_pieces = st.one_of(
+    st.sampled_from(["word", "The/DT", "a/b/NN", "/NN", "a/", "/", "//", "Army/NNP", "12/CD",
+                     ",/,", GAP, f"{GAP}/NN", f"x/{GAP}", "[gap]/NN", "B/b/NNP"]),
+    st.tuples(surfaces, st.sampled_from(["", "/NN", "/CD", "/NNP", "/vb"])).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([GAP, "[gap]", "x/NN"]).flatmap(
+           lambda marker: st.tuples(st.just(marker),
+                                    st.lists(st.one_of(gap_pieces, st.just(marker)),
+                                             max_size=12))),
+       st.sampled_from([DEFAULT_STOP_TAGS, frozenset(), frozenset({"", "NN"})]))
+def test_parse_gap_sentence_matches_the_reference_parser(marker_and_pieces, stop_tags):
+    """The library and the reference parser give the same tokens and gap,
+    or raise the same error, on any list of pieces: no marker, one or
+    several, bare words, empty surfaces or tags, and the placeholder."""
+    marker, pieces = marker_and_pieces
+    text = " ".join(pieces)
+
+    def outcome(parse):
+        try:
+            parsed = parse(text, marker, stop_tags)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return ([(t.surface, t.pos, t.sentence_id, t.is_stop) for t in parsed.tokens],
+                parsed.gap_index)
+
+    assert outcome(parse_gap_sentence) == outcome(reference_parse_gap_sentence)
 
 
 def test_top_contributors_sorted():

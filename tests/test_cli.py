@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lexchoice import evaluation, network
 from lexchoice.choice import (Candidate, CandidateSet, choose, evidence_breakdown,
@@ -22,7 +22,7 @@ from lexchoice.corpus import (CorpusConfig, Vocabulary, apply_stop_policy, build
 from lexchoice.network import NetworkCaps, build_network, read_network, write_network
 from lexchoice.synthetic import planted_corpus
 
-from conftest import from_pairs, surfaces, tagged_sentences_of, tagged_text
+from conftest import from_pairs, grid_text, surfaces, tagged_sentences_of, tagged_text
 
 FIXTURE = "r/NN a/NN\nr/NN b/NN\na/NN c/NN\n"
 
@@ -461,6 +461,30 @@ def test_choose_refuses_candidates_built_differently(tmp_path, capsys, table, fl
     assert err == f"error: candidates 'widget' and 'gadget' were built differently: {field}\n"
 
 
+def test_choose_refuses_a_vocabulary_from_another_corpus(tmp_path, capsys):
+    """A vocabulary whose N is not the networks' N is refused, whether it
+    is given by --vocab or found in the networks directory."""
+    pc = planted_corpus()
+    for name, text in (("once", pc.train_text), ("twice", pc.train_text * 2)):
+        (tmp_path / f"{name}.tag").write_text(text)
+        assert run(["stats", "--corpus", str(tmp_path / f"{name}.tag"), "--window", "4",
+                    "--out", str(tmp_path / name)], capsys)[0] == 0
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(tmp_path / "once"), "--root", "widget", "--root",
+                "gadget", "--order", "1", "--out", str(nets)], capsys)[0] == 0
+    choose_argv = ["choose", "--networks", str(nets), "--candidates", "widget,gadget",
+                   "--sentence", "factory/NN ____"]
+    other = tmp_path / "twice" / "vocab.tsv"
+    (nets / "vocab.tsv").write_bytes(other.read_bytes())
+    for vocab_path, flags in ((other, ["--vocab", str(other)]), (nets / "vocab.tsv", [])):
+        code, stdout, err = run(choose_argv + flags, capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: vocabulary {vocab_path} has N=32600 but the networks were "
+                       "built with N=16300\n")
+    (nets / "vocab.tsv").write_bytes((tmp_path / "once" / "vocab.tsv").read_bytes())
+    assert run(choose_argv, capsys)[0] == 0
+
+
 def run_quietly(argv):
     """``main(argv)`` with its output captured, for use under hypothesis."""
     out, err = io.StringIO(), io.StringIO()
@@ -828,6 +852,75 @@ def test_evaluate_equals_rendered_run_grid(tmp_path, capsys, overrides, flags, s
             f"heldout={config['heldout_corpus']} max_edges=60 max_freq=800 max_nodes=50000 "
             f"mi_min=2.0 orders=1,2 t_min=2.0 train={config['train_corpus']} windows=4"
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_text, grid_text, st.sampled_from(["slash", "tsv"]), st.sampled_from([2, 5, 800]),
+       st.booleans(), st.lists(st.sampled_from([1, 2, 4, 10, 50]), min_size=1, max_size=3,
+                               unique=True),
+       st.lists(st.sampled_from([1, 2, 3]), min_size=1, unique=True),
+       st.sampled_from([(0.01, -1.0), (0.5, -1.0), (2.0, 2.0)]),
+       st.sampled_from([(50_000, 500_000), (3, 500_000), (50_000, 4)]),
+       st.sampled_from([None, 0, 2]), st.data())
+def test_evaluate_equals_rendered_run_grid_on_random_text(train_sents, held_sents, fmt, max_freq,
+                                                          cross, windows, orders, thresholds,
+                                                          caps, evidence_window, data):
+    """On the random text and sets that the library grid is checked on,
+    given through a config file, CLI ``evaluate`` writes and prints the
+    rendered ``run_grid``, or refuses with its error and writes nothing."""
+    assume(evaluation.grid_cells(windows, orders))
+    cfg = CorpusConfig(format=fmt, stop_threshold=max_freq)
+    train_text = tagged_text(train_sents, fmt)
+    # The training text ends the held-out text, so most sets occur in it.
+    held_text = tagged_text(held_sents + train_sents, fmt)
+    train = ingest(train_text, cfg)
+    vocab = build_vocabulary(train, cfg)
+    held = ingest(held_text, cfg)
+    apply_stop_policy(held, vocab)
+    roots = sorted(w for w in vocab.freq if not vocab.is_frequency_stopped(w))
+    assume(len(roots) >= 2)
+    set_defs = [
+        evaluation.SetDefinition(
+            f"s{i}", data.draw(st.sampled_from(["NN", "VB"])),
+            data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=3, unique=True)))
+        for i in range(data.draw(st.integers(1, 3)))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "train.txt").write_text(train_text, encoding="utf-8")
+        (tmp / "heldout.txt").write_text(held_text, encoding="utf-8")
+        config = {"train_corpus": str(tmp / "train.txt"), "heldout_corpus": str(tmp / "heldout.txt"),
+                  "format": fmt, "max_freq": max_freq, "windows": windows, "orders": orders,
+                  "t_min": thresholds[0], "mi_min": thresholds[1], "max_nodes": caps[0],
+                  "max_edges": caps[1], "cross_sentences": cross,
+                  "evidence_window": evidence_window, "out_dir": str(tmp / "report"),
+                  "sets": [{"id": sdef.set_id, "pos": sdef.pos_category,
+                            "members": sdef.members} for sdef in set_defs]}
+        (tmp / "eval.json").write_text(json.dumps(config), encoding="utf-8")
+        code, stdout, err = run_quietly(["evaluate", "--config", str(tmp / "eval.json")])
+        try:
+            cells = evaluation.run_grid(
+                train, vocab, held, set_defs, windows, orders,
+                SignificanceThresholds(*thresholds), NetworkCaps(*caps),
+                cross_sentences=cross, evidence_window=evidence_window)
+        except ValueError as exc:
+            assert (code, stdout, err) == (1, "", f"error: {exc}\n")
+            assert not (tmp / "report").exists()
+            return
+        header = {"train": config["train_corpus"], "heldout": config["heldout_corpus"],
+                  "format": fmt, "max_freq": max_freq, "t_min": float(thresholds[0]),
+                  "mi_min": float(thresholds[1]), "windows": ",".join(map(str, windows)),
+                  "orders": ",".join(map(str, orders)), "max_nodes": caps[0],
+                  "max_edges": caps[1]}
+        if cross:
+            header["cross_sentences"] = "true"
+        if evidence_window is not None:
+            header["evidence_window"] = evidence_window
+        report = evaluation.render_grid_report(cells, set_defs, header)
+        assert (code, stdout, err) == (0, report, "")
+        assert (tmp / "report" / "report.tsv").read_text(encoding="utf-8") == report
+        assert ((tmp / "report" / "instances.tsv").read_text(encoding="utf-8")
+                == evaluation.render_instance_log(cells))
 
 
 def test_evaluate_accepts_integer_thresholds(tmp_path, capsys):

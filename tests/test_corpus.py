@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -299,8 +300,26 @@ def test_apply_stop_policy_uses_training_frequencies():
 
 
 def test_token_surface_must_be_nonempty():
-    with pytest.raises(ValueError):
-        Token("", "NN", 0)
+    """An empty surface is refused, by position or keyword; otherwise a
+    token is a plain four-slot dataclass whose stop flag and sentence id
+    the stop policy and ``ingest_files`` may rewrite."""
+    for args, kwargs in ((("", "NN", 0), {}), ((), {"surface": "", "pos": "NN", "sentence_id": 0})):
+        with pytest.raises(ValueError, match="^token surface must be non-empty$"):
+            Token(*args, **kwargs)
+    tok = Token("a", "NN", 3)
+    assert tok.is_stop is False
+    assert tok == Token(surface="a", pos="NN", sentence_id=3, is_stop=False)
+    assert tok == Token("a", "NN", 3, False)
+    assert tok != Token("a", "NN", 3, True)
+    assert repr(Token("a/b", "NN", 3, True)) == (
+        "Token(surface='a/b', pos='NN', sentence_id=3, is_stop=True)")
+    assert not hasattr(tok, "__dict__")
+    assert Token.__slots__ == ("surface", "pos", "sentence_id", "is_stop")
+    assert [f.name for f in dataclasses.fields(Token)] == ["surface", "pos", "sentence_id",
+                                                          "is_stop"]
+    tok.is_stop = True
+    tok.sentence_id = 7
+    assert tok == Token("a", "NN", 7, True)
 
 
 @pytest.mark.parametrize(

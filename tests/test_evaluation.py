@@ -27,7 +27,7 @@ from lexchoice.evaluation import (
 from lexchoice.network import CoocNetwork, NetworkCaps, build_network
 from lexchoice.synthetic import planted_corpus
 
-from conftest import pair_key, tagged_sentences_of, tagged_text
+from conftest import grid_text, pair_key, tagged_text
 from oracles import expected_scoring_network, per_cell_grid, per_set_instances
 
 
@@ -429,16 +429,11 @@ def test_grid_outcomes_hold_totals_alone():
     assert scores and all(vars(s).keys() == {"candidate", "total"} for s in scores)
 
 
-# Few words, so that pairs repeat and networks have edges.
-grid_text = tagged_sentences_of(st.sampled_from(["a", "b", "c", "d", "e", "F", "g/h"]),
-                                max_sentences=16)
-
-
 @settings(max_examples=100, deadline=None)
 @given(grid_text, grid_text, st.sampled_from([2, 5, 800]), st.booleans(),
        st.lists(st.sampled_from([1, 2, 4, 10, 50]), min_size=1, max_size=3, unique=True),
        st.lists(st.sampled_from([1, 2, 3]), min_size=1, unique=True),
-       st.sampled_from([(0.5, -1.0), (1.0, 0.0), (2.0, 2.0)]), st.data())
+       st.sampled_from([(0.01, -1.0), (0.5, -1.0), (1.0, 0.0), (2.0, 2.0)]), st.data())
 def test_run_grid_equals_the_per_cell_grid_on_random_text(train_sents, held_sents, max_freq,
                                                            cross, windows, orders, thresholds,
                                                            data):
