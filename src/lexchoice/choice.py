@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, attrgetter
 
 from .corpus import DEFAULT_STOP_TAGS, GAP, Token
 from .network import CoocNetwork
@@ -62,14 +62,14 @@ class GapSentence:
         """Non-stop tokens usable as evidence, optionally only those within
         ``evidence_window`` positions of the gap."""
         check_evidence_window(evidence_window)
-        picked = []
-        for i, tok in enumerate(self.tokens):
-            if i == self.gap_index or tok.is_stop:
-                continue
-            if evidence_window is not None and abs(i - self.gap_index) > evidence_window:
-                continue
-            picked.append(tok)
-        return picked
+        tokens, gap = self.tokens, self.gap_index
+        if evidence_window is None:
+            before, after = tokens[:gap], tokens[gap + 1:]
+        else:
+            before = tokens[max(0, gap - evidence_window):gap]
+            after = tokens[gap + 1:gap + 1 + evidence_window]
+        return ([tok for tok in before if not tok.is_stop]
+                + [tok for tok in after if not tok.is_stop])
 
 
 @dataclass
@@ -151,10 +151,11 @@ def choose(
 
 def _rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
     """Total ``surfaces`` against each candidate's network and rank as
-    ``choose`` does."""
-    freq = {m.word: m.training_freq for m in cands.members}
-    scores = [ChoiceScore(m.word, _total(m.network, surfaces)) for m in cands.members]
-    scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
+    ``choose`` does: the members in tie order, then one stable sort on the
+    totals, descending (``reverse`` keeps equal totals in tie order)."""
+    members = sorted(cands.members, key=lambda m: (-m.training_freq, m.word))
+    scores = [ChoiceScore(m.word, _total(m.network, surfaces)) for m in members]
+    scores.sort(key=attrgetter("total"), reverse=True)
     return scores
 
 

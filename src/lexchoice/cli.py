@@ -98,8 +98,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     counts = cooc.count_pairs(stream, vocab, window)
     out = Path(args.out)
     corpus.write_vocabulary(vocab, out / "vocab.tsv")
-    cooc.write_pair_counts(counts, out / "pairs.tsv")
-    print(f"N={vocab.total_tokens} vocabulary={len(vocab.freq)} pairs={len(counts.pairs)}")
+    pairs = cooc.write_pair_counts(counts, out / "pairs.tsv")
+    print(f"N={vocab.total_tokens} vocabulary={len(vocab.freq)} pairs={pairs}")
     return 0
 
 

@@ -310,18 +310,22 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
                       _Occurrences(occurrences, positions, surfaces, k))
 
 
-def write_pair_counts(counts: PairCounts, path: str | Path) -> None:
+def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
+    """Write the table's header and its pair rows, one per pair with
+    w1 < w2 in sorted order, and return how many pair rows it wrote."""
     lines = [
         f"N={counts.vocab.total_tokens}",
         f"K={counts.half_width}",
         f"F={counts.vocab.stop_threshold}",
         f"CROSS={int(counts.cross_sentences)}",
     ]
+    header = len(lines)
     rows = counts.rows
     for w1 in sorted(rows):
         row = rows[w1]
         lines.extend(f"{w1}\t{w2}\t{row[w2]}" for w2 in sorted(w2 for w2 in row if w1 < w2))
     atomic_write_text(path, "\n".join(lines) + "\n")
+    return len(lines) - header
 
 
 # The header keys of a pair table, each with what its integer value means

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 from sys import intern
 
@@ -74,9 +75,8 @@ class CorpusConfig:
 class Token:
     """One corpus position: its surface (non-empty, lowercased by the
     parsers), its tag, the sentence it belongs to, and its stop flag.
-    Built positionally or by keyword; ``is_stop`` and ``sentence_id`` stay
-    writable for the stop policy and for ``ingest_files``' sentence
-    offsets."""
+    Built positionally or by keyword; ``is_stop`` stays writable for the
+    stop policy."""
 
     surface: str
     pos: str
@@ -96,15 +96,22 @@ class Token:
 TokenStream = list[Token]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     """Corpus-wide raw frequencies plus the stop-frequency threshold: N,
     each f(x) and F, read by the statistics and the stop rule alike. Each
-    count and F are at least 1, and N is the sum of the counts."""
+    count and F are at least 1, and N is the sum of the counts.
+
+    The frequency stop rule, ``is_frequency_stopped(word)``, is true when
+    ``word`` occurs more than F times. It is derived once, as a probe of the
+    set of such words, so the vocabulary is read-only: its fields cannot be
+    reassigned, and ``freq`` must not be mutated. Equality and ``repr``
+    ignore the derived rule."""
 
     freq: dict[str, int]
     total_tokens: int
     stop_threshold: int
+    is_frequency_stopped: Callable[[str], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A count below 1 would reach the statistics' log2 and sqrt as a
@@ -116,18 +123,16 @@ class Vocabulary:
             raise ValueError(f"vocabulary stop threshold must be >= 1, got {self.stop_threshold}")
         if self.total_tokens != sum(self.freq.values()):
             raise ValueError("vocabulary total_tokens does not match sum of counts")
-
-    def is_frequency_stopped(self, word: str) -> bool:
-        """The frequency stop rule: ``word`` occurs more than F times."""
-        return self.freq.get(word, 0) > self.stop_threshold
+        stopped = frozenset(w for w, n in self.freq.items() if n > self.stop_threshold)
+        object.__setattr__(self, "is_frequency_stopped", stopped.__contains__)
 
 
-def _parse_slash(raw: str) -> TokenStream:
-    """Parse slash text. Each distinct ``surface/TAG`` item is split, checked
-    and interned once, the first time it occurs; a bad item is never kept."""
+def _parse_slash(raw: str, sentence_id: int = 0) -> TokenStream:
+    """Parse slash text, numbering its sentences from ``sentence_id``. Each
+    distinct ``surface/TAG`` item is split, checked and interned once, the
+    first time it occurs; a bad item is never kept."""
     tokens: TokenStream = []
     parsed: dict[str, tuple[str, str, bool]] = {}
-    sentence_id = 0
     for line_no, line in enumerate(raw.splitlines(), 1):
         items = line.split()
         if not items:
@@ -160,9 +165,9 @@ def _column(line: str, index: int) -> int:
     return list(re.finditer(r"\S+", line))[index].start() + 1
 
 
-def _parse_tsv(raw: str) -> TokenStream:
+def _parse_tsv(raw: str, sentence_id: int = 0) -> TokenStream:
+    """Parse tsv text, numbering its sentences from ``sentence_id``."""
     tokens: TokenStream = []
-    sentence_id = 0
     sentence_open = False
     for line_no, line in enumerate(raw.splitlines(), 1):
         if not line.strip():
@@ -188,30 +193,29 @@ def _parse_tsv(raw: str) -> TokenStream:
     return tokens
 
 
+_PARSERS = {"slash": _parse_slash, "tsv": _parse_tsv}
+
+
 def ingest(raw: str, cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     """Parse tagged text into a token stream, in corpus order.
 
     The parsers flag stops by tag (``DEFAULT_STOP_TAGS``); build_vocabulary
     adds the frequency stops, which need the whole vocabulary.
     """
-    return _parse_slash(raw) if cfg.format == "slash" else _parse_tsv(raw)
+    return _PARSERS[cfg.format](raw)
 
 
 def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
-    """Ingest several files and concatenate them in the given order."""
+    """Ingest several files and concatenate them in the given order, each
+    file's sentences numbered on from the last file's."""
+    parse = _PARSERS[cfg.format]
     stream: TokenStream = []
-    offset = 0
     for path in paths:
+        first_id = stream[-1].sentence_id + 1 if stream else 0
         try:
-            part = ingest(Path(path).read_text(encoding="utf-8"), cfg)
+            stream.extend(parse(Path(path).read_text(encoding="utf-8"), first_id))
         except CorpusFormatError as exc:
             raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
-        if offset:
-            for tok in part:
-                tok.sentence_id += offset
-        stream.extend(part)
-        if part:
-            offset = part[-1].sentence_id + 1
     return stream
 
 
@@ -226,8 +230,9 @@ def apply_stop_policy(ts: TokenStream, vocab: Vocabulary,
     training-corpus property even when flagging held-out text or a gap
     sentence.
     """
+    stopped = vocab.is_frequency_stopped
     for tok in ts:
-        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS or vocab.is_frequency_stopped(tok.surface)
+        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS or stopped(tok.surface)
 
 
 def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Vocabulary:

@@ -15,7 +15,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
-from lexchoice.choice import Candidate, CandidateSet, GapSentence
+from lexchoice.choice import Candidate, CandidateSet, ChoiceScore, GapSentence
 from lexchoice.cooc import (
     PairCounts,
     SignificanceThresholds,
@@ -169,6 +169,39 @@ def reference_parse_gap_sentence(
     if gap_index is None:
         raise ValueError(f"sentence contains no gap marker {gap_marker!r}")
     return GapSentence(tokens, gap_index)
+
+
+def reference_is_frequency_stopped(vocab: Vocabulary, word: str) -> bool:
+    """The frequency stop rule as a count lookup: ``word`` occurs more than F times."""
+    return vocab.freq.get(word, 0) > vocab.stop_threshold
+
+
+def reference_evidence_tokens(sentence: GapSentence,
+                              evidence_window: int | None = None) -> list[Token]:
+    """``GapSentence.evidence_tokens`` as a test of every position's index and stop flag."""
+    picked = []
+    for i, tok in enumerate(sentence.tokens):
+        if i == sentence.gap_index or tok.is_stop:
+            continue
+        if evidence_window is not None and abs(i - sentence.gap_index) > evidence_window:
+            continue
+        picked.append(tok)
+    return picked
+
+
+def reference_rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
+    """``choice._rank`` as one sort on (-total, -training frequency, word),
+    each total added left to right from 0.0."""
+    freq = {m.word: m.training_freq for m in cands.members}
+    scores = []
+    for m in cands.members:
+        path_scores = m.network.path_scores()
+        total = 0.0
+        for surface in surfaces:
+            total += path_scores.get(surface, 0.0)
+        scores.append(ChoiceScore(m.word, total))
+    scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
+    return scores
 
 
 def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tuple[TokenStream, CorpusConfig]:

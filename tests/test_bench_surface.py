@@ -2,10 +2,11 @@
 workload at the benchmark's tiny scale.
 
 The benchmark's own tests (``PYTHONPATH=src python3 -m pytest -q bench``)
-run apart from this suite; this test fails here when a library change
-breaks a name, a signature or a result the benchmark relies on, or changes
-a byte of what a workload writes (``tests/digests.py``). Its generated
-inputs and its outputs go under ``tmp_path``.
+also run with this suite, since ``testpaths`` names ``bench``; this test
+fails when a library change breaks a name, a signature or a result the
+benchmark relies on, or changes a byte of what a workload writes
+(``tests/digests.py``). Its generated inputs and its outputs go under
+``tmp_path``.
 """
 
 import pytest

@@ -9,6 +9,7 @@ from lexchoice.choice import (
     CandidateSet,
     ChoiceScore,
     GapSentence,
+    _rank,
     choose,
     evidence_breakdown,
     parse_gap_sentence,
@@ -20,8 +21,8 @@ from lexchoice.network import CoocNetwork, build_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import pair_key, surfaces
-from oracles import (random_layered_network, reference_parse_gap_sentence,
-                     summed_significance)
+from oracles import (random_layered_network, reference_evidence_tokens,
+                     reference_parse_gap_sentence, reference_rank, summed_significance)
 
 
 def evidence_network(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -279,6 +280,48 @@ def test_parse_gap_sentence_matches_the_reference_parser(marker_and_pieces, stop
                 parsed.gap_index)
 
     assert outcome(parse_gap_sentence) == outcome(reference_parse_gap_sentence)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.booleans()), min_size=1,
+                max_size=10).flatmap(
+           lambda toks: st.tuples(
+               st.just(toks),
+               st.one_of(st.sampled_from([0, len(toks) - 1]), st.integers(0, len(toks) - 1)),
+               st.one_of(st.sampled_from([None, 0, 1, len(toks), len(toks) + 3]),
+                         st.integers(0, len(toks))))))
+def test_evidence_tokens_match_the_reference_loop(tokens_gap_window):
+    """The sliced evidence is the reference loop's, token for token: the gap
+    first, last or inside, stop flags anywhere (the gap's own included), and
+    windows of None, 0, 1 and beyond both ends."""
+    toks, gap, window = tokens_gap_window
+    s = GapSentence([Token(w, "NN", 0, stop) for w, stop in toks], gap)
+    got, want = s.evidence_tokens(window), reference_evidence_tokens(s, window)
+    assert [id(tok) for tok in got] == [id(tok) for tok in want]
+
+
+# Two t-scores and few words, so totals tie often; an empty map gives a
+# network whose every total is 0.0.
+star_edges = st.dictionaries(st.sampled_from(["u", "v", "w"]), st.sampled_from([1.0, 2.5]),
+                             max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.permutations(["c0", "c1", "c2", "c3"]).flatmap(
+           lambda roots: st.lists(st.tuples(star_edges, st.integers(0, 2)),
+                                  min_size=2, max_size=4).map(
+               lambda drawn: [Candidate(root, evidence_network(root, edges), freq)
+                              for root, (edges, freq) in zip(roots, drawn)])),
+       st.lists(st.sampled_from(["u", "v", "w", "c0", "zz"]), max_size=6))
+def test_rank_matches_the_reference_sort(members, evidence):
+    """One stable sort on the totals over the tie order ranks as the
+    reference's three-key sort does, with tied totals (all-zero ones
+    included) and tied training frequencies, totals bit for bit."""
+    cands = CandidateSet("s", "NN", members)
+    assert _rank(cands, evidence) == reference_rank(cands, evidence)
+    s = sentence(evidence + ["g"], len(evidence))
+    assert choose(cands, s) == reference_rank(
+        cands, [tok.surface for tok in reference_evidence_tokens(s)])
 
 
 def test_top_contributors_sorted():

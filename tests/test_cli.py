@@ -98,6 +98,26 @@ def test_stats_rerun_byte_identical(tmp_path, capsys):
         assert (tmp_path / "c1" / filename).read_bytes() == (tmp_path / "c2" / filename).read_bytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(tagged_sentences_of(st.sampled_from(["a", "B", "c", "a/b", "x=y"]), max_sentences=12),
+       st.integers(1, 6), st.booleans())
+def test_stats_prints_the_pair_rows_it_wrote(sents, k, cross):
+    """``pairs=`` is the number of pair rows in ``pairs.tsv``, which is the
+    table's pair count."""
+    text = tagged_text(sents, "slash")
+    ts = ingest(text)
+    vocab = build_vocabulary(ts)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "corpus").write_text(text, encoding="utf-8")
+        code, out, _ = run_quietly(["stats", "--corpus", str(Path(tmp) / "corpus"),
+                                    f"--window={k}", "--out", str(Path(tmp) / "c")]
+                                   + ["--cross-sentences"] * cross)
+        lines = (Path(tmp) / "c" / "pairs.tsv").read_text(encoding="utf-8").splitlines()
+    pair_rows = sum("\t" in line for line in lines)
+    assert pair_rows == len(count_pairs(ts, vocab, WindowConfig(k, cross)).pairs)
+    assert (code, out) == (0, f"N={len(ts)} vocabulary={len(vocab.freq)} pairs={pair_rows}\n")
+
+
 def test_stats_missing_corpus_names_path(tmp_path, capsys):
     code, _, err = run(
         ["stats", "--corpus", str(tmp_path / "nope.tag"), "--out", str(tmp_path / "c")],

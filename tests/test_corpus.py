@@ -1,6 +1,10 @@
 import dataclasses
 import random
 import re
+import tempfile
+from itertools import groupby
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +24,8 @@ from lexchoice.corpus import (
 )
 
 from conftest import surfaces, tagged_sentences_of, tagged_text
-from oracles import format_token_stream, random_stream, regex_parse_slash
+from oracles import (format_token_stream, random_stream, reference_is_frequency_stopped,
+                     regex_parse_slash)
 
 
 def test_ingest_slash_basic():
@@ -240,6 +245,70 @@ def test_ingest_files_concatenates_in_order(tmp_path, tiny_config):
     assert [t.sentence_id for t in ts] == [0, 0, 1, 2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tagged_sentences_of(surfaces, max_sentences=4), max_size=3),
+       st.sampled_from(["slash", "tsv"]))
+def test_ingest_files_equals_ingest_of_the_joined_texts(texts, fmt):
+    """Each file's sentences are numbered on from the last file's, so the
+    files ingest as their texts joined would, in either layout."""
+    cfg = CorpusConfig(format=fmt)
+    texts = [tagged_text(sents, fmt) for sents in texts]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{i}.txt" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        files = ingest_files(paths, cfg)
+    joined = ingest("\n\n".join(texts), cfg)
+    assert ([(t.sentence_id, t.surface, t.pos, t.is_stop) for t in files]
+            == [(t.sentence_id, t.surface, t.pos, t.is_stop) for t in joined])
+
+
+@pytest.mark.parametrize("fmt", ["slash", "tsv"])
+def test_the_tokens_of_a_sentence_share_one_id_object(tmp_path, fmt):
+    """Ids above 256 are not cached ints, so a pass adding a file's offset
+    token by token would give each token its own id object."""
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in paths:
+        path.write_text(tagged_text([[("a", "NN"), ("b", "VB"), ("c", "NN")]] * 300, fmt))
+    ts = ingest_files(paths, CorpusConfig(format=fmt))
+    assert ts[-1].sentence_id == 599
+    for _, sentence in groupby(ts, attrgetter("sentence_id")):
+        first, *rest = sentence
+        assert all(tok.sentence_id is first.sentence_id for tok in rest)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 6), max_size=6).flatmap(
+    lambda freq: st.tuples(st.just(freq), st.one_of(
+        st.sampled_from([1, max(freq.values(), default=0) + 1]), st.integers(1, 7)))))
+def test_frequency_stop_rule_matches_the_count_lookup(freq_and_threshold):
+    """The stop set's probe answers as ``freq.get(w, 0) > F`` does, for
+    counts around F, F = 1 and F above every count, on words in and out of
+    the vocabulary."""
+    freq, threshold = freq_and_threshold
+    vocab = Vocabulary(freq, sum(freq.values()), threshold)
+    for word in [*"abcdef", "", "zz"]:
+        assert vocab.is_frequency_stopped(word) is reference_is_frequency_stopped(vocab, word)
+
+
+def test_vocabulary_is_read_only_and_its_stop_rule_is_derived():
+    """No field can be reassigned under the derived stop set, which is no
+    init field and which ``==`` and ``repr`` ignore."""
+    vocab = Vocabulary({"a": 3, "b": 1}, total_tokens=4, stop_threshold=2)
+    for name, value in (("freq", {}), ("total_tokens", 0), ("stop_threshold", 5),
+                        ("is_frequency_stopped", bool)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(vocab, name, value)
+    assert (vocab.is_frequency_stopped("a"), vocab.is_frequency_stopped("b")) == (True, False)
+    assert [f.name for f in dataclasses.fields(Vocabulary) if f.init] == [
+        "freq", "total_tokens", "stop_threshold"]
+    assert repr(vocab) == "Vocabulary(freq={'a': 3, 'b': 1}, total_tokens=4, stop_threshold=2)"
+    other = Vocabulary({"a": 3, "b": 1}, 4, 2)
+    object.__setattr__(other, "is_frequency_stopped", frozenset().__contains__)
+    assert other == vocab
+    assert Vocabulary({"a": 3, "b": 1}, 4, 3) != vocab
+
+
 def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):
     path = tmp_path / "vocab.tsv"
     write_vocabulary(tiny_vocab, path)
@@ -301,8 +370,8 @@ def test_apply_stop_policy_uses_training_frequencies():
 
 def test_token_surface_must_be_nonempty():
     """An empty surface is refused, by position or keyword; otherwise a
-    token is a plain four-slot dataclass whose stop flag and sentence id
-    the stop policy and ``ingest_files`` may rewrite."""
+    token is a plain four-slot dataclass whose stop flag the stop policy
+    may rewrite, and whose sentence id stays writable too."""
     for args, kwargs in ((("", "NN", 0), {}), ((), {"surface": "", "pos": "NN", "sentence_id": 0})):
         with pytest.raises(ValueError, match="^token surface must be non-empty$"):
             Token(*args, **kwargs)
