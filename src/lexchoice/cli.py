@@ -123,14 +123,19 @@ def _network_file_name(word: str) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    names = {root.lower(): _network_file_name(root.lower()) for root in args.root}
-    thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
-    counts = _load_counts(args.counts)
-    caps = network.NetworkCaps(args.max_nodes, args.max_edges)
-    out = Path(args.out)
-    failed = False
+    # Every flag is checked before the table is read.
+    names: dict[str, str] = {}
     for root in args.root:
         root = root.lower()
+        if root in names:
+            raise CliError(f"root {root!r} is listed twice")
+        names[root] = _network_file_name(root)
+    thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
+    caps = network.NetworkCaps(args.max_nodes, args.max_edges)
+    counts = _load_counts(args.counts)
+    out = Path(args.out)
+    failed = False
+    for root in names:
         try:
             net = network.build_network(root, counts, thresholds, args.order, caps)
         except network.InvalidRootError as exc:

@@ -32,7 +32,8 @@ serves every window up to the one it was made at
 (``PairCounts.at_half_width``): a grid walks its training stream once.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
-memoised on the table, which must therefore not be mutated once queried.
+memoised on the table. A write through ``PairCounts.pairs`` drops them;
+the table must not be mutated any other way once queried.
 
 Count floor: E > 0, so t = (f - E) / sqrt(f) < sqrt(f), and a pair whose
 count is below ``t_min**2`` can never pass the t test. A row is therefore
@@ -91,8 +92,9 @@ class SignificanceThresholds:
 class PairView(Mapping):
     """The pairs of a table as a mapping ``(w1, w2) -> count``, w1 < w2.
 
-    Reads go to the table's rows, and setting a pair sets it in both words'
-    rows.
+    Reads go to the table's rows. Setting a pair sets it in both words'
+    rows and drops the table's memoised significance rows, which the new
+    count could change.
     """
 
     __slots__ = ("_table",)
@@ -117,6 +119,7 @@ class PairView(Mapping):
                 self._table._rows[a] = {b: count}
             else:
                 row[b] = count
+        self._table._significant.clear()
 
     def __iter__(self):
         for w1, row in self._table.rows.items():
@@ -163,8 +166,9 @@ class PairCounts:
     left and returns them all. ``pairs`` views the same counts keyed by
     sorted word pairs. The vocabulary alone holds the marginals and the stop
     rule: N, each f(x) and the threshold F. The significant-neighbour rows
-    are computed on first use and memoised on the table, so neither the
-    counts nor the vocabulary may change once the table has been queried.
+    are computed on first use and memoised on the table, so once the table
+    has been queried its counts change only through ``pairs``, which drops
+    them, and its vocabulary not at all.
     """
 
     _rows: dict[str, dict[str, int] | list[int]]
@@ -323,7 +327,9 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     rows = counts.rows
     for w1 in sorted(rows):
         row = rows[w1]
-        lines.extend(f"{w1}\t{w2}\t{row[w2]}" for w2 in sorted(w2 for w2 in row if w1 < w2))
+        upper = [w2 for w2 in row if w1 < w2]
+        upper.sort()
+        lines += [f"{w1}\t{w2}\t{row[w2]}" for w2 in upper]
     atomic_write_text(path, "\n".join(lines) + "\n")
     return len(lines) - header
 
@@ -372,8 +378,11 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
     rows: dict[str, dict[str, int]] = {}
     # Each pair word maps to the vocabulary's own key object, so the rows
     # hold no second copy of a word and lookups between them match by
-    # identity.
+    # identity. The writer's rows come in runs that share w1, so w1's key
+    # and row are looked up once per run; a table in any other order is
+    # read the same, only with more runs.
     keys = {word: word for word in vocab.freq}
+    run = a = row = None
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         try:
             w1, w2, count = line.split("\t")
@@ -388,15 +397,16 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             else:
                 problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
-            a = keys.get(w1)
+            if w1 != run:
+                run = w1
+                a = keys.get(w1)
+                row = rows.get(a)
+                if row is None and a is not None:
+                    # Filled by this line, or the read fails on it.
+                    row = rows[a] = {}
             b = keys.get(w2)
-            row = rows.get(a)
-            fresh = row is None or b not in row
-            if w1 < w2 and n > 0 and a is not None and b is not None and fresh:
-                if row is None:
-                    rows[a] = {b: n}
-                else:
-                    row[b] = n
+            if w1 < w2 and n > 0 and a is not None and b is not None and b not in row:
+                row[b] = n
                 other = rows.get(b)
                 if other is None:
                     rows[b] = {a: n}

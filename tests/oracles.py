@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from itertools import groupby
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable
 
 from lexchoice.choice import Candidate, CandidateSet, ChoiceScore, GapSentence
@@ -20,6 +21,7 @@ from lexchoice.cooc import (
     PairCounts,
     SignificanceThresholds,
     WindowConfig,
+    _read_pair_header,
     count_pairs,
 )
 from lexchoice.corpus import (
@@ -41,6 +43,7 @@ from lexchoice.evaluation import (
     judge_instances,
     summarize,
 )
+from lexchoice.ioutil import atomic_write_text
 from lexchoice.network import CoocNetwork, NetworkCaps, build_network, significance
 
 from conftest import pair_key
@@ -116,6 +119,85 @@ def sorted_key_pair_table_text(counts) -> str:
     for (w1, w2) in sorted(counts.pairs):
         lines.append(f"{w1}\t{w2}\t{counts.pairs[(w1, w2)]}")
     return "\n".join(lines) + "\n"
+
+
+def reference_write_pair_counts(counts: PairCounts, path: str | Path) -> int:
+    """``write_pair_counts`` as one generator per word: each word's upper
+    half sorted from a generator and its lines added by ``list.extend``."""
+    lines = [
+        f"N={counts.vocab.total_tokens}",
+        f"K={counts.half_width}",
+        f"F={counts.vocab.stop_threshold}",
+        f"CROSS={int(counts.cross_sentences)}",
+    ]
+    header = len(lines)
+    rows = counts.rows
+    for w1 in sorted(rows):
+        row = rows[w1]
+        lines.extend(f"{w1}\t{w2}\t{row[w2]}" for w2 in sorted(w2 for w2 in row if w1 < w2))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+    return len(lines) - header
+
+
+def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
+    """``read_pair_counts`` with w1's key and row looked up on every line."""
+    path = Path(path)
+    header: dict[str, int] = {}
+    rows: dict[str, dict[str, int]] = {}
+    keys = {word: word for word in vocab.freq}
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            w1, w2, count = line.split("\t")
+            n = int(count)
+        except ValueError:
+            if "=" in line and "\t" not in line:
+                problem = _read_pair_header(line, header, bool(rows))
+                if problem is None:
+                    continue
+            elif not line.strip():
+                continue
+            else:
+                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
+        else:
+            a = keys.get(w1)
+            b = keys.get(w2)
+            row = rows.get(a)
+            fresh = row is None or b not in row
+            if w1 < w2 and n > 0 and a is not None and b is not None and fresh:
+                if row is None:
+                    rows[a] = {b: n}
+                else:
+                    row[b] = n
+                other = rows.get(b)
+                if other is None:
+                    rows[b] = {a: n}
+                else:
+                    other[a] = n
+                continue
+            if w1 >= w2:
+                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
+            elif n < 1:
+                problem = f"count {n} is below 1"
+            elif a is None or b is None:
+                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
+            else:
+                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+        raise ValueError(f"{path}: line {line_no}: {problem}")
+    if "N" not in header or "K" not in header:
+        raise ValueError(f"{path}: missing N=/K= header")
+    total = header["N"]
+    if total != vocab.total_tokens:
+        raise ValueError(
+            f"{path}: pair counts were taken over N={total} tokens "
+            f"but the vocabulary has N={vocab.total_tokens}"
+        )
+    threshold = header.get("F", vocab.stop_threshold)
+    if threshold != vocab.stop_threshold:
+        raise ValueError(
+            f"{path}: pair counts were taken with F={threshold} "
+            f"but the vocabulary has F={vocab.stop_threshold}"
+        )
+    return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)))
 
 
 def regex_parse_slash(raw: str) -> TokenStream:

@@ -237,6 +237,35 @@ def test_build_rejects_a_root_with_a_path_separator(slash_word_stats, capsys, ro
     assert not out.exists() and not (tmp_path / "evil.net").exists()
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid-table", "corrupt-table"])
+def test_build_refuses_a_root_listed_twice_before_reading_the_table(fixture_stats, capsys,
+                                                                     corrupt):
+    tmp_path, counts_dir = fixture_stats
+    if corrupt:
+        (counts_dir / "pairs.tsv").write_text("not a pair table\n")
+    out = tmp_path / "nets"
+    code, stdout, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "a", "--root", "r", "--root", "R",
+         "--order", "1", "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout, err) == (1, "", "error: root 'r' is listed twice\n")
+    assert not out.exists()
+
+
+def test_build_checks_its_caps_before_reading_the_table(fixture_stats, capsys):
+    tmp_path, counts_dir = fixture_stats
+    (counts_dir / "pairs.tsv").write_text("not a pair table\n")
+    out = tmp_path / "nets"
+    code, stdout, err = run(
+        ["build", "--counts", str(counts_dir), "--root", "r", "--max-nodes", "0",
+         "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout, err) == (1, "", "error: caps must allow at least the root node\n")
+    assert not out.exists()
+
+
 def test_choose_rejects_a_candidate_with_a_path_separator(slash_word_stats, capsys):
     tmp_path, counts_dir = slash_word_stats
     nets = tmp_path / "nets"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexchoice import cooc
 from lexchoice.cooc import (
+    PairCounts,
     SignificanceThresholds,
     WindowConfig,
     count_pairs,
@@ -35,6 +36,8 @@ from oracles import (
     pair_statistics,
     quadratic_pair_counts,
     random_stream,
+    reference_read_pair_counts,
+    reference_write_pair_counts,
     sorted_key_pair_table_text,
     unfloored_significant_neighbors,
 )
@@ -497,6 +500,117 @@ def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
         again = read_pair_counts(path, vocab)
     assert_same_table(again, counts)
     assert all(counts.rows.values()) and all(again.rows.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_sentences_of(surfaces), st.sampled_from([1, 2, 800]), st.integers(1, 12),
+       st.booleans(), st.booleans())
+def test_write_pair_counts_equals_the_generator_writer(sents, threshold, k, cross, read_back):
+    """The writer's bytes and pair-row count are the generator writer's, for
+    a counted table and for the same table read back in file order."""
+    cfg = CorpusConfig(stop_threshold=threshold)
+    ts = ingest(tagged_text(sents, "slash"), cfg)
+    vocab = build_vocabulary(ts, cfg)
+    counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.tsv", Path(tmp) / "old.tsv"
+        if read_back:
+            write_pair_counts(counts, new)
+            counts = read_pair_counts(new, vocab)
+        assert write_pair_counts(counts, new) == reference_write_pair_counts(counts, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
+# The vocabulary of the random pair-table texts; "zz" is not in it.
+TEXT_VOCAB = Vocabulary({"ant": 5, "bee": 4, "cat": 3, "dog": 2, "eel": 1}, 15, 800)
+TEXT_PAIRS = [(w1, w2) for w1 in TEXT_VOCAB.freq for w2 in TEXT_VOCAB.freq if w1 < w2]
+TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown"]
+BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", ""]
+BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "Q=1", "K=3", "K=x", "N"]
+
+
+@st.composite
+def pair_table_texts(draw):
+    """Pair-table texts over ``TEXT_VOCAB`` as the writer writes them or
+    not: rows sorted, shuffled or with one w1 run split in two; repeated,
+    swapped and self pairs, bad or padded counts and unknown words; headers
+    missing, bad or after the rows; blank and whitespace-only lines; and
+    ``\n`` or ``\r\n`` line ends."""
+    pairs = draw(st.lists(st.sampled_from(TEXT_PAIRS), unique=True, max_size=10))
+    rows = [[w1, w2, str(draw(st.integers(1, 30)))] for w1, w2 in pairs]
+    for fault in draw(st.lists(st.sampled_from(TEXT_FAULTS), max_size=2)):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        w1, w2, count = rows[i]
+        if fault == "repeat":
+            rows.append([w1, w2, draw(st.sampled_from([count, "9"]))])
+        elif fault == "swap":
+            rows[i] = [w2, w1, count]
+        elif fault == "self":
+            rows[i] = [w1, w1, count]
+        elif fault == "count":
+            rows[i] = [w1, w2, draw(st.sampled_from(BAD_COUNTS))]
+        else:
+            rows[i] = [w1, "zz", count] if draw(st.booleans()) else ["zz", w2, count]
+    order = draw(st.sampled_from(["sorted", "shuffled", "split"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    else:
+        rows.sort()
+        runs = [i for i in range(1, len(rows)) if rows[i][0] == rows[i - 1][0]]
+        if order == "split" and runs:
+            rows.append(rows.pop(draw(st.sampled_from(runs))))
+    lines = ["\t".join(row) for row in rows]
+    header = ["N=15", "K=4"] + draw(st.sampled_from([[], ["F=800"], ["CROSS=1"],
+                                                      ["F=800", "CROSS=0"]]))
+    header = list(draw(st.permutations(header)))
+    if draw(st.booleans()):
+        header.pop(draw(st.integers(0, len(header) - 1)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(BAD_HEADERS)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["K=4", "F=800"])))
+    lines = header + lines
+    for blank in draw(st.lists(st.sampled_from(["", "   ", " \t "]), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def read_outcome(reader, path: Path):
+    """What ``reader`` makes of ``path``: its rows in word and key order and
+    its settings, or the message it refuses the file with."""
+    try:
+        table: PairCounts = reader(path, TEXT_VOCAB)
+    except ValueError as exc:
+        return str(exc)
+    return ([(word, list(row.items())) for word, row in table._rows.items()],
+            table.half_width, table.cross_sentences, table.vocab is TEXT_VOCAB)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_table_texts())
+def test_read_pair_counts_equals_the_per_line_reader(text):
+    """The reader returns the per-line reader's rows, in the same word and
+    key order, or refuses the text with the same message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_pair_counts, path) == read_outcome(reference_read_pair_counts,
+                                                                   path)
+
+
+def test_a_write_through_the_pair_view_drops_memoised_significance_rows():
+    freq = {"a": 10, "b": 10}
+    thresholds = SignificanceThresholds(1, 1)
+    counts = from_pairs({("a", "b"): 9}, freq, total_tokens=1000, half_width=1)
+    assert counts.significant_neighbors("a", thresholds) == [("b", (9 - 0.2) / 3)]
+    counts.pairs[("a", "b")] = 1
+    fresh = from_pairs({("a", "b"): 1}, freq, total_tokens=1000, half_width=1)
+    assert fresh.significant_neighbors("a", thresholds) == []
+    assert counts.significant_neighbors("a", thresholds) == []
+    assert counts.significant_neighbors("b", thresholds) == []
 
 
 def small_table(pairs):

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two checkouts, and the verdict on a gain.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload pipeline \\
+        --seed 59 --seconds 30 --pairs 10 --metric op_rel_time
+
+Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, from that checkout's root: the parent first in odd
+pairs, the change first in even ones. The script prints every run's
+end-to-end metrics and failed operations, then each side's median and
+quartiles and the change's wins per metric. A pair where the two runs read
+the same counts for neither side.
+
+The claim on ``--metric`` holds when the change wins at least nine tenths
+of the pairs and its median beats the parent's by more than the distance
+between the parent's quartiles. Quartiles are ``statistics.quantiles``
+with its default (exclusive) method, which on ten runs spreads them
+wider than the inclusive one. The exit status is 0 when the claim holds
+and 1 when it does not.
+
+The metric names and which way is better come from ``BENCHMARK.json`` in
+the change's checkout. The script edits neither checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+# A run must end within the benchmark's own 180-s limit; this only guards
+# against a hung process.
+RUN_TIMEOUT_S = 600
+
+
+class Verdict(NamedTuple):
+    wins: int
+    pairs: int
+    gap: float  # parent median less change median, positive when the change is better
+    spread: float  # parent's upper quartile less its lower quartile
+    holds: bool
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def verdict(parent: list[float], change: list[float], better: str = "lower") -> Verdict:
+    """Whether the change's runs beat the parent's, pair by pair, by the
+    rule in the module docstring. ``parent[i]`` and ``change[i]`` are pair
+    i's two runs."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need the same number of runs on each side, at least two")
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, parent_median, q3 = quartiles(parent)
+    gap = sign * (parent_median - statistics.median(change))
+    spread = q3 - q1
+    return Verdict(wins, len(parent), gap, spread, wins * 10 >= 9 * len(parent) and gap > spread)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run in ``checkout``: the JSON object the benchmark
+    prints as its last line."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(command)} in {checkout} exited with {done.returncode}")
+    return json.loads(lines[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
+    parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="op_rel_time", help="the metric of the claim")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.metric not in better:
+        parser.error(f"--metric must be one of {', '.join(better)}")
+    sides = {"parent": args.parent, "change": args.change}
+    values: dict[str, dict[str, list[float]]] = {s: {m: [] for m in better} for s in sides}
+    for pair in range(1, args.pairs + 1):
+        order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+        for side in order:
+            result = run_bench(sides[side], args.workload, args.seed, args.seconds)
+            for name in better:
+                values[side][name].append(result["metrics"][name]["value"])
+            shown = " ".join(f"{name}={result['metrics'][name]['value']:.6g}" for name in better)
+            print(f"pair {pair} {side}: {shown} failed={result['failed']} of "
+                  f"{result['attempted']}", flush=True)
+
+    for name, direction in better.items():
+        for side in sides:
+            q1, median, q3 = quartiles(values[side][name])
+            print(f"{name} {side}: median {median:.6g} quartiles {q1:.6g} {q3:.6g}")
+        v = verdict(values["parent"][name], values["change"][name], direction)
+        print(f"{name}: change better in {v.wins} of {v.pairs} pairs, median gap {v.gap:.6g}, "
+              f"parent quartile spread {v.spread:.6g}")
+    v = verdict(values["parent"][args.metric], values["change"][args.metric], better[args.metric])
+    print(f"claim on {args.workload} {args.metric}: {'holds' if v.holds else 'does not hold'}")
+    return 0 if v.holds else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
