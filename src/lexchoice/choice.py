@@ -10,6 +10,9 @@ training-frequency baseline.
 A ranking holds totals alone. The per-word breakdown of a total
 (``evidence_breakdown``) is derived again from the network and the sentence
 by the code that shows it, so a ranking keeps no map of a network's scores.
+
+A ``CandidateSet`` is read-only. Its members' tie order (higher training
+frequency first, then the smaller word) is fixed once, when it is made.
 """
 
 from __future__ import annotations
@@ -58,18 +61,22 @@ class GapSentence:
         blanked[gap_index] = Token(GAP, original.pos, original.sentence_id, is_stop=False)
         return cls(blanked, gap_index)
 
+    def _window(self, window: int | None) -> list[Token]:
+        """The tokens other than the gap, or those within ``window`` positions of it."""
+        tokens, gap = self.tokens, self.gap_index
+        if window is None:
+            return tokens[:gap] + tokens[gap + 1:]
+        check_evidence_window(window)
+        return tokens[max(0, gap - window):gap] + tokens[gap + 1:gap + 1 + window]
+
     def evidence_tokens(self, evidence_window: int | None = None) -> list[Token]:
         """Non-stop tokens usable as evidence, optionally only those within
         ``evidence_window`` positions of the gap."""
-        check_evidence_window(evidence_window)
-        tokens, gap = self.tokens, self.gap_index
-        if evidence_window is None:
-            before, after = tokens[:gap], tokens[gap + 1:]
-        else:
-            before = tokens[max(0, gap - evidence_window):gap]
-            after = tokens[gap + 1:gap + 1 + evidence_window]
-        return ([tok for tok in before if not tok.is_stop]
-                + [tok for tok in after if not tok.is_stop])
+        return [tok for tok in self._window(evidence_window) if not tok.is_stop]
+
+    def evidence_surfaces(self, evidence_window: int | None = None) -> list[str]:
+        """The surfaces of ``evidence_tokens``, picked in one pass."""
+        return [tok.surface for tok in self._window(evidence_window) if not tok.is_stop]
 
 
 @dataclass
@@ -86,14 +93,16 @@ class Candidate:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateSet:
     set_id: str
     pos_category: str
-    members: list[Candidate]
+    members: tuple[Candidate, ...]
 
     def __post_init__(self):
         _check_members(self.set_id, [m.word for m in self.members])
+        object.__setattr__(self, "members", tuple(
+            sorted(self.members, key=lambda m: (-m.training_freq, m.word))))
 
 
 @dataclass
@@ -102,10 +111,6 @@ class ChoiceScore:
 
     candidate: str
     total: float
-
-
-def _evidence_surfaces(sentence: GapSentence, evidence_window: int | None) -> list[str]:
-    return [tok.surface for tok in sentence.evidence_tokens(evidence_window)]
 
 
 def _total(net: CoocNetwork, surfaces: list[str]) -> float:
@@ -122,7 +127,7 @@ def evidence_breakdown(
     the words first occur."""
     scores = net.path_scores()
     per_word: dict[str, float] = {}
-    for surface in _evidence_surfaces(sentence, evidence_window):
+    for surface in sentence.evidence_surfaces(evidence_window):
         per_word[surface] = per_word.get(surface, 0.0) + scores.get(surface, 0.0)
     return per_word
 
@@ -146,15 +151,14 @@ def choose(
     candidate with the higher training frequency, then lexicographically, so
     the degenerate ranking reproduces the most-frequent-synonym baseline.
     """
-    return _rank(cands, _evidence_surfaces(sentence, evidence_window))
+    return _rank(cands, sentence.evidence_surfaces(evidence_window))
 
 
 def _rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore]:
     """Total ``surfaces`` against each candidate's network and rank as
-    ``choose`` does: the members in tie order, then one stable sort on the
-    totals, descending (``reverse`` keeps equal totals in tie order)."""
-    members = sorted(cands.members, key=lambda m: (-m.training_freq, m.word))
-    scores = [ChoiceScore(m.word, _total(m.network, surfaces)) for m in members]
+    ``choose`` does: the members, already in tie order, by one stable sort
+    on the totals, descending (``reverse`` keeps equal totals in tie order)."""
+    scores = [ChoiceScore(m.word, _total(m.network, surfaces)) for m in cands.members]
     scores.sort(key=attrgetter("total"), reverse=True)
     return scores
 
@@ -168,7 +172,7 @@ def parse_gap_sentence(
 
     Tokens are whitespace-separated ``surface/TAG`` items, split at the
     last slash, so ``a/b/NN`` has surface ``a/b``; a bare surface has an
-    empty tag, and an empty surface (``/NN``) is refused by ``Token``.
+    empty tag, and an empty surface (``/NN``) is refused as ``Token`` refuses it.
     Exactly one token must equal ``gap_marker``, and no other may have the
     placeholder ``GAP`` as its surface. Surfaces are lowercased, and every
     token has sentence id 0. A token whose tag is in ``stop_pos_tags`` is
@@ -177,6 +181,7 @@ def parse_gap_sentence(
     """
     tokens: list[Token] = []
     gap_index: int | None = None
+    new = Token.__new__
     for piece in text.split():
         if piece == gap_marker:
             if gap_index is not None:
@@ -187,9 +192,16 @@ def parse_gap_sentence(
         surface, slash, pos = piece.rpartition("/")
         if not slash:
             surface, pos = pos, ""
+        elif not surface:
+            raise ValueError("token surface must be non-empty")
         if surface == GAP:
             raise ValueError(f"token {piece!r} has the gap marker {GAP!r} as its surface")
-        tokens.append(Token(surface.lower(), pos, 0, pos in stop_pos_tags))
+        tok = new(Token)
+        tok.surface = surface.lower()
+        tok.pos = pos
+        tok.sentence_id = 0
+        tok.is_stop = pos in stop_pos_tags
+        tokens.append(tok)
     if gap_index is None:
         raise ValueError(f"sentence contains no gap marker {gap_marker!r}")
     return GapSentence(tokens, gap_index)

@@ -76,7 +76,9 @@ class Token:
     """One corpus position: its surface (non-empty, lowercased by the
     parsers), its tag, the sentence it belongs to, and its stop flag.
     Built positionally or by keyword; ``is_stop`` stays writable for the
-    stop policy."""
+    stop policy. ``choice.parse_gap_sentence``, on the per-query path, skips
+    the class call (``Token.__new__`` and four slot stores, no ``__init__``
+    frame) and refuses an empty surface itself, with this message."""
 
     surface: str
     pos: str

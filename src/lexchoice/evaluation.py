@@ -17,12 +17,12 @@ from itertools import groupby
 from operator import attrgetter
 
 from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
-                     _evidence_surfaces, _rank, check_evidence_window)
+                     _rank, check_evidence_window)
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary
 # ``build_network`` stays importable here for profilers that wrap
 # ``evaluation.build_network``; ``run_grid`` calls ``scoring_network``.
-from .network import NetworkCaps, build_network, scoring_network  # noqa: F401
+from .network import InvalidRootError, NetworkCaps, build_network, scoring_network  # noqa: F401
 
 # Critical value for one degree of freedom at the 5% level.
 CHI2_5PCT_CRITICAL = 3.841
@@ -118,8 +118,8 @@ def extract_instances(
 
 def baseline_choose(cands: CandidateSet) -> str:
     """The candidate most frequent in the training corpus (ties lexicographic):
-    ``choose``'s ranking when no word gives evidence."""
-    return _rank(cands, [])[0].candidate
+    ``choose``'s ranking when no word gives evidence: the set's first member."""
+    return cands.members[0].word
 
 
 def judge_instances(
@@ -134,7 +134,7 @@ def judge_instances(
     for inst in instances:
         surfaces = inst._evidence.get(evidence_window)
         if surfaces is None:
-            surfaces = _evidence_surfaces(inst.sentence, evidence_window)
+            surfaces = inst.sentence.evidence_surfaces(evidence_window)
             inst._evidence[evidence_window] = surfaces
         outcomes.append(InstanceOutcome(inst, _rank(cands, surfaces)))
     return outcomes
@@ -235,7 +235,9 @@ def run_grid(
 
     A window, an order or a set id listed twice is refused before any
     counting: the cells or the columns it names would be one. So is a
-    negative evidence window.
+    negative evidence window, and so is a member that cannot root a network
+    (``InvalidRootError``): one absent from training or counted more than F
+    times.
     """
     check_evidence_window(evidence_window)
     for name, values in (("windows", windows), ("orders", orders)):
@@ -247,6 +249,13 @@ def run_grid(
     repeated = [s for i, s in enumerate(set_ids) if s in set_ids[:i]]
     if repeated:
         raise ValueError(f"set ids must be distinct, got {repeated[0]!r} twice")
+    for sdef in set_defs:
+        for word in sdef.members:
+            count = train_vocab.freq.get(word, 0)
+            if count == 0 or train_vocab.is_frequency_stopped(word):
+                why = "absent from training" if count == 0 else "a stop word"
+                raise InvalidRootError(f"set {sdef.set_id!r}: member {word!r} is {why} "
+                                       f"(count {count}, F = {train_vocab.stop_threshold})")
     order_cells = grid_cells(windows, orders)
     if not order_cells:
         raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
@@ -274,7 +283,7 @@ def run_grid(
                     Candidate(
                         word=w,
                         network=scoring_network(w, counts, thresholds, order, caps),
-                        training_freq=train_vocab.freq.get(w, 0),
+                        training_freq=train_vocab.freq[w],
                     )
                     for w in sdef.members
                 ]

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -291,13 +293,15 @@ def test_parse_gap_sentence_matches_the_reference_parser(marker_and_pieces, stop
                st.one_of(st.sampled_from([None, 0, 1, len(toks), len(toks) + 3]),
                          st.integers(0, len(toks))))))
 def test_evidence_tokens_match_the_reference_loop(tokens_gap_window):
-    """The sliced evidence is the reference loop's, token for token: the gap
-    first, last or inside, stop flags anywhere (the gap's own included), and
-    windows of None, 0, 1 and beyond both ends."""
+    """The sliced evidence is the reference loop's, token for token and
+    surface for surface: the gap first, last or inside, stop flags anywhere
+    (the gap's own included), and windows of None, 0, 1 and beyond both
+    ends."""
     toks, gap, window = tokens_gap_window
     s = GapSentence([Token(w, "NN", 0, stop) for w, stop in toks], gap)
     got, want = s.evidence_tokens(window), reference_evidence_tokens(s, window)
     assert [id(tok) for tok in got] == [id(tok) for tok in want]
+    assert s.evidence_surfaces(window) == [tok.surface for tok in want]
 
 
 # Two t-scores and few words, so totals tie often; an empty map gives a
@@ -322,6 +326,29 @@ def test_rank_matches_the_reference_sort(members, evidence):
     s = sentence(evidence + ["g"], len(evidence))
     assert choose(cands, s) == reference_rank(
         cands, [tok.surface for tok in reference_evidence_tokens(s)])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(star_edges, st.integers(0, 2)), min_size=2, max_size=4),
+       st.lists(st.sampled_from(["u", "v", "w", "c0", "zz"]), max_size=6))
+def test_every_member_order_ranks_as_the_reference(drawn, evidence):
+    """The tie order is fixed when the set is made, so every permutation of
+    the same members ranks as the reference sort does, totals bit for bit."""
+    members = [Candidate(f"c{i}", evidence_network(f"c{i}", edges), freq)
+               for i, (edges, freq) in enumerate(drawn)]
+    want = reference_rank(CandidateSet("s", "NN", members), evidence)
+    for order in itertools.permutations(members):
+        cands = CandidateSet("s", "NN", list(order))
+        assert _rank(cands, evidence) == want == reference_rank(cands, evidence)
+
+
+def test_candidate_set_is_read_only():
+    cands = CandidateSet("s", "NN", [Candidate("a", root_only("a"), 1),
+                                     Candidate("b", root_only("b"), 2)])
+    assert [m.word for m in cands.members] == ["b", "a"]
+    for name, value in (("members", []), ("set_id", "t"), ("pos_category", "VB")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cands, name, value)
 
 
 def test_top_contributors_sorted():

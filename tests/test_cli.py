@@ -838,6 +838,29 @@ def test_evaluate_refuses_a_repeated_member_before_counting(tmp_path, capsys, mo
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize(
+    "members, max_freq, problem",
+    [
+        (["widget", "doohickey"], 800,
+         "set 'planted': member 'doohickey' is absent from training (count 0, F = 800)"),
+        (["widget", "gadget"], 100,
+         "set 'planted': member 'gadget' is a stop word (count 150, F = 100)"),
+    ],
+    ids=["absent", "stop-word"],
+)
+def test_evaluate_refuses_an_unusable_member_before_counting(tmp_path, capsys, monkeypatch,
+                                                             members, max_freq, problem):
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    cfg_path, _ = evaluate_config(
+        tmp_path, max_freq=max_freq, sets=[{"id": "planted", "pos": "NN", "members": members}])
+    code, stdout, err = run(["evaluate", "--config", str(cfg_path)], capsys)
+    assert (code, stdout, err) == (1, "", f"error: {problem}\n")
+    assert not (tmp_path / "report").exists()
+
+
 def config_line(report: str) -> str:
     return next(line for line in report.splitlines() if line.startswith("# config: "))
 

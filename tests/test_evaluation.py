@@ -24,7 +24,7 @@ from lexchoice.evaluation import (
     SetDefinition,
     summarize,
 )
-from lexchoice.network import CoocNetwork, NetworkCaps, build_network
+from lexchoice.network import CoocNetwork, InvalidRootError, NetworkCaps, build_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import grid_text, pair_key, tagged_text
@@ -298,6 +298,33 @@ def test_run_grid_refuses_repeats_before_counting(monkeypatch, set_ids, windows,
         run_grid(train, build_vocabulary(train), held, set_defs, windows, orders)
 
 
+@pytest.mark.parametrize(
+    "members, max_freq, problem",
+    [
+        (["widget", "doohickey"], 800,
+         "set 'planted': member 'doohickey' is absent from training (count 0, F = 800)"),
+        (["widget", "gadget"], 100,
+         "set 'planted': member 'gadget' is a stop word (count 150, F = 100)"),
+    ],
+    ids=["absent", "stop-word"],
+)
+def test_run_grid_refuses_an_unusable_member_before_counting(monkeypatch, members, max_freq,
+                                                             problem):
+    """A member with no network is refused by name, with its set, its
+    count and F, before the training stream is walked."""
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    pc = planted_corpus()
+    cfg = CorpusConfig(stop_threshold=max_freq)
+    train = ingest(pc.train_text, cfg)
+    held = ingest(pc.heldout_text, cfg)
+    sdef = SetDefinition("planted", "NN", members)
+    with pytest.raises(InvalidRootError, match=re.escape(problem)):
+        run_grid(train, build_vocabulary(train, cfg), held, [sdef], [4], [2])
+
+
 def test_run_grid_refuses_a_negative_evidence_window_before_counting(monkeypatch):
     def no_counting(*args):
         raise AssertionError("count_pairs called")
@@ -389,13 +416,13 @@ def test_run_grid_picks_each_instance_evidence_once(monkeypatch):
     held = ingest(pc.heldout_text, cfg)
     apply_stop_policy(held, vocab, cfg)
     picked = []
-    real_pick = GapSentence.evidence_tokens
+    real_pick = GapSentence.evidence_surfaces
 
     def counting_pick(sentence, evidence_window=None):
         picked.append(sentence)
         return real_pick(sentence, evidence_window)
 
-    monkeypatch.setattr(GapSentence, "evidence_tokens", counting_pick)
+    monkeypatch.setattr(GapSentence, "evidence_surfaces", counting_pick)
     cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], evidence_window=3)
     instances = cells[0].outcomes[pc.set_def.set_id]
     assert len(cells) == 6 and len(picked) == len(instances) > 1

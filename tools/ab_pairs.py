@@ -15,11 +15,19 @@ The claim on ``--metric`` holds when the change wins at least nine tenths
 of the pairs and its median beats the parent's by more than the distance
 between the parent's quartiles. Quartiles are ``statistics.quantiles``
 with its default (exclusive) method, which on ten runs spreads them
-wider than the inclusive one. The exit status is 0 when the claim holds
-and 1 when it does not.
+wider than the inclusive one.
 
-The metric names and which way is better come from ``BENCHMARK.json`` in
-the change's checkout. The script edits neither checkout.
+The script also flags a regression:
+- on any end-to-end metric, a change median worse than the parent's by
+  more than that metric's ``bound``, a share of the parent's median;
+- a larger share of failed operations on the change's side, over all its
+  runs;
+- any ``sha256`` artifact digest that differs between the two sides.
+
+The exit status is 0 when the claim holds and nothing is flagged, and 1
+otherwise. The metric names, which way is better and the bounds come from
+``BENCHMARK.json`` in the change's checkout. The script edits neither
+checkout.
 """
 
 from __future__ import annotations
@@ -65,9 +73,54 @@ def verdict(parent: list[float], change: list[float], better: str = "lower") -> 
     return Verdict(wins, len(parent), gap, spread, wins * 10 >= 9 * len(parent) and gap > spread)
 
 
+def regressed(parent: list[float], change: list[float], bound: float,
+              better: str = "lower") -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound``, a share of the parent's median."""
+    sign = 1 if better == "lower" else -1
+    parent_median = statistics.median(parent)
+    return sign * (statistics.median(change) - parent_median) > bound * abs(parent_median)
+
+
+def failed_share(runs: list[dict]) -> float:
+    """Failed operations over attempted ones, over all of ``runs``."""
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
+def digest_differences(parent: list[dict], change: list[dict]) -> list[str]:
+    """The artifact names whose ``sha256`` digests on one side are not those
+    on the other (a name one side lacks included), sorted."""
+    def seen(runs: list[dict], name: str) -> set:
+        return {r["digests"].get(name) for r in runs}
+
+    names = {name for r in parent + change for name in r["digests"]}
+    return sorted(name for name in names if seen(parent, name) != seen(change, name))
+
+
+def flags(parent: list[dict], change: list[dict], spec: dict) -> list[str]:
+    """Every regression rule of the module docstring that the runs break,
+    one line each; empty when none does."""
+    found = []
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        before = [r["metrics"][name]["value"] for r in parent]
+        after = [r["metrics"][name]["value"] for r in change]
+        if regressed(before, after, m["bound"], m["better"]):
+            found.append(f"{name}: change median {statistics.median(after):.6g} is worse than "
+                         f"the parent's {statistics.median(before):.6g} by more than "
+                         f"its bound {m['bound']:g}")
+    if failed_share(change) > failed_share(parent):
+        found.append(f"failed operations: change share {failed_share(change):.6g} is above "
+                     f"the parent's {failed_share(parent):.6g}")
+    for name in digest_differences(parent, change):
+        found.append(f"sha256 {name} differs between the parent and the change")
+    return found
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run in ``checkout``: the JSON object the benchmark
-    prints as its last line."""
+    prints as its last line, with the ``sha256`` lines it prints before it
+    as ``digests``."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True,
@@ -75,7 +128,10 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited with {done.returncode}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["digests"] = dict(line.removeprefix("sha256 ").rsplit(" ", 1)
+                             for line in lines if line.startswith("sha256 "))
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,17 +150,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.metric not in better:
         parser.error(f"--metric must be one of {', '.join(better)}")
     sides = {"parent": args.parent, "change": args.change}
-    values: dict[str, dict[str, list[float]]] = {s: {m: [] for m in better} for s in sides}
+    runs: dict[str, list[dict]] = {s: [] for s in sides}
     for pair in range(1, args.pairs + 1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
         for side in order:
             result = run_bench(sides[side], args.workload, args.seed, args.seconds)
-            for name in better:
-                values[side][name].append(result["metrics"][name]["value"])
+            runs[side].append(result)
             shown = " ".join(f"{name}={result['metrics'][name]['value']:.6g}" for name in better)
             print(f"pair {pair} {side}: {shown} failed={result['failed']} of "
                   f"{result['attempted']}", flush=True)
 
+    values = {side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in better}
+              for side in sides}
     for name, direction in better.items():
         for side in sides:
             q1, median, q3 = quartiles(values[side][name])
@@ -114,7 +171,10 @@ def main(argv: list[str] | None = None) -> int:
               f"parent quartile spread {v.spread:.6g}")
     v = verdict(values["parent"][args.metric], values["change"][args.metric], better[args.metric])
     print(f"claim on {args.workload} {args.metric}: {'holds' if v.holds else 'does not hold'}")
-    return 0 if v.holds else 1
+    found = flags(runs["parent"], runs["change"], spec)
+    for line in found:
+        print(f"regression: {line}")
+    return 0 if v.holds and not found else 1
 
 
 if __name__ == "__main__":
