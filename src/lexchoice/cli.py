@@ -103,7 +103,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_counts(counts_dir: str) -> cooc.PairCounts:
+def _load_counts(counts_dir: str, thresholds: cooc.SignificanceThresholds) -> cooc.PairCounts:
     base = Path(counts_dir)
     vocab_path = base / "vocab.tsv"
     pairs_path = base / "pairs.tsv"
@@ -111,7 +111,7 @@ def _load_counts(counts_dir: str) -> cooc.PairCounts:
         if not path.exists():
             raise CliError(f"counts artifact missing: {path}")
     vocab = corpus.read_vocabulary(vocab_path)
-    return cooc.read_pair_counts(pairs_path, vocab)
+    return cooc.read_pair_counts(pairs_path, vocab, thresholds)
 
 
 def _network_file_name(word: str) -> str:
@@ -132,7 +132,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         names[root] = _network_file_name(root)
     thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
     caps = network.NetworkCaps(args.max_nodes, args.max_edges)
-    counts = _load_counts(args.counts)
+    counts = _load_counts(args.counts, thresholds)
     out = Path(args.out)
     failed = False
     for root in names:
@@ -167,7 +167,8 @@ def cmd_choose(args: argparse.Namespace) -> int:
             raise CliError(f"no network file for candidate {word!r}: {path}")
         nets[word] = network.read_network(path)
     # Scores of networks from different tables or settings do not compare.
-    built = {w: {"N": n.total_tokens, "K": n.half_width, "ORDER": n.max_order,
+    built = {w: {"N": n.total_tokens, "K": n.half_width, "CROSS": int(n.cross_sentences),
+                 "F": n.stop_threshold, "ORDER": n.max_order,
                  "TMIN": n.thresholds and n.thresholds.t_min,
                  "MIMIN": n.thresholds and n.thresholds.mi_min} for w, n in nets.items()}
     for word in words[1:]:
@@ -181,11 +182,14 @@ def cmd_choose(args: argparse.Namespace) -> int:
         raise CliError(f"vocabulary file not found: {vocab_path}")
     vocab = corpus.read_vocabulary(vocab_path) if vocab_path.exists() else None
     # Another corpus's vocabulary would give the fallback and the stop rule
-    # the wrong frequencies.
-    total = nets[words[0]].total_tokens
-    if vocab is not None and vocab.total_tokens != total:
-        raise CliError(f"vocabulary {vocab_path} has N={vocab.total_tokens} but the networks "
-                       f"were built with N={total}")
+    # the wrong frequencies, and another F the wrong stop rule.
+    first = nets[words[0]]
+    if vocab is not None:
+        for key, have, want in (("N", vocab.total_tokens, first.total_tokens),
+                                ("F", vocab.stop_threshold, first.stop_threshold)):
+            if have != want:
+                raise CliError(f"vocabulary {vocab_path} has {key}={have} but the networks "
+                               f"were built with {key}={want}")
     freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
 
     sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker)

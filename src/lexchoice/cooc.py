@@ -40,7 +40,10 @@ count is below ``t_min**2`` can never pass the t test. A row is therefore
 cut to the entries whose count reaches ``t_min**2`` before it is sorted and
 scored. The floor sits a relative ``COUNT_FLOOR_MARGIN`` below ``t_min**2``:
 at f = ``t_min**2`` with a tiny E, the float t can round to exactly
-``t_min``, and such a pair passes.
+``t_min``, and such a pair passes. ``read_pair_counts`` given thresholds
+keeps only the pairs at or above their floor (a table out of the writer's
+order is read whole, then cut), and the table refuses what would need a
+pair below its ``floor``: thresholds with a lower one, a write, a count.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class SignificanceThresholds:
                 f"got t_min={self.t_min} mi_min={self.mi_min}"
             )
 
+    @property
+    def count_floor(self) -> float:
+        """The count below which no pair reaches ``t_min`` (module docstring)."""
+        return self.t_min * self.t_min * (1 - COUNT_FLOOR_MARGIN)
+
 
 class PairView(Mapping):
     """The pairs of a table as a mapping ``(w1, w2) -> count``, w1 < w2.
@@ -113,6 +121,8 @@ class PairView(Mapping):
         w1, w2 = key
         if not w1 < w2:
             raise ValueError(f"pair {w1!r} {w2!r} is out of order or a self-pair")
+        if count < self._table.floor:
+            raise ValueError(f"count {count} is below the table's count floor {self._table.floor}")
         for a, b in ((w1, w2), (w2, w1)):
             row = self._table.row(a)
             if row is None:
@@ -159,7 +169,8 @@ class PairCounts:
     """Joint pair counts plus the vocabulary they were counted with.
 
     ``row(a)[b]`` is the joint count of ``a`` and ``b``, stored in both
-    words' rows; a word with no partner has no row. Until its first read, a
+    words' rows; a word with no partner has no row. A table read with a
+    count ``floor`` holds only the counts at or above it. Until its first read, a
     word's entry in ``_rows`` holds its occurrences instead of a row: its
     list in the occurrence record ``_record``, which only tables made by
     ``count_pairs`` or ``at_half_width`` have. ``rows`` counts every row
@@ -179,6 +190,7 @@ class PairCounts:
     _significant: dict[tuple[str, SignificanceThresholds], list[tuple[str, float]]] = field(
         default_factory=dict, repr=False
     )
+    floor: float = 0.0
 
     def row(self, word: str) -> dict[str, int] | None:
         """``word``'s row, ``{other: joint count}``, or None if it has no
@@ -228,7 +240,8 @@ class PairCounts:
 
     @property
     def rows(self) -> dict[str, dict[str, int]]:
-        """Every row, ``word -> {other: joint count}``, each counted."""
+        """Every row, ``word -> {other: joint count}``, each counted; only
+        counts at or above ``floor``."""
         for word in [word for word, row in self._rows.items() if row.__class__ is list]:
             self.row(word)
         return self._rows
@@ -242,7 +255,7 @@ class PairCounts:
         return 0 if row is None else row.get(w2, 0)
 
     def neighbors(self, word: str) -> list[str]:
-        """Words that co-occurred with ``word`` at least once, sorted."""
+        """Words that co-occurred with ``word`` at least ``floor`` times, sorted."""
         return sorted(self.row(word) or ())
 
     def significant_neighbors(
@@ -257,7 +270,8 @@ class PairCounts:
         MI = log2(f / E); the pair is kept when t >= t_min and MI >= mi_min.
         Only entries at or above the count floor (module docstring) are
         sorted and scored. Computed once per word and thresholds, then
-        memoised on the table.
+        memoised on the table; thresholds whose floor is below the table's
+        are refused.
         """
         key = (word, thresholds)
         row = self._significant.get(key)
@@ -267,7 +281,9 @@ class PairCounts:
         scaled_fx = freq.get(word, 0) * 2 * self.half_width
         total = self.vocab.total_tokens
         t_min, mi_min = thresholds.t_min, thresholds.mi_min
-        floor = t_min * t_min * (1 - COUNT_FLOOR_MARGIN)
+        floor = thresholds.count_floor
+        if floor < self.floor:
+            raise ValueError(f"t_min {t_min} needs counts below the table's floor {self.floor}")
         counts = self.row(word) or {}
         row = []
         for other in sorted(other for other, f_xy in counts.items() if f_xy >= floor):
@@ -317,6 +333,8 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
 def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     """Write the table's header and its pair rows, one per pair with
     w1 < w2 in sorted order, and return how many pair rows it wrote."""
+    if counts.floor:
+        raise ValueError(f"a table cut at count floor {counts.floor} cannot be written")
     lines = [
         f"N={counts.vocab.total_tokens}",
         f"K={counts.half_width}",
@@ -365,63 +383,30 @@ def _read_pair_header(line: str, header: dict[str, int], after_rows: bool) -> st
     return None
 
 
-def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
+def read_pair_counts(path: str | Path, vocab: Vocabulary,
+                     thresholds: SignificanceThresholds | None = None) -> PairCounts:
     """Read a pair table written by ``write_pair_counts``, checked against
     the vocabulary it was counted with: same N, same F, and every pair word
     in it (the significance statistics divide by its frequency). Each row
     must be a pair the writer can write: its words in sorted order and
     distinct, its count at least 1, and no pair twice. The header lines
     come first, each key at most once with an integer value: N and K, and
-    optionally F and CROSS; K and F are at least 1 and CROSS is 0 or 1."""
+    optionally F and CROSS; K and F are at least 1 and CROSS is 0 or 1.
+
+    Given ``thresholds``, every line is still checked, but only the pairs at
+    or above their count floor are kept. Pairs in the writer's order, each
+    after the one before, cannot repeat; at the first that is not, the text
+    is read whole, then cut to the floor."""
     path = Path(path)
-    header: dict[str, int] = {}
-    rows: dict[str, dict[str, int]] = {}
-    # Each pair word maps to the vocabulary's own key object, so the rows
-    # hold no second copy of a word and lookups between them match by
-    # identity. The writer's rows come in runs that share w1, so w1's key
-    # and row are looked up once per run; a table in any other order is
-    # read the same, only with more runs.
-    keys = {word: word for word in vocab.freq}
-    run = a = row = None
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            w1, w2, count = line.split("\t")
-            n = int(count)
-        except ValueError:
-            if "=" in line and "\t" not in line:
-                problem = _read_pair_header(line, header, bool(rows))
-                if problem is None:
-                    continue
-            elif not line.strip():
-                continue
-            else:
-                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
-        else:
-            if w1 != run:
-                run = w1
-                a = keys.get(w1)
-                row = rows.get(a)
-                if row is None and a is not None:
-                    # Filled by this line, or the read fails on it.
-                    row = rows[a] = {}
-            b = keys.get(w2)
-            if w1 < w2 and n > 0 and a is not None and b is not None and b not in row:
-                row[b] = n
-                other = rows.get(b)
-                if other is None:
-                    rows[b] = {a: n}
-                else:
-                    other[a] = n
-                continue
-            if w1 >= w2:
-                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
-            elif n < 1:
-                problem = f"count {n} is below 1"
-            elif a is None or b is None:
-                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
-            else:
-                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
-        raise ValueError(f"{path}: line {line_no}: {problem}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    floor = 0.0 if thresholds is None else thresholds.count_floor
+    read = _read_pair_lines(path, lines, vocab, floor)
+    if read is None:  # not in the writer's order
+        header, rows = _read_pair_lines(path, lines, vocab, 0.0)
+        rows = {word: cut for word, row in rows.items()
+                if (cut := {other: n for other, n in row.items() if n >= floor})}
+    else:
+        header, rows = read
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
     total = header["N"]
@@ -436,4 +421,65 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
             f"{path}: pair counts were taken with F={threshold} "
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
-    return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)))
+    return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)), floor=floor)
+
+
+def _read_pair_lines(path: Path, lines: list[str], vocab: Vocabulary, floor: float
+                     ) -> tuple[dict[str, int], dict[str, dict[str, int]]] | None:
+    """A pair table's header and its rows of counts at or above ``floor``;
+    None if ``floor`` is above 0 and a pair does not sort after the one before."""
+    header: dict[str, int] = {}
+    rows: dict[str, dict[str, int]] = {}
+    # Each pair word maps to the vocabulary's own key object, so the rows
+    # hold no second copy of a word and lookups between them match by
+    # identity. The writer's rows come in runs that share w1, so w1's key
+    # and row are looked up once per run; a table in any other order is
+    # read whole the same way, only with more runs.
+    keys = {word: word for word in vocab.freq}
+    run = a = row = last = None
+    for line_no, line in enumerate(lines, 1):
+        try:
+            w1, w2, count = line.split("\t")
+            n = int(count)
+        except ValueError:
+            if "=" in line and "\t" not in line:
+                problem = _read_pair_header(line, header, run is not None)
+                if problem is None:
+                    continue
+            elif not line.strip():
+                continue
+            else:
+                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
+        else:
+            if w1 != run:
+                if floor and run is not None and w1 < run:
+                    return None
+                run = w1
+                a = keys.get(w1)
+                row = rows.get(a)
+            elif w2 <= last and floor:
+                return None
+            last = w2
+            b = keys.get(w2)
+            if (w1 < w2 and n > 0 and a is not None and b is not None
+                    and (row is None or b not in row)):
+                if n >= floor:
+                    if row is None:
+                        row = rows[a] = {}
+                    row[b] = n
+                    other = rows.get(b)
+                    if other is None:
+                        rows[b] = {a: n}
+                    else:
+                        other[a] = n
+                continue
+            if w1 >= w2:
+                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
+            elif n < 1:
+                problem = f"count {n} is below 1"
+            elif a is None or b is None:
+                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
+            else:
+                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+        raise ValueError(f"{path}: line {line_no}: {problem}")
+    return header, rows

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .cooc import PairCounts, SignificanceThresholds
+from .corpus import DEFAULT_STOP_THRESHOLD
 from .ioutil import atomic_write_text
 
 # Edge weights are stored at this precision so the text format round-trips.
@@ -82,15 +83,19 @@ class CoocNetwork:
     half_width: int
     thresholds: SignificanceThresholds | None = None
     truncated: str | None = None
+    cross_sentences: bool = False
+    stop_threshold: int = DEFAULT_STOP_THRESHOLD
 
     def __post_init__(self):
-        """Check K, N, the depths and edges, then score every node in one DP sweep
+        """Check K, N, F, the depths and edges, then score every node in one DP sweep
         by (depth, word) that is also the check that each non-root node has
         a parent edge. Only parent edges can lie on a shortest path. They are
         tried in sorted order and only a strictly larger sum replaces the
         held one, so ties go to the lexicographically smallest predecessor."""
         if self.half_width < 1 or self.total_tokens < 1:
             raise ValueError(f"network K {self.half_width} and N {self.total_tokens} must be >= 1")
+        if self.stop_threshold < 1:
+            raise ValueError(f"network F {self.stop_threshold} must be >= 1")
         depths = self.depths
         if depths.get(self.root) != 0:
             raise ValueError("network root must be present at depth 0")
@@ -240,6 +245,8 @@ def build_network(
         half_width=counts.half_width,
         thresholds=thresholds,
         truncated=",".join(truncated) or None,
+        cross_sentences=counts.cross_sentences,
+        stop_threshold=counts.vocab.stop_threshold,
     )
 
 
@@ -280,6 +287,8 @@ def scoring_network(
         half_width=counts.half_width,
         thresholds=thresholds,
         truncated=",".join(truncated) or None,
+        cross_sentences=counts.cross_sentences,
+        stop_threshold=counts.vocab.stop_threshold,
     )
 
 
@@ -338,13 +347,18 @@ def significance(net: CoocNetwork, word: str) -> SigScore:
 
 
 def write_network(net: CoocNetwork, path: str | Path) -> None:
-    """Deterministic text serialization: nodes by (depth, word), edges by key."""
+    """Deterministic text serialization: nodes by (depth, word), edges by key.
+    ``CROSS 1`` and ``F n`` are written only when they are not the defaults."""
     lines = [
         f"ROOT {net.root}",
         f"ORDER {net.max_order}",
         f"N {net.total_tokens}",
         f"K {net.half_width}",
     ]
+    if net.cross_sentences:
+        lines.append("CROSS 1")
+    if net.stop_threshold != DEFAULT_STOP_THRESHOLD:
+        lines.append(f"F {net.stop_threshold}")
     if net.thresholds is not None:
         lines.append(f"TMIN {net.thresholds.t_min}")
         lines.append(f"MIMIN {net.thresholds.mi_min}")
@@ -357,8 +371,14 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _zero_or_one(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
 # Header kinds of a .net file, each parsing its one value.
-_HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int,
+_HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int, "CROSS": _zero_or_one, "F": int,
                  "TMIN": float, "MIMIN": float, "TRUNCATED": str}
 
 
@@ -367,7 +387,8 @@ def read_network(path: str | Path) -> CoocNetwork:
     no known kind, or a second line for the same header kind, NODE word or
     EDGE key raises ValueError naming the file and line; a network that
     fails validation, or has only one of TMIN and MIMIN, raises one naming
-    the file."""
+    the file. A missing CROSS reads as 0 and a missing F as
+    ``DEFAULT_STOP_THRESHOLD``."""
     path = Path(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
@@ -422,6 +443,8 @@ def read_network(path: str | Path) -> CoocNetwork:
             half_width=header["K"],
             thresholds=thresholds,
             truncated=header.get("TRUNCATED"),
+            cross_sentences=header.get("CROSS", False),
+            stop_threshold=header.get("F", DEFAULT_STOP_THRESHOLD),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

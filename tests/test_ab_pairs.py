@@ -131,3 +131,24 @@ def test_main_exits_1_when_a_flag_fires_though_the_claim_holds(tmp_path, monkeyp
     out = capsys.readouterr().out
     assert "claim on w op_rel_time: holds" in out
     assert ("regression: sha256 a.tsv differs" in out) == bool(status)
+
+
+@pytest.mark.parametrize("change_digest, status", [("aa", 0), ("aX", 1)])
+def test_metric_none_exits_on_the_regression_lines_alone(tmp_path, monkeypatch, capsys,
+                                                         change_digest, status):
+    """With ``--metric none`` equal sides, which no claim could win, exit 0,
+    and only a flag makes the status 1."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+
+    def fake_bench(checkout, workload, seed, seconds):
+        if checkout == tmp_path / "parent":
+            return run()
+        return run(digests={"a.tsv": change_digest})
+
+    monkeypatch.setattr(ab_pairs, "run_bench", fake_bench)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path), "--workload", "w",
+            "--seed", "1", "--seconds", "1", "--pairs", "5", "--metric", "none"]
+    assert ab_pairs.main(argv) == status
+    out = capsys.readouterr().out
+    assert "claim on" not in out
+    assert ("regression: sha256 a.tsv differs" in out) == bool(status)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -328,18 +329,22 @@ def test_choose_stop_only_sentence_falls_back(fixture_stats, capsys):
 def test_choose_treats_a_frequency_stopped_word_as_no_evidence(fixture_stats, capsys):
     """c, the sentence's only word its tag does not stop, is evidence for r
     under the training F = 800; under a vocabulary whose F = 19 its 20
-    occurrences make it a stop word, and the choice falls back."""
+    occurrences make it a stop word, and the choice falls back. The networks
+    are the same but for the F they carry, which must be the vocabulary's."""
     tmp_path, counts_dir = fixture_stats
-    nets = tmp_path / "nets"
+    nets, low_f_nets = tmp_path / "nets", tmp_path / "low-f-nets"
     assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
                 "--order", "2", "--out", str(nets)], capsys)[0] == 0
+    for root in ("r", "b"):
+        net = read_network(nets / f"{root}.net")
+        write_network(dataclasses.replace(net, stop_threshold=19), low_f_nets / f"{root}.net")
     low_f = tmp_path / "low-f.tsv"
     low_f.write_text((counts_dir / "vocab.tsv").read_text().replace("\nF=800\n", "\nF=19\n", 1))
-    argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
-            "--sentence", "c/NN ____ 1989/CD"]
-    code, stdout, _ = run(argv + ["--vocab", str(counts_dir / "vocab.tsv")], capsys)
+    argv = ["choose", "--candidates", "r,b", "--sentence", "c/NN ____ 1989/CD"]
+    code, stdout, _ = run(argv + ["--networks", str(nets), "--vocab",
+                                  str(counts_dir / "vocab.tsv")], capsys)
     assert code == 0 and "evidence: c=" in stdout and "baseline fallback" not in stdout
-    code, stdout, _ = run(argv + ["--vocab", str(low_f)], capsys)
+    code, stdout, _ = run(argv + ["--networks", str(low_f_nets), "--vocab", str(low_f)], capsys)
     assert code == 0
     assert stdout.splitlines() == ["1. r  total=0.000000", "2. b  total=0.000000",
                                    "winner: r (baseline fallback: most frequent candidate)"]
@@ -483,17 +488,21 @@ def test_choose_json_output(fixture_stats, capsys):
         ("k4", ["--order", "2"], "ORDER 1 vs 2"),
         ("k4", ["--t-min", "1.0"], "TMIN 2.0 vs 1.0"),
         ("k4", ["--mi-min", "1.5"], "MIMIN 2.0 vs 1.5"),
+        ("cross", [], "CROSS 0 vs 1"),
+        ("f900", [], "F 800 vs 900"),
     ],
-    ids=["window", "tokens", "order", "t-min", "mi-min"],
+    ids=["window", "tokens", "order", "t-min", "mi-min", "cross-sentences", "stop-threshold"],
 )
 def test_choose_refuses_candidates_built_differently(tmp_path, capsys, table, flags, field):
     pc = planted_corpus()
-    corpora = {"k4": (pc.train_text, "4"), "k10": (pc.train_text, "10"),
-               "twice": (pc.train_text * 2, "4")}
+    corpora = {"k4": (pc.train_text, ["--window", "4"]), "k10": (pc.train_text, ["--window", "10"]),
+               "twice": (pc.train_text * 2, ["--window", "4"]),
+               "cross": (pc.train_text, ["--window", "4", "--cross-sentences"]),
+               "f900": (pc.train_text, ["--window", "4", "--max-freq", "900"])}
     for name in dict.fromkeys(["k4", table]):
-        text, window = corpora[name]
+        text, stats_flags = corpora[name]
         (tmp_path / f"{name}.tag").write_text(text)
-        assert run(["stats", "--corpus", str(tmp_path / f"{name}.tag"), "--window", window,
+        assert run(["stats", "--corpus", str(tmp_path / f"{name}.tag"), *stats_flags,
                     "--out", str(tmp_path / name)], capsys)[0] == 0
     nets = tmp_path / "nets"
     assert run(["build", "--counts", str(tmp_path / "k4"), "--root", "widget",
@@ -534,6 +543,64 @@ def test_choose_refuses_a_vocabulary_from_another_corpus(tmp_path, capsys):
     assert run(choose_argv, capsys)[0] == 0
 
 
+def test_choose_refuses_a_vocabulary_with_another_stop_threshold(tmp_path, capsys):
+    """Networks from an F = 900 table are refused with the same corpus's
+    F = 800 vocabulary, and ranked with its F = 900 one."""
+    pc = planted_corpus()
+    (tmp_path / "train.tag").write_text(pc.train_text)
+    for max_freq in ("800", "900"):
+        assert run(["stats", "--corpus", str(tmp_path / "train.tag"), "--max-freq", max_freq,
+                    "--out", str(tmp_path / max_freq)], capsys)[0] == 0
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(tmp_path / "900"), "--root", "widget", "--root",
+                "gadget", "--order", "1", "--out", str(nets)], capsys)[0] == 0
+    assert "F 900\n" in (nets / "widget.net").read_text()
+    argv = ["choose", "--networks", str(nets), "--candidates", "widget,gadget",
+            "--sentence", "factory/NN ____", "--vocab"]
+    other = tmp_path / "800" / "vocab.tsv"
+    assert run(argv + [str(other)], capsys) == (
+        1, "", f"error: vocabulary {other} has F=800 but the networks were built with F=900\n")
+    assert run(argv + [str(tmp_path / "900" / "vocab.tsv")], capsys)[0] == 0
+
+
+def test_build_reads_a_table_in_any_order_to_the_same_networks(tmp_path, capsys):
+    """``build`` keeps only the pairs its thresholds can admit; on the
+    writer's table, the same rows shuffled and a table with one w1 run split
+    in two it writes the same .net bytes and prints the same lines."""
+    pc = planted_corpus()
+    (tmp_path / "train.tag").write_text(pc.train_text)
+    counts = tmp_path / "counts"
+    assert run(["stats", "--corpus", str(tmp_path / "train.tag"), "--out", str(counts)],
+               capsys)[0] == 0
+    lines = (counts / "pairs.tsv").read_text().splitlines()
+    header, rows = lines[:4], lines[4:]
+    runs = [i for i in range(1, len(rows)) if rows[i].split("\t")[0] == rows[i - 1].split("\t")[0]]
+    split = rows[:runs[0]] + rows[runs[0] + 1:] + [rows[runs[0]]]
+    shuffled = rows[::2] + rows[1::2]
+    roots = ["widget", "gadget", pc.anchor, pc.bridge]
+    outputs = []
+    for name, table in (("writer", rows), ("split", split), ("shuffled", shuffled)):
+        (counts / "pairs.tsv").write_text("\n".join(header + table) + "\n")
+        code, stdout, err = run(["build", "--counts", str(counts), "--order", "3",
+                                 *[f"--root={root}" for root in roots],
+                                 "--out", str(tmp_path / name)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append((stdout, [(tmp_path / name / f"{root}.net").read_bytes() for root in roots]))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "edges=0" not in outputs[0][0]
+
+
+def test_build_with_a_floor_no_count_reaches_writes_root_only_networks(fixture_stats, capsys):
+    """t_min = 1e200 makes the count floor infinite: no pair is kept and
+    every network is its root alone."""
+    tmp_path, counts_dir = fixture_stats
+    out = tmp_path / "nets"
+    code, stdout, err = run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "a",
+                             "--t-min", "1e200", "--out", str(out)], capsys)
+    assert (code, stdout, err) == (0, "r: nodes=1 edges=0\na: nodes=1 edges=0\n", "")
+    assert read_network(out / "r.net").depths == {"r": 0}
+
+
 def run_quietly(argv):
     """``main(argv)`` with its output captured, for use under hypothesis."""
     out, err = io.StringIO(), io.StringIO()
@@ -551,7 +618,8 @@ repeating_sentences = tagged_sentences_of(
 @settings(max_examples=100, deadline=None)
 @given(repeating_sentences, st.sampled_from(["slash", "tsv"]),
        st.one_of(st.just(800), st.integers(1, 8)), st.one_of(st.just(1), st.integers(1, 12)),
-       st.booleans(), st.sampled_from([(0.5, -1.0), (1.0, 0.0), (1.0, 1.0)]),
+       st.booleans(), st.sampled_from([(0.5, -1.0), (1.0, 0.0), (1.0, 1.0), (1.5, 0.0),
+                                       (2.0, -1.0)]),
        st.integers(0, 3), st.integers(1, 3))
 def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, thresholds, max_edges,
                                        choose_order):
@@ -588,7 +656,9 @@ def test_stats_build_choose_round_trip(sents, fmt, max_freq, k, cross, threshold
                                                 "--out", str(out)])[0] == 0
                 built[order, cap] = {w: build_network(w, counts, sig, order, caps) for w in named}
                 for root in named:
-                    assert read_network(out / f"{root}.net") == built[order, cap][root]
+                    net = read_network(out / f"{root}.net")
+                    assert net == built[order, cap][root]
+                    assert (net.cross_sentences, net.stop_threshold) == (cross, max_freq)
 
         before = sorted(tmp.rglob("*"))
         for root in roots:

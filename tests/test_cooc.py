@@ -601,6 +601,98 @@ def test_read_pair_counts_equals_the_per_line_reader(text):
                                                                    path)
 
 
+FLOOR_T_MINS = [0.5, 1.0, 1.5, 2.0, 3.0, 1e200]
+
+
+def cut_rows(table: PairCounts, floor: float) -> dict[str, dict[str, int]]:
+    """The table's rows cut to the counts at or above ``floor``, empty rows dropped."""
+    rows = {word: {other: n for other, n in row.items() if n >= floor}
+            for word, row in table.rows.items()}
+    return {word: row for word, row in rows.items() if row}
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair_table_texts(), st.sampled_from(FLOOR_T_MINS), st.sampled_from([-1.0, 0.0, 1.0]))
+def test_a_read_with_thresholds_is_the_whole_read_cut_to_the_floor(text, t_min, mi_min):
+    """Given thresholds, the reader refuses a text with the whole read's
+    message, or returns the whole table's rows cut to the count floor, its
+    settings and floor; its significant neighbours are the whole table's."""
+    thresholds = SignificanceThresholds(t_min, mi_min)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            whole = read_pair_counts(path, TEXT_VOCAB)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                read_pair_counts(path, TEXT_VOCAB, thresholds)
+            assert str(refused.value) == str(exc)
+            return
+        cut = read_pair_counts(path, TEXT_VOCAB, thresholds)
+    assert cut.floor == thresholds.count_floor
+    assert cut.rows == cut_rows(whole, cut.floor)
+    assert (cut.vocab, cut.half_width, cut.cross_sentences) == (
+        TEXT_VOCAB, whole.half_width, whole.cross_sentences)
+    for word in TEXT_VOCAB.freq:
+        assert cut.significant_neighbors(word, thresholds) == whole.significant_neighbors(
+            word, thresholds)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "split"])
+def test_a_read_with_thresholds_keeps_only_the_pairs_at_the_floor(tmp_path, order):
+    """In the writer's order or not, the default floor of 4 keeps the two
+    pairs counted 4 and 9 times and drops the rest, in both words' rows."""
+    rows = [("ant", "bee", "9"), ("ant", "cat", "3"), ("ant", "dog", "1"), ("bee", "cat", "4"),
+            ("bee", "eel", "2")]
+    if order == "shuffled":
+        rows = rows[::-1]
+    elif order == "split":
+        rows = rows[1:3] + rows[3:] + rows[:1]
+    path = tmp_path / "pairs.tsv"
+    path.write_text("\n".join(["N=15", "K=4", *("\t".join(row) for row in rows)]) + "\n")
+    counts = read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds())
+    assert counts.rows == {"ant": {"bee": 9}, "bee": {"ant": 9, "cat": 4}, "cat": {"bee": 4}}
+    assert counts.neighbors("cat") == ["bee"] and counts.get("ant", "cat") == 0
+    assert counts.floor == 4 * (1 - cooc.COUNT_FLOOR_MARGIN)
+
+
+@pytest.mark.parametrize("rows, line_no, problem", [
+    (["ant\tbee\t1", "K=4"], 4, "header line K= after the first pair row"),
+    (["ant\tbee\t1", "ant\tbee\t1"], 4, "pair 'ant' 'bee' repeats an earlier row"),
+    (["ant\tcat\t1", "ant\tbee\t9", "ant\tcat\t1"], 5, "pair 'ant' 'cat' repeats an earlier row"),
+    (["ant\tbee\t1", "bee\tcat\t1", "ant\tbee\t1"], 5, "pair 'ant' 'bee' repeats an earlier row"),
+    (["ant\tbee\t1", "ant\tzz\t1"], 4, "pair word 'zz' is not in the vocabulary"),
+])
+def test_a_read_with_thresholds_checks_the_pairs_it_drops(tmp_path, rows, line_no, problem):
+    """A pair below the floor still counts as the first pair row, still
+    catches a repeat, in the writer's order or out of it, and is still checked."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text("\n".join(["N=15", "K=3", *rows]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
+        read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds())
+
+
+def test_a_table_with_a_count_floor_refuses_what_needs_a_pair_below_it(tmp_path):
+    """Thresholds with a lower floor, a write of the table and a count
+    below the floor are refused; thresholds with the same or a higher floor
+    are served."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text("N=15\nK=4\nant\tbee\t9\nant\tcat\t3\n")
+    counts = read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds(2.0, 2.0))
+    floor = counts.floor
+    with pytest.raises(ValueError, match=f"^t_min 1.5 needs counts below the table's floor {floor}$"):
+        counts.significant_neighbors("ant", SignificanceThresholds(1.5, 2.0))
+    for thresholds in (SignificanceThresholds(2.0, -1.0), SignificanceThresholds(3.0, 2.0)):
+        counts.significant_neighbors("ant", thresholds)
+    with pytest.raises(ValueError, match=f"^a table cut at count floor {floor} cannot be written$"):
+        write_pair_counts(counts, tmp_path / "out.tsv")
+    assert not (tmp_path / "out.tsv").exists()
+    with pytest.raises(ValueError, match=f"^count 3 is below the table's count floor {floor}$"):
+        counts.pairs[("ant", "cat")] = 3
+    counts.pairs[("ant", "cat")] = 4
+    assert counts.rows == {"ant": {"bee": 9, "cat": 4}, "bee": {"ant": 9}, "cat": {"ant": 4}}
+
+
 def test_a_write_through_the_pair_view_drops_memoised_significance_rows():
     freq = {"a": 10, "b": 10}
     thresholds = SignificanceThresholds(1, 1)

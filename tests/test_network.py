@@ -475,6 +475,31 @@ def test_serialized_header_fields(tmp_path):
     assert lines[3] == "K 4"
 
 
+def test_sentence_setting_and_stop_threshold_travel_with_the_network(tmp_path):
+    """A network carries its table's sentence setting and F. The file
+    names them only when they are not the defaults, so a default network's
+    header is unchanged; a file without them reads as the defaults."""
+    pairs = {("a", "r"): 20}
+    freq = {"r": 50, "a": 50}
+    default = build_network("r", from_pairs(pairs, freq, 10_000, 4), max_order=1)
+    other = build_network("r", from_pairs(pairs, freq, 10_000, 4, cross_sentences=True,
+                                          stop_threshold=900), max_order=1)
+    assert (default.cross_sentences, default.stop_threshold) == (False, 800)
+    assert (other.cross_sentences, other.stop_threshold) == (True, 900)
+    for name, net, extra in (("default", default, []), ("other", other, ["CROSS 1", "F 900"])):
+        write_network(net, tmp_path / f"{name}.net")
+        lines = (tmp_path / f"{name}.net").read_text().splitlines()
+        assert lines[:lines.index("NODE r 0")] == ["ROOT r", "ORDER 1", "N 10000", "K 4", *extra,
+                                                   "TMIN 2.0", "MIMIN 2.0"]
+        assert read_network(tmp_path / f"{name}.net") == net
+    path = tmp_path / "other.net"
+    for new, problem in (("CROSS 2", "line 5: malformed CROSS line 'CROSS 2'"),
+                         ("F 0", "network F 0 must be >= 1")):
+        path.write_text((tmp_path / "default.net").read_text().replace("K 4\n", f"K 4\n{new}\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+            read_network(path)
+
+
 def test_truncation_flag_survives_roundtrip(tmp_path):
     counts = significant_counts([("r", "a"), ("r", "b"), ("r", "c")])
     net = build_network("r", counts, caps=NetworkCaps(max_nodes=2, max_edges=10), max_order=1)

@@ -25,7 +25,9 @@ The script also flags a regression:
 - any ``sha256`` artifact digest that differs between the two sides.
 
 The exit status is 0 when the claim holds and nothing is flagged, and 1
-otherwise. The metric names, which way is better and the bounds come from
+otherwise. ``--metric none`` claims nothing: a run that only checks for
+regressions then exits 0 unless a ``regression:`` line is printed. The
+metric names, which way is better and the bounds come from
 ``BENCHMARK.json`` in the change's checkout. The script edits neither
 checkout.
 """
@@ -142,13 +144,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metric", default="op_rel_time", help="the metric of the claim")
+    parser.add_argument("--metric", default="op_rel_time",
+                        help="the metric of the claim, or 'none' to claim nothing")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    if args.metric not in better:
-        parser.error(f"--metric must be one of {', '.join(better)}")
+    if args.metric not in better and args.metric != "none":
+        parser.error(f"--metric must be one of {', '.join(better)} or none")
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {s: [] for s in sides}
     for pair in range(1, args.pairs + 1):
@@ -169,12 +172,16 @@ def main(argv: list[str] | None = None) -> int:
         v = verdict(values["parent"][name], values["change"][name], direction)
         print(f"{name}: change better in {v.wins} of {v.pairs} pairs, median gap {v.gap:.6g}, "
               f"parent quartile spread {v.spread:.6g}")
-    v = verdict(values["parent"][args.metric], values["change"][args.metric], better[args.metric])
-    print(f"claim on {args.workload} {args.metric}: {'holds' if v.holds else 'does not hold'}")
+    holds = True
+    if args.metric != "none":
+        v = verdict(values["parent"][args.metric], values["change"][args.metric],
+                    better[args.metric])
+        holds = v.holds
+        print(f"claim on {args.workload} {args.metric}: {'holds' if holds else 'does not hold'}")
     found = flags(runs["parent"], runs["change"], spec)
     for line in found:
         print(f"regression: {line}")
-    return 0 if v.holds and not found else 1
+    return 0 if holds and not found else 1
 
 
 if __name__ == "__main__":
