@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from operator import add, attrgetter
 
 from .corpus import DEFAULT_STOP_TAGS, GAP, Token
@@ -115,8 +114,11 @@ class ChoiceScore:
 
 def _total(net: CoocNetwork, surfaces: list[str]) -> float:
     """The network's path scores over ``surfaces``, added left to right from
-    0.0 (``sum`` may add them otherwise, with other rounding)."""
-    return reduce(add, map(net.path_scores().get, surfaces, repeat(0.0)), 0.0)
+    0.0 (``sum`` may add them otherwise, with other rounding). Only the
+    surfaces with a score are read: the others would add exactly +0.0 to a
+    sum that is never negative."""
+    scores = net.path_scores()
+    return reduce(add, map(scores.__getitem__, filter(scores.__contains__, surfaces)), 0.0)
 
 
 def evidence_breakdown(

@@ -33,7 +33,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc

@@ -53,17 +53,22 @@ from bisect import bisect_left, bisect_right
 from collections import _count_elements  # the C loop behind Counter.update
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, islice
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 
 # Relative slack under t_min**2 for the count floor: far above the few ulps
 # by which the float t and t_min * t_min can err, far below the gap to the
 # next integer count.
 COUNT_FLOOR_MARGIN = 1e-9
+
+# Maps a stream's stop flags (``TokenStream.stops``) to 1 where a token is not a stop.
+_NOT_STOP = bytes([1, 0]) + bytes(254)
 
 
 @dataclass(frozen=True)
@@ -300,32 +305,31 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     """Windowed co-occurrence counts over a flagged token stream, each row
     counted when first read.
 
-    One pass keeps the position and surface of every non-stop token and
-    records the token under its surface (``_Occurrences``), for
-    ``PairCounts.row`` to count from and ``PairCounts.at_half_width`` to
-    derive the table of any narrower window from.
+    One pass over the stream's columns keeps the position and surface of
+    every non-stop token and records the token under its surface
+    (``_Occurrences``), for ``PairCounts.row`` to count from and
+    ``PairCounts.at_half_width`` to derive the table of any narrower window
+    from. A sentence is a maximal run of one sentence id.
     """
     k = window.half_width
     cross = window.cross_sentences
-    gap = 0 if cross else k + 1
+    keep = ts.stops.translate(_NOT_STOP)
+    if cross:
+        positions = list(compress(count(), keep))
+    else:
+        # Sentence s (from 0) moves on by (s + 1) * (k + 1) positions.
+        bounds = ts.sentence_bounds()
+        firsts = map(add, bounds, count(k + 1, k + 1))
+        ends = map(add, islice(bounds, 1, None), count(k + 1, k + 1))
+        positions = list(compress(chain.from_iterable(map(range, firsts, ends)), keep))
+    surfaces = list(compress(ts.surfaces, keep))
     occurrences: dict[str, list[int]] = {}
-    positions: list[int] = []
-    surfaces: list[str] = []
-    offset = 0
-    sentence = None
-    for i, tok in enumerate(ts):
-        if tok.sentence_id != sentence:
-            sentence = tok.sentence_id
-            offset += gap
-        if not tok.is_stop:
-            word = tok.surface
-            seen = occurrences.get(word)
-            if seen is None:
-                occurrences[word] = [len(positions)]
-            else:
-                seen.append(len(positions))
-            positions.append(i + offset)
-            surfaces.append(word)
+    for i, word in enumerate(surfaces):
+        seen = occurrences.get(word)
+        if seen is None:
+            occurrences[word] = [i]
+        else:
+            seen.append(i)
     return PairCounts(dict(occurrences), vocab, k, cross,
                       _Occurrences(occurrences, positions, surfaces, k))
 
@@ -392,13 +396,15 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     distinct, its count at least 1, and no pair twice. The header lines
     come first, each key at most once with an integer value: N and K, and
     optionally F and CROSS; K and F are at least 1 and CROSS is 0 or 1.
+    A breach, or bytes that do not decode as UTF-8, raises ValueError
+    naming the file, and the line where there is one.
 
     Given ``thresholds``, every line is still checked, but only the pairs at
     or above their count floor are kept. Pairs in the writer's order, each
     after the one before, cannot repeat; at the first that is not, the text
     is read whole, then cut to the floor."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     floor = 0.0 if thresholds is None else thresholds.count_floor
     read = _read_pair_lines(path, lines, vocab, floor)
     if read is None:  # not in the writer's order

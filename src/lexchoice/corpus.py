@@ -17,18 +17,33 @@ surface and tag, and dict probes on them match by identity. A token is a
 stop word when its tag marks a number, symbol, or proper noun, or when its
 corpus-wide raw frequency exceeds the ``stop_threshold`` (F). Stop tokens
 stay in the stream, flagged, so that window positions remain occupied.
+
+A ``TokenStream`` holds the corpus as columns, one entry per position: the
+surfaces and the tags (lists of interned strings), the sentence ids (a list
+in which every position of a sentence holds the same int object), the stop
+flags and the flags of the positions whose tag alone makes them stops
+(``bytearray``s). It builds no object per position: three list entries and
+two flag bytes a position. A sentence is a maximal run of positions with
+one id. To its readers the stream is a read-only sequence of ``Token``s,
+each made when it is read. A gap sentence stays a plain ``list[Token]``,
+whose stop flags a caller may set.
+
+A file that does not decode as UTF-8 is refused naming its path and the line
+and column of the first bad byte.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, count, groupby, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
 
-from .ioutil import atomic_write_text
+from .ioutil import UndecodableText, atomic_write_text, read_text
 
 # Penn-Treebank-style defaults: numbers, symbols/punctuation, proper nouns.
 DEFAULT_STOP_TAGS = frozenset(
@@ -95,7 +110,83 @@ class Token:
         self.is_stop = is_stop
 
 
-TokenStream = list[Token]
+class TokenStream(Sequence):
+    """A corpus in order, held as columns (module docstring): no object
+    per position.
+
+    It is a read-only sequence of ``Token``: ``len``, iteration and an
+    integer index give tokens made when they are read, and a slice gives
+    another stream. A written token is a copy, so a write to it does not
+    reach the stream; only ``apply_stop_policy`` and ``build_vocabulary``
+    change a stream, and only its stop flags. ``TokenStream.of`` builds
+    one from tokens, and the parsers fill one. The columns are read through
+    ``surfaces``, ``tags``, ``sentence_ids`` and ``stops`` (1 for a stop
+    word), which must not be mutated. Two streams are equal when their
+    columns are; a stream is never equal to a list.
+    """
+
+    __slots__ = ("_surfaces", "_tags", "_sentence_ids", "_stops", "_tag_stops")
+
+    def __init__(self):
+        self._surfaces: list[str] = []
+        self._tags: list[str] = []
+        self._sentence_ids: list[int] = []
+        self._stops = bytearray()
+        self._tag_stops = bytearray()  # derived from the tags, for apply_stop_policy
+
+    @classmethod
+    def of(cls, tokens: Iterable[Token]) -> TokenStream:
+        """The stream of ``tokens``, in order, their strings interned."""
+        tokens = list(tokens)
+        ts = cls()
+        ts._surfaces = list(map(intern, map(attrgetter("surface"), tokens)))
+        ts._tags = list(map(intern, map(attrgetter("pos"), tokens)))
+        ts._sentence_ids = list(map(attrgetter("sentence_id"), tokens))
+        ts._stops = bytearray(map(bool, map(attrgetter("is_stop"), tokens)))
+        ts._tag_stops = bytearray(_tag_stop_flags(ts._tags))
+        return ts
+
+    surfaces = property(attrgetter("_surfaces"), doc="Each position's surface.")
+    tags = property(attrgetter("_tags"), doc="Each position's tag.")
+    sentence_ids = property(attrgetter("_sentence_ids"), doc="Each position's sentence id.")
+    stops = property(attrgetter("_stops"), doc="Each position's stop flag, 1 or 0.")
+
+    def sentence_bounds(self) -> list[int]:
+        """Where each sentence starts, in order, then the stream's length:
+        sentence s holds the positions from ``bounds[s]`` up to
+        ``bounds[s + 1]``."""
+        runs = map(list, map(itemgetter(1), groupby(self._sentence_ids)))
+        return list(accumulate(map(len, runs), initial=0))
+
+    def __len__(self) -> int:
+        return len(self._surfaces)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            ts = TokenStream()
+            ts._surfaces = self._surfaces[index]
+            ts._tags = self._tags[index]
+            ts._sentence_ids = self._sentence_ids[index]
+            ts._stops = self._stops[index]
+            ts._tag_stops = self._tag_stops[index]
+            return ts
+        return Token(self._surfaces[index], self._tags[index], self._sentence_ids[index],
+                     self._stops[index] == 1)
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(Token, self._surfaces, self._tags, self._sentence_ids,
+                   map(bool, self._stops))
+
+    def __eq__(self, other):
+        if not isinstance(other, TokenStream):
+            return NotImplemented
+        return (self._surfaces == other._surfaces and self._tags == other._tags
+                and self._sentence_ids == other._sentence_ids and self._stops == other._stops)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TokenStream.of({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -129,37 +220,55 @@ class Vocabulary:
         object.__setattr__(self, "is_frequency_stopped", stopped.__contains__)
 
 
-def _parse_slash(raw: str, sentence_id: int = 0) -> TokenStream:
-    """Parse slash text, numbering its sentences from ``sentence_id``. Each
-    distinct ``surface/TAG`` item is split, checked and interned once, the
-    first time it occurs; a bad item is never kept."""
-    tokens: TokenStream = []
-    parsed: dict[str, tuple[str, str, bool]] = {}
-    for line_no, line in enumerate(raw.splitlines(), 1):
-        items = line.split()
-        if not items:
-            continue
-        for item in items:
-            fields = parsed.get(item)
-            if fields is None:
-                surface, slash, pos = item.rpartition("/")
-                if not surface or not pos or surface == GAP:
-                    # The first bad item on the line is the first item equal to it.
-                    if not slash:
-                        problem = "missing '/' tag separator"
-                    elif surface == GAP:
-                        problem = f"has the gap marker {GAP!r} as its surface"
-                    else:
-                        problem = "has empty surface or tag"
-                    raise CorpusFormatError(
-                        f"token {item!r} {problem}", line_no, _column(line, items.index(item))
-                    )
-                fields = parsed[item] = (intern(surface.lower()), intern(pos),
-                                         pos in DEFAULT_STOP_TAGS)
-            surface, pos, is_stop = fields
-            tokens.append(Token(surface, pos, sentence_id, is_stop))
-        sentence_id += 1
-    return tokens
+def _fill(ts: TokenStream, items: list[str], surface_of: dict[str, str], tag_of: dict[str, str],
+          lengths: list[int], sentence_id: int) -> int:
+    """Append ``items``, each parsed once into ``surface_of`` and
+    ``tag_of``, to the stream's columns, as sentences of ``lengths``
+    positions numbered on from ``sentence_id``; return the next id."""
+    ts._surfaces += map(surface_of.__getitem__, items)
+    tags = list(map(tag_of.__getitem__, items))
+    ts._tags += tags
+    flags = _tag_stop_flags(tags)
+    ts._stops += flags
+    ts._tag_stops += flags
+    ts._sentence_ids += chain.from_iterable(map(repeat, count(sentence_id), lengths))
+    return sentence_id + len(lengths)
+
+
+# Slash text is split this many lines at a time, so that only one block's
+# item strings are held at once.
+_BLOCK_LINES = 512
+
+
+def _parse_slash(raw: str, ts: TokenStream, sentence_id: int = 0) -> None:
+    """Append slash text to ``ts``, numbering its sentences from
+    ``sentence_id``. Each distinct ``surface/TAG`` item is split, checked
+    and interned once. A bad item raises with ``ts`` part filled."""
+    lines = raw.splitlines()
+    surface_of: dict[str, str] = {}
+    tag_of: dict[str, str] = {}
+    for first in range(0, len(lines), _BLOCK_LINES):
+        split = list(map(str.split, lines[first:first + _BLOCK_LINES]))
+        items = list(chain.from_iterable(split))
+        for item in dict.fromkeys(items):  # in the order the items first occur
+            if item in surface_of:
+                continue
+            surface, slash, pos = item.rpartition("/")
+            if not surface or not pos or surface == GAP:
+                if not slash:
+                    problem = "missing '/' tag separator"
+                elif surface == GAP:
+                    problem = f"has the gap marker {GAP!r} as its surface"
+                else:
+                    problem = "has empty surface or tag"
+                # The first bad item in the text is the first item equal to it.
+                n = next(n for n, line_items in enumerate(split) if item in line_items)
+                column = _column(lines[first + n], split[n].index(item))
+                raise CorpusFormatError(f"token {item!r} {problem}", first + n + 1, column)
+            surface_of[item] = intern(surface.lower())
+            tag_of[item] = intern(pos)
+        lengths = list(filter(None, map(len, split)))
+        sentence_id = _fill(ts, items, surface_of, tag_of, lengths, sentence_id)
 
 
 def _column(line: str, index: int) -> int:
@@ -167,32 +276,33 @@ def _column(line: str, index: int) -> int:
     return list(re.finditer(r"\S+", line))[index].start() + 1
 
 
-def _parse_tsv(raw: str, sentence_id: int = 0) -> TokenStream:
-    """Parse tsv text, numbering its sentences from ``sentence_id``."""
-    tokens: TokenStream = []
-    sentence_open = False
-    for line_no, line in enumerate(raw.splitlines(), 1):
+def _parse_tsv(raw: str, ts: TokenStream, sentence_id: int = 0) -> None:
+    """Append tsv text to ``ts``, numbering its sentences from
+    ``sentence_id``. Each distinct line is split, checked and interned
+    once. A bad line raises with ``ts`` as it was."""
+    lines = raw.splitlines()
+    surface_of = {}
+    tag_of = {}
+    for line in dict.fromkeys(lines):  # in the order the lines first occur
         if not line.strip():
-            if sentence_open:
-                sentence_id += 1
-                sentence_open = False
             continue
-        fields = line.rstrip("\n").split("\t")
+        fields = line.split("\t")
+        problem = None
+        column = 1
         if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise CorpusFormatError(
-                f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
-            )
-        space = re.search(r"\s", fields[0])
-        if space:
-            raise CorpusFormatError(
-                f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
-            )
-        if fields[0] == GAP:
-            raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
-        tokens.append(Token(intern(fields[0].lower()), intern(fields[1]), sentence_id,
-                            fields[1] in DEFAULT_STOP_TAGS))
-        sentence_open = True
-    return tokens
+            problem = f"expected 'surface<TAB>tag', got {line.strip()!r}"
+        elif space := re.search(r"\s", fields[0]):
+            problem = f"surface {fields[0]!r} contains whitespace"
+            column = space.start() + 1
+        elif fields[0] == GAP:
+            problem = f"surface {GAP!r} is the gap marker"
+        if problem is not None:
+            raise CorpusFormatError(problem, lines.index(line) + 1, column)
+        surface_of[line] = intern(fields[0].lower())
+        tag_of[line] = intern(fields[1])
+    is_token = list(map(surface_of.__contains__, lines))
+    lengths = [sum(run) for token, run in groupby(is_token) if token]
+    _fill(ts, list(compress(lines, is_token)), surface_of, tag_of, lengths, sentence_id)
 
 
 _PARSERS = {"slash": _parse_slash, "tsv": _parse_tsv}
@@ -204,43 +314,65 @@ def ingest(raw: str, cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     The parsers flag stops by tag (``DEFAULT_STOP_TAGS``); build_vocabulary
     adds the frequency stops, which need the whole vocabulary.
     """
-    return _PARSERS[cfg.format](raw)
+    ts = TokenStream()
+    _PARSERS[cfg.format](raw, ts)
+    return ts
 
 
 def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     """Ingest several files and concatenate them in the given order, each
-    file's sentences numbered on from the last file's."""
+    file's sentences numbered on from the last file's. A file that does not
+    decode as UTF-8 raises ``CorpusFormatError`` at its first bad byte."""
     parse = _PARSERS[cfg.format]
-    stream: TokenStream = []
+    ts = TokenStream()
+    ids = ts._sentence_ids
     for path in paths:
-        first_id = stream[-1].sentence_id + 1 if stream else 0
         try:
-            stream.extend(parse(Path(path).read_text(encoding="utf-8"), first_id))
-        except CorpusFormatError as exc:
+            parse(read_text(path), ts, ids[-1] + 1 if ids else 0)
+        except (CorpusFormatError, UndecodableText) as exc:
             raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
-    return stream
+    return ts
 
 
-def apply_stop_policy(ts: TokenStream, vocab: Vocabulary,
+def _tag_stop_flags(tags: Iterable[str]) -> bytes:
+    """1 for each tag in ``DEFAULT_STOP_TAGS``, else 0."""
+    return bytes(map(DEFAULT_STOP_TAGS.__contains__, tags))
+
+
+def _stop_flags(tag_stops: bytes, surfaces: Iterable[str], vocab: Vocabulary) -> bytearray:
+    """The stop rule, one flag per position: a tag in ``DEFAULT_STOP_TAGS``
+    (``tag_stops``, from ``_tag_stop_flags``), or a word the vocabulary
+    counts more than F times."""
+    flags = bytearray(tag_stops)
+    for i in compress(count(), map(vocab.is_frequency_stopped, surfaces)):
+        flags[i] = 1
+    return flags
+
+
+def apply_stop_policy(ts: TokenStream | list[Token], vocab: Vocabulary,
                       cfg: CorpusConfig | None = None) -> None:
-    """Recompute every token's stop flag from tags (``DEFAULT_STOP_TAGS``)
-    and ``vocab.is_frequency_stopped``. ``cfg`` is not read: the threshold
-    is the vocabulary's own, and the argument is kept only for callers that
+    """Recompute every stop flag of a stream, or of a gap sentence's
+    ``list[Token]``, from tags (``DEFAULT_STOP_TAGS``) and
+    ``vocab.is_frequency_stopped``. ``cfg`` is not read: the threshold is
+    the vocabulary's own, and the argument is kept only for callers that
     still pass it.
 
     The vocabulary is normally the training one: frequency-based stops are a
     training-corpus property even when flagging held-out text or a gap
     sentence.
     """
-    stopped = vocab.is_frequency_stopped
-    for tok in ts:
-        tok.is_stop = tok.pos in DEFAULT_STOP_TAGS or stopped(tok.surface)
+    if isinstance(ts, TokenStream):
+        ts._stops = _stop_flags(ts._tag_stops, ts._surfaces, vocab)
+        return
+    tag_stops = _tag_stop_flags(map(attrgetter("pos"), ts))
+    for tok, flag in zip(ts, _stop_flags(tag_stops, map(attrgetter("surface"), ts), vocab)):
+        tok.is_stop = flag == 1
 
 
 def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Vocabulary:
     """Count every token occurrence and re-flag the stream's stop words in place."""
-    freq = Counter(tok.surface for tok in ts)
-    vocab = Vocabulary(dict(freq), total_tokens=len(ts), stop_threshold=cfg.stop_threshold)
+    vocab = Vocabulary(dict(Counter(ts.surfaces)), total_tokens=len(ts),
+                       stop_threshold=cfg.stop_threshold)
     apply_stop_policy(ts, vocab)
     return vocab
 
@@ -256,13 +388,13 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     """Read a table written by ``write_vocabulary``: an ``N=`` line, an
     optional ``F=`` line of at least 1, then ``word<TAB>count`` rows whose
     counts are at least 1 and sum to N, each word non-empty, free of
-    whitespace and on one row only. Anything else raises ValueError naming
-    the file and line."""
+    whitespace and on one row only. Anything else, undecodable bytes
+    included, raises ValueError naming the file and line."""
     path = Path(path)
     freq: dict[str, int] = {}
     total = None
     threshold = DEFAULT_STOP_THRESHOLD
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         problem = None
         try:
             if line_no == 1:

@@ -12,9 +12,9 @@ typicality judgments, so a strong frequency baseline can legitimately win.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import compress, count
 
 from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
                      _rank, check_evidence_window)
@@ -94,25 +94,29 @@ def extract_instances(
     """Each set's instances, one per occurrence of a member word in its
     coarse category, in stream order, from one pass over the held-out
     stream. An occurrence that two sets both claim is one instance in each
-    set's list."""
+    set's list. Only a sentence that holds an instance is made into
+    tokens, once, and its instances share them."""
     claims: dict[str, dict[str, list[list[GapInstance]]]] = {}
     instances: dict[str, list[GapInstance]] = {}
     for sdef in set_defs:
         found = instances.setdefault(sdef.set_id, [])
         for word in sdef.members:
             claims.setdefault(word, {}).setdefault(sdef.pos_category, []).append(found)
-    for sentence_id, group in groupby(held_out, attrgetter("sentence_id")):
-        sentence = list(group)
-        for i, tok in enumerate(sentence):
-            by_category = claims.get(tok.surface)
-            if by_category is None:
-                continue
-            lists = by_category.get(coarse_category(tok.pos))
-            if lists is not None:
-                instance = GapInstance(GapSentence.blank_out(sentence, i), tok.surface,
-                                       sentence_id, i)
-                for found in lists:
-                    found.append(instance)
+    surfaces, tags, ids = held_out.surfaces, held_out.tags, held_out.sentence_ids
+    bounds = held_out.sentence_bounds()
+    end = 0
+    for i in compress(count(), map(claims.__contains__, surfaces)):
+        lists = claims[surfaces[i]].get(coarse_category(tags[i]))
+        if lists is None:
+            continue
+        if i >= end:  # the first instance of a sentence
+            after = bisect_right(bounds, i)
+            start, end = bounds[after - 1], bounds[after]
+            sentence = list(held_out[start:end])
+        instance = GapInstance(GapSentence.blank_out(sentence, i - start), surfaces[i], ids[i],
+                               i - start)
+        for found in lists:
+            found.append(instance)
     return instances
 
 

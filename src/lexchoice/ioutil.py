@@ -1,11 +1,38 @@
 """Shared file helpers: write-to-temp plus atomic rename, so concurrent
-invocations never observe half-written artifacts."""
+invocations never observe half-written artifacts, and a UTF-8 read that
+names the place of a byte it cannot decode."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+
+class UndecodableText(ValueError):
+    """A file holds bytes that do not decode as UTF-8. The text names the
+    path and the line; ``line`` and ``column`` (1-based, in characters,
+    lines broken as ``str.splitlines`` breaks them) place the first bad
+    byte, and ``message`` says what is wrong with it."""
+
+    def __init__(self, path: str | Path, line: int, column: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+def read_text(path: str | Path) -> str:
+    """The text of ``path``, decoded as UTF-8 with its line ends kept, for
+    readers that split it with ``str.splitlines``. Bytes that do not decode
+    raise ``UndecodableText``; their place is worked out only then."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        message = f"byte 0x{data[exc.start]:02x} does not decode as UTF-8 ({exc.reason})"
+        raise UndecodableText(path, len(lines), len(lines[-1]), message) from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -383,17 +383,17 @@ _HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int, "CROSS": _zero_o
 
 
 def read_network(path: str | Path) -> CoocNetwork:
-    """Read a network written by ``write_network``. A malformed line, one of
-    no known kind, or a second line for the same header kind, NODE word or
-    EDGE key raises ValueError naming the file and line; a network that
-    fails validation, or has only one of TMIN and MIMIN, raises one naming
-    the file. A missing CROSS reads as 0 and a missing F as
+    """Read a network written by ``write_network``. Undecodable bytes, a
+    malformed line, one of no known kind, or a second line for the same
+    header kind, NODE word or EDGE key raise ValueError naming the file and
+    line; a network that fails validation, or has only one of TMIN and
+    MIMIN, raises one naming the file. A missing CROSS reads as 0 and a missing F as
     ``DEFAULT_STOP_THRESHOLD``."""
     path = Path(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
     edges: dict[tuple[str, str], float] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split(" ")

@@ -21,6 +21,7 @@ from lexchoice.cooc import (
     PairCounts,
     SignificanceThresholds,
     WindowConfig,
+    _Occurrences,
     _read_pair_header,
     count_pairs,
 )
@@ -49,9 +50,11 @@ from lexchoice.network import CoocNetwork, NetworkCaps, build_network, significa
 from conftest import pair_key
 
 
-def quadratic_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) -> dict:
+def quadratic_pair_counts(ts: TokenStream | list[Token], k: int,
+                          cross_sentences: bool = False) -> dict:
     """All index pairs i < j, checked one by one."""
     counts: Counter = Counter()
+    ts = list(ts)
     n = len(ts)
     for i in range(n):
         for j in range(i + 1, n):
@@ -66,9 +69,11 @@ def quadratic_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False
     return dict(counts)
 
 
-def forward_pair_counts(ts: TokenStream, k: int, cross_sentences: bool = False) -> dict:
+def forward_pair_counts(ts: TokenStream | list[Token], k: int,
+                        cross_sentences: bool = False) -> dict:
     """Forward-window enumeration (the library pairs backward)."""
     counts: Counter = Counter()
+    ts = list(ts)
     n = len(ts)
     for i in range(n):
         a = ts[i]
@@ -200,10 +205,10 @@ def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCount
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)))
 
 
-def regex_parse_slash(raw: str) -> TokenStream:
+def regex_parse_slash(raw: str) -> list[Token]:
     """The slash-layout parser as a regex scan of each line's tokens, with
     the column taken from the match and the stop flags from the tags."""
-    tokens: TokenStream = []
+    tokens: list[Token] = []
     sentence_id = 0
     for line_no, line in enumerate(raw.splitlines(), 1):
         if not line.strip():
@@ -291,7 +296,7 @@ def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tu
     flagged through the real stop policy."""
     words = [f"t{i}" for i in range(vocab_size)]
     tags = ["NN"] * 6 + ["VB"] * 3 + ["JJ"] * 2 + ["CD"]
-    tokens: TokenStream = []
+    tokens: list[Token] = []
     sid = 0
     for _ in range(n_tokens):
         if tokens and rng.random() < 0.1:
@@ -299,8 +304,9 @@ def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tu
         tokens.append(Token(rng.choice(words), rng.choice(tags), sid))
     threshold = rng.choice([max(2, n_tokens // vocab_size), 10**9])
     cfg = CorpusConfig(stop_threshold=threshold)
-    build_vocabulary(tokens, cfg)
-    return tokens, cfg
+    ts = TokenStream.of(tokens)
+    build_vocabulary(ts, cfg)
+    return ts, cfg
 
 
 def topic_stream(rng: random.Random) -> tuple[TokenStream, Vocabulary, list[list[str]]]:
@@ -310,14 +316,15 @@ def topic_stream(rng: random.Random) -> tuple[TokenStream, Vocabulary, list[list
     vocabulary and the topics."""
     words = [f"w{i}" for i in range(rng.randint(20, 40))]
     topics = [rng.sample(words, rng.randint(2, 4)) for _ in range(rng.randint(5, 12))]
-    tokens: TokenStream = []
+    tokens: list[Token] = []
     for sid in range(rng.randint(10, 80)):
         topic = rng.choice(topics)
         for _ in range(rng.randint(2, 8)):
             word = rng.choice(topic if rng.random() < 0.9 else words)
             tokens.append(Token(word, rng.choice(["NN"] * 9 + ["CD"]), sid))
-    vocab = build_vocabulary(tokens, CorpusConfig(stop_threshold=rng.choice([8, 10**9])))
-    return tokens, vocab, topics
+    ts = TokenStream.of(tokens)
+    vocab = build_vocabulary(ts, CorpusConfig(stop_threshold=rng.choice([8, 10**9])))
+    return ts, vocab, topics
 
 
 def bfs_depths(root: str, adjacency: dict[str, set[str]], max_depth: int) -> dict[str, int]:
@@ -550,3 +557,126 @@ def expected_scoring_network(direct: CoocNetwork, caps: NetworkCaps) -> CoocNetw
     edges = {key: weight for key, weight in direct.edges.items()
              if direct.depths[key[0]] != direct.depths[key[1]]}
     return dataclasses.replace(direct, edges=edges)
+
+
+# The corpus layer with one ``Token`` per position, parsed, counted and
+# flagged token by token, as it was before streams were held as columns.
+
+def reference_parse_slash(raw: str, sentence_id: int = 0) -> list[Token]:
+    """Slash text, item by item, its sentences numbered from ``sentence_id``."""
+    tokens: list[Token] = []
+    for line_no, line in enumerate(raw.splitlines(), 1):
+        items = line.split()
+        if not items:
+            continue
+        for index, item in enumerate(items):
+            surface, slash, pos = item.rpartition("/")
+            if not slash:
+                problem = "missing '/' tag separator"
+            elif surface == GAP:
+                problem = f"has the gap marker {GAP!r} as its surface"
+            elif not surface or not pos:
+                problem = "has empty surface or tag"
+            else:
+                tokens.append(Token(surface.lower(), pos, sentence_id, pos in DEFAULT_STOP_TAGS))
+                continue
+            column = list(re.finditer(r"\S+", line))[index].start() + 1
+            raise CorpusFormatError(f"token {item!r} {problem}", line_no, column)
+        sentence_id += 1
+    return tokens
+
+
+def reference_parse_tsv(raw: str, sentence_id: int = 0) -> list[Token]:
+    """Tsv text, line by line, its sentences numbered from ``sentence_id``."""
+    tokens: list[Token] = []
+    sentence_open = False
+    for line_no, line in enumerate(raw.splitlines(), 1):
+        if not line.strip():
+            if sentence_open:
+                sentence_id += 1
+                sentence_open = False
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise CorpusFormatError(
+                f"expected 'surface<TAB>tag', got {line.strip()!r}", line_no, 1
+            )
+        space = re.search(r"\s", fields[0])
+        if space:
+            raise CorpusFormatError(
+                f"surface {fields[0]!r} contains whitespace", line_no, space.start() + 1
+            )
+        if fields[0] == GAP:
+            raise CorpusFormatError(f"surface {GAP!r} is the gap marker", line_no, 1)
+        tokens.append(Token(fields[0].lower(), fields[1], sentence_id,
+                            fields[1] in DEFAULT_STOP_TAGS))
+        sentence_open = True
+    return tokens
+
+
+def reference_ingest_files(paths: list[Path], cfg: CorpusConfig) -> list[Token]:
+    """The files' tokens in order, each file's sentences numbered on from
+    the last file's, a format error naming its file."""
+    parse = {"slash": reference_parse_slash, "tsv": reference_parse_tsv}[cfg.format]
+    tokens: list[Token] = []
+    for path in paths:
+        first_id = tokens[-1].sentence_id + 1 if tokens else 0
+        try:
+            tokens.extend(parse(path.read_text(encoding="utf-8"), first_id))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
+    return tokens
+
+
+def reference_apply_stop_policy(tokens: list[Token], vocab: Vocabulary) -> None:
+    """Each token's stop flag from its tag and its training count, one token at a time."""
+    for tok in tokens:
+        tok.is_stop = (tok.pos in DEFAULT_STOP_TAGS
+                       or reference_is_frequency_stopped(vocab, tok.surface))
+
+
+def reference_build_vocabulary(tokens: list[Token], cfg: CorpusConfig) -> Vocabulary:
+    """The tokens' counts, their stop flags set from them in place."""
+    freq: dict[str, int] = {}
+    for tok in tokens:
+        freq[tok.surface] = freq.get(tok.surface, 0) + 1
+    vocab = Vocabulary(freq, len(tokens), cfg.stop_threshold)
+    reference_apply_stop_policy(tokens, vocab)
+    return vocab
+
+
+def reference_occurrences(tokens: list[Token], window: WindowConfig) -> _Occurrences:
+    """``count_pairs``'s occurrence record, one token at a time: a new
+    sentence id moves the positions on by ``half_width + 1`` unless the
+    window crosses sentences."""
+    k = window.half_width
+    gap = 0 if window.cross_sentences else k + 1
+    by_word: dict[str, list[int]] = {}
+    positions: list[int] = []
+    surfaces: list[str] = []
+    offset = 0
+    sentence = None
+    for i, tok in enumerate(tokens):
+        if tok.sentence_id != sentence:
+            sentence = tok.sentence_id
+            offset += gap
+        if not tok.is_stop:
+            by_word.setdefault(tok.surface, []).append(len(positions))
+            positions.append(i + offset)
+            surfaces.append(tok.surface)
+    return _Occurrences(by_word, positions, surfaces, k)
+
+
+def reference_extract_instances(held_out: list[Token], set_defs: list[SetDefinition]
+                                ) -> dict[str, list[GapInstance]]:
+    """``extract_instances`` over every sentence of the held-out tokens, a
+    sentence being a run of one id."""
+    instances: dict[str, list[GapInstance]] = {sdef.set_id: [] for sdef in set_defs}
+    for sentence_id, group in groupby(held_out, attrgetter("sentence_id")):
+        sentence = list(group)
+        for i, tok in enumerate(sentence):
+            for sdef in set_defs:
+                if tok.surface in sdef.members and coarse_category(tok.pos) == sdef.pos_category:
+                    instances[sdef.set_id].append(GapInstance(
+                        GapSentence.blank_out(sentence, i), tok.surface, sentence_id, i))
+    return instances

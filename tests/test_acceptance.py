@@ -14,6 +14,7 @@ from lexchoice.cli import main
 from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import (
     CorpusConfig,
+    TokenStream,
     apply_stop_policy,
     build_vocabulary,
     ingest,
@@ -191,8 +192,8 @@ def test_directional_improvement_on_real_corpus():
     if not stream:
         pytest.skip("corpus is empty")
     mid = stream[len(stream) // 2].sentence_id
-    train = [t for t in stream if t.sentence_id < mid]
-    held = [t for t in stream if t.sentence_id >= mid]
+    train = TokenStream.of(t for t in stream if t.sentence_id < mid)
+    held = TokenStream.of(t for t in stream if t.sentence_id >= mid)
     vocab = build_vocabulary(train, cfg)
     apply_stop_policy(held, vocab, cfg)
 

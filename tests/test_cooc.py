@@ -19,6 +19,7 @@ from lexchoice.cooc import (
 from lexchoice.corpus import (
     CorpusConfig,
     Token,
+    TokenStream,
     Vocabulary,
     apply_stop_policy,
     build_vocabulary,
@@ -232,7 +233,7 @@ def test_count_pairs_matches_quadratic_oracle(sents, k, cross):
     for tok in ts:
         freq[tok.surface] = freq.get(tok.surface, 0) + 1
     vocab = Vocabulary(freq, total_tokens=len(ts), stop_threshold=800)
-    counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    counts = count_pairs(TokenStream.of(ts), vocab, WindowConfig(k, cross_sentences=cross))
     assert counts.pairs == quadratic_pair_counts(ts, k, cross_sentences=cross)
 
 
