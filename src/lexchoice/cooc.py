@@ -58,7 +58,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import TokenStream, Vocabulary
+from .corpus import TokenStream, Vocabulary, check_stream
 from .ioutil import atomic_write_text, read_text
 
 
@@ -309,8 +309,10 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     every non-stop token and records the token under its surface
     (``_Occurrences``), for ``PairCounts.row`` to count from and
     ``PairCounts.at_half_width`` to derive the table of any narrower window
-    from. A sentence is a maximal run of one sentence id.
+    from. A sentence is a maximal run of one sentence id. Anything but a
+    ``TokenStream`` raises ``TypeError``.
     """
+    check_stream(ts)
     k = window.half_width
     cross = window.cross_sentences
     keep = ts.stops.translate(_NOT_STOP)

@@ -19,7 +19,7 @@ from itertools import compress, count
 from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
                      _rank, check_evidence_window)
 from .cooc import SignificanceThresholds, WindowConfig, count_pairs
-from .corpus import TokenStream, Vocabulary
+from .corpus import TokenStream, Vocabulary, check_stream
 # ``build_network`` stays importable here for profilers that wrap
 # ``evaluation.build_network``; ``run_grid`` calls ``scoring_network``.
 from .network import InvalidRootError, NetworkCaps, build_network, scoring_network  # noqa: F401
@@ -96,6 +96,7 @@ def extract_instances(
     stream. An occurrence that two sets both claim is one instance in each
     set's list. Only a sentence that holds an instance is made into
     tokens, once, and its instances share them."""
+    check_stream(held_out)
     claims: dict[str, dict[str, list[list[GapInstance]]]] = {}
     instances: dict[str, list[GapInstance]] = {}
     for sdef in set_defs:
@@ -241,8 +242,10 @@ def run_grid(
     counting: the cells or the columns it names would be one. So is a
     negative evidence window, and so is a member that cannot root a network
     (``InvalidRootError``): one absent from training or counted more than F
-    times.
+    times. Either stream, if not a ``TokenStream``, raises ``TypeError``.
     """
+    check_stream(train_ts)
+    check_stream(heldout_ts)
     check_evidence_window(evidence_window)
     for name, values in (("windows", windows), ("orders", orders)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]

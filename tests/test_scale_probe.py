@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(scale_probe)
 def test_the_floor_share_is_the_share_of_written_pairs_at_or_above_the_floor(tmp_path):
     train = tmp_path / "train.tag"
     scale_probe.draw_train(3_000, 1, train)
-    result = scale_probe.measure(train, tmp_path, 800)
+    result = scale_probe.measure(train, tmp_path)
     rows = [line.split("\t") for line in (tmp_path / "pairs.tsv").read_text().splitlines()
             if line.count("\t") == 2]
     floor = SignificanceThresholds().count_floor

@@ -16,7 +16,7 @@ from lexchoice import corpus
 from lexchoice.cooc import WindowConfig, count_pairs
 from lexchoice.corpus import (GAP, CorpusConfig, CorpusFormatError, Token, TokenStream,
                               apply_stop_policy, build_vocabulary, ingest, ingest_files)
-from lexchoice.evaluation import SetDefinition, extract_instances
+from lexchoice.evaluation import SetDefinition, extract_instances, run_grid
 
 from oracles import (quadratic_pair_counts, reference_apply_stop_policy,
                      reference_build_vocabulary, reference_extract_instances,
@@ -197,3 +197,18 @@ def test_stream_columns_and_equality():
         hash(ts)
     assert repr(ingest("a/NN")) == (
         "TokenStream.of([Token(surface='a', pos='NN', sentence_id=0, is_stop=False)])")
+
+
+def test_a_token_list_is_refused_naming_the_stream_constructor():
+    ts = ingest("the/DT cat/NN sat/VB")
+    tokens = list(ts)
+    vocab = build_vocabulary(ts)
+    calls = [lambda: build_vocabulary(tokens),
+             lambda: count_pairs(tokens, vocab, WindowConfig(2)),
+             lambda: extract_instances(tokens, []),
+             lambda: run_grid(tokens, vocab, ts, [], [2], [1]),
+             lambda: run_grid(ts, vocab, tokens, [], [2], [1])]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"expected a TokenStream, got list; "
+                                            r"TokenStream\.of\(tokens\) makes one"):
+            call()

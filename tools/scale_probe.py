@@ -6,7 +6,7 @@
 For each size it draws a training text of that many tokens with
 ``bench/gen.py`` (the benchmark's language, seed ``--seed``), writes it to a
 temporary directory, and measures it in a fresh process, at window
-half-width k = 10 and stop threshold F = ``--max-freq``. The stages run in
+half-width k = 10 and the default stop threshold F = 800. The stages run in
 pipeline order, through the package's own functions:
 
 - ``ingest``: ``corpus.ingest_files``;
@@ -46,6 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from lexchoice import cooc, corpus  # noqa: E402
 
 WINDOW = 10
+MAX_FREQ = corpus.DEFAULT_STOP_THRESHOLD
 STAGES = ("ingest", "vocabulary", "count_pairs", "rows", "write", "read")
 
 
@@ -62,11 +63,11 @@ def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def run_stages(train: Path, out: Path, max_freq: int, traced: bool) -> tuple[dict, dict]:
+def run_stages(train: Path, out: Path, traced: bool) -> tuple[dict, dict]:
     """Each stage's CPU seconds, or its tracemalloc peak and the bytes it
     leaves held, both above the traced size when it began; and the token
     and pair counts."""
-    cfg = corpus.CorpusConfig(stop_threshold=max_freq)
+    cfg = corpus.CorpusConfig(stop_threshold=MAX_FREQ)
     cost: dict[str, float] = {}
     figures: dict = {}
 
@@ -101,13 +102,13 @@ def run_stages(train: Path, out: Path, max_freq: int, traced: bool) -> tuple[dic
     return cost, figures
 
 
-def measure(train: Path, out: Path, max_freq: int) -> dict:
+def measure(train: Path, out: Path) -> dict:
     """Every figure for one training file, its artifacts written to ``out``."""
-    cpu, counts = run_stages(train, out, max_freq, traced=False)
+    cpu, counts = run_stages(train, out, traced=False)
     rss = max_rss_mb()
     tracemalloc.start()
     try:
-        traced, _ = run_stages(train, out, max_freq, traced=True)
+        traced, _ = run_stages(train, out, traced=True)
     finally:
         tracemalloc.stop()
     return {**counts, "max_rss_mb": rss, "cpu_s": cpu, "traced_bytes": traced}
@@ -120,10 +121,10 @@ def draw_train(size: int, seed: int, path: Path) -> None:
                     encoding="utf-8")
 
 
-def report(size: int, seed: int, max_freq: int, result: dict) -> str:
+def report(size: int, seed: int, result: dict) -> str:
     tokens = result["tokens"]
     share = result["kept"] / result["written"] if result["written"] else 0.0
-    lines = [f"train {size:,} (seed {seed}, {tokens:,} tokens, F = {max_freq}, k = {WINDOW}): "
+    lines = [f"train {size:,} (seed {seed}, {tokens:,} tokens, F = {MAX_FREQ}, k = {WINDOW}): "
              f"max RSS {result['max_rss_mb']:.1f} MB; the count floor keeps "
              f"{result['kept']:,} of {result['written']:,} pairs ({100 * share:.1f} %)",
              "| stage | CPU s | peak MB | peak B/token | held MB | held B/token |",
@@ -141,23 +142,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", default="25000,100000,400000",
                         help="comma-separated training sizes in tokens")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-freq", type=int, default=corpus.DEFAULT_STOP_THRESHOLD)
     parser.add_argument("--measure", nargs=2, metavar=("TRAIN", "OUT"),
                         help="measure one training file in this process and print JSON")
     args = parser.parse_args(argv)
     if args.measure:
         train, out = map(Path, args.measure)
-        print(json.dumps(measure(train, out, args.max_freq)))
+        print(json.dumps(measure(train, out)))
         return 0
     for size in (int(s) for s in args.sizes.split(",")):
         with tempfile.TemporaryDirectory() as tmp:
             train = Path(tmp) / "train.tag"
             draw_train(size, args.seed, train)
             done = subprocess.run(
-                [sys.executable, __file__, "--measure", str(train), tmp,
-                 "--max-freq", str(args.max_freq)],
+                [sys.executable, __file__, "--measure", str(train), tmp],
                 stdout=subprocess.PIPE, text=True, check=True)
-        print(report(size, args.seed, args.max_freq, json.loads(done.stdout)), flush=True)
+        print(report(size, args.seed, json.loads(done.stdout)), flush=True)
     return 0
 
 
