@@ -201,9 +201,9 @@ class Vocabulary:
 
     The frequency stop rule, ``is_frequency_stopped(word)``, is true when
     ``word`` occurs more than F times. It is derived once, as a probe of the
-    set of such words, so the vocabulary is read-only: its fields cannot be
-    reassigned, and ``freq`` must not be mutated. Equality and ``repr``
-    ignore the derived rule."""
+    set of such words (its ``__self__``), so the vocabulary is read-only:
+    its fields cannot be reassigned, and ``freq`` must not be mutated.
+    Equality and ``repr`` ignore the derived rule."""
 
     freq: dict[str, int]
     total_tokens: int
@@ -342,14 +342,13 @@ def _tag_stop_flags(tags: Iterable[str]) -> bytes:
     return bytes(map(DEFAULT_STOP_TAGS.__contains__, tags))
 
 
-def _stop_flags(tag_stops: bytes, surfaces: Iterable[str], vocab: Vocabulary) -> bytearray:
-    """The stop rule, one flag per position: a tag in ``DEFAULT_STOP_TAGS``
-    (``tag_stops``, from ``_tag_stop_flags``), or a word the vocabulary
-    counts more than F times."""
-    flags = bytearray(tag_stops)
-    for i in compress(count(), map(vocab.is_frequency_stopped, surfaces)):
-        flags[i] = 1
-    return flags
+def _stop_flags(tags: Iterable[str], surfaces: Iterable[str], vocab: Vocabulary) -> bytearray:
+    """The stop rule, one flag per position: a tag in ``DEFAULT_STOP_TAGS``,
+    or a word the vocabulary counts more than F times. It takes one probe a
+    position: a frequency-stopped word reads as the stop tag ``CD`` in
+    place of its own tag."""
+    as_stop_tag = dict.fromkeys(vocab.is_frequency_stopped.__self__, "CD")
+    return bytearray(map(DEFAULT_STOP_TAGS.__contains__, map(as_stop_tag.get, surfaces, tags)))
 
 
 def apply_stop_policy(ts: TokenStream | list[Token], vocab: Vocabulary,
@@ -365,10 +364,10 @@ def apply_stop_policy(ts: TokenStream | list[Token], vocab: Vocabulary,
     sentence.
     """
     if isinstance(ts, TokenStream):
-        ts._stops = _stop_flags(_tag_stop_flags(ts._tags), ts._surfaces, vocab)
+        ts._stops = _stop_flags(ts._tags, ts._surfaces, vocab)
         return
-    tag_stops = _tag_stop_flags(map(attrgetter("pos"), ts))
-    for tok, flag in zip(ts, _stop_flags(tag_stops, map(attrgetter("surface"), ts), vocab)):
+    flags = _stop_flags(map(attrgetter("pos"), ts), map(attrgetter("surface"), ts), vocab)
+    for tok, flag in zip(ts, flags):
         tok.is_stop = flag == 1
 
 
