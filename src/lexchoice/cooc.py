@@ -24,8 +24,8 @@ A pair table is stored as one row per word, ``rows[a][b] == rows[b][a]``,
 the joint count of the pair: network growth reads the full row of each word
 it visits, and reads few of the words, so ``count_pairs`` only records each
 non-stop occurrence under its word and a row is counted the first time it
-is read (``PairCounts.row``). ``PairCounts.rows``, which the writer and the
-pair view's iteration, size and equality use, counts every row left.
+is read (``PairCounts.row``). ``PairCounts.rows``, which the pair view's
+iteration, size and equality use, counts every row left; the writer keeps none.
 The occurrence record is read-only, and the rows a narrower window counts
 from it are the rows ``count_pairs`` counts at that window, so one record
 serves every window up to the one it was made at
@@ -41,8 +41,8 @@ cut to the entries whose count reaches ``t_min**2`` before it is sorted and
 scored. The floor sits a relative ``COUNT_FLOOR_MARGIN`` below ``t_min**2``:
 at f = ``t_min**2`` with a tiny E, the float t can round to exactly
 ``t_min``, and such a pair passes. ``read_pair_counts`` given thresholds
-keeps only the pairs at or above their floor (a table out of the writer's
-order is read whole, then cut), and the table refuses what would need a
+keeps only the pairs at or above their floor (a text the lean pass declines
+is read whole, then cut), and the table refuses what would need a
 pair below its ``floor``: thresholds with a lower one, a write, a count.
 """
 
@@ -199,14 +199,22 @@ class PairCounts:
 
     def row(self, word: str) -> dict[str, int] | None:
         """``word``'s row, ``{other: joint count}``, or None if it has no
-        partner. The first read counts the row from the word's occurrences,
-        adding every surface within ``half_width`` positions of each one and
-        dropping the word itself, and puts the row in their place, or drops
-        the word if the row is empty; so the words keep their first-seen
-        order."""
+        partner. The first read counts the row from the word's occurrences
+        and puts it in their place, or drops the word if the row is empty;
+        so the words keep their first-seen order."""
         occurrences = self._rows.get(word)
         if occurrences.__class__ is not list:
             return occurrences
+        row = self._count_row(word, occurrences)
+        if row:
+            self._rows[word] = row
+            return row
+        del self._rows[word]
+        return None
+
+    def _count_row(self, word: str, occurrences: list[int]) -> dict[str, int]:
+        """``word``'s row, not stored: every surface within ``half_width``
+        positions of each of its ``occurrences``, less the word itself."""
         _, positions, surfaces, _ = self._record
         k = self.half_width
         n = len(positions)
@@ -219,11 +227,7 @@ class PairCounts:
             hi = bisect_right(positions, p + k, i, i + k + 1 if i + k < n else n)
             _count_elements(row, surfaces[lo:hi])
         del row[word]
-        if row:
-            self._rows[word] = row
-            return row
-        del self._rows[word]
-        return None
+        return row
 
     def at_half_width(self, half_width: int) -> PairCounts:
         """The table ``count_pairs`` counts at ``half_width`` over the same
@@ -245,8 +249,8 @@ class PairCounts:
 
     @property
     def rows(self) -> dict[str, dict[str, int]]:
-        """Every row, ``word -> {other: joint count}``, each counted; only
-        counts at or above ``floor``."""
+        """Every row, ``word -> {other: joint count}``, each counted and kept
+        on the table (the writer keeps none); only counts at or above ``floor``."""
         for word in [word for word, row in self._rows.items() if row.__class__ is list]:
             self.row(word)
         return self._rows
@@ -338,24 +342,29 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     """Write the table's header and its pair rows, one per pair with
-    w1 < w2 in sorted order, and return how many pair rows it wrote."""
+    w1 < w2 in sorted order, and return how many pair rows it wrote. Each w1
+    run's lines go to the file as they are made; a row not yet counted is
+    counted for them and not kept, so a fresh table is written one row at a time."""
     if counts.floor:
         raise ValueError(f"a table cut at count floor {counts.floor} cannot be written")
-    lines = [
-        f"N={counts.vocab.total_tokens}",
-        f"K={counts.half_width}",
-        f"F={counts.vocab.stop_threshold}",
-        f"CROSS={int(counts.cross_sentences)}",
-    ]
-    header = len(lines)
-    rows = counts.rows
-    for w1 in sorted(rows):
-        row = rows[w1]
-        upper = [w2 for w2 in row if w1 < w2]
-        upper.sort()
-        lines += [f"{w1}\t{w2}\t{row[w2]}" for w2 in upper]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return len(lines) - header
+    rows = counts._rows
+    written = 0
+
+    def pieces():
+        nonlocal written
+        yield (f"N={counts.vocab.total_tokens}\nK={counts.half_width}\n"
+               f"F={counts.vocab.stop_threshold}\nCROSS={int(counts.cross_sentences)}\n")
+        for w1 in sorted(rows):
+            row = rows[w1]
+            if row.__class__ is list:
+                row = counts._count_row(w1, row)
+            upper = [w2 for w2 in row if w1 < w2]
+            upper.sort()
+            written += len(upper)
+            yield "".join([f"{w1}\t{w2}\t{row[w2]}\n" for w2 in upper])
+
+    atomic_write_text(path, pieces())
+    return written
 
 
 # The header keys of a pair table, each with what its integer value means
@@ -402,17 +411,18 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     naming the file, and the line where there is one.
 
     Given ``thresholds``, every line is still checked, but only the pairs at
-    or above their count floor are kept. Pairs in the writer's order, each
-    after the one before, cannot repeat; at the first that is not, the text
-    is read whole, then cut to the floor."""
+    or above their count floor are kept. A table as the writer writes it is
+    read in one lean pass; at the first line that pass declines, the checking
+    loop reads the whole text, to name the fault or to read a table in any
+    order, then cut to the floor."""
     path = Path(path)
-    lines = read_text(path).splitlines()
     floor = 0.0 if thresholds is None else thresholds.count_floor
-    read = _read_pair_lines(path, lines, vocab, floor)
-    if read is None:  # not in the writer's order
-        header, rows = _read_pair_lines(path, lines, vocab, 0.0)
-        rows = {word: cut for word, row in rows.items()
-                if (cut := {other: n for other, n in row.items() if n >= floor})}
+    read = _read_writer_order(path, vocab, floor)
+    if read is None:
+        header, rows = _read_pair_lines(path, read_text(path).splitlines(), vocab)
+        if floor:
+            rows = {word: cut for word, row in rows.items()
+                    if (cut := {other: n for other, n in row.items() if n >= floor})}
     else:
         header, rows = read
     if "N" not in header or "K" not in header:
@@ -432,26 +442,78 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)), floor=floor)
 
 
-def _read_pair_lines(path: Path, lines: list[str], vocab: Vocabulary, floor: float
-                     ) -> tuple[dict[str, int], dict[str, dict[str, int]]] | None:
-    """A pair table's header and its rows of counts at or above ``floor``;
-    None if ``floor`` is above 0 and a pair does not sort after the one before."""
+class _CountTexts(dict):
+    """Count texts as the writer writes them, line end included, each parsed once."""
+
+    def __missing__(self, text: str) -> int:
+        n = self[text] = int(text)
+        if n < 1 or text != f"{n}\n":
+            raise ValueError(text)  # and the pass, with this map, ends
+        return n
+
+
+def _read_writer_order(path: Path, vocab: Vocabulary, floor: float
+                       ) -> tuple[dict[str, int], dict[str, dict[str, int]]] | None:
+    """The header and the rows at or above ``floor`` of a file holding only
+    what the writer writes: good header lines, then pair lines each sorting
+    after the one before, w1 < w2, count >= 1, words in the vocabulary. Read
+    line by line; None at the first line that is not so."""
+    keys = {word: word for word in vocab.freq}
+    joined = "\t".join(keys) + "\t"
+    if joined.splitlines() != [joined]:  # a word holds a break other than \n
+        return None
+    header: dict[str, int] = {}
+    rows: dict[str, dict[str, int]] = {}
+    counts = _CountTexts()
+    run = None
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        try:
+            for line in lines:
+                if "\t" in line:
+                    break
+                text = line[:-1]  # the line must end in \n, its only break
+                if line.splitlines() != [text] or _read_pair_header(text, header, False):
+                    return None
+            else:
+                return header, rows
+            for line in chain((line,), lines):
+                w1, w2, count = line.split("\t")
+                n = counts[count]
+                if w1 != run:
+                    if run is not None and w1 < run:
+                        return None
+                    run = last = w1
+                    a = keys[w1]
+                    row = rows.get(a)
+                if w2 <= last:
+                    return None
+                last = w2
+                b = keys[w2]
+                if n >= floor:
+                    if row is None:
+                        row = rows[a] = {}
+                    row[b] = n
+                    rows.setdefault(b, {})[a] = n
+        except (ValueError, KeyError):
+            return None
+    return header, rows
+
+
+def _read_pair_lines(path: Path, lines: list[str], vocab: Vocabulary
+                     ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """A pair table's header and rows; ValueError names the first faulty line."""
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
     # Each pair word maps to the vocabulary's own key object, so the rows
-    # hold no second copy of a word and lookups between them match by
-    # identity. The writer's rows come in runs that share w1, so w1's key
-    # and row are looked up once per run; a table in any other order is
-    # read whole the same way, only with more runs.
+    # hold no second copy of a word and lookups between them match by identity.
     keys = {word: word for word in vocab.freq}
-    run = a = row = last = None
     for line_no, line in enumerate(lines, 1):
         try:
             w1, w2, count = line.split("\t")
             n = int(count)
         except ValueError:
             if "=" in line and "\t" not in line:
-                problem = _read_pair_header(line, header, run is not None)
+                problem = _read_pair_header(line, header, bool(rows))
                 if problem is None:
                     continue
             elif not line.strip():
@@ -459,27 +521,19 @@ def _read_pair_lines(path: Path, lines: list[str], vocab: Vocabulary, floor: flo
             else:
                 problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
         else:
-            if w1 != run:
-                if floor and run is not None and w1 < run:
-                    return None
-                run = w1
-                a = keys.get(w1)
-                row = rows.get(a)
-            elif w2 <= last and floor:
-                return None
-            last = w2
+            a = keys.get(w1)
             b = keys.get(w2)
+            row = rows.get(a)
             if (w1 < w2 and n > 0 and a is not None and b is not None
                     and (row is None or b not in row)):
-                if n >= floor:
-                    if row is None:
-                        row = rows[a] = {}
-                    row[b] = n
-                    other = rows.get(b)
-                    if other is None:
-                        rows[b] = {a: n}
-                    else:
-                        other[a] = n
+                if row is None:
+                    row = rows[a] = {}
+                row[b] = n
+                other = rows.get(b)
+                if other is None:
+                    rows[b] = {a: n}
+                else:
+                    other[a] = n
                 continue
             if w1 >= w2:
                 problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -35,13 +36,14 @@ def read_text(path: str | Path) -> str:
         raise UndecodableText(path, len(lines), len(lines[-1]), message) from None
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each of its pieces in turn, to ``path`` atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

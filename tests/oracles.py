@@ -145,7 +145,8 @@ def reference_write_pair_counts(counts: PairCounts, path: str | Path) -> int:
 
 
 def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
-    """``read_pair_counts`` with w1's key and row looked up on every line."""
+    """``read_pair_counts`` as one checking loop over the whole text, with
+    no lean pass and no count floor."""
     path = Path(path)
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}

@@ -526,8 +526,12 @@ def test_write_pair_counts_equals_the_generator_writer(sents, threshold, k, cros
 TEXT_VOCAB = Vocabulary({"ant": 5, "bee": 4, "cat": 3, "dog": 2, "eel": 1}, 15, 800)
 TEXT_PAIRS = [(w1, w2) for w1 in TEXT_VOCAB.freq for w2 in TEXT_VOCAB.freq if w1 < w2]
 TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown"]
-BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", ""]
+# Counts the writer never writes; ``int`` accepts the padded ones and the
+# last four.
+BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", "", "+3", "03", "3_0", "\u0663"]
 BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "Q=1", "K=3", "K=x", "N"]
+# Characters other than \n at which ``str.splitlines`` breaks a line.
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 
 
 @st.composite
@@ -535,8 +539,9 @@ def pair_table_texts(draw):
     """Pair-table texts over ``TEXT_VOCAB`` as the writer writes them or
     not: rows sorted, shuffled or with one w1 run split in two; repeated,
     swapped and self pairs, bad or padded counts and unknown words; headers
-    missing, bad or after the rows; blank and whitespace-only lines; and
-    ``\n`` or ``\r\n`` line ends."""
+    missing, bad or after the rows; blank and whitespace-only lines;
+    ``\n`` or ``\r\n`` line ends; and other line breaks anywhere, inside a
+    word, a count or a header."""
     pairs = draw(st.lists(st.sampled_from(TEXT_PAIRS), unique=True, max_size=10))
     rows = [[w1, w2, str(draw(st.integers(1, 30)))] for w1, w2 in pairs]
     for fault in draw(st.lists(st.sampled_from(TEXT_FAULTS), max_size=2)):
@@ -575,6 +580,14 @@ def pair_table_texts(draw):
     lines = header + lines
     for blank in draw(st.lists(st.sampled_from(["", "   ", " \t "]), max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), blank)
+    for brk in draw(st.lists(st.sampled_from(LINE_BREAKS), max_size=2)):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            fields = lines[i].split("\t")
+            f = draw(st.integers(0, len(fields) - 1))
+            j = draw(st.integers(0, len(fields[f])))
+            fields[f] = fields[f][:j] + brk + fields[f][j:]
+            lines[i] = "\t".join(fields)
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
@@ -671,6 +684,111 @@ def test_a_read_with_thresholds_checks_the_pairs_it_drops(tmp_path, rows, line_n
     path.write_text("\n".join(["N=15", "K=3", *rows]) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
         read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds())
+
+
+# A table over TEXT_VOCAB in the writer's order, with counts below and
+# above the default floor of 4, and the index of its first pair line, of a
+# line inside a w1 run, of the first line of a run, and of its last line.
+WRITER_ROWS = [("ant", "bee", "9"), ("ant", "cat", "2"), ("ant", "eel", "5"), ("bee", "cat", "1"),
+               ("bee", "dog", "7"), ("cat", "dog", "3"), ("dog", "eel", "6")]
+FAULT_PLACES = {"first": 0, "mid-run": 1, "run change": 3, "last": 6}
+
+
+def faulty_writer_table(fault: str, place: int, count: str) -> str:
+    """``WRITER_ROWS`` with one fault at row ``place``, its count ``count``:
+    the row replaced by a swapped pair, a self pair, a count of 0, an
+    unknown w1 or w2, or a repeat of the row before; or a header or blank
+    line put in before it."""
+    rows = [list(row) for row in WRITER_ROWS]
+    w1, w2, _ = rows[place]
+    lines = ["N=15", "K=4"]
+    fault_row = {"swap": [w2, w1, count], "self": [w1, w1, count], "count 0": [w1, w2, "0"],
+                 "unknown w1": [w1 + "x", w2, count], "unknown w2": [w1, w2 + "x", count],
+                 "repeat": [*rows[place - 1][:2], count]}.get(fault)
+    if fault_row is None:
+        rows[place][2] = count
+    else:
+        rows[place] = fault_row
+    lines += ["\t".join(row) for row in rows]
+    if fault in ("header", "blank"):
+        lines.insert(2 + place, "K=4" if fault == "header" else "")
+    return "\n".join(lines) + "\n"
+
+
+def assert_reads_as_the_per_line_reader(path: Path) -> str | tuple:
+    """The reader's outcome is the per-line reader's; given thresholds, it
+    refuses the text with the same message or returns the per-line reader's
+    rows cut to the floor. Returns the per-line reader's outcome."""
+    expected = read_outcome(reference_read_pair_counts, path)
+    assert read_outcome(read_pair_counts, path) == expected
+    thresholds = SignificanceThresholds()
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as refused:
+            read_pair_counts(path, TEXT_VOCAB, thresholds)
+        assert str(refused.value) == expected
+    else:
+        cut = read_pair_counts(path, TEXT_VOCAB, thresholds)
+        assert cut.rows == cut_rows(reference_read_pair_counts(path, TEXT_VOCAB), cut.floor)
+    return expected
+
+
+@pytest.mark.parametrize("count", ["2", "9"])
+@pytest.mark.parametrize("fault, place", [
+    (fault, place)
+    for fault in ["swap", "self", "count 0", "unknown w1", "unknown w2", "repeat", "header", "blank"]
+    for place in FAULT_PLACES
+    if (fault, place) != ("repeat", "first")  # no row before the first to repeat
+])
+def test_one_fault_in_a_writer_order_table_reads_as_the_per_line_reader_reads_it(
+        tmp_path, fault, place, count):
+    """One fault anywhere in a table that is otherwise in the writer's
+    order, below or above the floor, is refused at the per-line reader's
+    line with its message; a blank line is no fault."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text(faulty_writer_table(fault, FAULT_PLACES[place], count))
+    expected = assert_reads_as_the_per_line_reader(path)
+    assert isinstance(expected, str) == (fault != "blank")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+@pytest.mark.parametrize("old, new", [
+    ("K=4", "K={}4"),
+    ("ant\tcat\t2", "ant\tcat\t{}2"),
+    ("bee\tdog\t7", "bee\tdog\t1{}7"),
+    ("dog\teel\t6\n", "dog\teel\t6{}\n"),
+    ("ant\teel", "ant\te{}el"),
+])
+def test_a_line_break_in_a_writer_order_table_reads_as_the_per_line_reader_reads_it(
+        tmp_path, brk, old, new):
+    """A line break other than \\n inside a header, before, inside or after
+    a count, or inside a word splits the line for the per-line reader."""
+    path = tmp_path / "pairs.tsv"
+    text = "".join(f"{line}\n" for line in ["N=15", "K=4", *map("\t".join, WRITER_ROWS)])
+    path.write_bytes(text.replace(old, new.format(brk)).encode())
+    assert_reads_as_the_per_line_reader(path)
+
+
+@pytest.mark.parametrize("text", ["N=15\nK=4\nF=800", "N=15\nK=4\nCROSS=1", "K=4\nN=15"])
+def test_a_header_only_table_without_a_last_line_end_reads_whole(tmp_path, text):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(text)
+    assert assert_reads_as_the_per_line_reader(path) == ([], 4, "CROSS=1" in text, True)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_a_vocabulary_word_holding_a_line_break_reads_as_the_per_line_reader_reads_it(
+        tmp_path, brk):
+    """A pair line whose word holds a line break other than \\n is two
+    lines to the per-line reader, even when the vocabulary holds that word."""
+    vocab = Vocabulary({f"a{brk}b": 4, "c": 5}, 9, 800)
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(f"N=9\nK=4\na{brk}b\tc\t4\n".encode())
+    expected = f"{path}: line 3: expected 'word<TAB>word<TAB>count', got 'a'"
+    for thresholds in (None, SignificanceThresholds()):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read_pair_counts(path, vocab, thresholds)
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        reference_read_pair_counts(path, vocab)
 
 
 def test_a_table_with_a_count_floor_refuses_what_needs_a_pair_below_it(tmp_path):

@@ -24,6 +24,9 @@ def test_the_floor_share_is_the_share_of_written_pairs_at_or_above_the_floor(tmp
     assert result["kept"] == sum(int(count) >= floor for _, _, count in rows) > 0
     assert result["tokens"] == len(train.read_text().split())
     assert set(result["cpu_s"]) == set(result["traced_bytes"]) == set(scale_probe.STAGES)
+    # The write comes first and leaves no row counted; the rows stage then counts them all.
+    assert scale_probe.STAGES.index("write") < scale_probe.STAGES.index("rows")
+    assert result["traced_bytes"]["write"][1] < result["traced_bytes"]["rows"][1] / 10
 
 
 def test_the_probe_prints_one_table_per_size_from_a_fresh_process():

@@ -55,6 +55,19 @@ def test_read_pair_counts_names_the_line(tmp_path):
         read_pair_counts(path, counts.vocab)
 
 
+@pytest.mark.parametrize("good_rows", [1, 3000])
+def test_read_pair_counts_names_the_line_of_a_bad_byte_among_the_pairs(tmp_path, good_rows):
+    """A bad byte after the first pair row, or after thousands of rows in
+    the writer's order, is named at its line."""
+    words = [f"w{i:03}" for i in range(100)]
+    rows = [f"{a}\t{b}\t3\n".encode() for i, a in enumerate(words) for b in words[i + 1:]]
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"N=5000\nK=4\n" + b"".join(rows[:good_rows]) + b"w099\t\xe9x\t3\n")
+    line = 2 + good_rows + 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {BAD_BYTE}')}$"):
+        read_pair_counts(path, Vocabulary(dict.fromkeys(words, 50), 5000, 800))
+
+
 def test_read_network_names_the_line(tmp_path):
     net = build_network("a", significant_counts([("a", "b")]), max_order=1)
     path = tmp_path / "a.net"

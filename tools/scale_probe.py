@@ -12,8 +12,9 @@ pipeline order, through the package's own functions:
 - ``ingest``: ``corpus.ingest_files``;
 - ``vocabulary``: ``corpus.build_vocabulary``;
 - ``count_pairs``: ``cooc.count_pairs``;
+- ``write``: ``write_vocabulary`` and ``write_pair_counts``, of the table
+  as ``count_pairs`` returned it, no row counted yet, as ``stats`` writes it;
 - ``rows``: every row of that table counted (``PairCounts.rows``);
-- ``write``: ``write_vocabulary`` and ``write_pair_counts``;
 - ``read``: ``read_pair_counts`` with the default thresholds, which keeps
   only the pairs ``build``'s count floor can admit.
 
@@ -47,7 +48,7 @@ from lexchoice import cooc, corpus  # noqa: E402
 
 WINDOW = 10
 MAX_FREQ = corpus.DEFAULT_STOP_THRESHOLD
-STAGES = ("ingest", "vocabulary", "count_pairs", "rows", "write", "read")
+STAGES = ("ingest", "vocabulary", "count_pairs", "write", "rows", "read")
 
 
 def max_rss_mb() -> float:
@@ -88,13 +89,13 @@ def run_stages(train: Path, out: Path, traced: bool) -> tuple[dict, dict]:
     vocab = stage("vocabulary", lambda: corpus.build_vocabulary(ts, cfg))
     counts = stage("count_pairs",
                    lambda: cooc.count_pairs(ts, vocab, cooc.WindowConfig(WINDOW)))
-    stage("rows", lambda: counts.rows)
 
     def write():
         corpus.write_vocabulary(vocab, out / "vocab.tsv")
         return cooc.write_pair_counts(counts, out / "pairs.tsv")
 
     figures["written"] = stage("write", write)
+    stage("rows", lambda: counts.rows)
     cut = stage("read", lambda: cooc.read_pair_counts(out / "pairs.tsv", vocab,
                                                       cooc.SignificanceThresholds()))
     figures["kept"] = sum(map(len, cut.rows.values())) // 2
