@@ -41,9 +41,14 @@ cut to the entries whose count reaches ``t_min**2`` before it is sorted and
 scored. The floor sits a relative ``COUNT_FLOOR_MARGIN`` below ``t_min**2``:
 at f = ``t_min**2`` with a tiny E, the float t can round to exactly
 ``t_min``, and such a pair passes. ``read_pair_counts`` given thresholds
-keeps only the pairs at or above their floor (a text the lean pass declines
-is read whole, then cut), and the table refuses what would need a
-pair below its ``floor``: thresholds with a lower one, a write, a count.
+keeps only the pairs at or above their floor, and the table refuses what
+would need a pair below its ``floor``: thresholds with a lower one, a
+write, a count.
+
+A pair table file holds exactly what ``write_pair_counts`` writes, plus
+blank lines: header lines, then ``w1<TAB>w2<TAB>count`` lines in sorted
+order, each ending in ``\\n``. ``read_pair_counts`` reads it in one pass
+and refuses the first other line by its number.
 """
 
 from __future__ import annotations
@@ -377,68 +382,69 @@ _PAIR_HEADER = {
 }
 
 
-def _read_pair_header(line: str, header: dict[str, int], after_rows: bool) -> str | None:
-    """File the header line ``key=value`` under ``header``, or say what is
-    wrong with it."""
-    key, value = line.split("=", 1)
-    if after_rows:
-        return f"header line {key}= after the first pair row"
-    if key not in _PAIR_HEADER:
-        return f"unknown header key {key!r}"
-    if key in header:
-        return f"header key {key}= repeats an earlier line"
-    meaning, test = _PAIR_HEADER[key]
-    try:
-        number = int(value)
-    except ValueError:
-        number = None
-    if number is None or not test(number):
-        return f"expected '{key}=<{meaning}>', got {line!r}"
-    header[key] = number
-    return None
-
-
 def read_pair_counts(path: str | Path, vocab: Vocabulary,
                      thresholds: SignificanceThresholds | None = None) -> PairCounts:
     """Read a pair table written by ``write_pair_counts``, checked against
     the vocabulary it was counted with: same N, same F, and every pair word
-    in it (the significance statistics divide by its frequency). Each row
-    must be a pair the writer can write: its words in sorted order and
-    distinct, its count at least 1, and no pair twice. The header lines
-    come first, each key at most once with an integer value: N and K, and
-    optionally F and CROSS; K and F are at least 1 and CROSS is 0 or 1.
-    A breach, or bytes that do not decode as UTF-8, raises ValueError
-    naming the file, and the line where there is one.
+    in it (the significance statistics divide by its frequency).
 
-    Given ``thresholds``, every line is still checked, but only the pairs at
-    or above their count floor are kept. A table as the writer writes it is
-    read in one lean pass; at the first line that pass declines, the checking
-    loop reads the whole text, to name the fault or to read a table in any
-    order, then cut to the floor."""
+    One pass accepts exactly the writer's lines, each ending in ``\\n``,
+    its only break, and skips blank and whitespace-only ones. First the
+    header lines, each key once with an integer value: N and K, optionally F
+    and CROSS; K and F at least 1, CROSS 0 or 1. Then ``w1<TAB>w2<TAB>count``
+    lines, each sorting strictly after the one before (so w1 < w2 and no
+    pair repeats), both words in the vocabulary, the count ``str(n)``, n >= 1.
+    The first other line, or bytes that do not decode as UTF-8, raise
+    ValueError naming the file and the line. Given ``thresholds``, every
+    line is still checked, but only the pairs at or above their count floor
+    are kept."""
     path = Path(path)
     floor = 0.0 if thresholds is None else thresholds.count_floor
-    read = _read_writer_order(path, vocab, floor)
-    if read is None:
-        header, rows = _read_pair_lines(path, read_text(path).splitlines(), vocab)
-        if floor:
-            rows = {word: cut for word, row in rows.items()
-                    if (cut := {other: n for other, n in row.items() if n >= floor})}
-    else:
-        header, rows = read
+    # The vocabulary's own key objects, so the rows hold no second copy of a
+    # word; less those holding a line break but \n, which no line may hold.
+    keys = {word: word for word in vocab.freq if word.splitlines() == [word]}
+    header: dict[str, int] = {}
+    rows: dict[str, dict[str, int]] = {}
+    counts = _CountTexts()
+    run = last = row = None  # the last pair line's words, and its w1's row
+    try:
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            for line_no, line in enumerate(lines, 1):
+                try:
+                    w1, w2, count = line.split("\t")
+                    n = counts[count]
+                    b = keys[w2]
+                    if w1 != run:
+                        if w2 <= w1 or run is not None and w1 < run:
+                            raise ValueError
+                        a = keys[w1]
+                        row = rows.get(a)
+                        run = w1
+                    elif w2 <= last:
+                        raise ValueError
+                except (ValueError, KeyError):
+                    problem = _line_problem(line, header, keys, run, last)
+                    if problem is None:
+                        continue
+                    raise ValueError(f"{path}: line {line_no}: {problem}") from None
+                last = w2
+                if n >= floor:
+                    if row is None:
+                        row = rows[a] = {}
+                    row[b] = n
+                    rows.setdefault(b, {})[a] = n
+    except UnicodeDecodeError:
+        read_text(path)  # raises, naming the line of the first bad byte
+        raise
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
-    total = header["N"]
-    if total != vocab.total_tokens:
-        raise ValueError(
-            f"{path}: pair counts were taken over N={total} tokens "
-            f"but the vocabulary has N={vocab.total_tokens}"
-        )
+    if header["N"] != vocab.total_tokens:
+        raise ValueError(f"{path}: pair counts were taken over N={header['N']} tokens "
+                         f"but the vocabulary has N={vocab.total_tokens}")
     threshold = header.get("F", vocab.stop_threshold)
     if threshold != vocab.stop_threshold:
-        raise ValueError(
-            f"{path}: pair counts were taken with F={threshold} "
-            f"but the vocabulary has F={vocab.stop_threshold}"
-        )
+        raise ValueError(f"{path}: pair counts were taken with F={threshold} "
+                         f"but the vocabulary has F={vocab.stop_threshold}")
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)), floor=floor)
 
 
@@ -446,102 +452,55 @@ class _CountTexts(dict):
     """Count texts as the writer writes them, line end included, each parsed once."""
 
     def __missing__(self, text: str) -> int:
-        n = self[text] = int(text)
+        n = int(text)
         if n < 1 or text != f"{n}\n":
-            raise ValueError(text)  # and the pass, with this map, ends
+            raise ValueError(text)
+        self[text] = n
         return n
 
 
-def _read_writer_order(path: Path, vocab: Vocabulary, floor: float
-                       ) -> tuple[dict[str, int], dict[str, dict[str, int]]] | None:
-    """The header and the rows at or above ``floor`` of a file holding only
-    what the writer writes: good header lines, then pair lines each sorting
-    after the one before, w1 < w2, count >= 1, words in the vocabulary. Read
-    line by line; None at the first line that is not so."""
-    keys = {word: word for word in vocab.freq}
-    joined = "\t".join(keys) + "\t"
-    if joined.splitlines() != [joined]:  # a word holds a break other than \n
+def _line_problem(line: str, header: dict[str, int], keys: dict[str, str],
+                  run: str | None, last: str | None) -> str | None:
+    """What is wrong with a table line that is not a good pair line after
+    the pair ``run`` ``last`` (None before the first pair line); None for a
+    blank line, and for a good header line, which it files under ``header``."""
+    if not line.strip():
         return None
-    header: dict[str, int] = {}
-    rows: dict[str, dict[str, int]] = {}
-    counts = _CountTexts()
-    run = None
-    with open(path, encoding="utf-8", newline="\n") as lines:
+    text = line.removesuffix("\n")
+    if text.splitlines() != [text]:
+        return f"{text!r} holds a line break other than \\n"
+    if text == line:
+        return f"{text!r} does not end in \\n"
+    if "=" in text and "\t" not in text:
+        key, value = text.split("=", 1)
+        if run is not None:
+            return f"header line {key}= after the first pair row"
+        if key not in _PAIR_HEADER:
+            return f"unknown header key {key!r}"
+        if key in header:
+            return f"header key {key}= repeats an earlier line"
+        meaning, test = _PAIR_HEADER[key]
         try:
-            for line in lines:
-                if "\t" in line:
-                    break
-                text = line[:-1]  # the line must end in \n, its only break
-                if line.splitlines() != [text] or _read_pair_header(text, header, False):
-                    return None
-            else:
-                return header, rows
-            for line in chain((line,), lines):
-                w1, w2, count = line.split("\t")
-                n = counts[count]
-                if w1 != run:
-                    if run is not None and w1 < run:
-                        return None
-                    run = last = w1
-                    a = keys[w1]
-                    row = rows.get(a)
-                if w2 <= last:
-                    return None
-                last = w2
-                b = keys[w2]
-                if n >= floor:
-                    if row is None:
-                        row = rows[a] = {}
-                    row[b] = n
-                    rows.setdefault(b, {})[a] = n
-        except (ValueError, KeyError):
-            return None
-    return header, rows
-
-
-def _read_pair_lines(path: Path, lines: list[str], vocab: Vocabulary
-                     ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-    """A pair table's header and rows; ValueError names the first faulty line."""
-    header: dict[str, int] = {}
-    rows: dict[str, dict[str, int]] = {}
-    # Each pair word maps to the vocabulary's own key object, so the rows
-    # hold no second copy of a word and lookups between them match by identity.
-    keys = {word: word for word in vocab.freq}
-    for line_no, line in enumerate(lines, 1):
-        try:
-            w1, w2, count = line.split("\t")
-            n = int(count)
+            number = int(value)
         except ValueError:
-            if "=" in line and "\t" not in line:
-                problem = _read_pair_header(line, header, bool(rows))
-                if problem is None:
-                    continue
-            elif not line.strip():
-                continue
-            else:
-                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
-        else:
-            a = keys.get(w1)
-            b = keys.get(w2)
-            row = rows.get(a)
-            if (w1 < w2 and n > 0 and a is not None and b is not None
-                    and (row is None or b not in row)):
-                if row is None:
-                    row = rows[a] = {}
-                row[b] = n
-                other = rows.get(b)
-                if other is None:
-                    rows[b] = {a: n}
-                else:
-                    other[a] = n
-                continue
-            if w1 >= w2:
-                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
-            elif n < 1:
-                problem = f"count {n} is below 1"
-            elif a is None or b is None:
-                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
-            else:
-                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
-        raise ValueError(f"{path}: line {line_no}: {problem}")
-    return header, rows
+            number = None
+        if number is None or not test(number):
+            return f"expected '{key}=<{meaning}>', got {text!r}"
+        header[key] = number
+        return None
+    try:
+        w1, w2, count = text.split("\t")
+        n = int(count)
+    except ValueError:
+        return f"expected 'word<TAB>word<TAB>count', got {text!r}"
+    if w1 >= w2:
+        return f"pair {w1!r} {w2!r} is out of order or a self-pair"
+    if n < 1:
+        return f"count {n} is below 1"
+    if count != str(n):
+        return f"count {count!r} is not written as {n}"
+    if w1 not in keys or w2 not in keys:
+        return f"pair word {w2 if w1 in keys else w1!r} is not in the vocabulary"
+    if (w1, w2) == (run, last):
+        return f"pair {w1!r} {w2!r} repeats an earlier row"
+    return f"pair {w1!r} {w2!r} does not sort after the pair before it, {run!r} {last!r}"

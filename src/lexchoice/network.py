@@ -236,18 +236,7 @@ def build_network(
         depths, edges = _apply_edge_cap(depths, edges, caps.max_edges)
         truncated.append("edges")
 
-    return CoocNetwork(
-        root=root,
-        max_order=max_order,
-        depths=depths,
-        edges=edges,
-        total_tokens=counts.vocab.total_tokens,
-        half_width=counts.half_width,
-        thresholds=thresholds,
-        truncated=",".join(truncated) or None,
-        cross_sentences=counts.cross_sentences,
-        stop_threshold=counts.vocab.stop_threshold,
-    )
+    return _network(root, counts, thresholds, max_order, depths, edges, truncated)
 
 
 def scoring_network(
@@ -278,6 +267,14 @@ def scoring_network(
             for w2, t in counts.significant_neighbors(w1, thresholds):
                 if depths.get(w2) == depth + 1:
                     edges[(w1, w2) if w1 < w2 else (w2, w1)] = round(t, WEIGHT_DECIMALS)
+    return _network(root, counts, thresholds, max_order, depths, edges, truncated)
+
+
+def _network(root: str, counts: PairCounts, thresholds: SignificanceThresholds,
+             max_order: int, depths: dict[str, int], edges: dict[tuple[str, str], float],
+             truncated: list[str]) -> CoocNetwork:
+    """The network of ``root`` with these nodes, edges and truncation, and
+    the settings of the table it was grown from."""
     return CoocNetwork(
         root=root,
         max_order=max_order,

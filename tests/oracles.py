@@ -22,7 +22,6 @@ from lexchoice.cooc import (
     SignificanceThresholds,
     WindowConfig,
     _Occurrences,
-    _read_pair_header,
     count_pairs,
 )
 from lexchoice.corpus import (
@@ -144,50 +143,73 @@ def reference_write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     return len(lines) - header
 
 
+# What each pair-table header key's integer value means, and the test it must pass.
+PAIR_HEADER_RULES = {"N": ("tokens", lambda n: True), "K": ("half-width >= 1", lambda n: n >= 1),
+                     "F": ("threshold >= 1", lambda n: n >= 1),
+                     "CROSS": ("0 or 1", lambda n: n in (0, 1))}
+
+
 def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
-    """``read_pair_counts`` as one checking loop over the whole text, with
-    no lean pass and no count floor."""
+    """``read_pair_counts`` as one checking loop over the whole text, split
+    at \\n only, with no count floor: header lines, then each pair line as
+    the writer writes it and sorting after the pair line before it."""
     path = Path(path)
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
     keys = {word: word for word in vocab.freq}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            w1, w2, count = line.split("\t")
-            n = int(count)
-        except ValueError:
-            if "=" in line and "\t" not in line:
-                problem = _read_pair_header(line, header, bool(rows))
-                if problem is None:
+    before = None  # the last pair line's (w1, w2)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        if line.splitlines() != [line]:
+            problem = f"{line!r} holds a line break other than \\n"
+        elif line_no == len(lines):
+            problem = f"{line!r} does not end in \\n"
+        elif "=" in line and "\t" not in line:
+            key, value = line.split("=", 1)
+            meaning, test = PAIR_HEADER_RULES.get(key, (None, None))
+            if before is not None:
+                problem = f"header line {key}= after the first pair row"
+            elif test is None:
+                problem = f"unknown header key {key!r}"
+            elif key in header:
+                problem = f"header key {key}= repeats an earlier line"
+            else:
+                try:
+                    number = int(value)
+                except ValueError:
+                    number = None
+                if number is not None and test(number):
+                    header[key] = number
                     continue
-            elif not line.strip():
-                continue
-            else:
-                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
+                problem = f"expected '{key}=<{meaning}>', got {line!r}"
         else:
-            a = keys.get(w1)
-            b = keys.get(w2)
-            row = rows.get(a)
-            fresh = row is None or b not in row
-            if w1 < w2 and n > 0 and a is not None and b is not None and fresh:
-                if row is None:
-                    rows[a] = {b: n}
-                else:
-                    row[b] = n
-                other = rows.get(b)
-                if other is None:
-                    rows[b] = {a: n}
-                else:
-                    other[a] = n
-                continue
-            if w1 >= w2:
-                problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
-            elif n < 1:
-                problem = f"count {n} is below 1"
-            elif a is None or b is None:
-                problem = f"pair word {w1 if a is None else w2!r} is not in the vocabulary"
+            try:
+                w1, w2, count = line.split("\t")
+                n = int(count)
+            except ValueError:
+                problem = f"expected 'word<TAB>word<TAB>count', got {line!r}"
             else:
-                problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+                if w1 >= w2:
+                    problem = f"pair {w1!r} {w2!r} is out of order or a self-pair"
+                elif n < 1:
+                    problem = f"count {n} is below 1"
+                elif count != str(n):
+                    problem = f"count {count!r} is not written as {n}"
+                elif w1 not in keys or w2 not in keys:
+                    problem = f"pair word {w1 if w1 not in keys else w2!r} is not in the vocabulary"
+                elif (w1, w2) == before:
+                    problem = f"pair {w1!r} {w2!r} repeats an earlier row"
+                elif before is not None and (w1, w2) < before:
+                    problem = (f"pair {w1!r} {w2!r} does not sort after the pair before it, "
+                               f"{before[0]!r} {before[1]!r}")
+                else:
+                    a, b = keys[w1], keys[w2]
+                    rows.setdefault(a, {})[b] = n
+                    rows.setdefault(b, {})[a] = n
+                    before = (w1, w2)
+                    continue
         raise ValueError(f"{path}: line {line_no}: {problem}")
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")

@@ -563,31 +563,35 @@ def test_choose_refuses_a_vocabulary_with_another_stop_threshold(tmp_path, capsy
     assert run(argv + [str(tmp_path / "900" / "vocab.tsv")], capsys)[0] == 0
 
 
-def test_build_reads_a_table_in_any_order_to_the_same_networks(tmp_path, capsys):
-    """``build`` keeps only the pairs its thresholds can admit; on the
-    writer's table, the same rows shuffled and a table with one w1 run split
-    in two it writes the same .net bytes and prints the same lines."""
+def test_build_refuses_a_table_out_of_the_writers_order(tmp_path, capsys):
+    """``build`` reads the table as the writer writes it. The same rows
+    shuffled, or with one w1 run split in two, are refused at the first
+    line that does not sort after the line before, and no network is written."""
     pc = planted_corpus()
     (tmp_path / "train.tag").write_text(pc.train_text)
     counts = tmp_path / "counts"
     assert run(["stats", "--corpus", str(tmp_path / "train.tag"), "--out", str(counts)],
                capsys)[0] == 0
-    lines = (counts / "pairs.tsv").read_text().splitlines()
+    pairs = counts / "pairs.tsv"
+    lines = pairs.read_text().splitlines()
     header, rows = lines[:4], lines[4:]
     runs = [i for i in range(1, len(rows)) if rows[i].split("\t")[0] == rows[i - 1].split("\t")[0]]
     split = rows[:runs[0]] + rows[runs[0] + 1:] + [rows[runs[0]]]
     shuffled = rows[::2] + rows[1::2]
     roots = ["widget", "gadget", pc.anchor, pc.bridge]
-    outputs = []
-    for name, table in (("writer", rows), ("split", split), ("shuffled", shuffled)):
-        (counts / "pairs.tsv").write_text("\n".join(header + table) + "\n")
-        code, stdout, err = run(["build", "--counts", str(counts), "--order", "3",
-                                 *[f"--root={root}" for root in roots],
-                                 "--out", str(tmp_path / name)], capsys)
-        assert (code, err) == (0, "")
-        outputs.append((stdout, [(tmp_path / name / f"{root}.net").read_bytes() for root in roots]))
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert "edges=0" not in outputs[0][0]
+    for name, table, bad in (("writer", rows, None), ("split", split, len(rows) - 1),
+                             ("shuffled", shuffled, len(rows[::2]))):
+        pairs.write_text("\n".join(header + table) + "\n")
+        outcome = run(["build", "--counts", str(counts), "--order", "3",
+                       *[f"--root={root}" for root in roots], "--out", str(tmp_path / name)],
+                      capsys)
+        if bad is None:
+            assert outcome[0] == 0 and "edges=0" not in outcome[1]
+            continue
+        (w1, w2, _), (p1, p2, _) = table[bad].split("\t"), table[bad - 1].split("\t")
+        assert outcome == (1, "", f"error: {pairs}: line {len(header) + bad + 1}: pair {w1!r} "
+                                  f"{w2!r} does not sort after the pair before it, {p1!r} {p2!r}\n")
+        assert not (tmp_path / name).exists()
 
 
 def test_build_with_a_floor_no_count_reaches_writes_root_only_networks(fixture_stats, capsys):

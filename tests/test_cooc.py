@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -652,10 +653,16 @@ def test_a_read_with_thresholds_is_the_whole_read_cut_to_the_floor(text, t_min, 
             word, thresholds)
 
 
-@pytest.mark.parametrize("order", ["sorted", "shuffled", "split"])
-def test_a_read_with_thresholds_keeps_only_the_pairs_at_the_floor(tmp_path, order):
-    """In the writer's order or not, the default floor of 4 keeps the two
-    pairs counted 4 and 9 times and drops the rest, in both words' rows."""
+@pytest.mark.parametrize("order, refused", [
+    ("sorted", None),
+    ("shuffled", "line 4: pair 'bee' 'cat' does not sort after the pair before it, 'bee' 'eel'"),
+    ("split", "line 7: pair 'ant' 'bee' does not sort after the pair before it, 'bee' 'eel'"),
+])
+def test_a_read_with_thresholds_keeps_only_the_pairs_at_the_floor(tmp_path, order, refused):
+    """In the writer's order, the default floor of 4 keeps the two pairs
+    counted 4 and 9 times and drops the rest, in both words' rows. Out of
+    it, the table is refused at the first line that does not sort after
+    the one before, kept or dropped."""
     rows = [("ant", "bee", "9"), ("ant", "cat", "3"), ("ant", "dog", "1"), ("bee", "cat", "4"),
             ("bee", "eel", "2")]
     if order == "shuffled":
@@ -664,6 +671,10 @@ def test_a_read_with_thresholds_keeps_only_the_pairs_at_the_floor(tmp_path, orde
         rows = rows[1:3] + rows[3:] + rows[:1]
     path = tmp_path / "pairs.tsv"
     path.write_text("\n".join(["N=15", "K=4", *("\t".join(row) for row in rows)]) + "\n")
+    if refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {refused}')}$"):
+            read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds())
+        return
     counts = read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds())
     assert counts.rows == {"ant": {"bee": 9}, "bee": {"ant": 9, "cat": 4}, "cat": {"bee": 4}}
     assert counts.neighbors("cat") == ["bee"] and counts.get("ant", "cat") == 0
@@ -673,13 +684,16 @@ def test_a_read_with_thresholds_keeps_only_the_pairs_at_the_floor(tmp_path, orde
 @pytest.mark.parametrize("rows, line_no, problem", [
     (["ant\tbee\t1", "K=4"], 4, "header line K= after the first pair row"),
     (["ant\tbee\t1", "ant\tbee\t1"], 4, "pair 'ant' 'bee' repeats an earlier row"),
-    (["ant\tcat\t1", "ant\tbee\t9", "ant\tcat\t1"], 5, "pair 'ant' 'cat' repeats an earlier row"),
-    (["ant\tbee\t1", "bee\tcat\t1", "ant\tbee\t1"], 5, "pair 'ant' 'bee' repeats an earlier row"),
+    (["ant\tcat\t1", "ant\tbee\t9", "ant\tcat\t1"], 4,
+     "pair 'ant' 'bee' does not sort after the pair before it, 'ant' 'cat'"),
+    (["ant\tbee\t1", "bee\tcat\t1", "ant\tbee\t1"], 5,
+     "pair 'ant' 'bee' does not sort after the pair before it, 'bee' 'cat'"),
     (["ant\tbee\t1", "ant\tzz\t1"], 4, "pair word 'zz' is not in the vocabulary"),
 ])
 def test_a_read_with_thresholds_checks_the_pairs_it_drops(tmp_path, rows, line_no, problem):
     """A pair below the floor still counts as the first pair row, still
-    catches a repeat, in the writer's order or out of it, and is still checked."""
+    catches a repeat of it on the next line, still bounds the order of the
+    lines after it, and is still checked."""
     path = tmp_path / "pairs.tsv"
     path.write_text("\n".join(["N=15", "K=3", *rows]) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
@@ -697,8 +711,8 @@ FAULT_PLACES = {"first": 0, "mid-run": 1, "run change": 3, "last": 6}
 def faulty_writer_table(fault: str, place: int, count: str) -> str:
     """``WRITER_ROWS`` with one fault at row ``place``, its count ``count``:
     the row replaced by a swapped pair, a self pair, a count of 0, an
-    unknown w1 or w2, or a repeat of the row before; or a header or blank
-    line put in before it."""
+    unknown w1 or w2, or a repeat of the row before; the row moved two rows
+    later; or a header or blank line put in before it."""
     rows = [list(row) for row in WRITER_ROWS]
     w1, w2, _ = rows[place]
     lines = ["N=15", "K=4"]
@@ -709,6 +723,8 @@ def faulty_writer_table(fault: str, place: int, count: str) -> str:
         rows[place][2] = count
     else:
         rows[place] = fault_row
+    if fault == "moved":
+        rows.insert(place + 2, rows.pop(place))
     lines += ["\t".join(row) for row in rows]
     if fault in ("header", "blank"):
         lines.insert(2 + place, "K=4" if fault == "header" else "")
@@ -735,19 +751,28 @@ def assert_reads_as_the_per_line_reader(path: Path) -> str | tuple:
 @pytest.mark.parametrize("count", ["2", "9"])
 @pytest.mark.parametrize("fault, place", [
     (fault, place)
-    for fault in ["swap", "self", "count 0", "unknown w1", "unknown w2", "repeat", "header", "blank"]
+    for fault in ["swap", "self", "count 0", "unknown w1", "unknown w2", "repeat", "moved",
+                  "header", "blank"]
     for place in FAULT_PLACES
-    if (fault, place) != ("repeat", "first")  # no row before the first to repeat
+    # No row before the first to repeat, and none after the last to move past.
+    if (fault, place) not in {("repeat", "first"), ("moved", "last")}
 ])
 def test_one_fault_in_a_writer_order_table_reads_as_the_per_line_reader_reads_it(
         tmp_path, fault, place, count):
     """One fault anywhere in a table that is otherwise in the writer's
     order, below or above the floor, is refused at the per-line reader's
-    line with its message; a blank line is no fault."""
+    line with its message; a blank line is no fault. A moved row is
+    refused where it lands, the first line that does not sort after the
+    line before."""
     path = tmp_path / "pairs.tsv"
     path.write_text(faulty_writer_table(fault, FAULT_PLACES[place], count))
     expected = assert_reads_as_the_per_line_reader(path)
     assert isinstance(expected, str) == (fault != "blank")
+    if fault == "moved":
+        i = FAULT_PLACES[place]
+        (w1, w2, _), (p1, p2, _) = WRITER_ROWS[i], WRITER_ROWS[i + 2]
+        assert expected == (f"{path}: line {i + 5}: pair {w1!r} {w2!r} does not sort after "
+                            f"the pair before it, {p1!r} {p2!r}")
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS)
@@ -761,29 +786,37 @@ def test_one_fault_in_a_writer_order_table_reads_as_the_per_line_reader_reads_it
 def test_a_line_break_in_a_writer_order_table_reads_as_the_per_line_reader_reads_it(
         tmp_path, brk, old, new):
     """A line break other than \\n inside a header, before, inside or after
-    a count, or inside a word splits the line for the per-line reader."""
+    a count, or inside a word is refused at its line."""
     path = tmp_path / "pairs.tsv"
     text = "".join(f"{line}\n" for line in ["N=15", "K=4", *map("\t".join, WRITER_ROWS)])
-    path.write_bytes(text.replace(old, new.format(brk)).encode())
-    assert_reads_as_the_per_line_reader(path)
+    line_no = text.count("\n", 0, text.index(old)) + 1
+    text = text.replace(old, new.format(brk))
+    path.write_bytes(text.encode())
+    bad = text.split("\n")[line_no - 1]
+    assert assert_reads_as_the_per_line_reader(path) == (
+        f"{path}: line {line_no}: {bad!r} holds a line break other than \\n")
 
 
 @pytest.mark.parametrize("text", ["N=15\nK=4\nF=800", "N=15\nK=4\nCROSS=1", "K=4\nN=15"])
-def test_a_header_only_table_without_a_last_line_end_reads_whole(tmp_path, text):
+def test_a_header_only_table_without_a_last_line_end_is_refused_at_its_last_line(tmp_path, text):
     path = tmp_path / "pairs.tsv"
     path.write_text(text)
-    assert assert_reads_as_the_per_line_reader(path) == ([], 4, "CROSS=1" in text, True)
+    last = text.split("\n")[-1]
+    assert assert_reads_as_the_per_line_reader(path) == (
+        f"{path}: line {text.count(chr(10)) + 1}: {last!r} does not end in \\n")
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS)
 def test_a_vocabulary_word_holding_a_line_break_reads_as_the_per_line_reader_reads_it(
         tmp_path, brk):
-    """A pair line whose word holds a line break other than \\n is two
-    lines to the per-line reader, even when the vocabulary holds that word."""
+    """A pair line whose word holds a line break other than \\n is refused
+    at its line, even when the vocabulary holds that word: \\n is a table
+    line's only break."""
     vocab = Vocabulary({f"a{brk}b": 4, "c": 5}, 9, 800)
     path = tmp_path / "pairs.tsv"
-    path.write_bytes(f"N=9\nK=4\na{brk}b\tc\t4\n".encode())
-    expected = f"{path}: line 3: expected 'word<TAB>word<TAB>count', got 'a'"
+    line = f"a{brk}b\tc\t4"
+    path.write_bytes(f"N=9\nK=4\n{line}\n".encode())
+    expected = f"{path}: line 3: {line!r} holds a line break other than \\n"
     for thresholds in (None, SignificanceThresholds()):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             read_pair_counts(path, vocab, thresholds)
@@ -962,8 +995,14 @@ def test_read_pair_counts_rejects_bad_header_lines(
         ("task\ttask\t1", "pair 'task' 'task' is out of order or a self-pair"),
         ("task\ttime\t0", "count 0 is below 1"),
         ("task\ttime\t-7", "count -7 is below 1"),
+        ("task\ttime\t+3", "count '+3' is not written as 3"),
+        ("task\ttime\t03", "count '03' is not written as 3"),
+        ("task\ttime\t3_0", "count '3_0' is not written as 30"),
+        ("task\ttime\t\u0663", "count '\u0663' is not written as 3"),
+        ("task\ttime\t 7", "count ' 7' is not written as 7"),
     ],
-    ids=["swapped", "self-pair", "zero-count", "negative-count"],
+    ids=["swapped", "self-pair", "zero-count", "negative-count", "plus-sign", "leading-zero",
+         "underscore", "arabic-indic-digit", "padded"],
 )
 def test_read_pair_counts_rejects_rows_the_writer_never_writes(
     tmp_path, tiny_stream, tiny_vocab, row, problem
@@ -972,18 +1011,54 @@ def test_read_pair_counts_rejects_rows_the_writer_never_writes(
     write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
     rewrite_pairs(path, "task\ttime\t1", row)
     line_no = path.read_text().splitlines().index(row) + 1
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line_no}: {problem}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}"):
         read_pair_counts(path, tiny_vocab)
 
 
 def test_read_pair_counts_rejects_a_repeated_pair(tmp_path, tiny_stream, tiny_vocab):
     path = tmp_path / "pairs.tsv"
     write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)), path)
-    path.write_text(path.read_text() + "task\ttime\t1\n")
+    text = path.read_text()
+    before = text.splitlines()[-1].split("\t")[:2]
+    assert before != ["task", "time"]
+    path.write_text(text + "task\ttime\t1\n")
     line_no = len(path.read_text().splitlines())
-    problem = f"line {line_no}: pair 'task' 'time' repeats an earlier row"
+    problem = (f"line {line_no}: pair 'task' 'time' does not sort after the pair before it, "
+               f"{before[0]!r} {before[1]!r}")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
         read_pair_counts(path, tiny_vocab)
+
+
+def test_a_count_text_the_writer_never_writes_is_refused_at_every_lookup():
+    """The memo of parsed count texts stores only the ones it accepts."""
+    counts = cooc._CountTexts()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            counts["05\n"]
+    assert counts["5\n"] == 5 and "05\n" not in counts
+
+
+def test_refusing_a_large_table_at_its_last_line_does_not_hold_its_text(tmp_path):
+    """A fault on the last line of a large table that is otherwise in the
+    writer's order is found in the one pass over the file: the read's
+    tracemalloc peak stays below the file's size."""
+    words = [f"w{i:03}" for i in range(400)]
+    path = tmp_path / "pairs.tsv"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("N=20000\nK=4\n")
+        out.writelines(f"{a}\t{b}\t{1 + j % 3}\n"
+                       for i, a in enumerate(words) for j, b in enumerate(words[i + 1:]))
+        out.write("w398\tw399\t0\n")
+    line_no = 2 + len(words) * (len(words) - 1) // 2 + 1
+    vocab = Vocabulary(dict.fromkeys(words, 50), 20000, 800)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: count 0')}"):
+            read_pair_counts(path, vocab, SignificanceThresholds())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_window_config_validation():
