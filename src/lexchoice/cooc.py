@@ -47,8 +47,9 @@ write, a count.
 
 A pair table file holds exactly what ``write_pair_counts`` writes, plus
 blank lines: header lines, then ``w1<TAB>w2<TAB>count`` lines in sorted
-order, each ending in ``\\n``. ``read_pair_counts`` reads it in one pass
-and refuses the first other line by its number.
+order, each ending in ``\\n``. The writer counts each pair once, into its
+first word's row. ``read_pair_counts`` reads the file as bytes, in one
+pass, and refuses the first other line by its number.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary, check_stream
-from .ioutil import atomic_write_text, read_text
+from .ioutil import UndecodableText, atomic_write_text
 
 
 # Relative slack under t_min**2 for the count floor: far above the few ulps
@@ -210,17 +211,18 @@ class PairCounts:
         occurrences = self._rows.get(word)
         if occurrences.__class__ is not list:
             return occurrences
-        row = self._count_row(word, occurrences)
+        row = self._count_row(word, occurrences, self._record.surfaces)
         if row:
             self._rows[word] = row
             return row
         del self._rows[word]
         return None
 
-    def _count_row(self, word: str, occurrences: list[int]) -> dict[str, int]:
-        """``word``'s row, not stored: every surface within ``half_width``
-        positions of each of its ``occurrences``, less the word itself."""
-        _, positions, surfaces, _ = self._record
+    def _count_row(self, word, occurrences: list[int], surfaces: list) -> dict[str, int]:
+        """A row, not stored: every entry of ``surfaces``, the record's or a
+        copy, within ``half_width`` positions of each of the record's
+        ``occurrences``, less ``word``, which ``surfaces`` holds at them."""
+        positions = self._record.positions
         k = self.half_width
         n = len(positions)
         row: dict[str, int] = {}
@@ -348,11 +350,15 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
 def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     """Write the table's header and its pair rows, one per pair with
     w1 < w2 in sorted order, and return how many pair rows it wrote. Each w1
-    run's lines go to the file as they are made; a row not yet counted is
-    counted for them and not kept, so a fresh table is written one row at a time."""
+    run's lines go to the file as they are made. A row not yet counted is
+    counted for them and not kept, and only its upper half is counted: in
+    sorted order, each word is masked with None in a copy of the record's
+    surfaces before its row is counted from that copy."""
     if counts.floor:
         raise ValueError(f"a table cut at count floor {counts.floor} cannot be written")
     rows = counts._rows
+    record = counts._record
+    by_word, masked = ({}, None) if record is None else (record.by_word, list(record.surfaces))
     written = 0
 
     def pieces():
@@ -360,11 +366,15 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
         yield (f"N={counts.vocab.total_tokens}\nK={counts.half_width}\n"
                f"F={counts.vocab.stop_threshold}\nCROSS={int(counts.cross_sentences)}\n")
         for w1 in sorted(rows):
+            for i in by_word.get(w1, ()):
+                masked[i] = None
             row = rows[w1]
             if row.__class__ is list:
-                row = counts._count_row(w1, row)
-            upper = [w2 for w2 in row if w1 < w2]
-            upper.sort()
+                row = counts._count_row(None, row, masked)
+                upper = sorted(row)
+            else:
+                upper = [w2 for w2 in row if w1 < w2]
+                upper.sort()
             written += len(upper)
             yield "".join([f"{w1}\t{w2}\t{row[w2]}\n" for w2 in upper])
 
@@ -388,30 +398,33 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     the vocabulary it was counted with: same N, same F, and every pair word
     in it (the significance statistics divide by its frequency).
 
-    One pass accepts exactly the writer's lines, each ending in ``\\n``,
-    its only break, and skips blank and whitespace-only ones. First the
-    header lines, each key once with an integer value: N and K, optionally F
-    and CROSS; K and F at least 1, CROSS 0 or 1. Then ``w1<TAB>w2<TAB>count``
-    lines, each sorting strictly after the one before (so w1 < w2 and no
-    pair repeats), both words in the vocabulary, the count ``str(n)``, n >= 1.
-    The first other line, or bytes that do not decode as UTF-8, raise
-    ValueError naming the file and the line. Given ``thresholds``, every
-    line is still checked, but only the pairs at or above their count floor
-    are kept."""
+    One pass over the file's bytes accepts exactly the writer's lines, each
+    ending in ``\\n``, its only break, and skips blank and whitespace-only
+    ones. First the header lines, each key once with an integer value: N and
+    K, optionally F and CROSS; K and F at least 1, CROSS 0 or 1. Then
+    ``w1<TAB>w2<TAB>count`` lines, each sorting strictly after the one before
+    (so w1 < w2 and no pair repeats), both words in the vocabulary, the count
+    ``str(n)``, n >= 1. The first other line, bytes that do not decode as
+    UTF-8 included, raises ValueError naming the file and the line, which is
+    decoded and numbered only then. Given ``thresholds``, every line is still
+    checked, but only the pairs at or above their count floor are kept."""
     path = Path(path)
     floor = 0.0 if thresholds is None else thresholds.count_floor
-    # The vocabulary's own key objects, so the rows hold no second copy of a
-    # word; less those holding a line break but \n, which no line may hold.
-    keys = {word: word for word in vocab.freq if word.splitlines() == [word]}
+    # The vocabulary's own key objects by their UTF-8 bytes, so the rows hold no second
+    # copy of a word; less those holding a line break but \n, which no line may hold,
+    # and those with a lone surrogate, which UTF-8 cannot encode and no file holds.
+    keys = {data: word for word in vocab.freq if word.splitlines() == [word]
+            and (data := word.encode(errors="replace")).decode() == word}
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
     counts = _CountTexts()
-    run = last = row = None  # the last pair line's words, and its w1's row
-    try:
-        with open(path, encoding="utf-8", newline="\n") as lines:
-            for line_no, line in enumerate(lines, 1):
+    run = last = row = None  # the last pair line's words, as bytes, and its w1's row
+    offset = 0  # the lines of the chunks before this one
+    with open(path, "rb") as file:
+        while lines := file.readlines(1 << 16):
+            for line in lines:
                 try:
-                    w1, w2, count = line.split("\t")
+                    w1, w2, count = line.split(b"\t")
                     n = counts[count]
                     b = keys[w2]
                     if w1 != run:
@@ -423,19 +436,25 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
                     elif w2 <= last:
                         raise ValueError
                 except (ValueError, KeyError):
-                    problem = _line_problem(line, header, keys, run, last)
+                    try:
+                        problem = _line_problem(line.decode(), header, keys, run, last)
+                    except UnicodeDecodeError as exc:
+                        problem = exc
                     if problem is None:
                         continue
-                    raise ValueError(f"{path}: line {line_no}: {problem}") from None
+                    # Only a blank line, never refused, can be another line's object too.
+                    line_no = offset + next(i for i, x in enumerate(lines, 1) if x is line)
+                    if isinstance(problem, str):
+                        raise ValueError(f"{path}: line {line_no}: {problem}") from None
+                    raise UndecodableText(path, line_no, line[:problem.start].decode(),
+                                          problem) from None
                 last = w2
                 if n >= floor:
                     if row is None:
                         row = rows[a] = {}
                     row[b] = n
                     rows.setdefault(b, {})[a] = n
-    except UnicodeDecodeError:
-        read_text(path)  # raises, naming the line of the first bad byte
-        raise
+            offset += len(lines)
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
     if header["N"] != vocab.total_tokens:
@@ -449,21 +468,21 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
 
 
 class _CountTexts(dict):
-    """Count texts as the writer writes them, line end included, each parsed once."""
+    """Count texts in UTF-8 as the writer writes them, line end included, each parsed once."""
 
-    def __missing__(self, text: str) -> int:
+    def __missing__(self, text: bytes) -> int:
         n = int(text)
-        if n < 1 or text != f"{n}\n":
+        if n < 1 or text != b"%d\n" % n:
             raise ValueError(text)
         self[text] = n
         return n
 
 
-def _line_problem(line: str, header: dict[str, int], keys: dict[str, str],
-                  run: str | None, last: str | None) -> str | None:
+def _line_problem(line: str, header: dict[str, int], keys: dict[bytes, str],
+                  run: bytes | None, last: bytes | None) -> str | None:
     """What is wrong with a table line that is not a good pair line after
-    the pair ``run`` ``last`` (None before the first pair line); None for a
-    blank line, and for a good header line, which it files under ``header``."""
+    the pair ``run`` ``last`` (keys of ``keys``, None before the first pair
+    line); None for a blank line, and for a good header line, which it files under ``header``."""
     if not line.strip():
         return None
     text = line.removesuffix("\n")
@@ -499,8 +518,9 @@ def _line_problem(line: str, header: dict[str, int], keys: dict[str, str],
         return f"count {n} is below 1"
     if count != str(n):
         return f"count {count!r} is not written as {n}"
-    if w1 not in keys or w2 not in keys:
-        return f"pair word {w2 if w1 in keys else w1!r} is not in the vocabulary"
+    if w1.encode() not in keys or w2.encode() not in keys:
+        return f"pair word {w2 if w1.encode() in keys else w1!r} is not in the vocabulary"
+    run, last = keys.get(run), keys.get(last)  # the words of the pair line before
     if (w1, w2) == (run, last):
         return f"pair {w1!r} {w2!r} repeats an earlier row"
     return f"pair {w1!r} {w2!r} does not sort after the pair before it, {run!r} {last!r}"

@@ -12,15 +12,17 @@ from pathlib import Path
 
 class UndecodableText(ValueError):
     """A file holds bytes that do not decode as UTF-8. The text names the
-    path and the line; ``line`` and ``column`` (1-based, in characters,
-    lines broken as ``str.splitlines`` breaks them) place the first bad
-    byte, and ``message`` says what is wrong with it."""
+    path and the line; ``line`` and ``column`` (1-based, the column in
+    characters) place the bad byte ``error`` names, ``before`` being the
+    text of its line before it, and ``message`` says what is wrong with it.
+    Lines are broken as the reader breaks them."""
 
-    def __init__(self, path: str | Path, line: int, column: int, message: str):
-        super().__init__(f"{path}: line {line}: {message}")
-        self.message = message
+    def __init__(self, path: str | Path, line: int, before: str, error: UnicodeDecodeError):
+        self.message = (f"byte 0x{error.object[error.start]:02x} does not decode as UTF-8 "
+                        f"({error.reason})")
+        super().__init__(f"{path}: line {line}: {self.message}")
         self.line = line
-        self.column = column
+        self.column = len(before) + 1
 
 
 def read_text(path: str | Path) -> str:
@@ -32,8 +34,7 @@ def read_text(path: str | Path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        message = f"byte 0x{data[exc.start]:02x} does not decode as UTF-8 ({exc.reason})"
-        raise UndecodableText(path, len(lines), len(lines[-1]), message) from None
+        raise UndecodableText(path, len(lines), lines[-1][:-1], exc) from None
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -50,6 +50,7 @@ from .ioutil import atomic_write_text, read_text
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
+_WEIGHT_FORMAT = f".{WEIGHT_DECIMALS}f"
 
 
 class InvalidRootError(ValueError):
@@ -361,10 +362,10 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
         lines.append(f"MIMIN {net.thresholds.mi_min}")
     if net.truncated:
         lines.append(f"TRUNCATED {net.truncated}")
-    for word in sorted(net.depths, key=lambda w: (net.depths[w], w)):
-        lines.append(f"NODE {word} {net.depths[word]}")
-    for (w1, w2) in sorted(net.edges):
-        lines.append(f"EDGE {w1} {w2} {net.edges[(w1, w2)]:.{WEIGHT_DECIMALS}f}")
+    lines += [f"NODE {word} {depth}"
+              for depth, word in sorted([(depth, word) for word, depth in net.depths.items()])]
+    lines += [f"EDGE {w1} {w2} {net.edges[(w1, w2)]:{_WEIGHT_FORMAT}}"
+              for (w1, w2) in sorted(net.edges)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

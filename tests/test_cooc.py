@@ -523,6 +523,47 @@ def test_write_pair_counts_equals_the_generator_writer(sents, threshold, k, cros
         assert new.read_bytes() == old.read_bytes()
 
 
+# Words no test stream holds: surfaces are at most three characters.
+STRANGERS = ["!new1", "!new2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_sentences_of(surfaces), st.sampled_from([1, 2, 800]), st.integers(1, 12),
+       st.booleans(), st.data())
+def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, threshold, k,
+                                                                      cross, data):
+    """A table derived at a narrower window or not, with some of its rows
+    read and some pairs set through its pair view, on words the stream never
+    held too, writes the generator writer's bytes and pair-row count. The
+    write changes neither it nor a sibling from the same record: both then
+    hold the rows of fresh tables."""
+    cfg = CorpusConfig(stop_threshold=threshold)
+    ts = ingest(tagged_text(sents, "slash"), cfg)
+    vocab = build_vocabulary(ts, cfg)
+    record = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
+    width = data.draw(st.integers(1, k))
+    counts = record.at_half_width(width) if data.draw(st.booleans()) else record
+    sibling = record.at_half_width(counts.half_width)
+    words = sorted(vocab.freq) + STRANGERS
+    for word in data.draw(st.lists(st.sampled_from(words), unique=True)):
+        counts.row(word)
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words),
+                                         st.integers(1, 50))))
+    edits = [((w1, w2), n) for w1, w2, n in edits if w1 < w2]
+    for key, n in edits:
+        counts.pairs[key] = n
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.tsv", Path(tmp) / "old.tsv"
+        assert write_pair_counts(counts, new) == reference_write_pair_counts(counts, old)
+        assert new.read_bytes() == old.read_bytes()
+    window = WindowConfig(counts.half_width, cross_sentences=cross)
+    fresh = count_pairs(ts, vocab, window)
+    assert sibling.rows == fresh.rows
+    for key, n in edits:
+        fresh.pairs[key] = n
+    assert counts.rows == fresh.rows
+
+
 # The vocabulary of the random pair-table texts; "zz" is not in it.
 TEXT_VOCAB = Vocabulary({"ant": 5, "bee": 4, "cat": 3, "dog": 2, "eel": 1}, 15, 800)
 TEXT_PAIRS = [(w1, w2) for w1 in TEXT_VOCAB.freq for w2 in TEXT_VOCAB.freq if w1 < w2]
@@ -1029,13 +1070,26 @@ def test_read_pair_counts_rejects_a_repeated_pair(tmp_path, tiny_stream, tiny_vo
         read_pair_counts(path, tiny_vocab)
 
 
+def test_a_vocabulary_word_utf8_cannot_encode_is_left_out_of_a_read(tmp_path):
+    """A word holding a lone surrogate, which only an in-memory vocabulary
+    can hold, does not stop a read, and its bytes as ``surrogatepass``
+    encodes them are refused as undecodable."""
+    vocab = Vocabulary({"a": 5, "b": 5, "c\ud800": 5}, 15, 800)
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"N=15\nK=4\na\tb\t3\n")
+    assert read_pair_counts(path, vocab).rows == {"a": {"b": 3}, "b": {"a": 3}}
+    path.write_bytes(b"N=15\nK=4\na\t" + "c\ud800".encode(errors="surrogatepass") + b"\t3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: byte 0xed "):
+        read_pair_counts(path, vocab)
+
+
 def test_a_count_text_the_writer_never_writes_is_refused_at_every_lookup():
     """The memo of parsed count texts stores only the ones it accepts."""
     counts = cooc._CountTexts()
     for _ in range(2):
         with pytest.raises(ValueError):
-            counts["05\n"]
-    assert counts["5\n"] == 5 and "05\n" not in counts
+            counts[b"05\n"]
+    assert counts[b"5\n"] == 5 and b"05\n" not in counts
 
 
 def test_refusing_a_large_table_at_its_last_line_does_not_hold_its_text(tmp_path):

@@ -68,6 +68,20 @@ def test_read_pair_counts_names_the_line_of_a_bad_byte_among_the_pairs(tmp_path,
         read_pair_counts(path, Vocabulary(dict.fromkeys(words, 50), 5000, 800))
 
 
+@pytest.mark.parametrize("data, line, problem", [
+    (b"N=5\x0bK=4\nK=4\na\t\xe9\t3\n", 1, "'N=5\\x0bK=4' holds a line break other than \\n"),
+    (b"N=5\nK=4\nb\ta\t3\na\t\xe9\t3\n", 3, "pair 'b' 'a' is out of order or a self-pair"),
+])
+def test_read_pair_counts_refuses_a_fault_before_a_bad_byte_at_its_line(tmp_path, data, line,
+                                                                         problem):
+    """Lines are counted at \\n only, and the first faulty line wins over a
+    bad byte on a later one."""
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {problem}')}$"):
+        read_pair_counts(path, Vocabulary({"a": 2, "b": 3}, 5, 800))
+
+
 def test_read_network_names_the_line(tmp_path):
     net = build_network("a", significant_counts([("a", "b")]), max_order=1)
     path = tmp_path / "a.net"
