@@ -44,12 +44,6 @@ at f = ``t_min**2`` with a tiny E, the float t can round to exactly
 keeps only the pairs at or above their floor, and the table refuses what
 would need a pair below its ``floor``: thresholds with a lower one, a
 write, a count.
-
-A pair table file holds exactly what ``write_pair_counts`` writes, plus
-blank lines: header lines, then ``w1<TAB>w2<TAB>count`` lines in sorted
-order, each ending in ``\\n``. The writer counts each pair once, into its
-first word's row. ``read_pair_counts`` reads the file as bytes, in one
-pass, and refuses the first other line by its number.
 """
 
 from __future__ import annotations
@@ -65,7 +59,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary, check_stream
-from .ioutil import UndecodableText, atomic_write_text
+from .ioutil import (ArtifactLines, CountTexts, at_least_1, atomic_write_text, header_problem,
+                     zero_or_one)
 
 
 # Relative slack under t_min**2 for the count floor: far above the few ulps
@@ -382,14 +377,9 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     return written
 
 
-# The header keys of a pair table, each with what its integer value means
-# and the test that value must pass.
-_PAIR_HEADER = {
-    "N": ("tokens", lambda n: True),
-    "K": ("half-width >= 1", lambda n: n >= 1),
-    "F": ("threshold >= 1", lambda n: n >= 1),
-    "CROSS": ("0 or 1", lambda n: n in (0, 1)),
-}
+# The header keys of a pair table, each with what its value means and its parser.
+_PAIR_HEADER = {"N": ("tokens", int), "K": ("half-width >= 1", at_least_1),
+                "F": ("threshold >= 1", at_least_1), "CROSS": ("0 or 1", zero_or_one)}
 
 
 def read_pair_counts(path: str | Path, vocab: Vocabulary,
@@ -398,17 +388,14 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     the vocabulary it was counted with: same N, same F, and every pair word
     in it (the significance statistics divide by its frequency).
 
-    One pass over the file's bytes accepts exactly the writer's lines, each
-    ending in ``\\n``, its only break, and skips blank and whitespace-only
-    ones. First the header lines, each key once with an integer value: N and
-    K, optionally F and CROSS; K and F at least 1, CROSS 0 or 1. Then
-    ``w1<TAB>w2<TAB>count`` lines, each sorting strictly after the one before
-    (so w1 < w2 and no pair repeats), both words in the vocabulary, the count
-    ``str(n)``, n >= 1. The first other line, bytes that do not decode as
-    UTF-8 included, raises ValueError naming the file and the line, which is
-    decoded and numbered only then. Given ``thresholds``, every line is still
-    checked, but only the pairs at or above their count floor are kept."""
-    path = Path(path)
+    Its lines are read through ``ioutil.ArtifactLines``, as bytes. First
+    the header lines, each key once: N and K, optionally F and CROSS; K and
+    F at least 1, CROSS 0 or 1. Then ``w1<TAB>w2<TAB>count`` lines, each
+    sorting strictly after the one before (so w1 < w2 and no pair repeats),
+    both words in the vocabulary, the count ``str(n)``, n >= 1. Given
+    ``thresholds``, every line is still checked, but only the pairs at or
+    above their count floor are kept."""
+    lines = ArtifactLines(path)
     floor = 0.0 if thresholds is None else thresholds.count_floor
     # The vocabulary's own key objects by their UTF-8 bytes, so the rows hold no second
     # copy of a word; less those holding a line break but \n, which no line may hold,
@@ -417,44 +404,32 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
             and (data := word.encode(errors="replace")).decode() == word}
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
-    counts = _CountTexts()
+    counts = CountTexts()
     run = last = row = None  # the last pair line's words, as bytes, and its w1's row
-    offset = 0  # the lines of the chunks before this one
-    with open(path, "rb") as file:
-        while lines := file.readlines(1 << 16):
-            for line in lines:
-                try:
-                    w1, w2, count = line.split(b"\t")
-                    n = counts[count]
-                    b = keys[w2]
-                    if w1 != run:
-                        if w2 <= w1 or run is not None and w1 < run:
-                            raise ValueError
-                        a = keys[w1]
-                        row = rows.get(a)
-                        run = w1
-                    elif w2 <= last:
+    for chunk in lines.chunks():
+        for line in chunk:
+            try:
+                w1, w2, count = line.split(b"\t")
+                n = counts[count]
+                b = keys[w2]
+                if w1 != run:
+                    if w2 <= w1 or run is not None and w1 < run:
                         raise ValueError
-                except (ValueError, KeyError):
-                    try:
-                        problem = _line_problem(line.decode(), header, keys, run, last)
-                    except UnicodeDecodeError as exc:
-                        problem = exc
-                    if problem is None:
-                        continue
-                    # Only a blank line, never refused, can be another line's object too.
-                    line_no = offset + next(i for i, x in enumerate(lines, 1) if x is line)
-                    if isinstance(problem, str):
-                        raise ValueError(f"{path}: line {line_no}: {problem}") from None
-                    raise UndecodableText(path, line_no, line[:problem.start].decode(),
-                                          problem) from None
-                last = w2
-                if n >= floor:
-                    if row is None:
-                        row = rows[a] = {}
-                    row[b] = n
-                    rows.setdefault(b, {})[a] = n
-            offset += len(lines)
+                    a = keys[w1]
+                    row = rows.get(a)
+                    run = w1
+                elif w2 <= last:
+                    raise ValueError
+            except (ValueError, KeyError):
+                lines.check(line, _line_problem, header, keys, run, last)
+                continue
+            last = w2
+            if n >= floor:
+                if row is None:
+                    row = rows[a] = {}
+                row[b] = n
+                rows.setdefault(b, {})[a] = n
+    path = lines.path
     if "N" not in header or "K" not in header:
         raise ValueError(f"{path}: missing N=/K= header")
     if header["N"] != vocab.total_tokens:
@@ -467,46 +442,14 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)), floor=floor)
 
 
-class _CountTexts(dict):
-    """Count texts in UTF-8 as the writer writes them, line end included, each parsed once."""
-
-    def __missing__(self, text: bytes) -> int:
-        n = int(text)
-        if n < 1 or text != b"%d\n" % n:
-            raise ValueError(text)
-        self[text] = n
-        return n
-
-
-def _line_problem(line: str, header: dict[str, int], keys: dict[bytes, str],
+def _line_problem(text: str, header: dict[str, int], keys: dict[bytes, str],
                   run: bytes | None, last: bytes | None) -> str | None:
-    """What is wrong with a table line that is not a good pair line after
-    the pair ``run`` ``last`` (keys of ``keys``, None before the first pair
-    line); None for a blank line, and for a good header line, which it files under ``header``."""
-    if not line.strip():
-        return None
-    text = line.removesuffix("\n")
-    if text.splitlines() != [text]:
-        return f"{text!r} holds a line break other than \\n"
-    if text == line:
-        return f"{text!r} does not end in \\n"
+    """What is wrong with the text of a table line that is not a good pair
+    line after the pair ``run`` ``last`` (keys of ``keys``, None before the
+    first pair line); None for a good header line, which it files under ``header``."""
     if "=" in text and "\t" not in text:
-        key, value = text.split("=", 1)
-        if run is not None:
-            return f"header line {key}= after the first pair row"
-        if key not in _PAIR_HEADER:
-            return f"unknown header key {key!r}"
-        if key in header:
-            return f"header key {key}= repeats an earlier line"
-        meaning, test = _PAIR_HEADER[key]
-        try:
-            number = int(value)
-        except ValueError:
-            number = None
-        if number is None or not test(number):
-            return f"expected '{key}=<{meaning}>', got {text!r}"
-        header[key] = number
-        return None
+        return header_problem(text, header, _PAIR_HEADER,
+                              after=None if run is None else "pair row")
     try:
         w1, w2, count = text.split("\t")
         n = int(count)

@@ -42,7 +42,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
 
-from .ioutil import UndecodableText, atomic_write_text, read_text
+from .ioutil import (ArtifactLines, CountTexts, UndecodableText, at_least_1, atomic_write_text,
+                     header_problem, read_text)
 
 # Penn-Treebank-style defaults: numbers, symbols/punctuation, proper nouns.
 DEFAULT_STOP_TAGS = frozenset(
@@ -218,8 +219,8 @@ class Vocabulary:
             raise ValueError(f"vocabulary count of {word!r} is {count}, below 1")
         if self.stop_threshold < 1:
             raise ValueError(f"vocabulary stop threshold must be >= 1, got {self.stop_threshold}")
-        if self.total_tokens != sum(self.freq.values()):
-            raise ValueError("vocabulary total_tokens does not match sum of counts")
+        if (counted := sum(self.freq.values())) != self.total_tokens:
+            raise ValueError(f"vocabulary N={self.total_tokens} but its counts sum to {counted}")
         stopped = frozenset(w for w, n in self.freq.items() if n > self.stop_threshold)
         object.__setattr__(self, "is_frequency_stopped", stopped.__contains__)
 
@@ -388,47 +389,45 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a table written by ``write_vocabulary``: an ``N=`` line, an
-    optional ``F=`` line of at least 1, then ``word<TAB>count`` rows whose
-    counts are at least 1 and sum to N, each word non-empty, free of
-    whitespace and on one row only. Anything else, undecodable bytes
-    included, raises ValueError naming the file and line."""
-    path = Path(path)
+    """Read a table written by ``write_vocabulary``, as bytes, through
+    ``ioutil.ArtifactLines``: ``N=`` and optionally ``F=`` (at least 1), then
+    ``word<TAB>str(count)`` rows, words non-empty, free of whitespace and
+    strictly rising; ``Vocabulary`` checks the counts are >= 1 and sum to N."""
+    lines = ArtifactLines(path)
+    header: dict[str, int] = {}
     freq: dict[str, int] = {}
-    total = None
-    threshold = DEFAULT_STOP_THRESHOLD
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        problem = None
-        try:
-            if line_no == 1:
-                expected = "N=<tokens>"
-                if not line.startswith("N="):
+    counts = CountTexts()
+    last = b""  # the last row's word
+    for chunk in lines.chunks():
+        for line in chunk:
+            try:
+                data, count = line.split(b"\t")
+                n = counts[count]
+                word = data.decode()
+                if data <= last or word.split() != [word]:
                     raise ValueError
-                total = int(line[2:])
-            elif line_no == 2 and line.startswith("F="):
-                expected = "F=<threshold>"
-                threshold = int(line[2:])
-                if threshold < 1:
-                    raise ValueError
-            elif line.strip():
-                expected = "word<TAB>count, count >= 1"
-                word, count = line.split("\t")
-                n = int(count)
-                if n < 1:
-                    raise ValueError
-                if word.split() != [word]:  # empty, or breaks at whitespace
-                    problem = f"word {word!r} is empty or holds whitespace"
-                elif word in freq:
-                    problem = f"word {word!r} repeats an earlier row"
-                else:
-                    freq[word] = n
-        except ValueError:
-            problem = f"expected '{expected}', got {line!r}"
-        if problem is not None:
-            raise ValueError(f"{path}: line {line_no}: {problem}")
-    if total is None:
-        raise ValueError(f"{path}: line 1: missing N= header")
-    counted = sum(freq.values())
-    if counted != total:
-        raise ValueError(f"{path}: line 1: N={total} but the counts sum to {counted}")
-    return Vocabulary(freq, total_tokens=total, stop_threshold=threshold)
+            except ValueError:
+                lines.check(line, _row_problem, header, last)
+                continue
+            freq[word] = n
+            last = data
+    if "N" not in header:
+        raise ValueError(f"{lines.path}: missing N= header")
+    try:
+        return Vocabulary(freq, header["N"], header.get("F", DEFAULT_STOP_THRESHOLD))
+    except ValueError as exc:
+        raise ValueError(f"{lines.path}: {exc}") from None
+
+
+def _row_problem(text: str, header: dict[str, int], last: bytes) -> str | None:
+    """What is wrong with a vocabulary line's text after the row of word
+    ``last`` (b"" before any); None for a good header line, filed under ``header``."""
+    if "=" in text and "\t" not in text:
+        return header_problem(text, header, {"N": ("tokens", int), "F": ("threshold", at_least_1)},
+                              after="row" if last else None)
+    word, *count = text.split("\t")
+    if len(count) == 1 and word.split() != [word]:
+        return f"word {word!r} is empty or holds whitespace"
+    if len(count) == 1 and word.encode() <= last:
+        return f"word {word!r} does not sort after the word before it, {last.decode()!r}"
+    return f"expected 'word<TAB>count, count >= 1', got {text!r}"

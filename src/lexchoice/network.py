@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
-from .ioutil import atomic_write_text, read_text
+from .ioutil import ArtifactLines, atomic_write_text, header_problem, zero_or_one
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -369,60 +369,56 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _zero_or_one(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(text)
-    return text == "1"
-
-
-# Header kinds of a .net file, each parsing its one value.
-_HEADER_KINDS = {"ROOT": str, "ORDER": int, "N": int, "K": int, "CROSS": _zero_or_one, "F": int,
-                 "TMIN": float, "MIMIN": float, "TRUNCATED": str}
+# The header kinds of a .net file, each with what its value means and its parser.
+_HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", int), "N": ("tokens", int),
+                 "K": ("half-width", int), "CROSS": ("0 or 1", zero_or_one),
+                 "F": ("threshold", int), "TMIN": ("t_min", float), "MIMIN": ("mi_min", float),
+                 "TRUNCATED": ("caps", str)}
 
 
 def read_network(path: str | Path) -> CoocNetwork:
-    """Read a network written by ``write_network``. Undecodable bytes, a
-    malformed line, one of no known kind, or a second line for the same
-    header kind, NODE word or EDGE key raise ValueError naming the file and
-    line; a network that fails validation, or has only one of TMIN and
-    MIMIN, raises one naming the file. A missing CROSS reads as 0 and a missing F as
+    """Read a network written by ``write_network``, decoded, through
+    ``ioutil.ArtifactLines``: header lines, each kind once, then ``NODE``
+    lines, each word once, then ``EDGE`` lines in rising key order. A
+    network that fails validation, or has only one of TMIN and MIMIN, is
+    refused naming the file. A missing CROSS reads as 0 and a missing F as
     ``DEFAULT_STOP_THRESHOLD``."""
-    path = Path(path)
+    lines = ArtifactLines(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
     edges: dict[tuple[str, str], float] = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split(" ")
-        kind = fields[0]
-        try:
-            if kind == "EDGE":
-                _, w1, w2, weight = fields
-                weight = float(weight)
-                if (w1, w2) not in edges:
-                    edges[(w1, w2)] = weight
+    last = ()  # the last EDGE line's key
+    for chunk in lines.chunks(decode=True):
+        for line in chunk:
+            fields = line.split(" ")
+            kind = fields[0]
+            try:
+                if kind == "EDGE":
+                    _, w1, w2, weight = fields
+                    weight = float(weight)
+                    if (key := (w1, w2)) > last:
+                        edges[key] = weight
+                        last = key
+                        continue
+                    problem = f"EDGE {w1!r} {w2!r} does not sort after the EDGE before it"
+                elif kind == "NODE":
+                    _, word, depth = fields
+                    depth = int(depth)
+                    if word not in depths and not edges:
+                        depths[word] = depth
+                        continue
+                    problem = (f"repeated NODE line for {word!r}" if word in depths
+                               else "NODE line after the first EDGE line")
+                elif not line.strip():
                     continue
-                problem = f"repeated EDGE line for {w1!r} {w2!r}"
-            elif kind == "NODE":
-                _, word, depth = fields
-                depth = int(depth)
-                if word not in depths:
-                    depths[word] = depth
-                    continue
-                problem = f"repeated NODE line for {word!r}"
-            elif kind in _HEADER_KINDS:
-                _, value = fields
-                value = _HEADER_KINDS[kind](value)
-                if kind not in header:
-                    header[kind] = value
-                    continue
-                problem = f"repeated {kind} line"
-            else:
-                problem = f"unknown line kind {kind!r}"
-        except ValueError:
-            problem = f"malformed {kind} line {line!r}"
-        raise ValueError(f"{path}: line {line_no}: {problem}")
+                else:
+                    after = "NODE or EDGE line" if depths or edges else None
+                    if (problem := header_problem(line, header, _HEADER_KINDS, " ", after)) is None:
+                        continue
+            except ValueError:
+                problem = f"malformed {kind} line {line!r}"
+            lines.refuse(line, problem)
+    path = lines.path
     for required in ("ROOT", "ORDER", "N", "K"):
         if required not in header:
             raise ValueError(f"{path}: missing {required} header line")

@@ -143,10 +143,12 @@ def reference_write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     return len(lines) - header
 
 
-# What each pair-table header key's integer value means, and the test it must pass.
-PAIR_HEADER_RULES = {"N": ("tokens", lambda n: True), "K": ("half-width >= 1", lambda n: n >= 1),
-                     "F": ("threshold >= 1", lambda n: n >= 1),
-                     "CROSS": ("0 or 1", lambda n: n in (0, 1))}
+# What each pair-table header key's integer value means, and the test its
+# number and its text must pass.
+PAIR_HEADER_RULES = {"N": ("tokens", lambda n, text: True),
+                     "K": ("half-width >= 1", lambda n, text: n >= 1),
+                     "F": ("threshold >= 1", lambda n, text: n >= 1),
+                     "CROSS": ("0 or 1", lambda n, text: text in ("0", "1"))}
 
 
 def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
@@ -180,7 +182,7 @@ def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCount
                     number = int(value)
                 except ValueError:
                     number = None
-                if number is not None and test(number):
+                if number is not None and test(number, value):
                     header[key] = number
                     continue
                 problem = f"expected '{key}=<{meaning}>', got {line!r}"
@@ -226,6 +228,106 @@ def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCount
             f"but the vocabulary has F={vocab.stop_threshold}"
         )
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)))
+
+
+def artifact_text_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of an artifact file, its text split at
+    \\n only, each checked as the artifact writers write lines: it decodes
+    as UTF-8, breaks nowhere else and ends in \\n. A blank line holds only
+    whitespace."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    lines = text.split("\n")
+    numbered = []
+    for line_no, line in enumerate(lines, 1):
+        problem = None
+        if re.search("[\udc80-\udcff]", line):
+            problem = "a byte that does not decode as UTF-8"
+        elif not line.strip():
+            continue
+        elif line.splitlines() != [line]:
+            problem = "a line break other than \\n"
+        elif line_no == len(lines):
+            problem = "no \\n at its end"
+        if problem is not None:
+            raise ValueError(f"{path}: line {line_no}: {problem}")
+        numbered.append((line_no, line))
+    return numbered
+
+
+def reference_read_vocabulary(path: str | Path) -> Vocabulary:
+    """``read_vocabulary`` as one loop over the whole text: ``N=`` and an
+    optional ``F=`` header line, F >= 1, before the rows; then
+    ``word<TAB>count`` rows as the writer writes them, their words
+    non-empty, without whitespace and in rising order."""
+    header: dict[str, int] = {}
+    freq: dict[str, int] = {}
+    before = None
+    for line_no, line in artifact_text_lines(path):
+        fields = line.split("\t")
+        if "=" in line and len(fields) == 1:
+            key, value = line.split("=", 1)
+            good = (before is None and key in ("N", "F") and key not in header
+                    and re.fullmatch(r"-?[0-9]+", value) is not None
+                    and (key == "N" or int(value) >= 1))
+            if good:
+                header[key] = int(value)
+                continue
+        elif len(fields) == 2:
+            word, count = fields
+            good = (word != "" and word.split() == [word] and (before is None or word > before)
+                    and re.fullmatch("[1-9][0-9]*", count) is not None)
+            if good:
+                freq[word] = int(count)
+                before = word
+                continue
+        raise ValueError(f"{path}: line {line_no}: not a vocabulary line as written: {line!r}")
+    if "N" not in header:
+        raise ValueError(f"{path}: missing N= header")
+    return Vocabulary(freq, header["N"], header.get("F", 800))
+
+
+# Each .net header kind and the parser of its value.
+NET_HEADER_RULES = {"ROOT": str, "ORDER": int, "N": int, "K": int, "F": int, "TMIN": float,
+                    "MIMIN": float, "TRUNCATED": str,
+                    "CROSS": lambda value: {"0": False, "1": True}[value]}
+
+
+def reference_read_network(path: str | Path) -> CoocNetwork:
+    """``read_network`` as one loop over the whole text: header lines, each
+    kind once; then ``NODE word depth`` lines, each word once; then
+    ``EDGE w1 w2 weight`` lines, their keys rising."""
+    header: dict = {}
+    depths: dict[str, int] = {}
+    edges: dict[tuple[str, str], float] = {}
+    last = None  # the last EDGE line's key
+    for line_no, line in artifact_text_lines(path):
+        kind, *fields = line.split(" ")
+        try:
+            if kind == "EDGE" and len(fields) == 3:
+                key = (fields[0], fields[1])
+                if last is None or key > last:
+                    edges[key] = float(fields[2])
+                    last = key
+                    continue
+            elif kind == "NODE" and len(fields) == 2 and not edges and fields[0] not in depths:
+                depths[fields[0]] = int(fields[1])
+                continue
+            elif (kind in NET_HEADER_RULES and len(fields) == 1 and fields[0]
+                  and kind not in header and not depths and not edges):
+                header[kind] = NET_HEADER_RULES[kind](fields[0])
+                continue
+        except (ValueError, KeyError):
+            pass
+        raise ValueError(f"{path}: line {line_no}: not a .net line as written: {line!r}")
+    if not {"ROOT", "ORDER", "N", "K"} <= set(header) or ("TMIN" in header) != ("MIMIN" in header):
+        raise ValueError(f"{path}: header lines missing")
+    thresholds = None
+    if "TMIN" in header:
+        thresholds = SignificanceThresholds(header["TMIN"], header["MIMIN"])
+    return CoocNetwork(header["ROOT"], header["ORDER"], depths, edges, header["N"], header["K"],
+                       thresholds, header.get("TRUNCATED"), header.get("CROSS", False),
+                       header.get("F", 800))
 
 
 def regex_parse_slash(raw: str) -> list[Token]:

@@ -53,6 +53,18 @@ def test_unequal_sides_are_refused():
         ab_pairs.verdict(PARENT, PARENT[:9])
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # PARENT's spread 0.10 is 2.7 % of its median 3.65.
+    assert not ab_pairs.unresolved(PARENT, PARENT, 0.03)
+    assert ab_pairs.unresolved(PARENT, PARENT, 0.02)
+    assert ab_pairs.unresolved(PARENT, [p + 1 for p in PARENT], 0.02)
+    # Unless every change run beats every parent run.
+    assert not ab_pairs.unresolved(PARENT, [3.54] * 10, 0.02)
+    assert ab_pairs.unresolved(PARENT, [3.54] * 9 + [3.55], 0.02)
+    assert not ab_pairs.unresolved(PARENT, [3.76] * 10, 0.02, "higher")
+    assert ab_pairs.unresolved(PARENT, [3.54] * 10, 0.02, "higher")
+
+
 SPEC = {"end_to_end": [{"name": "op_rel_time", "better": "lower", "bound": 0.25},
                        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
 
@@ -152,3 +164,25 @@ def test_metric_none_exits_on_the_regression_lines_alone(tmp_path, monkeypatch, 
     out = capsys.readouterr().out
     assert "claim on" not in out
     assert ("regression: sha256 a.tsv differs" in out) == bool(status)
+
+
+def test_main_reports_an_unresolved_metric_without_changing_its_status(tmp_path, monkeypatch,
+                                                                      capsys):
+    """The parent's ``peak_rss_mb`` spreads 45 % of its median, past its
+    0.1 bound, and the change's runs overlap it: that metric is reported
+    unresolved and ``op_rel_time``, whose runs all beat the parent's, is not."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    parent_rss = iter([40.0, 50.0, 60.0, 70.0] * 2)
+
+    def fake_bench(checkout, workload, seed, seconds):
+        if checkout == tmp_path / "parent":
+            return run(op_rel_time=2.0, peak_rss_mb=next(parent_rss))
+        return run(op_rel_time=1.0, peak_rss_mb=55.0)
+
+    monkeypatch.setattr(ab_pairs, "run_bench", fake_bench)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path), "--workload", "w",
+            "--seed", "1", "--seconds", "1", "--pairs", "8", "--metric", "none"]
+    assert ab_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[1] for line in out.splitlines()
+            if line.startswith("unresolved: ")] == [" peak_rss_mb"]

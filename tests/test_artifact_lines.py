@@ -1,0 +1,170 @@
+"""The artifact line rules shared by ``vocab.tsv`` and ``.net``: the readers
+against whole-text references, and the forms their writers never write."""
+
+import dataclasses
+import random
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lexchoice.cli import main
+from lexchoice.cooc import SignificanceThresholds, write_pair_counts
+from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
+from lexchoice.network import build_network, read_network, write_network
+
+from conftest import significant_counts
+from oracles import random_layered_network, reference_read_network, reference_read_vocabulary
+
+MUTATIONS = ["cr", "vt", "eol", "swap", "count", "byte"]
+
+
+def outcome(reader, path: Path):
+    """What ``reader`` makes of ``path``: what it read, or the line it
+    refuses (None when it refuses the file as a whole)."""
+    try:
+        return "read", reader(path)
+    except ValueError as exc:
+        found = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+        return "refused", found and int(found.group(1))
+
+
+def mutate(draw, lines: list[str], rows: list[int], sep: str, first: int) -> bytes:
+    """The lines, each ending in \\n, with one of ``MUTATIONS`` applied.
+    ``rows`` are the indices of the lines that may be swapped or have a
+    word or number changed; such a line's fields are split at ``sep``, and
+    its words are those from index ``first`` up to the number that ends it."""
+    kind = draw(st.sampled_from(MUTATIONS))
+    i = draw(st.sampled_from(rows))
+    fields = lines[i][:-1].split(sep)
+    if kind == "cr":
+        lines[i] = lines[i][:-1] + "\r\n"
+    elif kind == "vt":
+        f = draw(st.integers(first, len(fields) - 2))
+        at = draw(st.integers(0, len(fields[f])))
+        fields[f] = fields[f][:at] + "\x0b" + fields[f][at:]
+        lines[i] = sep.join(fields) + "\n"
+    elif kind == "eol":
+        lines[-1] = lines[-1][:-1]
+    elif kind == "swap":
+        j = draw(st.sampled_from([j for j in rows if j != i]))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "count":
+        fields[-1] = draw(st.sampled_from(["+", "0"])) + fields[-1]
+        lines[i] = sep.join(fields) + "\n"
+    else:
+        at = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:at] + "\udce9" + lines[i][at:]
+    return "".join(lines).encode("utf-8", "surrogateescape")
+
+
+WORDS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=5)
+
+
+@st.composite
+def vocabularies(draw):
+    freq = draw(st.dictionaries(WORDS, st.integers(1, 40), min_size=2, max_size=6))
+    return Vocabulary(freq, sum(freq.values()), draw(st.sampled_from([1, 7, 800])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocabularies(), st.data())
+def test_read_vocabulary_agrees_with_the_whole_text_reference(vocab, data):
+    """On the writer's table the reader, the reference and the vocabulary
+    agree; on the table with one line mutated, the reader and the
+    reference refuse it at the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.tsv"
+        write_vocabulary(vocab, path)
+        assert read_vocabulary(path) == reference_read_vocabulary(path) == vocab
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_bytes(mutate(data.draw, lines, list(range(2, len(lines))), "\t", 0))
+        got = outcome(read_vocabulary, path)
+        assert got == outcome(reference_read_vocabulary, path)
+        assert got[0] == "refused" and got[1] is not None
+
+
+@st.composite
+def networks(draw):
+    net = random_layered_network(random.Random(draw(st.integers(0, 10**6))))
+    return dataclasses.replace(
+        net, thresholds=draw(st.sampled_from([None, SignificanceThresholds(2.0, 1.5)])),
+        truncated=draw(st.sampled_from([None, "nodes", "nodes,edges"])),
+        cross_sentences=draw(st.booleans()), stop_threshold=draw(st.sampled_from([800, 9])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks(), st.data())
+def test_read_network_agrees_with_the_whole_text_reference(net, data):
+    """On the writer's file the reader, the reference and the network
+    agree; on the file with one line mutated, both read the same network
+    or both refuse it at the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w0.net"
+        write_network(net, path)
+        assert read_network(path) == reference_read_network(path) == net
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if line.startswith(("NODE ", "EDGE "))]
+        path.write_bytes(mutate(data.draw, lines, rows, " ", 1))
+        assert outcome(read_network, path) == outcome(reference_read_network, path)
+
+
+def counts_dir(tmp_path: Path) -> Path:
+    """A ``stats`` output directory whose table makes ``a`` and ``b`` collocates."""
+    counts = significant_counts([("a", "b")])
+    write_vocabulary(counts.vocab, tmp_path / "c" / "vocab.tsv")
+    write_pair_counts(counts, tmp_path / "c" / "pairs.tsv")
+    return tmp_path / "c"
+
+
+# Forms ``write_vocabulary`` never writes, each on the line named, which the
+# reader refused none of before it read its lines through ``ArtifactLines``.
+VOCAB_FORMS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), 1,
+             "'N=10000\\r' holds a line break other than \\n"),
+    "plus-count": (lambda text: text.replace("\nb\t50\n", "\nb\t+50\n"), 5,
+                   "expected 'word<TAB>count, count >= 1', got 'b\\t+50'"),
+    "trailing-space": (lambda text: text.replace("\nb\t50\n", "\nb\t50 \n"), 5,
+                       "expected 'word<TAB>count, count >= 1', got 'b\\t50 '"),
+    "no-last-line-end": (lambda text: text[:-1], 5, "'b\\t50' does not end in \\n"),
+}
+
+
+@pytest.mark.parametrize("form", VOCAB_FORMS)
+def test_build_refuses_a_vocabulary_its_writer_never_writes(tmp_path, capsys, form):
+    counts = counts_dir(tmp_path)
+    vocab = counts / "vocab.tsv"
+    text = vocab.read_text(encoding="utf-8")
+    change, line, problem = VOCAB_FORMS[form]
+    assert change(text) != text and text.count("\n") == 5
+    vocab.write_bytes(change(text).encode("utf-8"))
+    assert main(["build", "--counts", str(counts), "--root", "a", "--out",
+                 str(tmp_path / "n")]) == 1
+    assert capsys.readouterr().err == f"error: {vocab}: line {line}: {problem}\n"
+    assert not (tmp_path / "n").exists()
+
+
+NET_FORMS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), 1,
+             "'ROOT b\\r' holds a line break other than \\n"),
+    "vertical-tab-after-a-weight": (lambda text: text[:-1] + "\x0b\n", 9,
+                                    "'EDGE a b 4.024922\\x0b' holds a line break other than \\n"),
+}
+
+
+@pytest.mark.parametrize("form", NET_FORMS)
+def test_choose_refuses_a_network_its_writer_never_writes(tmp_path, capsys, form):
+    nets = tmp_path / "nets"
+    for word in ("a", "b"):
+        write_network(build_network(word, significant_counts([("a", "b")]), max_order=1),
+                      nets / f"{word}.net")
+    net = nets / "b.net"
+    text = net.read_text(encoding="utf-8")
+    change, line, problem = NET_FORMS[form]
+    assert text.count("\n") == 9
+    net.write_bytes(change(text).encode("utf-8"))
+    assert main(["choose", "--networks", str(nets), "--candidates", "a,b",
+                 "--sentence", "x/NN ____"]) == 1
+    assert capsys.readouterr().err == f"error: {net}: line {line}: {problem}\n"

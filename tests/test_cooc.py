@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexchoice import cooc
+from lexchoice import cooc, ioutil
 from lexchoice.cooc import (
     PairCounts,
     SignificanceThresholds,
@@ -571,7 +571,7 @@ TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown"]
 # Counts the writer never writes; ``int`` accepts the padded ones and the
 # last four.
 BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", "", "+3", "03", "3_0", "\u0663"]
-BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "Q=1", "K=3", "K=x", "N"]
+BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "CROSS=01", "CROSS=+1", "Q=1", "K=3", "K=x", "N"]
 # Characters other than \n at which ``str.splitlines`` breaks a line.
 LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 
@@ -1085,7 +1085,7 @@ def test_a_vocabulary_word_utf8_cannot_encode_is_left_out_of_a_read(tmp_path):
 
 def test_a_count_text_the_writer_never_writes_is_refused_at_every_lookup():
     """The memo of parsed count texts stores only the ones it accepts."""
-    counts = cooc._CountTexts()
+    counts = ioutil.CountTexts()
     for _ in range(2):
         with pytest.raises(ValueError):
             counts[b"05\n"]

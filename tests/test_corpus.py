@@ -328,7 +328,7 @@ def test_vocabulary_file_roundtrip(tmp_path, tiny_vocab):
         ("\na\t2\n", "\na\t0\n", 4, "expected 'word<TAB>count, count >= 1'"),
         ("F=100\n", "F=0\n", 2, "expected 'F=<threshold>'"),
         ("F=100\n", "F=-5\n", 2, "expected 'F=<threshold>'"),
-        ("\na\t2\n", "\na\t2\na\t2\n", 5, "word 'a' repeats an earlier row"),
+        ("\na\t2\n", "\na\t2\na\t2\n", 5, "word 'a' does not sort after the word before it, 'a'"),
         ("\na\t2\n", "\n\t2\n", 4, "word '' is empty or holds whitespace"),
         ("\na\t2\n", "\na b\t2\n", 4, "word 'a b' is empty or holds whitespace"),
     ],
@@ -348,7 +348,7 @@ def test_read_vocabulary_rejects_counts_that_miss_the_total(tmp_path, tiny_vocab
     path = tmp_path / "vocab.tsv"
     write_vocabulary(tiny_vocab, path)
     path.write_text(path.read_text().replace("\na\t2\n", "\na\t3\n", 1))
-    problem = "line 1: N=32 but the counts sum to 33"
+    problem = "vocabulary N=32 but its counts sum to 33"
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
         read_vocabulary(path)
 

@@ -493,7 +493,7 @@ def test_sentence_setting_and_stop_threshold_travel_with_the_network(tmp_path):
                                                    "TMIN 2.0", "MIMIN 2.0"]
         assert read_network(tmp_path / f"{name}.net") == net
     path = tmp_path / "other.net"
-    for new, problem in (("CROSS 2", "line 5: malformed CROSS line 'CROSS 2'"),
+    for new, problem in (("CROSS 2", "line 5: expected 'CROSS <0 or 1>', got 'CROSS 2'"),
                          ("F 0", "network F 0 must be >= 1")):
         path.write_text((tmp_path / "default.net").read_text().replace("K 4\n", f"K 4\n{new}\n"))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
@@ -509,29 +509,39 @@ def test_truncation_flag_survives_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, problem",
+    "where, line, problem",
     [
-        ("NODE widget", "malformed NODE line 'NODE widget'"),
-        ("EDGE a r x6.627839", "malformed EDGE line 'EDGE a r x6.627839'"),
-        ("ORDER two", "malformed ORDER line 'ORDER two'"),
-        ("WEIGHT 3", "unknown line kind 'WEIGHT'"),
-        ("ORDER 5", "repeated ORDER line"),
-        ("N 7", "repeated N line"),
-        ("TMIN 2.0", "repeated TMIN line"),
-        ("NODE a 1", "repeated NODE line for 'a'"),
-        ("NODE a 2", "repeated NODE line for 'a'"),
-        ("EDGE a r 9.0", "repeated EDGE line for 'a' 'r'"),
+        ("end", "NODE widget", "malformed NODE line 'NODE widget'"),
+        ("end", "EDGE a r x6.627839", "malformed EDGE line 'EDGE a r x6.627839'"),
+        ("header", "F two", "expected 'F <threshold>', got 'F two'"),
+        ("header", "WEIGHT 3", "unknown header key 'WEIGHT'"),
+        ("header", "ORDER 5", "header key ORDER repeats an earlier line"),
+        ("header", "N 7", "header key N repeats an earlier line"),
+        ("header", "TMIN 2.0", "header key TMIN repeats an earlier line"),
+        ("end", "NODE a 1", "repeated NODE line for 'a'"),
+        ("end", "NODE a 2", "repeated NODE line for 'a'"),
+        ("end", "EDGE a r 9.0", "EDGE 'a' 'r' does not sort after the EDGE before it"),
+        ("end", "EDGE a b 9.0", "EDGE 'a' 'b' does not sort after the EDGE before it"),
+        ("end", "NODE b 1", "NODE line after the first EDGE line"),
+        ("end", "ORDER 5", "header line ORDER after the first NODE or EDGE line"),
+        ("header", "TRUNCATED nodes edges",
+         "expected 'TRUNCATED <caps>', got 'TRUNCATED nodes edges'"),
+        ("header", "CROSS 01", "expected 'CROSS <0 or 1>', got 'CROSS 01'"),
     ],
     ids=["node-without-depth", "edge-weight", "header-value", "unknown-kind", "repeated-order",
          "repeated-total", "repeated-tmin", "repeated-node", "node-at-other-depth",
-         "repeated-edge"],
+         "repeated-edge", "edge-out-of-order", "node-after-edges", "header-after-nodes",
+         "header-value-with-a-space", "cross-not-as-written"],
 )
-def test_read_network_names_file_and_line(tmp_path, line, problem):
+def test_read_network_names_file_and_line(tmp_path, where, line, problem):
+    """A bad header line is put among the header lines, any other after the last line."""
     counts = significant_counts([("r", "a")])
     path = tmp_path / "r.net"
     write_network(build_network("r", counts, max_order=1), path)
-    path.write_text(path.read_text() + line + "\n")
-    line_no = len(path.read_text().splitlines())
+    text = path.read_text()
+    at = len(text) if where == "end" else text.index("NODE r 0")
+    path.write_text(text[:at] + line + "\n" + text[at:])
+    line_no = text[:at].count("\n") + 1
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line_no}: {problem}')}$"):
         read_network(path)
 

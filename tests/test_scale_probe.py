@@ -37,3 +37,17 @@ def test_the_probe_prints_one_table_per_size_from_a_fresh_process():
     assert all("the count floor keeps" in head and "max RSS" in head for head in heads)
     for stage in scale_probe.STAGES:
         assert done.stdout.count(f"| {stage} |") == 2
+
+
+def test_each_stage_costs_the_least_of_its_untraced_passes(tmp_path, monkeypatch):
+    costs = iter([3.0, 1.0, 2.0])
+
+    def fake_stages(train, out, traced):
+        cost = 7.0 if traced else next(costs)
+        return {name: cost for name in scale_probe.STAGES}, {"tokens": 1}
+
+    monkeypatch.setattr(scale_probe, "run_stages", fake_stages)
+    result = scale_probe.measure(tmp_path / "train.tag", tmp_path)
+    assert scale_probe.PASSES == 3
+    assert result["cpu_s"] == dict.fromkeys(scale_probe.STAGES, 1.0)
+    assert result["traced_bytes"] == dict.fromkeys(scale_probe.STAGES, 7.0)

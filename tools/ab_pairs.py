@@ -24,6 +24,12 @@ The script also flags a regression:
   runs;
 - any ``sha256`` artifact digest that differs between the two sides.
 
+An end-to-end metric is reported ``unresolved`` when the parent's
+quartile spread, as a share of its median, is wider than the metric's
+bound, unless every change run beats every parent run: the runs then
+cannot tell a change of that size from the parent's own noise. This
+changes no exit status.
+
 The exit status is 0 when the claim holds and nothing is flagged, and 1
 otherwise. ``--metric none`` claims nothing: a run that only checks for
 regressions then exits 0 unless a ``regression:`` line is printed. The
@@ -82,6 +88,17 @@ def regressed(parent: list[float], change: list[float], bound: float,
     sign = 1 if better == "lower" else -1
     parent_median = statistics.median(parent)
     return sign * (statistics.median(change) - parent_median) > bound * abs(parent_median)
+
+
+def unresolved(parent: list[float], change: list[float], bound: float,
+               better: str = "lower") -> bool:
+    """Whether the parent's quartile spread is wider than ``bound``, a share
+    of its median, while some change run does not beat every parent run."""
+    sign = 1 if better == "lower" else -1
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return False
+    q1, parent_median, q3 = quartiles(parent)
+    return q3 - q1 > bound * abs(parent_median)
 
 
 def failed_share(runs: list[dict]) -> float:
@@ -150,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.metric not in better and args.metric != "none":
         parser.error(f"--metric must be one of {', '.join(better)} or none")
     sides = {"parent": args.parent, "change": args.change}
@@ -172,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         v = verdict(values["parent"][name], values["change"][name], direction)
         print(f"{name}: change better in {v.wins} of {v.pairs} pairs, median gap {v.gap:.6g}, "
               f"parent quartile spread {v.spread:.6g}")
+        if unresolved(values["parent"][name], values["change"][name], bounds[name], direction):
+            print(f"unresolved: {name}: the parent quartile spread {v.spread:.6g} is wider than "
+                  f"its bound {bounds[name]:g} of the parent median")
     holds = True
     if args.metric != "none":
         v = verdict(values["parent"][args.metric], values["change"][args.metric],
