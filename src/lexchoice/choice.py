@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, attrgetter
 
-from .corpus import DEFAULT_STOP_TAGS, GAP, Token
+from .corpus import DEFAULT_STOP_TAGS, GAP, Token, Vocabulary
 from .network import CoocNetwork
 
 
@@ -169,6 +169,7 @@ def parse_gap_sentence(
     text: str,
     gap_marker: str = GAP,
     stop_pos_tags: frozenset[str] = DEFAULT_STOP_TAGS,
+    vocab: Vocabulary | None = None,
 ) -> GapSentence:
     """Parse a one-line gap sentence.
 
@@ -177,9 +178,11 @@ def parse_gap_sentence(
     empty tag, and an empty surface (``/NN``) is refused as ``Token`` refuses it.
     Exactly one token must equal ``gap_marker``, and no other may have the
     placeholder ``GAP`` as its surface. Surfaces are lowercased, and every
-    token has sentence id 0. A token whose tag is in ``stop_pos_tags`` is
-    flagged a stop word, as ingest flags training tokens, so it never
-    counts as evidence.
+    token has sentence id 0. A token is flagged a stop word, so it never
+    counts as evidence, when its tag is in ``stop_pos_tags``, as ingest
+    flags training tokens, or, given the training vocabulary ``vocab``, when
+    that counts its surface more than F times. With the default tags, that
+    is the rule ``corpus.apply_stop_policy`` applies to a stream.
     """
     tokens: list[Token] = []
     gap_index: int | None = None
@@ -206,4 +209,8 @@ def parse_gap_sentence(
         tokens.append(tok)
     if gap_index is None:
         raise ValueError(f"sentence contains no gap marker {gap_marker!r}")
+    # The frequency rule, outside the loop, so a parse without a vocabulary hashes no surface.
+    if vocab is not None:
+        for tok in tokens:
+            tok.is_stop = tok.is_stop or vocab.is_frequency_stopped(tok.surface)
     return GapSentence(tokens, gap_index)

@@ -192,9 +192,7 @@ def cmd_choose(args: argparse.Namespace) -> int:
                                f"were built with {key}={want}")
     freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
 
-    sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker)
-    if vocab is not None:
-        corpus.apply_stop_policy(sentence.tokens, vocab)
+    sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker, vocab=vocab)
 
     cands = choice.CandidateSet(
         set_id="cli",

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary, check_stream
 from .ioutil import (ArtifactLines, CountTexts, at_least_1, atomic_write_text, header_problem,
-                     zero_or_one)
+                     written_int, zero_or_one)
 
 
 # Relative slack under t_min**2 for the count floor: far above the few ulps
@@ -378,7 +378,7 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
 
 
 # The header keys of a pair table, each with what its value means and its parser.
-_PAIR_HEADER = {"N": ("tokens", int), "K": ("half-width >= 1", at_least_1),
+_PAIR_HEADER = {"N": ("tokens", written_int), "K": ("half-width >= 1", at_least_1),
                 "F": ("threshold >= 1", at_least_1), "CROSS": ("0 or 1", zero_or_one)}
 
 

@@ -25,10 +25,11 @@ stop flags (a ``bytearray``). It builds no object per position: three list
 entries and one flag byte a position. A sentence is a maximal run of positions with
 one id. To its readers the stream is a read-only sequence of ``Token``s,
 each made when it is read. A gap sentence stays a plain ``list[Token]``,
-whose stop flags a caller may set.
+flagged when it is parsed (``choice.parse_gap_sentence``).
 
-A file that does not decode as UTF-8 is refused naming its path and the line
-and column of the first bad byte.
+``ingest_files`` reads and decodes its own files. One that does not decode
+as UTF-8 is refused naming its path and the line and column of the first
+bad byte.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
 
-from .ioutil import (ArtifactLines, CountTexts, UndecodableText, at_least_1, atomic_write_text,
-                     header_problem, read_text)
+from .ioutil import (ArtifactLines, CountTexts, at_least_1, atomic_write_text, bad_byte,
+                     header_problem, written_int)
 
 # Penn-Treebank-style defaults: numbers, symbols/punctuation, proper nouns.
 DEFAULT_STOP_TAGS = frozenset(
@@ -229,11 +230,12 @@ def _fill(ts: TokenStream, items: list[str], surface_of: dict[str, str], tag_of:
           lengths: list[int], sentence_id: int) -> int:
     """Append ``items``, each parsed once into ``surface_of`` and
     ``tag_of``, to the stream's columns, as sentences of ``lengths``
-    positions numbered on from ``sentence_id``; return the next id."""
+    positions numbered on from ``sentence_id``, each flagged a stop word
+    when its tag is in ``DEFAULT_STOP_TAGS``; return the next id."""
     ts._surfaces += map(surface_of.__getitem__, items)
     tags = list(map(tag_of.__getitem__, items))
     ts._tags += tags
-    ts._stops += _tag_stop_flags(tags)
+    ts._stops += bytes(map(DEFAULT_STOP_TAGS.__contains__, tags))
     ts._sentence_ids += chain.from_iterable(map(repeat, count(sentence_id), lengths))
     return sentence_id + len(lengths)
 
@@ -323,53 +325,47 @@ def ingest(raw: str, cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     return ts
 
 
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text. A byte that does not decode raises
+    ``CorpusFormatError`` at its line and column (in characters), found only
+    then, the text before it split as the parsers split it."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode() + "?").splitlines()
+        raise CorpusFormatError(bad_byte(exc), len(lines), len(lines[-1])) from None
+
+
 def ingest_files(paths: list[str | Path], cfg: CorpusConfig = CorpusConfig()) -> TokenStream:
     """Ingest several files and concatenate them in the given order, each
     file's sentences numbered on from the last file's. A file that does not
-    decode as UTF-8 raises ``CorpusFormatError`` at its first bad byte."""
+    decode as UTF-8 raises ``CorpusFormatError`` at its first bad byte. Only
+    the text of a file is held while it is parsed, not its bytes."""
     parse = _PARSERS[cfg.format]
     ts = TokenStream()
     ids = ts._sentence_ids
     for path in paths:
         try:
-            parse(read_text(path), ts, ids[-1] + 1 if ids else 0)
-        except (CorpusFormatError, UndecodableText) as exc:
+            parse(_decode(Path(path).read_bytes()), ts, ids[-1] + 1 if ids else 0)
+        except CorpusFormatError as exc:
             raise CorpusFormatError(exc.message, exc.line, exc.column, path) from None
     return ts
 
 
-def _tag_stop_flags(tags: Iterable[str]) -> bytes:
-    """1 for each tag in ``DEFAULT_STOP_TAGS``, else 0."""
-    return bytes(map(DEFAULT_STOP_TAGS.__contains__, tags))
+def apply_stop_policy(ts: TokenStream, vocab: Vocabulary, cfg: CorpusConfig | None = None) -> None:
+    """Recompute every stop flag of a stream: a tag in ``DEFAULT_STOP_TAGS``,
+    or a word ``vocab`` counts more than F times. The vocabulary is normally
+    the training one, even for held-out text: frequency-based stops are a
+    training-corpus property. A gap sentence takes the same rule from
+    ``choice.parse_gap_sentence``. ``cfg`` is not read, as the threshold is
+    the vocabulary's own; it is kept because ``bench/workloads.py`` passes it.
 
-
-def _stop_flags(tags: Iterable[str], surfaces: Iterable[str], vocab: Vocabulary) -> bytearray:
-    """The stop rule, one flag per position: a tag in ``DEFAULT_STOP_TAGS``,
-    or a word the vocabulary counts more than F times. It takes one probe a
-    position: a frequency-stopped word reads as the stop tag ``CD`` in
-    place of its own tag."""
+    It takes one probe a position: a frequency-stopped word reads as the
+    stop tag ``CD`` in place of its own tag."""
+    check_stream(ts)
     as_stop_tag = dict.fromkeys(vocab.is_frequency_stopped.__self__, "CD")
-    return bytearray(map(DEFAULT_STOP_TAGS.__contains__, map(as_stop_tag.get, surfaces, tags)))
-
-
-def apply_stop_policy(ts: TokenStream | list[Token], vocab: Vocabulary,
-                      cfg: CorpusConfig | None = None) -> None:
-    """Recompute every stop flag of a stream, or of a gap sentence's
-    ``list[Token]``, from tags (``DEFAULT_STOP_TAGS``) and
-    ``vocab.is_frequency_stopped``. ``cfg`` is not read: the threshold is
-    the vocabulary's own, and the argument is kept only for callers that
-    still pass it.
-
-    The vocabulary is normally the training one: frequency-based stops are a
-    training-corpus property even when flagging held-out text or a gap
-    sentence.
-    """
-    if isinstance(ts, TokenStream):
-        ts._stops = _stop_flags(ts._tags, ts._surfaces, vocab)
-        return
-    flags = _stop_flags(map(attrgetter("pos"), ts), map(attrgetter("surface"), ts), vocab)
-    for tok, flag in zip(ts, flags):
-        tok.is_stop = flag == 1
+    ts._stops = bytearray(map(DEFAULT_STOP_TAGS.__contains__,
+                              map(as_stop_tag.get, ts._surfaces, ts._tags)))
 
 
 def build_vocabulary(ts: TokenStream, cfg: CorpusConfig = CorpusConfig()) -> Vocabulary:
@@ -423,7 +419,8 @@ def _row_problem(text: str, header: dict[str, int], last: bytes) -> str | None:
     """What is wrong with a vocabulary line's text after the row of word
     ``last`` (b"" before any); None for a good header line, filed under ``header``."""
     if "=" in text and "\t" not in text:
-        return header_problem(text, header, {"N": ("tokens", int), "F": ("threshold", at_least_1)},
+        return header_problem(text, header,
+                              {"N": ("tokens", written_int), "F": ("threshold", at_least_1)},
                               after="row" if last else None)
     word, *count = text.split("\t")
     if len(count) == 1 and word.split() != [word]:

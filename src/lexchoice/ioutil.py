@@ -1,7 +1,8 @@
-"""Shared file helpers: write-to-temp plus atomic rename, so concurrent
-invocations never observe half-written artifacts; the one reader of an
-artifact's lines and header lines; and a UTF-8 read of corpus text that
-names the place of a byte it cannot decode."""
+"""The artifact layer: write-to-temp plus atomic rename, so concurrent
+invocations never observe half-written artifacts, and the one reader of an
+artifact's lines and header lines, with the parsers of their values. Its
+message for a byte that does not decode as UTF-8 is shared with the corpus
+reader."""
 
 from __future__ import annotations
 
@@ -13,35 +14,9 @@ from pathlib import Path
 from typing import NoReturn
 
 
-def _bad_byte(error: UnicodeDecodeError) -> str:
+def bad_byte(error: UnicodeDecodeError) -> str:
+    """What is wrong with the byte at which the UTF-8 decode ``error`` stopped."""
     return f"byte 0x{error.object[error.start]:02x} does not decode as UTF-8 ({error.reason})"
-
-
-class UndecodableText(ValueError):
-    """Corpus text holds bytes that do not decode as UTF-8. The text names
-    the path and the line; ``line`` and ``column`` (1-based, the column in
-    characters) place the bad byte ``error`` names, ``before`` being the
-    text of its line before it, and ``message`` says what is wrong with it.
-    Lines are broken as ``str.splitlines`` breaks them."""
-
-    def __init__(self, path: str | Path, line: int, before: str, error: UnicodeDecodeError):
-        self.message = _bad_byte(error)
-        super().__init__(f"{path}: line {line}: {self.message}")
-        self.line = line
-        self.column = len(before) + 1
-
-
-def read_text(path: str | Path) -> str:
-    """The text of the corpus file ``path``, decoded as UTF-8 with its line
-    ends kept, for the corpus parsers, which split it with
-    ``str.splitlines``. Bytes that do not decode raise ``UndecodableText``;
-    their place is worked out only then."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        raise UndecodableText(path, len(lines), lines[-1][:-1], exc) from None
 
 
 class ArtifactLines:
@@ -85,7 +60,7 @@ class ArtifactLines:
         try:
             text = line.decode()
         except UnicodeDecodeError as exc:
-            self.refuse(line, _bad_byte(exc))
+            self.refuse(line, bad_byte(exc))
         body = text.removesuffix("\n")
         if body.strip():
             if body.splitlines() != [body]:
@@ -126,9 +101,17 @@ def header_problem(text: str, header: dict, rules: dict[str, tuple[str, Callable
     return None
 
 
+def written_int(text: str) -> int:
+    """An integer as the writers write it, ``str(n)``, else ValueError: so no
+    plus sign, leading zero, space or underscore."""
+    if text != str(n := int(text)):
+        raise ValueError(text)
+    return n
+
+
 def at_least_1(text: str) -> int:
-    """A header value: an integer of at least 1."""
-    if (n := int(text)) < 1:
+    """A header value: an integer of at least 1, written as ``str(n)``."""
+    if (n := written_int(text)) < 1:
         raise ValueError(text)
     return n
 
@@ -146,6 +129,14 @@ class CountTexts(dict):
         if n < 1 or text != b"%d\n" % n:
             raise ValueError(text)
         self[text] = n
+        return n
+
+
+class IntTexts(dict):
+    """Integer texts, each parsed once by ``written_int``."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = n = written_int(text)
         return n
 
 

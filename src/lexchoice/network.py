@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
-from .ioutil import ArtifactLines, atomic_write_text, header_problem, zero_or_one
+from .ioutil import (ArtifactLines, IntTexts, atomic_write_text, header_problem, written_int,
+                     zero_or_one)
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -370,9 +371,10 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
 
 
 # The header kinds of a .net file, each with what its value means and its parser.
-_HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", int), "N": ("tokens", int),
-                 "K": ("half-width", int), "CROSS": ("0 or 1", zero_or_one),
-                 "F": ("threshold", int), "TMIN": ("t_min", float), "MIMIN": ("mi_min", float),
+_HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", written_int),
+                 "N": ("tokens", written_int), "K": ("half-width", written_int),
+                 "CROSS": ("0 or 1", zero_or_one), "F": ("threshold", written_int),
+                 "TMIN": ("t_min", float), "MIMIN": ("mi_min", float),
                  "TRUNCATED": ("caps", str)}
 
 
@@ -387,6 +389,7 @@ def read_network(path: str | Path) -> CoocNetwork:
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
     edges: dict[tuple[str, str], float] = {}
+    depth_of = IntTexts()
     last = ()  # the last EDGE line's key
     for chunk in lines.chunks(decode=True):
         for line in chunk:
@@ -403,7 +406,7 @@ def read_network(path: str | Path) -> CoocNetwork:
                     problem = f"EDGE {w1!r} {w2!r} does not sort after the EDGE before it"
                 elif kind == "NODE":
                     _, word, depth = fields
-                    depth = int(depth)
+                    depth = depth_of[depth]
                     if word not in depths and not edges:
                         depths[word] = depth
                         continue

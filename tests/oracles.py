@@ -143,8 +143,20 @@ def reference_write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     return len(lines) - header
 
 
+# An integer as the writers write it: digits, no leading zero, and a minus
+# sign only before a number other than 0.
+WRITTEN_INT = "0|-?[1-9][0-9]*"
+
+
+def written_int(text: str) -> int:
+    """``text`` as an integer if it matches ``WRITTEN_INT``, else ValueError."""
+    if re.fullmatch(WRITTEN_INT, text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 # What each pair-table header key's integer value means, and the test its
-# number and its text must pass.
+# number and its text must pass, once the text matches ``WRITTEN_INT``.
 PAIR_HEADER_RULES = {"N": ("tokens", lambda n, text: True),
                      "K": ("half-width >= 1", lambda n, text: n >= 1),
                      "F": ("threshold >= 1", lambda n, text: n >= 1),
@@ -179,7 +191,7 @@ def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCount
                 problem = f"header key {key}= repeats an earlier line"
             else:
                 try:
-                    number = int(value)
+                    number = written_int(value)
                 except ValueError:
                     number = None
                 if number is not None and test(number, value):
@@ -268,7 +280,7 @@ def reference_read_vocabulary(path: str | Path) -> Vocabulary:
         if "=" in line and len(fields) == 1:
             key, value = line.split("=", 1)
             good = (before is None and key in ("N", "F") and key not in header
-                    and re.fullmatch(r"-?[0-9]+", value) is not None
+                    and re.fullmatch(WRITTEN_INT, value) is not None
                     and (key == "N" or int(value) >= 1))
             if good:
                 header[key] = int(value)
@@ -288,8 +300,8 @@ def reference_read_vocabulary(path: str | Path) -> Vocabulary:
 
 
 # Each .net header kind and the parser of its value.
-NET_HEADER_RULES = {"ROOT": str, "ORDER": int, "N": int, "K": int, "F": int, "TMIN": float,
-                    "MIMIN": float, "TRUNCATED": str,
+NET_HEADER_RULES = {"ROOT": str, "ORDER": written_int, "N": written_int, "K": written_int,
+                    "F": written_int, "TMIN": float, "MIMIN": float, "TRUNCATED": str,
                     "CROSS": lambda value: {"0": False, "1": True}[value]}
 
 
@@ -311,7 +323,7 @@ def reference_read_network(path: str | Path) -> CoocNetwork:
                     last = key
                     continue
             elif kind == "NODE" and len(fields) == 2 and not edges and fields[0] not in depths:
-                depths[fields[0]] = int(fields[1])
+                depths[fields[0]] = written_int(fields[1])
                 continue
             elif (kind in NET_HEADER_RULES and len(fields) == 1 and fields[0]
                   and kind not in header and not depths and not edges):

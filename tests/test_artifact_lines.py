@@ -18,7 +18,7 @@ from lexchoice.network import build_network, read_network, write_network
 from conftest import significant_counts
 from oracles import random_layered_network, reference_read_network, reference_read_vocabulary
 
-MUTATIONS = ["cr", "vt", "eol", "swap", "count", "byte"]
+MUTATIONS = ["cr", "vt", "eol", "swap", "count", "header", "byte"]
 
 
 def outcome(reader, path: Path):
@@ -31,11 +31,15 @@ def outcome(reader, path: Path):
         return "refused", found and int(found.group(1))
 
 
-def mutate(draw, lines: list[str], rows: list[int], sep: str, first: int) -> bytes:
+def mutate(draw, lines: list[str], rows: list[int], sep: str, first: int,
+           headers: list[int]) -> bytes:
     """The lines, each ending in \\n, with one of ``MUTATIONS`` applied.
     ``rows`` are the indices of the lines that may be swapped or have a
     word or number changed; such a line's fields are split at ``sep``, and
-    its words are those from index ``first`` up to the number that ends it."""
+    its words are those from index ``first`` up to the number that ends it.
+    ``headers`` are the indices of the header lines whose value is an
+    integer, which may gain a ``+`` or ``0`` before it as "count" gives one
+    to the number that ends a row."""
     kind = draw(st.sampled_from(MUTATIONS))
     i = draw(st.sampled_from(rows))
     fields = lines[i][:-1].split(sep)
@@ -54,6 +58,10 @@ def mutate(draw, lines: list[str], rows: list[int], sep: str, first: int) -> byt
     elif kind == "count":
         fields[-1] = draw(st.sampled_from(["+", "0"])) + fields[-1]
         lines[i] = sep.join(fields) + "\n"
+    elif kind == "header":
+        i = draw(st.sampled_from(headers))
+        key = re.match("[A-Z]+[= ]", lines[i]).end()
+        lines[i] = lines[i][:key] + draw(st.sampled_from(["+", "0"])) + lines[i][key:]
     else:
         at = draw(st.integers(0, len(lines[i]) - 1))
         lines[i] = lines[i][:at] + "\udce9" + lines[i][at:]
@@ -80,7 +88,7 @@ def test_read_vocabulary_agrees_with_the_whole_text_reference(vocab, data):
         write_vocabulary(vocab, path)
         assert read_vocabulary(path) == reference_read_vocabulary(path) == vocab
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_bytes(mutate(data.draw, lines, list(range(2, len(lines))), "\t", 0))
+        path.write_bytes(mutate(data.draw, lines, list(range(2, len(lines))), "\t", 0, [0, 1]))
         got = outcome(read_vocabulary, path)
         assert got == outcome(reference_read_vocabulary, path)
         assert got[0] == "refused" and got[1] is not None
@@ -107,7 +115,8 @@ def test_read_network_agrees_with_the_whole_text_reference(net, data):
         assert read_network(path) == reference_read_network(path) == net
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         rows = [i for i, line in enumerate(lines) if line.startswith(("NODE ", "EDGE "))]
-        path.write_bytes(mutate(data.draw, lines, rows, " ", 1))
+        ints = [i for i, line in enumerate(lines) if line.startswith(("ORDER ", "N ", "K ", "F "))]
+        path.write_bytes(mutate(data.draw, lines, rows, " ", 1, ints))
         assert outcome(read_network, path) == outcome(reference_read_network, path)
 
 
@@ -120,8 +129,13 @@ def counts_dir(tmp_path: Path) -> Path:
 
 
 # Forms ``write_vocabulary`` never writes, each on the line named, which the
-# reader refused none of before it read its lines through ``ArtifactLines``.
+# reader once took: the first four until it read its lines through
+# ``ArtifactLines``, the integer headers until it read them as ``str(n)``.
 VOCAB_FORMS = {
+    "spaced-N": (lambda text: text.replace("N=10000\n", "N= 10000\n"), 1,
+                 "expected 'N=<tokens>', got 'N= 10000'"),
+    "plus-F": (lambda text: text.replace("\nF=800\n", "\nF=+800\n"), 2,
+               "expected 'F=<threshold>', got 'F=+800'"),
     "crlf": (lambda text: text.replace("\n", "\r\n"), 1,
              "'N=10000\\r' holds a line break other than \\n"),
     "plus-count": (lambda text: text.replace("\nb\t50\n", "\nb\t+50\n"), 5,
@@ -146,11 +160,43 @@ def test_build_refuses_a_vocabulary_its_writer_never_writes(tmp_path, capsys, fo
     assert not (tmp_path / "n").exists()
 
 
+# Integer header values that ``write_pair_counts`` never writes, each on
+# the line named, which the reader took until it read them as ``str(n)``.
+PAIR_FORMS = {
+    "plus-K": ("\nK=4\n", "\nK=+4\n", 2, "expected 'K=<half-width >= 1>', got 'K=+4'"),
+    "spaced-N": ("N=10000\n", "N= 10000\n", 1, "expected 'N=<tokens>', got 'N= 10000'"),
+    "zero-prefixed-F": ("\nF=800\n", "\nF=0800\n", 3,
+                        "expected 'F=<threshold >= 1>', got 'F=0800'"),
+}
+
+
+@pytest.mark.parametrize("form", PAIR_FORMS)
+def test_build_refuses_a_pair_table_its_writer_never_writes(tmp_path, capsys, form):
+    counts = counts_dir(tmp_path)
+    pairs = counts / "pairs.tsv"
+    text = pairs.read_text(encoding="utf-8")
+    old, new, line, problem = PAIR_FORMS[form]
+    assert text.count(old) == 1
+    pairs.write_bytes(text.replace(old, new).encode("utf-8"))
+    assert main(["build", "--counts", str(counts), "--root", "a", "--out",
+                 str(tmp_path / "n")]) == 1
+    assert capsys.readouterr().err == f"error: {pairs}: line {line}: {problem}\n"
+    assert not (tmp_path / "n").exists()
+
+
+# Forms ``write_network`` never writes, each on the line named: line breaks
+# other than \n, and integers not written as ``str(n)``.
 NET_FORMS = {
     "crlf": (lambda text: text.replace("\n", "\r\n"), 1,
              "'ROOT b\\r' holds a line break other than \\n"),
     "vertical-tab-after-a-weight": (lambda text: text[:-1] + "\x0b\n", 9,
                                     "'EDGE a b 4.024922\\x0b' holds a line break other than \\n"),
+    "zero-prefixed-ORDER": (lambda text: text.replace("\nORDER 1\n", "\nORDER 01\n"), 2,
+                            "expected 'ORDER <order>', got 'ORDER 01'"),
+    "plus-depth": (lambda text: text.replace("\nNODE a 1\n", "\nNODE a +1\n"), 8,
+                   "malformed NODE line 'NODE a +1'"),
+    "underscored-depth": (lambda text: text.replace("\nNODE a 1\n", "\nNODE a 1_0\n"), 8,
+                          "malformed NODE line 'NODE a 1_0'"),
 }
 
 

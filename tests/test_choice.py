@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +19,14 @@ from lexchoice.choice import (
     top_contributors,
 )
 from lexchoice.cooc import WindowConfig, count_pairs
-from lexchoice.corpus import DEFAULT_STOP_TAGS, Token, build_vocabulary, ingest
+from lexchoice.corpus import DEFAULT_STOP_TAGS, Token, Vocabulary, build_vocabulary, ingest
 from lexchoice.network import CoocNetwork, build_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import pair_key, surfaces
-from oracles import (random_layered_network, reference_evidence_tokens,
-                     reference_parse_gap_sentence, reference_rank, summed_significance)
+from oracles import (random_layered_network, reference_apply_stop_policy,
+                     reference_evidence_tokens, reference_parse_gap_sentence, reference_rank,
+                     summed_significance)
 
 
 def evidence_network(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -282,6 +284,32 @@ def test_parse_gap_sentence_matches_the_reference_parser(marker_and_pieces, stop
                 parsed.gap_index)
 
     assert outcome(parse_gap_sentence) == outcome(reference_parse_gap_sentence)
+
+
+@settings(max_examples=300)
+@given(st.lists(gap_pieces, max_size=12), st.integers(0, 12), st.data())
+def test_parse_gap_sentence_applies_the_training_stop_rule(pieces, at, data):
+    """Given the training vocabulary, the parser flags every token as the
+    reference stop policy flags a token list: by its tag or by a training
+    count above F. The vocabulary counts some of the sentence's words and
+    others; like every written vocabulary, it never holds the placeholder.
+    A text the parser refuses is refused alike with the vocabulary."""
+    pieces.insert(at, GAP)
+    text = " ".join(pieces)
+    try:
+        expected = reference_parse_gap_sentence(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            parse_gap_sentence(text, vocab=Vocabulary({"a": 1}, 1, 800))
+        return
+    words = sorted({tok.surface for tok in expected.tokens} - {GAP})
+    freq = data.draw(st.dictionaries(st.sampled_from(words) if words else surfaces,
+                                     st.integers(1, 40)))
+    freq.update(data.draw(st.dictionaries(surfaces, st.integers(1, 40), max_size=3)))
+    vocab = Vocabulary(freq, sum(freq.values()), data.draw(st.sampled_from([1, 7, 20, 800])))
+    reference_apply_stop_policy(expected.tokens, vocab)
+    parsed = parse_gap_sentence(text, vocab=vocab)
+    assert (parsed.tokens, parsed.gap_index) == (expected.tokens, expected.gap_index)
 
 
 @settings(max_examples=300)

@@ -571,7 +571,8 @@ TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown"]
 # Counts the writer never writes; ``int`` accepts the padded ones and the
 # last four.
 BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", "", "+3", "03", "3_0", "\u0663"]
-BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "CROSS=01", "CROSS=+1", "Q=1", "K=3", "K=x", "N"]
+BAD_HEADERS = ["K=0", "N=99", "F=7", "CROSS=2", "CROSS=01", "CROSS=+1", "Q=1", "K=3", "K=x", "N",
+               "K=+4", "K=04", "N= 15", "N=015", "F=+800", "F=0800"]
 # Characters other than \n at which ``str.splitlines`` breaks a line.
 LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 

@@ -101,8 +101,10 @@ def ingest_both(fmt, texts, threshold):
 @settings(max_examples=200, deadline=None)
 @given(streams)
 def test_vocabulary_and_stop_flags_match_the_references(drawn):
-    """``build_vocabulary`` and ``apply_stop_policy``, on a stream and on a
-    gap sentence's token list, count and flag as the references do."""
+    """``build_vocabulary`` and ``apply_stop_policy`` count and flag a
+    stream as the references do; ``apply_stop_policy`` refuses a token
+    list, which ``parse_gap_sentence`` flags
+    (``test_parse_gap_sentence_applies_the_training_stop_rule``)."""
     fmt, train_texts, held_texts, threshold = drawn
     train, train_ref, cfg = ingest_both(fmt, train_texts, threshold)
     held, held_ref, _ = ingest_both(fmt, held_texts, threshold)
@@ -114,11 +116,8 @@ def test_vocabulary_and_stop_flags_match_the_references(drawn):
     apply_stop_policy(held, vocab, cfg)
     reference_apply_stop_policy(held_ref, vocab)
     assert list(held) == held_ref
-    tokens = list(held)
-    for tok in tokens:
-        tok.is_stop = not tok.is_stop
-    apply_stop_policy(tokens, vocab)
-    assert tokens == held_ref
+    with pytest.raises(TypeError, match=r"TokenStream\.of\(tokens\)"):
+        apply_stop_policy(list(held), vocab)
 
 
 @settings(max_examples=200, deadline=None)
