@@ -7,6 +7,9 @@ Unknown and unreachable words contribute nothing, so the totals are never
 negative; when every candidate totals zero the ranking falls back to the
 training-frequency baseline.
 
+A grid picks each held-out instance's evidence by the same rule, from the
+stream's columns (``evaluation.extract_instances``), and ranks it with ``_rank``.
+
 A ranking holds totals alone. The per-word breakdown of a total
 (``evidence_breakdown``) is derived again from the network and the sentence
 by the code that shows it, so a ranking keeps no map of a network's scores.
@@ -51,14 +54,6 @@ class GapSentence:
     def __post_init__(self):
         if not 0 <= self.gap_index < len(self.tokens):
             raise ValueError(f"gap index {self.gap_index} out of bounds")
-
-    @classmethod
-    def blank_out(cls, tokens: list[Token], gap_index: int) -> "GapSentence":
-        """Copy ``tokens`` with position ``gap_index`` replaced by the placeholder."""
-        blanked = list(tokens)
-        original = blanked[gap_index]
-        blanked[gap_index] = Token(GAP, original.pos, original.sentence_id, is_stop=False)
-        return cls(blanked, gap_index)
 
     def _window(self, window: int | None) -> list[Token]:
         """The tokens other than the gap, or those within ``window`` positions of it."""

@@ -5,20 +5,22 @@ Every occurrence of a candidate word in the held-out corpus (matching
 surface and coarse POS category, word sense ignored) becomes one test
 instance with that occurrence blanked; a sentence holding several candidate
 occurrences yields several instances, the other occurrences staying visible
-as evidence. The program's choice is correct when it matches the word the
-author originally used, an imperfect but automatic stand-in for human
-typicality judgments, so a strong frequency baseline can legitimately win.
+as evidence. An instance holds the evidence words around its gap, picked
+once by ``choose``'s rule, so every grid cell judges it on the same words.
+The program's choice is correct when it matches the word the author
+originally used, an imperfect but automatic stand-in for human typicality
+judgments, so a strong frequency baseline can legitimately win.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count
 
-from .choice import (Candidate, CandidateSet, ChoiceScore, GapSentence, _check_members,
-                     _rank, check_evidence_window)
-from .cooc import SignificanceThresholds, WindowConfig, count_pairs
+from .choice import (Candidate, CandidateSet, ChoiceScore, _check_members, _rank,
+                     check_evidence_window)
+from .cooc import _NOT_STOP, SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary, check_stream
 # ``build_network`` stays importable here for profilers that wrap
 # ``evaluation.build_network``; ``run_grid`` calls ``scoring_network``.
@@ -46,15 +48,12 @@ def coarse_category(tag: str) -> str:
 
 @dataclass
 class GapInstance:
-    sentence: GapSentence
+    """A held-out occurrence: the evidence words around it, the word, and where it stands."""
+
+    evidence: list[str]
     gold: str
-    sentence_id: int = 0
-    position: int = 0
-    # The sentence's evidence surfaces per evidence window, picked on first
-    # judgement (``judge_instances``).
-    _evidence: dict[int | None, list[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    sentence_id: int
+    position: int
 
 
 @dataclass
@@ -89,14 +88,16 @@ class InstanceOutcome:
 
 
 def extract_instances(
-    held_out: TokenStream, set_defs: list[SetDefinition]
+    held_out: TokenStream, set_defs: list[SetDefinition], evidence_window: int | None = None
 ) -> dict[str, list[GapInstance]]:
     """Each set's instances, one per occurrence of a member word in its
     coarse category, in stream order, from one pass over the held-out
     stream. An occurrence that two sets both claim is one instance in each
-    set's list. Only a sentence that holds an instance is made into
-    tokens, once, and its instances share them."""
+    set's list. Its evidence is the surfaces of its sentence's non-stop
+    positions but its own, or of those within ``evidence_window`` of it
+    (``GapSentence.evidence_surfaces``'s rule); a negative window is refused."""
     check_stream(held_out)
+    check_evidence_window(evidence_window)
     claims: dict[str, dict[str, list[list[GapInstance]]]] = {}
     instances: dict[str, list[GapInstance]] = {}
     for sdef in set_defs:
@@ -104,7 +105,8 @@ def extract_instances(
         for word in sdef.members:
             claims.setdefault(word, {}).setdefault(sdef.pos_category, []).append(found)
     surfaces, tags, ids = held_out.surfaces, held_out.tags, held_out.sentence_ids
-    bounds = held_out.sentence_bounds()
+    stops, bounds = held_out.stops, held_out.sentence_bounds()
+    reach = len(surfaces) if evidence_window is None else evidence_window
     end = 0
     for i in compress(count(), map(claims.__contains__, surfaces)):
         lists = claims[surfaces[i]].get(coarse_category(tags[i]))
@@ -113,8 +115,10 @@ def extract_instances(
         if i >= end:  # the first instance of a sentence
             after = bisect_right(bounds, i)
             start, end = bounds[after - 1], bounds[after]
-            sentence = list(held_out[start:end])
-        instance = GapInstance(GapSentence.blank_out(sentence, i - start), surfaces[i], ids[i],
+        lo, hi = max(start, i - reach), min(end, i + 1 + reach)
+        keep = stops[lo:hi].translate(_NOT_STOP)  # 1 at each evidence position
+        keep[i - lo] = 0
+        instance = GapInstance(list(compress(surfaces[lo:hi], keep)), surfaces[i], ids[i],
                                i - start)
         for found in lists:
             found.append(instance)
@@ -127,22 +131,9 @@ def baseline_choose(cands: CandidateSet) -> str:
     return cands.members[0].word
 
 
-def judge_instances(
-    cands: CandidateSet,
-    instances: list[GapInstance],
-    evidence_window: int | None = None,
-) -> list[InstanceOutcome]:
-    """Rank the candidates for each instance, as ``choose`` does. Each
-    instance's evidence is picked once and kept on it, so a grid judging it
-    in every cell picks it once."""
-    outcomes = []
-    for inst in instances:
-        surfaces = inst._evidence.get(evidence_window)
-        if surfaces is None:
-            surfaces = inst.sentence.evidence_surfaces(evidence_window)
-            inst._evidence[evidence_window] = surfaces
-        outcomes.append(InstanceOutcome(inst, _rank(cands, surfaces)))
-    return outcomes
+def judge_instances(cands: CandidateSet, instances: list[GapInstance]) -> list[InstanceOutcome]:
+    """Rank the candidates for each instance on its evidence, as ``choose`` does."""
+    return [InstanceOutcome(inst, _rank(cands, inst.evidence)) for inst in instances]
 
 
 def chi_square(correct_a: int, n_a: int, correct_b: int, n_b: int) -> tuple[float, bool]:
@@ -234,9 +225,10 @@ def run_grid(
     ``scoring_network``'s: the relation scores read only shortest paths, so
     the same-depth edges that ``build_network`` keeps are left out, and the
     rows of each network's deepest layer, which only those edges need, are
-    never counted. Each instance's evidence is picked once, in the first
-    cell that judges it. Networks are queried read-only across all of a
-    cell's instances, and an outcome keeps only each candidate's total.
+    never counted. Each instance's evidence is picked once, when it is
+    extracted, and every cell judges it on those words. Networks are
+    queried read-only across all of a cell's instances, and an outcome
+    keeps only each candidate's total.
 
     A window, an order or a set id listed twice is refused before any
     counting: the cells or the columns it names would be one. So is a
@@ -246,7 +238,6 @@ def run_grid(
     """
     check_stream(train_ts)
     check_stream(heldout_ts)
-    check_evidence_window(evidence_window)
     for name, values in (("windows", windows), ("orders", orders)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
@@ -267,7 +258,7 @@ def run_grid(
     if not order_cells:
         raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
                          "evaluate (window 50 has no order 3)")
-    instances = extract_instances(heldout_ts, set_defs)
+    instances = extract_instances(heldout_ts, set_defs, evidence_window)
     for sdef in set_defs:
         if not instances[sdef.set_id]:
             raise ValueError(
@@ -296,7 +287,7 @@ def run_grid(
                 ]
                 cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
                 cell = results[(window, order)]
-                cell_outcomes = judge_instances(cands, instances[sdef.set_id], evidence_window)
+                cell_outcomes = judge_instances(cands, instances[sdef.set_id])
                 cell.outcomes[sdef.set_id] = cell_outcomes
                 cell.reports[sdef.set_id] = summarize(cands, cell_outcomes)
     return [results[cell] for cell in order_cells]

@@ -33,15 +33,17 @@ class ArtifactLines:
         self._lines: list = []  # the chunk handed out last
         self._before = 0  # the lines of the chunks before it
 
-    def chunks(self, decode: bool = False) -> Iterator[list]:
+    def chunks(self, decode: bool = False) -> Iterator[Iterable]:
         """The lines in chunks of about 64 KB: bytes, each that the reader
         cannot take passed to ``check``; or ``decode``d, less their ``\\n``
-        and held to the line rules, a whole chunk at once where it keeps them."""
+        and held to the line rules, a whole chunk at once where it keeps
+        them, else each line as the reader takes it."""
         with open(self.path, "rb") as file:
             while chunk := file.read(1 << 16):
                 chunk += file.readline()
                 if not decode:
                     self._lines = BytesIO(chunk).readlines()
+                    yield self._lines
                 else:
                     try:
                         text = chunk.decode()
@@ -49,10 +51,18 @@ class ArtifactLines:
                         text = ""
                     self._lines = text.splitlines()
                     if len(self._lines) != chunk.count(b"\n") or "\r" in text or text[-1:] != "\n":
-                        self._lines = BytesIO(chunk).readlines()  # where check numbers a line
-                        self._lines = list(map(self.check, self._lines))
-                yield self._lines
+                        self._lines = BytesIO(chunk).readlines()
+                        yield self._checked()
+                    else:
+                        yield self._lines
                 self._before += chunk.count(b"\n")
+
+    def _checked(self) -> Iterator[str]:
+        """The chunk's byte lines, each passed to ``check`` when the reader
+        takes it and then replaced by its text, where ``refuse`` finds it."""
+        for i, line in enumerate(self._lines):
+            self._lines[i] = self.check(line)
+            yield self._lines[i]
 
     def check(self, line: bytes, problem: Callable | None = None, *args) -> str:
         """A line of bytes decoded, less its ``\\n``, refused unless blank or
@@ -107,6 +117,13 @@ def written_int(text: str) -> int:
     if text != str(n := int(text)):
         raise ValueError(text)
     return n
+
+
+def written_number(text: str) -> int | float:
+    """An int or a float as the writers write it, ``str(x)``, else ValueError."""
+    if text != str(x := int(text) if text.lstrip("-").isdigit() else float(text)):
+        raise ValueError(text)
+    return x
 
 
 def at_least_1(text: str) -> int:

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
 from .ioutil import (ArtifactLines, IntTexts, atomic_write_text, header_problem, written_int,
-                     zero_or_one)
+                     written_number, zero_or_one)
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -374,7 +374,7 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
 _HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", written_int),
                  "N": ("tokens", written_int), "K": ("half-width", written_int),
                  "CROSS": ("0 or 1", zero_or_one), "F": ("threshold", written_int),
-                 "TMIN": ("t_min", float), "MIMIN": ("mi_min", float),
+                 "TMIN": ("t_min", written_number), "MIMIN": ("mi_min", written_number),
                  "TRUNCATED": ("caps", str)}
 
 

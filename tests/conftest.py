@@ -108,13 +108,17 @@ def make_counts(pairs: dict[tuple[str, str], int], freq: dict[str, int],
     return from_pairs(table, freq, total_tokens, half_width, stop_threshold=stop_threshold)
 
 
-def significant_counts(edges: list[tuple[str, str]], extra_freq: dict[str, int] | None = None) -> PairCounts:
+def significant_counts(edges: list[tuple[str, str]], extra_freq: dict[str, int] | None = None,
+                       counts: dict[tuple[str, str], int] | None = None) -> PairCounts:
     """Counts in which exactly the given word pairs clear the default
-    thresholds (f_xy=20, marginals 50, N=10000, k=4 gives t=4.02, MI=3.32)."""
+    thresholds (f_xy=20, marginals 50, N=10000, k=4 gives t=4.02, MI=3.32),
+    but for the pairs that ``counts`` gives a count of their own."""
+    pairs = {pair_key(*edge): 20 for edge in edges}
+    pairs.update((pair_key(*key), n) for key, n in (counts or {}).items())
     freq: dict[str, int] = {}
-    for w1, w2 in edges:
+    for w1, w2 in pairs:
         freq.setdefault(w1, 50)
         freq.setdefault(w2, 50)
     if extra_freq:
         freq.update(extra_freq)
-    return make_counts({edge: 20 for edge in edges}, freq)
+    return make_counts(pairs, freq)

@@ -299,9 +299,20 @@ def reference_read_vocabulary(path: str | Path) -> Vocabulary:
     return Vocabulary(freq, header["N"], header.get("F", 800))
 
 
+def reference_written_number(value: str) -> int | float:
+    """The int or float whose ``str`` is ``value``."""
+    if re.fullmatch("0|-?[1-9][0-9]*", value):
+        return int(value)
+    number = float(value)
+    if repr(number) != value:
+        raise ValueError(value)
+    return number
+
+
 # Each .net header kind and the parser of its value.
 NET_HEADER_RULES = {"ROOT": str, "ORDER": written_int, "N": written_int, "K": written_int,
-                    "F": written_int, "TMIN": float, "MIMIN": float, "TRUNCATED": str,
+                    "F": written_int, "TMIN": reference_written_number,
+                    "MIMIN": reference_written_number, "TRUNCATED": str,
                     "CROSS": lambda value: {"0": False, "1": True}[value]}
 
 
@@ -626,10 +637,26 @@ def quadratic_edge_cap(
     return depths, edges
 
 
+def blanked(sentence: list[Token], i: int) -> GapSentence:
+    """``sentence`` with its token at ``i`` replaced by the gap placeholder."""
+    gap = Token(GAP, sentence[i].pos, sentence[i].sentence_id)
+    return GapSentence(sentence[:i] + [gap] + sentence[i + 1:], i)
+
+
+def reference_instance(sentence: list[Token], i: int, sentence_id: int,
+                       evidence_window: int | None = None) -> GapInstance:
+    """The instance of ``sentence``'s token at ``i``: its evidence is what
+    ``reference_evidence_tokens`` picks from the blanked sentence."""
+    evidence = [tok.surface for tok in reference_evidence_tokens(blanked(sentence, i),
+                                                                 evidence_window)]
+    return GapInstance(evidence, sentence[i].surface, sentence_id, i)
+
+
 def per_set_instances(
     held_out: TokenStream,
     words: Iterable[str],
     pos_category: str,
+    evidence_window: int | None = None,
 ) -> list[GapInstance]:
     """One set's instances, one per occurrence of one of ``words`` in
     ``pos_category``, from a pass of its own over the held-out stream."""
@@ -639,14 +666,7 @@ def per_set_instances(
         sentence = list(group)
         for i, tok in enumerate(sentence):
             if tok.surface in targets and coarse_category(tok.pos) == pos_category:
-                instances.append(
-                    GapInstance(
-                        sentence=GapSentence.blank_out(sentence, i),
-                        gold=tok.surface,
-                        sentence_id=sentence_id,
-                        position=i,
-                    )
-                )
+                instances.append(reference_instance(sentence, i, sentence_id, evidence_window))
     return instances
 
 
@@ -660,6 +680,7 @@ def per_cell_grid(
     thresholds: SignificanceThresholds,
     caps: NetworkCaps,
     cross_sentences: bool = False,
+    evidence_window: int | None = None,
 ) -> list[CellResult]:
     """The evaluation grid with pairs recounted, every network built afresh
     and every set's instances extracted anew for each (window, order, set)
@@ -675,7 +696,8 @@ def per_cell_grid(
                 for w in sdef.members
             ]
             cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-            instances = per_set_instances(heldout_ts, sdef.members, sdef.pos_category)
+            instances = per_set_instances(heldout_ts, sdef.members, sdef.pos_category,
+                                          evidence_window)
             outcomes = judge_instances(cands, instances)
             cell.outcomes[sdef.set_id] = outcomes
             cell.reports[sdef.set_id] = summarize(cands, outcomes)
@@ -804,7 +826,8 @@ def reference_occurrences(tokens: list[Token], window: WindowConfig) -> _Occurre
     return _Occurrences(by_word, positions, surfaces, k)
 
 
-def reference_extract_instances(held_out: list[Token], set_defs: list[SetDefinition]
+def reference_extract_instances(held_out: list[Token], set_defs: list[SetDefinition],
+                                evidence_window: int | None = None
                                 ) -> dict[str, list[GapInstance]]:
     """``extract_instances`` over every sentence of the held-out tokens, a
     sentence being a run of one id."""
@@ -814,6 +837,6 @@ def reference_extract_instances(held_out: list[Token], set_defs: list[SetDefinit
         for i, tok in enumerate(sentence):
             for sdef in set_defs:
                 if tok.surface in sdef.members and coarse_category(tok.pos) == sdef.pos_category:
-                    instances[sdef.set_id].append(GapInstance(
-                        GapSentence.blank_out(sentence, i), tok.surface, sentence_id, i))
+                    instances[sdef.set_id].append(
+                        reference_instance(sentence, i, sentence_id, evidence_window))
     return instances

@@ -115,8 +115,9 @@ def test_read_network_agrees_with_the_whole_text_reference(net, data):
         assert read_network(path) == reference_read_network(path) == net
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         rows = [i for i, line in enumerate(lines) if line.startswith(("NODE ", "EDGE "))]
-        ints = [i for i, line in enumerate(lines) if line.startswith(("ORDER ", "N ", "K ", "F "))]
-        path.write_bytes(mutate(data.draw, lines, rows, " ", 1, ints))
+        numbers = [i for i, line in enumerate(lines)
+                   if line.startswith(("ORDER ", "N ", "K ", "F ", "TMIN ", "MIMIN "))]
+        path.write_bytes(mutate(data.draw, lines, rows, " ", 1, numbers))
         assert outcome(read_network, path) == outcome(reference_read_network, path)
 
 
@@ -185,7 +186,9 @@ def test_build_refuses_a_pair_table_its_writer_never_writes(tmp_path, capsys, fo
 
 
 # Forms ``write_network`` never writes, each on the line named: line breaks
-# other than \n, and integers not written as ``str(n)``.
+# other than \n, integers not written as ``str(n)``, thresholds not written
+# as ``str(x)``, and a malformed line before a line break other than \n,
+# where the first faulty line is named.
 NET_FORMS = {
     "crlf": (lambda text: text.replace("\n", "\r\n"), 1,
              "'ROOT b\\r' holds a line break other than \\n"),
@@ -197,6 +200,16 @@ NET_FORMS = {
                    "malformed NODE line 'NODE a +1'"),
     "underscored-depth": (lambda text: text.replace("\nNODE a 1\n", "\nNODE a 1_0\n"), 8,
                           "malformed NODE line 'NODE a 1_0'"),
+    "plus-TMIN": (lambda text: text.replace("\nTMIN 2.0\n", "\nTMIN +2.0\n"), 5,
+                  "expected 'TMIN <t_min>', got 'TMIN +2.0'"),
+    "underscored-MIMIN": (lambda text: text.replace("\nMIMIN 2.0\n", "\nMIMIN 2_0\n"), 6,
+                          "expected 'MIMIN <mi_min>', got 'MIMIN 2_0'"),
+    "malformed-before-carriage-return": (
+        lambda text: text.replace("\nNODE a 1\n", "\nNODE b x\nNODE c 1\r\n"), 8,
+        "malformed NODE line 'NODE b x'"),
+    "malformed-before-vertical-tab": (
+        lambda text: text.replace("\nNODE a 1\n", "\nNODE b x\nNODE c\x0b1\n"), 8,
+        "malformed NODE line 'NODE b x'"),
 }
 
 

@@ -24,7 +24,7 @@ from lexchoice.network import CoocNetwork, build_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import pair_key, surfaces
-from oracles import (random_layered_network, reference_apply_stop_policy,
+from oracles import (blanked, random_layered_network, reference_apply_stop_policy,
                      reference_evidence_tokens, reference_parse_gap_sentence, reference_rank,
                      summed_significance)
 
@@ -42,7 +42,7 @@ def root_only(root: str) -> CoocNetwork:
 
 def sentence(words: list[str], gap_index: int, stops: set[str] = frozenset()) -> GapSentence:
     tokens = [Token(w, "NN", 0, is_stop=w in stops) for w in words]
-    return GapSentence.blank_out(tokens, gap_index)
+    return blanked(tokens, gap_index)
 
 
 def score_of(net: CoocNetwork, s: GapSentence, evidence_window: int | None = None) -> ChoiceScore:
@@ -156,7 +156,7 @@ def test_additivity_over_concatenation():
     net = evidence_network("c", {"u": 1.3, "v": 2.7})
     s1 = sentence(["u", "c", "v"], 1)
     s2 = sentence(["v", "v", "u", "pad"], 3)  # gap lands on the padding token
-    combined = GapSentence.blank_out(s1.tokens + s2.tokens, 1)
+    combined = GapSentence(s1.tokens + s2.tokens, 1)
     expected = score_of(net, s1).total + score_of(net, s2).total
     assert score_of(net, combined).total == pytest.approx(expected, rel=1e-12)
 
@@ -400,7 +400,7 @@ def test_scores_match_summed_significance(seed, evidence_window):
     pool = roots + [f"w{i}" for i in range(1, 9)] + ["zz"]
     tokens = [Token(rng.choice(pool), "NN", 0, is_stop=rng.random() < 0.2)
               for _ in range(rng.randint(1, 14))]
-    s = GapSentence.blank_out(tokens, rng.randrange(len(tokens)))
+    s = blanked(tokens, rng.randrange(len(tokens)))
     expected = {m.word: summed_significance(m.network, s, evidence_window) for m in members}
     for m in members:
         score = score_of(m.network, s, evidence_window)

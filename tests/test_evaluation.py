@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lexchoice import evaluation
-from lexchoice.choice import GAP, Candidate, CandidateSet, GapSentence, choose
-from lexchoice.corpus import Token
+from lexchoice.choice import Candidate, CandidateSet, GapSentence, choose
 from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs
-from lexchoice.corpus import CorpusConfig, apply_stop_policy, build_vocabulary, ingest
+from lexchoice.corpus import (CorpusConfig, Token, TokenStream, apply_stop_policy,
+                              build_vocabulary, ingest)
 from lexchoice.evaluation import (
     CHI2_5PCT_CRITICAL,
     EvalReport,
@@ -28,7 +28,8 @@ from lexchoice.network import CoocNetwork, InvalidRootError, NetworkCaps, build_
 from lexchoice.synthetic import planted_corpus
 
 from conftest import grid_text, pair_key, tagged_text
-from oracles import expected_scoring_network, per_cell_grid, per_set_instances
+from oracles import (blanked, expected_scoring_network, per_cell_grid, per_set_instances,
+                     reference_evidence_tokens)
 
 
 def star(root: str, direct: dict[str, float]) -> CoocNetwork:
@@ -69,8 +70,8 @@ def test_extract_one_instance_per_occurrence():
     instances = instances_of(ts, ["error", "mistake", "oversight"], "NN")
     assert len(instances) == 1
     inst = instances[0]
-    assert inst.gold == "mistake"
-    assert inst.sentence.tokens[inst.position].surface == GAP
+    assert (inst.gold, inst.position) == ("mistake", 3)
+    assert inst.evidence == ["i", "made", "a", "today"]
 
 
 def test_extract_two_occurrences_leave_each_other_visible():
@@ -78,10 +79,15 @@ def test_extract_two_occurrences_leave_each_other_visible():
     instances = instances_of(ts, ["error", "mistake"], "NN")
     assert [i.gold for i in instances] == ["error", "mistake"]
     first, second = instances
-    surfaces_first = [t.surface for t in first.sentence.tokens]
-    assert surfaces_first == ["the", GAP, "hid", "the", "mistake"]
-    surfaces_second = [t.surface for t in second.sentence.tokens]
-    assert surfaces_second == ["the", "error", "hid", "the", GAP]
+    assert first.evidence == ["the", "hid", "the", "mistake"]
+    assert second.evidence == ["the", "error", "hid", "the"]
+
+
+def test_extract_picks_evidence_within_the_window_and_skips_stop_words():
+    ts = heldout("the/DT error/NN hid/VBD 3/CD mistakes/NNS\nin/IN one/CD error/NN")
+    instances = extract_instances(ts, [SetDefinition("s", "NN", ["error", "mistakes"])], 1)["s"]
+    assert [(i.gold, i.sentence_id, i.position, i.evidence) for i in instances] == [
+        ("error", 0, 1, ["the", "hid"]), ("mistakes", 0, 4, []), ("error", 1, 2, [])]
 
 
 def test_extract_matches_pos_category():
@@ -98,6 +104,39 @@ def test_extract_groups_inflected_tags():
     ts = heldout("tough/JJ tasks/NNS await/VBP")
     instances = instances_of(ts, ["tasks", "chores"], "NN")
     assert len(instances) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]),
+                                   st.sampled_from(["NN", "VB"]), st.booleans()),
+                         min_size=1, max_size=8), min_size=1, max_size=5),
+       st.sampled_from([None, 0, 1, 2, 3, 8]), st.data())
+def test_instance_evidence_is_the_blanked_sentence_evidence(sentences, evidence_window, data):
+    """On random streams, gaps at sentence edges and candidates side by side
+    among them, every instance holds the evidence that the reference picks
+    from its blanked sentence, and its judged ranking is ``choose``'s on
+    that sentence."""
+    tokens = [Token(w, tag, sid, stop) for sid, sent in enumerate(sentences)
+              for w, tag, stop in sent]
+    set_defs = [SetDefinition(f"s{i}", data.draw(st.sampled_from(["NN", "VB"])),
+                              data.draw(st.lists(st.sampled_from("abcd"), min_size=2, max_size=3,
+                                                 unique=True)))
+                for i in range(data.draw(st.integers(1, 2)))]
+    scores = data.draw(st.dictionaries(st.sampled_from("abcd"), st.sampled_from([0.5, 1.0, 2.5])))
+    found = extract_instances(TokenStream.of(tokens), set_defs, evidence_window)
+    for sdef in set_defs:
+        cands = CandidateSet(sdef.set_id, sdef.pos_category,
+                             [Candidate(w, star(w, {x: t for x, t in scores.items() if x != w}),
+                                        data.draw(st.integers(0, 2)))
+                              for w in sdef.members])
+        for outcome in judge_instances(cands, found[sdef.set_id]):
+            inst = outcome.instance
+            sentence = blanked([t for t in tokens if t.sentence_id == inst.sentence_id],
+                               inst.position)
+            assert inst.gold == sentences[inst.sentence_id][inst.position][0]
+            assert inst.evidence == [t.surface for t in reference_evidence_tokens(
+                sentence, evidence_window)]
+            assert outcome.ranked == choose(cands, sentence, evidence_window)
 
 
 def judged(cands: CandidateSet, text: str):
@@ -141,7 +180,7 @@ def test_baseline_is_the_ranking_without_evidence(freqs):
     members = [Candidate(w, star(w, {"cue": 2.0}), f) for w, f in freqs.items()]
     cands = CandidateSet("x", "NN", members)
     tokens = [Token("cue", "NNP", 0, is_stop=True), Token("gap", "NN", 0)]
-    no_evidence = GapSentence.blank_out(tokens, 1)
+    no_evidence = GapSentence(tokens, 1)
     assert baseline_choose(cands) == choose(cands, no_evidence)[0].candidate
 
 
@@ -338,16 +377,10 @@ def test_run_grid_refuses_a_negative_evidence_window_before_counting(monkeypatch
                  evidence_window=-1)
 
 
-def test_judge_instances_refuses_a_negative_evidence_window():
+def test_extract_instances_refuses_a_negative_evidence_window():
     pc = planted_corpus()
-    train = ingest(pc.train_text)
-    vocab = build_vocabulary(train)
-    counts = count_pairs(train, vocab, WindowConfig(4))
-    members = [Candidate(w, build_network(w, counts), vocab.freq[w]) for w in pc.set_def.members]
-    cands = CandidateSet("planted", "NN", members)
-    instances = extract_instances(ingest(pc.heldout_text), [pc.set_def])[pc.set_def.set_id]
-    with pytest.raises(ValueError, match="evidence_window must be non-negative"):
-        judge_instances(cands, instances, -1)
+    with pytest.raises(ValueError, match="evidence_window must be non-negative, got -1"):
+        extract_instances(ingest(pc.heldout_text), [pc.set_def], -1)
 
 
 def test_set_definition_refuses_a_repeated_member():
@@ -392,9 +425,9 @@ def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
     networks: list[CoocNetwork] = []
     real_judge = evaluation.judge_instances
 
-    def recording_judge(cands, instances, evidence_window=None):
+    def recording_judge(cands, instances):
         networks.extend(m.network for m in cands.members)
-        return real_judge(cands, instances, evidence_window)
+        return real_judge(cands, instances)
 
     monkeypatch.setattr(evaluation, "judge_instances", recording_judge)
     cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], thresholds, caps)
@@ -409,24 +442,27 @@ def test_run_grid_with_firing_caps_matches_per_cell_builds(caps, monkeypatch):
 
 
 def test_run_grid_picks_each_instance_evidence_once(monkeypatch):
+    """The held-out stream is extracted once, at the grid's evidence
+    window, and every cell judges those same instances."""
     pc = planted_corpus()
     cfg = CorpusConfig()
     train = ingest(pc.train_text, cfg)
     vocab = build_vocabulary(train, cfg)
     held = ingest(pc.heldout_text, cfg)
     apply_stop_policy(held, vocab, cfg)
-    picked = []
-    real_pick = GapSentence.evidence_surfaces
+    windows = []
+    real_extract = evaluation.extract_instances
 
-    def counting_pick(sentence, evidence_window=None):
-        picked.append(sentence)
-        return real_pick(sentence, evidence_window)
+    def counting_extract(held_out, set_defs, evidence_window=None):
+        windows.append(evidence_window)
+        return real_extract(held_out, set_defs, evidence_window)
 
-    monkeypatch.setattr(GapSentence, "evidence_surfaces", counting_pick)
+    monkeypatch.setattr(evaluation, "extract_instances", counting_extract)
     cells = run_grid(train, vocab, held, [pc.set_def], [4, 10], [1, 2, 3], evidence_window=3)
-    instances = cells[0].outcomes[pc.set_def.set_id]
-    assert len(cells) == 6 and len(picked) == len(instances) > 1
-    assert {id(s) for s in picked} == {id(o.instance.sentence) for o in instances}
+    instances = [[o.instance for o in cell.outcomes[pc.set_def.set_id]] for cell in cells]
+    assert len(cells) == 6 and windows == [3] and len(instances[0]) > 1
+    assert all(list(map(id, cell)) == list(map(id, instances[0])) for cell in instances)
+    assert instances[0] == real_extract(held, [pc.set_def], 3)[pc.set_def.set_id]
 
 
 def test_run_grid_walks_the_training_stream_once(monkeypatch):
@@ -460,15 +496,16 @@ def test_grid_outcomes_hold_totals_alone():
 @given(grid_text, grid_text, st.sampled_from([2, 5, 800]), st.booleans(),
        st.lists(st.sampled_from([1, 2, 4, 10, 50]), min_size=1, max_size=3, unique=True),
        st.lists(st.sampled_from([1, 2, 3]), min_size=1, unique=True),
-       st.sampled_from([(0.01, -1.0), (0.5, -1.0), (1.0, 0.0), (2.0, 2.0)]), st.data())
+       st.sampled_from([(0.01, -1.0), (0.5, -1.0), (1.0, 0.0), (2.0, 2.0)]),
+       st.sampled_from([None, 0, 2]), st.data())
 def test_run_grid_equals_the_per_cell_grid_on_random_text(train_sents, held_sents, max_freq,
                                                            cross, windows, orders, thresholds,
-                                                           data):
+                                                           evidence_window, data):
     """On random tagged text and random sets of ingested words, two parts
     of speech and overlapping members among them, ``run_grid`` equals the
-    grid recounted, rebuilt and re-extracted per cell, windows in any order
-    and either sentence setting; and a set absent from the held-out text is
-    refused."""
+    grid recounted, rebuilt and re-extracted per cell, windows in any order,
+    either sentence setting and any evidence window; and a set absent from
+    the held-out text is refused."""
     assume(grid_cells(windows, orders))
     cfg = CorpusConfig(stop_threshold=max_freq)
     train = ingest(tagged_text(train_sents, "slash"), cfg)
@@ -484,13 +521,15 @@ def test_run_grid_equals_the_per_cell_grid_on_random_text(train_sents, held_sent
                                          unique=True)))
         for i in range(data.draw(st.integers(1, 3)))
     ]
-    instances = extract_instances(held, set_defs)
-    assert instances == {sdef.set_id: per_set_instances(held, sdef.members, sdef.pos_category)
+    instances = extract_instances(held, set_defs, evidence_window)
+    assert instances == {sdef.set_id: per_set_instances(held, sdef.members, sdef.pos_category,
+                                                        evidence_window)
                          for sdef in set_defs}
     thresholds = SignificanceThresholds(*thresholds)
-    args = (train, vocab, held, set_defs, windows, orders, thresholds, NetworkCaps())
+    args = (train, vocab, held, set_defs, windows, orders, thresholds, NetworkCaps(), cross,
+            evidence_window)
     if not all(instances.values()):
         with pytest.raises(ValueError, match="in the held-out corpus"):
-            run_grid(*args, cross_sentences=cross)
+            run_grid(*args)
         return
-    assert run_grid(*args, cross_sentences=cross) == per_cell_grid(*args, cross_sentences=cross)
+    assert run_grid(*args) == per_cell_grid(*args)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -68,8 +69,7 @@ def test_build_respects_order_bound():
 
 
 def test_build_excludes_insignificant_edges():
-    counts = significant_counts([("r", "a")], extra_freq={"b": 50})
-    counts.pairs[("b", "r")] = 1  # t ~ 0.2, below threshold
+    counts = significant_counts([("r", "a")], counts={("b", "r"): 1})  # t ~ 0.2, below threshold
     net = build_network("r", counts, max_order=2)
     assert "b" not in net.depths
 
@@ -102,17 +102,14 @@ def test_build_word_enters_at_first_depth_reached():
 
 
 def test_node_cap_admits_strongest_first():
-    counts = significant_counts([("r", "a"), ("r", "b"), ("r", "c")])
-    counts.pairs[("b", "r")] = 30  # strongest neighbor
+    counts = significant_counts([("r", "a"), ("r", "c")], counts={("b", "r"): 30})  # strongest
     net = build_network("r", counts, caps=NetworkCaps(max_nodes=2, max_edges=100), max_order=2)
     assert set(net.depths) == {"r", "b"}
     assert net.truncated == "nodes"
 
 
 def test_edge_cap_drops_weakest_keeps_parents():
-    counts = significant_counts([("r", "a"), ("r", "b"), ("a", "b")])
-    counts.pairs[("a", "r")] = 30
-    counts.pairs[("b", "r")] = 25
+    counts = significant_counts([("a", "b")], counts={("a", "r"): 30, ("b", "r"): 25})
     net = build_network("r", counts, caps=NetworkCaps(max_nodes=10, max_edges=2), max_order=2)
     assert set(net.edges) == {("a", "r"), ("b", "r")}  # lateral a-b dropped
     assert net.truncated == "edges"
@@ -120,8 +117,7 @@ def test_edge_cap_drops_weakest_keeps_parents():
 
 
 def test_edge_cap_tighter_than_parent_edges_trims_nodes():
-    counts = significant_counts([("r", "a"), ("r", "b")])
-    counts.pairs[("a", "r")] = 30
+    counts = significant_counts([("r", "b")], counts={("a", "r"): 30})
     net = build_network("r", counts, caps=NetworkCaps(max_nodes=10, max_edges=1), max_order=1)
     assert set(net.depths) == {"r", "a"}  # weakest parent edge's node trimmed
     assert set(net.edges) == {("a", "r")}
@@ -167,8 +163,8 @@ def test_rows_are_memoised_per_thresholds(seed, window, first, second):
 
 
 def test_rows_are_memoised_per_thresholds_on_a_chain():
-    counts = significant_counts([("r", "a"), ("a", "b")])
-    counts.pairs[("a", "b")] = 5  # t = 1.34, MI = 1.32: in at 1/1, out at the default 2/2
+    # a-b: t = 1.34, MI = 1.32: in at 1/1, out at the default 2/2
+    counts = significant_counts([("r", "a")], counts={("a", "b"): 5})
     loose = build_network("r", counts, SignificanceThresholds(1.0, 1.0), 2)
     strict = build_network("r", counts, SignificanceThresholds(), 2)
     assert "b" in loose.depths and "b" not in strict.depths
@@ -579,6 +575,32 @@ def test_read_network_names_file_of_invalid_thresholds(tmp_path, old, new):
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*t_min"):
+        read_network(path)
+
+
+@pytest.mark.parametrize("thresholds", [
+    SignificanceThresholds(2, 3), SignificanceThresholds(0.5, -math.inf),
+    SignificanceThresholds(1e-05, -2.5), SignificanceThresholds(10**20 + 1, 0)])
+def test_thresholds_read_back_as_written(tmp_path, thresholds):
+    """Every threshold the writer writes, ints and -inf among them, reads
+    back as itself and writes the same file again."""
+    counts = significant_counts([("r", "a")])
+    net = dataclasses.replace(build_network("r", counts, max_order=1), thresholds=thresholds)
+    write_network(net, tmp_path / "a.net")
+    back = read_network(tmp_path / "a.net")
+    assert back == net and back.thresholds == thresholds
+    write_network(back, tmp_path / "b.net")
+    assert (tmp_path / "b.net").read_bytes() == (tmp_path / "a.net").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["2.00", "02.0", "2.", "1E-05", "-0", "-Infinity", " 2.0"])
+def test_thresholds_written_otherwise_are_refused(tmp_path, value):
+    counts = significant_counts([("r", "a")])
+    path = tmp_path / "r.net"
+    write_network(build_network("r", counts, max_order=1), path)
+    path.write_text(path.read_text().replace("TMIN 2.0\n", f"TMIN {value}\n"))
+    problem = f"line 5: expected 'TMIN <t_min>', got 'TMIN {value}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
         read_network(path)
 
 

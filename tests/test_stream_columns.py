@@ -167,7 +167,8 @@ def test_extract_instances_matches_the_reference(drawn, data):
                           data.draw(st.lists(st.sampled_from(words), min_size=2, max_size=3,
                                              unique=True)))
             for i in range(data.draw(st.integers(1, 3)))]
-    assert extract_instances(ts, sets) == reference_extract_instances(tokens, sets)
+    window = data.draw(st.sampled_from([None, 0, 1, 2, 5]))
+    assert extract_instances(ts, sets, window) == reference_extract_instances(tokens, sets, window)
 
 
 @settings(max_examples=100, deadline=None)
