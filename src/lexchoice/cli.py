@@ -177,27 +177,24 @@ def cmd_choose(args: argparse.Namespace) -> int:
                 raise CliError(f"candidates {words[0]!r} and {word!r} were built "
                                f"differently: {key} {built[words[0]][key]} vs {value}")
 
+    # The fallback and the stop rule need the networks' own frequencies and F.
     vocab_path = Path(args.vocab) if args.vocab else networks_dir / "vocab.tsv"
-    if args.vocab and not vocab_path.exists():
+    if not vocab_path.exists():
         raise CliError(f"vocabulary file not found: {vocab_path}")
-    vocab = corpus.read_vocabulary(vocab_path) if vocab_path.exists() else None
-    # Another corpus's vocabulary would give the fallback and the stop rule
-    # the wrong frequencies, and another F the wrong stop rule.
+    vocab = corpus.read_vocabulary(vocab_path)
     first = nets[words[0]]
-    if vocab is not None:
-        for key, have, want in (("N", vocab.total_tokens, first.total_tokens),
-                                ("F", vocab.stop_threshold, first.stop_threshold)):
-            if have != want:
-                raise CliError(f"vocabulary {vocab_path} has {key}={have} but the networks "
-                               f"were built with {key}={want}")
-    freqs = {w: (vocab.freq.get(w, 0) if vocab else 0) for w in words}
+    for key, have, want in (("N", vocab.total_tokens, first.total_tokens),
+                            ("F", vocab.stop_threshold, first.stop_threshold)):
+        if have != want:
+            raise CliError(f"vocabulary {vocab_path} has {key}={have} but the networks "
+                           f"were built with {key}={want}")
 
     sentence = choice.parse_gap_sentence(args.sentence, args.gap_marker, vocab=vocab)
 
     cands = choice.CandidateSet(
         set_id="cli",
         pos_category="",
-        members=[choice.Candidate(w, nets[w], freqs[w]) for w in words],
+        members=[choice.Candidate(w, nets[w], vocab.freq.get(w, 0)) for w in words],
     )
     ranked = choice.choose(cands, sentence, args.evidence_window)
     fallback = ranked[0].total == 0.0

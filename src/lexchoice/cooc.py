@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary, check_stream
-from .ioutil import (ArtifactLines, CountTexts, at_least_1, atomic_write_text, header_problem,
+from .ioutil import (ArtifactLines, IntTexts, at_least_1, atomic_write_text, header_problem,
                      written_int, zero_or_one)
 
 
@@ -388,28 +388,25 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
     the vocabulary it was counted with: same N, same F, and every pair word
     in it (the significance statistics divide by its frequency).
 
-    Its lines are read through ``ioutil.ArtifactLines``, as bytes. First
-    the header lines, each key once: N and K, optionally F and CROSS; K and
-    F at least 1, CROSS 0 or 1. Then ``w1<TAB>w2<TAB>count`` lines, each
-    sorting strictly after the one before (so w1 < w2 and no pair repeats),
-    both words in the vocabulary, the count ``str(n)``, n >= 1. Given
+    Its lines are read through ``ioutil.ArtifactLines``. First the header
+    lines, each key once: N and K, optionally F and CROSS; K and F at least
+    1, CROSS 0 or 1. Then ``w1<TAB>w2<TAB>count`` lines, each sorting
+    strictly after the one before (so w1 < w2 and no pair repeats), both
+    words in the vocabulary, the count ``str(n)``, n >= 1. Given
     ``thresholds``, every line is still checked, but only the pairs at or
-    above their count floor are kept."""
+    above their count floor are kept; a kept count above 2K times the lower
+    of its words' frequencies, more than any stream gives, is refused."""
     lines = ArtifactLines(path)
     floor = 0.0 if thresholds is None else thresholds.count_floor
-    # The vocabulary's own key objects by their UTF-8 bytes, so the rows hold no second
-    # copy of a word; less those holding a line break but \n, which no line may hold,
-    # and those with a lone surrogate, which UTF-8 cannot encode and no file holds.
-    keys = {data: word for word in vocab.freq if word.splitlines() == [word]
-            and (data := word.encode(errors="replace")).decode() == word}
+    keys = {word: word for word in vocab.freq}  # so the rows hold no second copy of a word
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
-    counts = CountTexts()
-    run = last = row = None  # the last pair line's words, as bytes, and its w1's row
+    counts = IntTexts(1)
+    run = last = row = None  # the last pair line's words and its w1's row
     for chunk in lines.chunks():
         for line in chunk:
             try:
-                w1, w2, count = line.split(b"\t")
+                w1, w2, count = line.split("\t")
                 n = counts[count]
                 b = keys[w2]
                 if w1 != run:
@@ -417,6 +414,9 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
                         raise ValueError
                     a = keys[w1]
                     row = rows.get(a)
+                    if run is None:  # 2K; no bound if the header is refused after the pass
+                        width = math.inf if _table_problem(header, vocab) else 2 * header["K"]
+                    most = width * vocab.freq[a]
                     run = w1
                 elif w2 <= last:
                     raise ValueError
@@ -425,28 +425,37 @@ def read_pair_counts(path: str | Path, vocab: Vocabulary,
                 continue
             last = w2
             if n >= floor:
+                if n > width and n > (cap := min(most, width * vocab.freq[b])):
+                    lines.refuse(line, f"count {n} of pair {a!r} {b!r} is above 2K x min(f) = "
+                                       f"{cap}, more than any stream gives")
                 if row is None:
                     row = rows[a] = {}
                 row[b] = n
                 rows.setdefault(b, {})[a] = n
-    path = lines.path
-    if "N" not in header or "K" not in header:
-        raise ValueError(f"{path}: missing N=/K= header")
-    if header["N"] != vocab.total_tokens:
-        raise ValueError(f"{path}: pair counts were taken over N={header['N']} tokens "
-                         f"but the vocabulary has N={vocab.total_tokens}")
-    threshold = header.get("F", vocab.stop_threshold)
-    if threshold != vocab.stop_threshold:
-        raise ValueError(f"{path}: pair counts were taken with F={threshold} "
-                         f"but the vocabulary has F={vocab.stop_threshold}")
+    if (problem := _table_problem(header, vocab)) is not None:
+        raise ValueError(f"{lines.path}: {problem}")
     return PairCounts(rows, vocab, header["K"], bool(header.get("CROSS", 0)), floor=floor)
 
 
-def _line_problem(text: str, header: dict[str, int], keys: dict[bytes, str],
-                  run: bytes | None, last: bytes | None) -> str | None:
-    """What is wrong with the text of a table line that is not a good pair
-    line after the pair ``run`` ``last`` (keys of ``keys``, None before the
-    first pair line); None for a good header line, which it files under ``header``."""
+def _table_problem(header: dict[str, int], vocab: Vocabulary) -> str | None:
+    """What is wrong with a pair table's ``header``, given its ``vocab``, or None."""
+    if "N" not in header or "K" not in header:
+        return "missing N=/K= header"
+    if header["N"] != vocab.total_tokens:
+        return (f"pair counts were taken over N={header['N']} tokens "
+                f"but the vocabulary has N={vocab.total_tokens}")
+    threshold = header.get("F", vocab.stop_threshold)
+    if threshold != vocab.stop_threshold:
+        return (f"pair counts were taken with F={threshold} "
+                f"but the vocabulary has F={vocab.stop_threshold}")
+    return None
+
+
+def _line_problem(text: str, header: dict[str, int], keys: dict[str, str],
+                  run: str | None, last: str | None) -> str | None:
+    """What is wrong with a table line that is not a good pair line after
+    the pair ``run`` ``last`` (None before the first pair line), given the
+    vocabulary's ``keys``; None for a good header line, filed under ``header``."""
     if "=" in text and "\t" not in text:
         return header_problem(text, header, _PAIR_HEADER,
                               after=None if run is None else "pair row")
@@ -461,9 +470,8 @@ def _line_problem(text: str, header: dict[str, int], keys: dict[bytes, str],
         return f"count {n} is below 1"
     if count != str(n):
         return f"count {count!r} is not written as {n}"
-    if w1.encode() not in keys or w2.encode() not in keys:
-        return f"pair word {w2 if w1.encode() in keys else w1!r} is not in the vocabulary"
-    run, last = keys.get(run), keys.get(last)  # the words of the pair line before
+    if w1 not in keys or w2 not in keys:
+        return f"pair word {w2 if w1 in keys else w1!r} is not in the vocabulary"
     if (w1, w2) == (run, last):
         return f"pair {w1!r} {w2!r} repeats an earlier row"
     return f"pair {w1!r} {w2!r} does not sort after the pair before it, {run!r} {last!r}"

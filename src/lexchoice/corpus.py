@@ -43,7 +43,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
 
-from .ioutil import (ArtifactLines, CountTexts, at_least_1, atomic_write_text, bad_byte,
+from .ioutil import (ArtifactLines, IntTexts, at_least_1, atomic_write_text, bad_byte,
                      header_problem, written_int)
 
 # Penn-Treebank-style defaults: numbers, symbols/punctuation, proper nouns.
@@ -385,28 +385,27 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a table written by ``write_vocabulary``, as bytes, through
+    """Read a table written by ``write_vocabulary`` through
     ``ioutil.ArtifactLines``: ``N=`` and optionally ``F=`` (at least 1), then
     ``word<TAB>str(count)`` rows, words non-empty, free of whitespace and
     strictly rising; ``Vocabulary`` checks the counts are >= 1 and sum to N."""
     lines = ArtifactLines(path)
     header: dict[str, int] = {}
     freq: dict[str, int] = {}
-    counts = CountTexts()
-    last = b""  # the last row's word
+    counts = IntTexts(1)
+    last = ""  # the last row's word
     for chunk in lines.chunks():
         for line in chunk:
             try:
-                data, count = line.split(b"\t")
+                word, count = line.split("\t")
                 n = counts[count]
-                word = data.decode()
-                if data <= last or word.split() != [word]:
+                if word <= last or word.split() != [word]:
                     raise ValueError
             except ValueError:
                 lines.check(line, _row_problem, header, last)
                 continue
             freq[word] = n
-            last = data
+            last = word
     if "N" not in header:
         raise ValueError(f"{lines.path}: missing N= header")
     try:
@@ -415,9 +414,9 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
         raise ValueError(f"{lines.path}: {exc}") from None
 
 
-def _row_problem(text: str, header: dict[str, int], last: bytes) -> str | None:
+def _row_problem(text: str, header: dict[str, int], last: str) -> str | None:
     """What is wrong with a vocabulary line's text after the row of word
-    ``last`` (b"" before any); None for a good header line, filed under ``header``."""
+    ``last`` ("" before any); None for a good header line, filed under ``header``."""
     if "=" in text and "\t" not in text:
         return header_problem(text, header,
                               {"N": ("tokens", written_int), "F": ("threshold", at_least_1)},
@@ -425,6 +424,6 @@ def _row_problem(text: str, header: dict[str, int], last: bytes) -> str | None:
     word, *count = text.split("\t")
     if len(count) == 1 and word.split() != [word]:
         return f"word {word!r} is empty or holds whitespace"
-    if len(count) == 1 and word.encode() <= last:
-        return f"word {word!r} does not sort after the word before it, {last.decode()!r}"
+    if len(count) == 1 and word <= last:
+        return f"word {word!r} does not sort after the word before it, {last!r}"
     return f"expected 'word<TAB>count, count >= 1', got {text!r}"

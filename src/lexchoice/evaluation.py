@@ -266,31 +266,21 @@ def run_grid(
                 "in the held-out corpus"
             )
 
-    results = {
-        (window, order): CellResult(window, order, {}, {}) for window, order in order_cells
-    }
-    cell_windows = list(dict.fromkeys(window for window, _ in order_cells))
-    widest = WindowConfig(max(cell_windows), cross_sentences)
-    record = count_pairs(train_ts, train_vocab, widest)
-    for window in cell_windows:
-        window_orders = sorted({order for k, order in order_cells if k == window})
-        counts = record.at_half_width(window)
+    record = count_pairs(train_ts, train_vocab,
+                         WindowConfig(max(k for k, _ in order_cells), cross_sentences))
+    cells = []
+    for window, order in order_cells:
+        if not cells or cells[-1].window != window:  # the window's first cell
+            counts = record.at_half_width(window)
+        cell = CellResult(window, order, {}, {})
         for sdef in set_defs:
-            for order in window_orders:
-                members = [
-                    Candidate(
-                        word=w,
-                        network=scoring_network(w, counts, thresholds, order, caps),
-                        training_freq=train_vocab.freq[w],
-                    )
-                    for w in sdef.members
-                ]
-                cands = CandidateSet(sdef.set_id, sdef.pos_category, members)
-                cell = results[(window, order)]
-                cell_outcomes = judge_instances(cands, instances[sdef.set_id])
-                cell.outcomes[sdef.set_id] = cell_outcomes
-                cell.reports[sdef.set_id] = summarize(cands, cell_outcomes)
-    return [results[cell] for cell in order_cells]
+            cands = CandidateSet(sdef.set_id, sdef.pos_category, [
+                Candidate(w, scoring_network(w, counts, thresholds, order, caps),
+                          train_vocab.freq[w]) for w in sdef.members])
+            outcomes = cell.outcomes[sdef.set_id] = judge_instances(cands, instances[sdef.set_id])
+            cell.reports[sdef.set_id] = summarize(cands, outcomes)
+        cells.append(cell)
+    return cells
 
 
 def _row_label(window: int, order: int) -> str:

@@ -1,8 +1,8 @@
 """The artifact layer: write-to-temp plus atomic rename, so concurrent
 invocations never observe half-written artifacts, and the one reader of an
-artifact's lines and header lines, with the parsers of their values. Its
-message for a byte that does not decode as UTF-8 is shared with the corpus
-reader."""
+artifact's lines, decoded and held to the line rules 64 KB at a time, with
+the parsers of header lines and their values. Its message for a byte that
+does not decode as UTF-8 is shared with the corpus reader."""
 
 from __future__ import annotations
 
@@ -33,53 +33,47 @@ class ArtifactLines:
         self._lines: list = []  # the chunk handed out last
         self._before = 0  # the lines of the chunks before it
 
-    def chunks(self, decode: bool = False) -> Iterator[Iterable]:
-        """The lines in chunks of about 64 KB: bytes, each that the reader
-        cannot take passed to ``check``; or ``decode``d, less their ``\\n``
-        and held to the line rules, a whole chunk at once where it keeps
+    def chunks(self) -> Iterator[Iterable[str]]:
+        """The lines, decoded and less their ``\\n``, in chunks of about
+        64 KB, held to the line rules a whole chunk at once where it keeps
         them, else each line as the reader takes it."""
         with open(self.path, "rb") as file:
             while chunk := file.read(1 << 16):
                 chunk += file.readline()
-                if not decode:
+                try:
+                    text = chunk.decode()
+                except UnicodeDecodeError:
+                    text = ""
+                self._lines = text.splitlines()
+                if len(self._lines) != chunk.count(b"\n") or "\r" in text or text[-1:] != "\n":
                     self._lines = BytesIO(chunk).readlines()
-                    yield self._lines
+                    yield self._checked()
                 else:
-                    try:
-                        text = chunk.decode()
-                    except UnicodeDecodeError:
-                        text = ""
-                    self._lines = text.splitlines()
-                    if len(self._lines) != chunk.count(b"\n") or "\r" in text or text[-1:] != "\n":
-                        self._lines = BytesIO(chunk).readlines()
-                        yield self._checked()
-                    else:
-                        yield self._lines
+                    yield self._lines
                 self._before += chunk.count(b"\n")
 
     def _checked(self) -> Iterator[str]:
-        """The chunk's byte lines, each passed to ``check`` when the reader
-        takes it and then replaced by its text, where ``refuse`` finds it."""
+        """The chunk's byte lines, each decoded and held to the line rules
+        when the reader takes it, and only then replaced by its text, where
+        ``refuse`` finds it."""
         for i, line in enumerate(self._lines):
-            self._lines[i] = self.check(line)
-            yield self._lines[i]
+            try:
+                text = line.decode()
+            except UnicodeDecodeError as exc:
+                self.refuse(line, bad_byte(exc))
+            body = text.removesuffix("\n")
+            if body.strip():
+                if body.splitlines() != [body]:
+                    self.refuse(line, f"{body!r} holds a line break other than \\n")
+                if body == text:
+                    self.refuse(line, f"{body!r} does not end in \\n")
+            self._lines[i] = body
+            yield body
 
-    def check(self, line: bytes, problem: Callable | None = None, *args) -> str:
-        """A line of bytes decoded, less its ``\\n``, refused unless blank or
-        kept to the line rules and ``problem(text, *args)`` finds nothing wrong."""
-        try:
-            text = line.decode()
-        except UnicodeDecodeError as exc:
-            self.refuse(line, bad_byte(exc))
-        body = text.removesuffix("\n")
-        if body.strip():
-            if body.splitlines() != [body]:
-                self.refuse(line, f"{body!r} holds a line break other than \\n")
-            if body == text:
-                self.refuse(line, f"{body!r} does not end in \\n")
-            if problem is not None and (found := problem(body, *args)) is not None:
-                self.refuse(line, found)
-        return body
+    def check(self, line: str, problem: Callable, *args) -> None:
+        """Refuse ``line`` unless blank or ``problem(line, *args)`` finds nothing wrong."""
+        if line.strip() and (found := problem(line, *args)) is not None:
+            self.refuse(line, found)
 
     def refuse(self, line: bytes | str, problem: str) -> NoReturn:
         """Raise ValueError naming the file, ``line`` and its ``problem``."""
@@ -137,23 +131,17 @@ def at_least_1(text: str) -> int:
 zero_or_one = {"0": False, "1": True}.__getitem__
 
 
-class CountTexts(dict):
-    """Count texts in UTF-8 as the writers write them, line end included,
-    each parsed once: ``str(n)`` for an n of at least 1, else ValueError."""
-
-    def __missing__(self, text: bytes) -> int:
-        n = int(text)
-        if n < 1 or text != b"%d\n" % n:
-            raise ValueError(text)
-        self[text] = n
-        return n
-
-
 class IntTexts(dict):
-    """Integer texts, each parsed once by ``written_int``."""
+    """Integer texts as the writers write them, each parsed once by
+    ``written_int``; one below ``least`` raises ValueError and is not kept."""
+
+    def __init__(self, least: float = float("-inf")):
+        self.least = least
 
     def __missing__(self, text: str) -> int:
-        self[text] = n = written_int(text)
+        if (n := written_int(text)) < self.least:
+            raise ValueError(text)
+        self[text] = n
         return n
 
 

@@ -379,7 +379,7 @@ _HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", written_int),
 
 
 def read_network(path: str | Path) -> CoocNetwork:
-    """Read a network written by ``write_network``, decoded, through
+    """Read a network written by ``write_network`` through
     ``ioutil.ArtifactLines``: header lines, each kind once, then ``NODE``
     lines, each word once, then ``EDGE`` lines in rising key order. A
     network that fails validation, or has only one of TMIN and MIMIN, is
@@ -391,7 +391,7 @@ def read_network(path: str | Path) -> CoocNetwork:
     edges: dict[tuple[str, str], float] = {}
     depth_of = IntTexts()
     last = ()  # the last EDGE line's key
-    for chunk in lines.chunks(decode=True):
+    for chunk in lines.chunks():
         for line in chunk:
             fields = line.split(" ")
             kind = fields[0]

@@ -163,10 +163,13 @@ PAIR_HEADER_RULES = {"N": ("tokens", lambda n, text: True),
                      "CROSS": ("0 or 1", lambda n, text: text in ("0", "1"))}
 
 
-def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCounts:
+def reference_read_pair_counts(path: str | Path, vocab: Vocabulary,
+                               floor: float = 0.0) -> PairCounts:
     """``read_pair_counts`` as one checking loop over the whole text, split
-    at \\n only, with no count floor: header lines, then each pair line as
-    the writer writes it and sorting after the pair line before it."""
+    at \\n only, keeping every pair: header lines, then each pair line as
+    the writer writes it and sorting after the pair line before it. A count
+    at or above ``floor`` is refused above 2K times the lower of its words'
+    frequencies, unless the header is refused after the loop."""
     path = Path(path)
     header: dict[str, int] = {}
     rows: dict[str, dict[str, int]] = {}
@@ -218,6 +221,11 @@ def reference_read_pair_counts(path: str | Path, vocab: Vocabulary) -> PairCount
                 elif before is not None and (w1, w2) < before:
                     problem = (f"pair {w1!r} {w2!r} does not sort after the pair before it, "
                                f"{before[0]!r} {before[1]!r}")
+                elif (n >= floor and "K" in header and header.get("N") == vocab.total_tokens
+                      and header.get("F", vocab.stop_threshold) == vocab.stop_threshold
+                      and n > (most := 2 * header["K"] * min(vocab.freq[w1], vocab.freq[w2]))):
+                    problem = (f"count {n} of pair {w1!r} {w2!r} is above 2K x min(f) = {most}, "
+                               "more than any stream gives")
                 else:
                     a, b = keys[w1], keys[w2]
                     rows.setdefault(a, {})[b] = n

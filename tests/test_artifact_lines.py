@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchoice.cli import main
-from lexchoice.cooc import SignificanceThresholds, write_pair_counts
+from lexchoice.cooc import SignificanceThresholds, read_pair_counts, write_pair_counts
 from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
 from lexchoice.network import build_network, read_network, write_network
 
 from conftest import significant_counts
-from oracles import random_layered_network, reference_read_network, reference_read_vocabulary
+from oracles import (random_layered_network, reference_read_network, reference_read_pair_counts,
+                     reference_read_vocabulary)
 
 MUTATIONS = ["cr", "vt", "eol", "swap", "count", "header", "byte"]
 
@@ -227,3 +228,63 @@ def test_choose_refuses_a_network_its_writer_never_writes(tmp_path, capsys, form
     assert main(["choose", "--networks", str(nets), "--candidates", "a,b",
                  "--sentence", "x/NN ____"]) == 1
     assert capsys.readouterr().err == f"error: {net}: line {line}: {problem}\n"
+
+
+# Words and pairs enough for tables longer than one 64 KB chunk.
+BIG_WORDS = [f"w{i:05}" for i in range(9000)]
+BIG_VOCAB = Vocabulary(dict.fromkeys(BIG_WORDS, 10), 90000, 800)
+CHUNK_FAULTS = ["byte", "crlf", "vt", "order"]
+
+
+def big_table_lines(table: str) -> list[str]:
+    """The lines of a large ``vocab.tsv`` or ``pairs.tsv`` over ``BIG_VOCAB``
+    as the writers write them, each ending in \\n."""
+    if table == "vocab":
+        return ["N=90000\n", "F=800\n"] + [f"{w}\t10\n" for w in BIG_WORDS]
+    return ["N=90000\n", "K=4\n"] + [f"{a}\t{b}\t3\n" for i, a in enumerate(BIG_WORDS)
+                                     for b in BIG_WORDS[i + 1:i + 3]]
+
+
+@pytest.mark.parametrize("fault", CHUNK_FAULTS)
+@pytest.mark.parametrize("table", ["vocab", "pairs"])
+def test_a_fault_in_the_second_chunk_of_a_large_table_is_refused_at_its_line(
+        tmp_path, table, fault):
+    """A table longer than one 64 KB chunk is read across the chunk bounds:
+    unfaulted, it reads as it was written; with one fault in its second
+    chunk (an undecodable byte, a \\r\\n line end, a \\x0b inside a word or
+    a line out of order), it is refused at that file line."""
+    lines = big_table_lines(table)
+    path = tmp_path / f"{table}.tsv"
+    reader = (read_vocabulary if table == "vocab"
+              else lambda path: read_pair_counts(path, BIG_VOCAB))
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.stat().st_size > 70000 > 1 << 16
+    if table == "vocab":
+        assert reader(path) == BIG_VOCAB
+    else:
+        assert reader(path).rows == reference_read_pair_counts(path, BIG_VOCAB).rows
+    i = next(i for i in range(len(lines)) if len("".join(lines[:i]).encode()) > 70000)
+    if fault == "byte":
+        data = "".join(lines).encode()
+        at = len("".join(lines[:i]).encode()) + 2
+        path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+        problem = "byte 0xe9 does not decode as UTF-8 (invalid continuation byte)"
+    else:
+        if fault == "crlf":
+            lines[i] = lines[i][:-1] + "\r\n"
+        elif fault == "vt":
+            lines[i] = lines[i][:2] + "\x0b" + lines[i][2:]
+        else:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+            i += 1
+        path.write_text("".join(lines), encoding="utf-8")
+        problem = f"{lines[i][:-1]!r} holds a line break other than \\n"
+    if fault == "order":
+        *words, _ = lines[i][:-1].split("\t")
+        *before, _ = lines[i - 1][:-1].split("\t")
+        kind = "word" if table == "vocab" else "pair"
+        problem = (f"{kind} {' '.join(map(repr, words))} does not sort after the "
+                   f"{kind} before it, {' '.join(map(repr, before))}")
+    with pytest.raises(ValueError) as refused:
+        reader(path)
+    assert str(refused.value) == f"{path}: line {i + 1}: {problem}"

@@ -267,6 +267,24 @@ def test_build_checks_its_caps_before_reading_the_table(fixture_stats, capsys):
     assert not out.exists()
 
 
+def test_build_refuses_a_count_no_stream_can_give(fixture_stats, capsys):
+    """b is counted 20 times, so at k = 4 no stream pairs it with r more
+    than 2 x 4 x 20 = 160 times: a table claiming 161 is refused at its
+    line, one claiming 160 is built."""
+    tmp_path, counts_dir = fixture_stats
+    pairs = counts_dir / "pairs.tsv"
+    text = pairs.read_text(encoding="utf-8")
+    line_no = text[:text.index("\nb\tr\t20\n")].count("\n") + 2
+    argv = ["build", "--counts", str(counts_dir), "--root", "b", "--out", str(tmp_path / "n")]
+    pairs.write_text(text.replace("\nb\tr\t20\n", "\nb\tr\t161\n"), encoding="utf-8")
+    assert run(argv, capsys) == (
+        1, "", f"error: {pairs}: line {line_no}: count 161 of pair 'b' 'r' is above "
+               "2K x min(f) = 160, more than any stream gives\n")
+    assert not (tmp_path / "n").exists()
+    pairs.write_text(text.replace("\nb\tr\t20\n", "\nb\tr\t160\n"), encoding="utf-8")
+    assert run(argv, capsys)[0] == 0
+
+
 def test_choose_rejects_a_candidate_with_a_path_separator(slash_word_stats, capsys):
     tmp_path, counts_dir = slash_word_stats
     nets = tmp_path / "nets"
@@ -356,7 +374,7 @@ def test_choose_checks_evidence_window(fixture_stats, capsys):
     assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
                 "--order", "2", "--out", str(nets)], capsys)[0] == 0
     argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
-            "--sentence", "c/NN here/RB ____"]
+            "--vocab", str(counts_dir / "vocab.tsv"), "--sentence", "c/NN here/RB ____"]
     code, stdout, _ = run(argv + ["--evidence-window", "1"], capsys)
     assert code == 0 and "baseline fallback" in stdout
     code, stdout, _ = run(argv + ["--evidence-window", "2"], capsys)
@@ -372,7 +390,7 @@ def test_choose_refuses_a_negative_top(fixture_stats, capsys):
     assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
                 "--order", "2", "--out", str(nets)], capsys)[0] == 0
     argv = ["choose", "--networks", str(nets), "--candidates", "r,b",
-            "--sentence", "c/NN a/NN b/NN ____"]
+            "--vocab", str(counts_dir / "vocab.tsv"), "--sentence", "c/NN a/NN b/NN ____"]
     code, stdout, _ = run(argv + ["--top", "0"], capsys)
     assert code == 0 and "evidence:" not in stdout and "winner: r" in stdout
     code, stdout, err = run(argv + ["--top", "-1"], capsys)
@@ -393,6 +411,23 @@ def test_choose_refuses_a_missing_vocab_file(fixture_stats, capsys):
     )
     assert code == 1 and stdout == ""
     assert err == f"error: vocabulary file not found: {missing}\n"
+
+
+def test_choose_refuses_to_run_without_a_vocabulary(fixture_stats, capsys):
+    """Without ``--vocab`` and ``<networks>/vocab.tsv`` no frequency is
+    known, so ``choose`` names the file it looked for instead of falling
+    back on frequencies of 0; with the vocabulary, the fallback is r,
+    counted 40 times to b's 20."""
+    tmp_path, counts_dir = fixture_stats
+    nets = tmp_path / "nets"
+    assert run(["build", "--counts", str(counts_dir), "--root", "r", "--root", "b",
+                "--order", "1", "--out", str(nets)], capsys)[0] == 0
+    argv = ["choose", "--networks", str(nets), "--candidates", "r,b", "--sentence", "zz/NN ____"]
+    assert run(argv, capsys) == (
+        1, "", f"error: vocabulary file not found: {nets / 'vocab.tsv'}\n")
+    (nets / "vocab.tsv").write_bytes((counts_dir / "vocab.tsv").read_bytes())
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and "winner: r (baseline fallback: most frequent candidate)" in stdout
 
 
 def test_choose_needs_two_candidates(fixture_stats, capsys):
@@ -470,7 +505,7 @@ def test_choose_json_output(fixture_stats, capsys):
          "--order", "2", "--out", str(nets)], capsys)
     code, stdout, _ = run(
         ["choose", "--networks", str(nets), "--candidates", "r,b", "--json",
-         "--sentence", "c/NN ____"],
+         "--vocab", str(counts_dir / "vocab.tsv"), "--sentence", "c/NN ____"],
         capsys,
     )
     assert code == 0

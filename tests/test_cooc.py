@@ -567,7 +567,7 @@ def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, th
 # The vocabulary of the random pair-table texts; "zz" is not in it.
 TEXT_VOCAB = Vocabulary({"ant": 5, "bee": 4, "cat": 3, "dog": 2, "eel": 1}, 15, 800)
 TEXT_PAIRS = [(w1, w2) for w1 in TEXT_VOCAB.freq for w2 in TEXT_VOCAB.freq if w1 < w2]
-TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown"]
+TEXT_FAULTS = ["repeat", "swap", "self", "count", "unknown", "excess"]
 # Counts the writer never writes; ``int`` accepts the padded ones and the
 # last four.
 BAD_COUNTS = ["0", "-3", " 7", "7 ", " 7 ", "2.5", "x", "", "+3", "03", "3_0", "\u0663"]
@@ -581,12 +581,14 @@ LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 def pair_table_texts(draw):
     """Pair-table texts over ``TEXT_VOCAB`` as the writer writes them or
     not: rows sorted, shuffled or with one w1 run split in two; repeated,
-    swapped and self pairs, bad or padded counts and unknown words; headers
+    swapped and self pairs, bad or padded counts, counts above the 2K x
+    min(f) = 8 x min(f) that a stream can give, and unknown words; headers
     missing, bad or after the rows; blank and whitespace-only lines;
     ``\n`` or ``\r\n`` line ends; and other line breaks anywhere, inside a
     word, a count or a header."""
     pairs = draw(st.lists(st.sampled_from(TEXT_PAIRS), unique=True, max_size=10))
-    rows = [[w1, w2, str(draw(st.integers(1, 30)))] for w1, w2 in pairs]
+    freq = TEXT_VOCAB.freq
+    rows = [[w1, w2, str(draw(st.integers(1, 8 * min(freq[w1], freq[w2]))))] for w1, w2 in pairs]
     for fault in draw(st.lists(st.sampled_from(TEXT_FAULTS), max_size=2)):
         if not rows:
             break
@@ -600,6 +602,8 @@ def pair_table_texts(draw):
             rows[i] = [w1, w1, count]
         elif fault == "count":
             rows[i] = [w1, w2, draw(st.sampled_from(BAD_COUNTS))]
+        elif fault == "excess":
+            rows[i] = [w1, w2, str(draw(st.integers(41, 60)))]
         else:
             rows[i] = [w1, "zz", count] if draw(st.booleans()) else ["zz", w2, count]
     order = draw(st.sampled_from(["sorted", "shuffled", "split"]))
@@ -671,15 +675,16 @@ def cut_rows(table: PairCounts, floor: float) -> dict[str, dict[str, int]]:
 @settings(max_examples=500, deadline=None)
 @given(pair_table_texts(), st.sampled_from(FLOOR_T_MINS), st.sampled_from([-1.0, 0.0, 1.0]))
 def test_a_read_with_thresholds_is_the_whole_read_cut_to_the_floor(text, t_min, mi_min):
-    """Given thresholds, the reader refuses a text with the whole read's
-    message, or returns the whole table's rows cut to the count floor, its
-    settings and floor; its significant neighbours are the whole table's."""
+    """Given thresholds, the reader refuses a text with the message of the
+    per-line reader, which checks the counts it keeps at the same floor,
+    or returns that reader's rows cut to the count floor, its settings and
+    floor; its significant neighbours are the whole table's."""
     thresholds = SignificanceThresholds(t_min, mi_min)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.tsv"
         path.write_bytes(text.encode("utf-8"))
         try:
-            whole = read_pair_counts(path, TEXT_VOCAB)
+            whole = reference_read_pair_counts(path, TEXT_VOCAB, thresholds.count_floor)
         except ValueError as exc:
             with pytest.raises(ValueError) as refused:
                 read_pair_counts(path, TEXT_VOCAB, thresholds)
@@ -790,7 +795,9 @@ def assert_reads_as_the_per_line_reader(path: Path) -> str | tuple:
     return expected
 
 
-@pytest.mark.parametrize("count", ["2", "9"])
+# Counts below and above the default floor of 4; no row's count can pass
+# 2K x min(f) = 8 for the pairs with eel.
+@pytest.mark.parametrize("count", ["2", "8"])
 @pytest.mark.parametrize("fault, place", [
     (fault, place)
     for fault in ["swap", "self", "count 0", "unknown w1", "unknown w2", "repeat", "moved",
@@ -1084,13 +1091,48 @@ def test_a_vocabulary_word_utf8_cannot_encode_is_left_out_of_a_read(tmp_path):
         read_pair_counts(path, vocab)
 
 
+@pytest.mark.parametrize("t_min, kept", [(None, True), (3.0, True), (3.5, False)])
+def test_a_count_no_stream_can_give_is_refused_where_the_read_keeps_it(tmp_path, t_min, kept):
+    """eel is counted once, so at K = 4 no stream pairs it with dog more
+    than 2 x 4 x 1 = 8 times. A count of 9 is refused at its line by a read
+    that keeps it, with no thresholds or at the floor of 9 that t_min = 3
+    gives, and dropped unchecked below the floor of 12.25 of t_min = 3.5."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text("N=15\nK=4\nant\tbee\t20\ndog\teel\t9\n")
+    thresholds = None if t_min is None else SignificanceThresholds(t_min, -1.0)
+    if kept:
+        problem = ("line 4: count 9 of pair 'dog' 'eel' is above 2K x min(f) = 8, "
+                   "more than any stream gives")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+            read_pair_counts(path, TEXT_VOCAB, thresholds)
+    else:
+        assert read_pair_counts(path, TEXT_VOCAB, thresholds).rows == {
+            "ant": {"bee": 20}, "bee": {"ant": 20}}
+
+
+@pytest.mark.parametrize("header, problem", [
+    ("N=16\nK=4", "pair counts were taken over N=16 tokens but the vocabulary has N=15"),
+    ("N=15\nK=4\nF=9", "pair counts were taken with F=9 but the vocabulary has F=800"),
+    ("N=15", "missing N=/K= header"),
+])
+def test_a_header_refused_after_the_pass_outranks_a_count_no_stream_can_give(
+        tmp_path, header, problem):
+    """Counts are held to the vocabulary only in a table whose header the
+    read accepts; another table is refused for its header, as before."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"{header}\ndog\teel\t9\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+        read_pair_counts(path, TEXT_VOCAB)
+
+
 def test_a_count_text_the_writer_never_writes_is_refused_at_every_lookup():
     """The memo of parsed count texts stores only the ones it accepts."""
-    counts = ioutil.CountTexts()
+    counts = ioutil.IntTexts(1)
     for _ in range(2):
-        with pytest.raises(ValueError):
-            counts[b"05\n"]
-    assert counts[b"5\n"] == 5 and b"05\n" not in counts
+        for text in ("05", "0"):
+            with pytest.raises(ValueError):
+                counts[text]
+    assert counts["5"] == 5 and "05" not in counts and "0" not in counts
 
 
 def test_refusing_a_large_table_at_its_last_line_does_not_hold_its_text(tmp_path):
