@@ -168,9 +168,8 @@ def cmd_choose(args: argparse.Namespace) -> int:
         nets[word] = network.read_network(path)
     # Scores of networks from different tables or settings do not compare.
     built = {w: {"N": n.total_tokens, "K": n.half_width, "CROSS": int(n.cross_sentences),
-                 "F": n.stop_threshold, "ORDER": n.max_order,
-                 "TMIN": n.thresholds and n.thresholds.t_min,
-                 "MIMIN": n.thresholds and n.thresholds.mi_min} for w, n in nets.items()}
+                 "F": n.stop_threshold, "ORDER": n.max_order, "TMIN": n.thresholds.t_min,
+                 "MIMIN": n.thresholds.mi_min} for w, n in nets.items()}
     for word in words[1:]:
         for key, value in built[word].items():
             if value != built[words[0]][key]:

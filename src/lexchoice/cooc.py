@@ -108,7 +108,8 @@ class PairView(Mapping):
 
     Reads go to the table's rows. Setting a pair sets it in both words'
     rows and drops the table's memoised significance rows, which the new
-    count could change.
+    count could change. A set that no run could count is refused: a word
+    outside the vocabulary, or a count below 1 or the table's floor.
     """
 
     __slots__ = ("_table",)
@@ -127,6 +128,10 @@ class PairView(Mapping):
         w1, w2 = key
         if not w1 < w2:
             raise ValueError(f"pair {w1!r} {w2!r} is out of order or a self-pair")
+        if w1 not in (freq := self._table.vocab.freq) or w2 not in freq:
+            raise ValueError(f"pair word {w2 if w1 in freq else w1!r} is not in the vocabulary")
+        if count < 1:
+            raise ValueError(f"count {count} is below 1")
         if count < self._table.floor:
             raise ValueError(f"count {count} is below the table's count floor {self._table.floor}")
         for a, b in ((w1, w2), (w2, w1)):

@@ -39,7 +39,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, groupby, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index as index_of, itemgetter
 from pathlib import Path
 from sys import intern
 
@@ -116,14 +116,14 @@ class TokenStream(Sequence):
     per position.
 
     It is a read-only sequence of ``Token``: ``len``, iteration and an
-    integer index give tokens made when they are read, and a slice gives
-    another stream. A written token is a copy, so a write to it does not
+    integer index give tokens made when they are read; a slice raises
+    ``TypeError``. A written token is a copy, so a write to it does not
     reach the stream; only ``apply_stop_policy`` and ``build_vocabulary``
     change a stream, and only its stop flags. ``TokenStream.of`` builds
     one from tokens, and the parsers fill one. The columns are read through
     ``surfaces``, ``tags``, ``sentence_ids`` and ``stops`` (1 for a stop
-    word), which must not be mutated. Two streams are equal when their
-    columns are; a stream is never equal to a list.
+    word), which must not be mutated. A stream equals only itself: compare
+    ``list(a) == list(b)`` for their tokens.
     """
 
     __slots__ = ("_surfaces", "_tags", "_sentence_ids", "_stops")
@@ -160,28 +160,14 @@ class TokenStream(Sequence):
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            ts = TokenStream()
-            ts._surfaces = self._surfaces[index]
-            ts._tags = self._tags[index]
-            ts._sentence_ids = self._sentence_ids[index]
-            ts._stops = self._stops[index]
-            return ts
+    def __getitem__(self, index: int) -> Token:
+        index = index_of(index)  # a slice raises TypeError, not a Token of lists
         return Token(self._surfaces[index], self._tags[index], self._sentence_ids[index],
                      self._stops[index] == 1)
 
     def __iter__(self) -> Iterator[Token]:
         return map(Token, self._surfaces, self._tags, self._sentence_ids,
                    map(bool, self._stops))
-
-    def __eq__(self, other):
-        if not isinstance(other, TokenStream):
-            return NotImplemented
-        return (self._surfaces == other._surfaces and self._tags == other._tags
-                and self._sentence_ids == other._sentence_ids and self._stops == other._stops)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"TokenStream.of({list(self)!r})"

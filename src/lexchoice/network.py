@@ -83,7 +83,7 @@ class CoocNetwork:
     edges: dict[tuple[str, str], float]
     total_tokens: int
     half_width: int
-    thresholds: SignificanceThresholds | None = None
+    thresholds: SignificanceThresholds = SignificanceThresholds()
     truncated: str | None = None
     cross_sentences: bool = False
     stop_threshold: int = DEFAULT_STOP_THRESHOLD
@@ -358,9 +358,7 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
         lines.append("CROSS 1")
     if net.stop_threshold != DEFAULT_STOP_THRESHOLD:
         lines.append(f"F {net.stop_threshold}")
-    if net.thresholds is not None:
-        lines.append(f"TMIN {net.thresholds.t_min}")
-        lines.append(f"MIMIN {net.thresholds.mi_min}")
+    lines += [f"TMIN {net.thresholds.t_min}", f"MIMIN {net.thresholds.mi_min}"]
     if net.truncated:
         lines.append(f"TRUNCATED {net.truncated}")
     lines += [f"NODE {word} {depth}"
@@ -382,9 +380,9 @@ def read_network(path: str | Path) -> CoocNetwork:
     """Read a network written by ``write_network`` through
     ``ioutil.ArtifactLines``: header lines, each kind once, then ``NODE``
     lines, each word once, then ``EDGE`` lines in rising key order. A
-    network that fails validation, or has only one of TMIN and MIMIN, is
-    refused naming the file. A missing CROSS reads as 0 and a missing F as
-    ``DEFAULT_STOP_THRESHOLD``."""
+    network that fails validation, or lacks ROOT, ORDER, N, K, TMIN or
+    MIMIN, is refused naming the file. A missing CROSS reads as 0 and a
+    missing F as ``DEFAULT_STOP_THRESHOLD``."""
     lines = ArtifactLines(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}
@@ -421,16 +419,10 @@ def read_network(path: str | Path) -> CoocNetwork:
             except ValueError:
                 problem = f"malformed {kind} line {line!r}"
             lines.refuse(line, problem)
-    path = lines.path
-    for required in ("ROOT", "ORDER", "N", "K"):
+    for required in ("ROOT", "ORDER", "N", "K", "TMIN", "MIMIN"):
         if required not in header:
-            raise ValueError(f"{path}: missing {required} header line")
-    if ("TMIN" in header) != ("MIMIN" in header):
-        raise ValueError(f"{path}: TMIN and MIMIN header lines must come together")
+            raise ValueError(f"{lines.path}: missing {required} header line")
     try:
-        thresholds = None
-        if "TMIN" in header:
-            thresholds = SignificanceThresholds(header["TMIN"], header["MIMIN"])
         return CoocNetwork(
             root=header["ROOT"],
             max_order=header["ORDER"],
@@ -438,10 +430,10 @@ def read_network(path: str | Path) -> CoocNetwork:
             edges=edges,
             total_tokens=header["N"],
             half_width=header["K"],
-            thresholds=thresholds,
+            thresholds=SignificanceThresholds(header["TMIN"], header["MIMIN"]),
             truncated=header.get("TRUNCATED"),
             cross_sentences=header.get("CROSS", False),
             stop_threshold=header.get("F", DEFAULT_STOP_THRESHOLD),
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{lines.path}: {exc}") from None

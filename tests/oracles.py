@@ -326,8 +326,9 @@ NET_HEADER_RULES = {"ROOT": str, "ORDER": written_int, "N": written_int, "K": wr
 
 def reference_read_network(path: str | Path) -> CoocNetwork:
     """``read_network`` as one loop over the whole text: header lines, each
-    kind once; then ``NODE word depth`` lines, each word once; then
-    ``EDGE w1 w2 weight`` lines, their keys rising."""
+    kind once, ROOT, ORDER, N, K, TMIN and MIMIN required; then ``NODE word
+    depth`` lines, each word once; then ``EDGE w1 w2 weight`` lines, their
+    keys rising."""
     header: dict = {}
     depths: dict[str, int] = {}
     edges: dict[tuple[str, str], float] = {}
@@ -351,14 +352,11 @@ def reference_read_network(path: str | Path) -> CoocNetwork:
         except (ValueError, KeyError):
             pass
         raise ValueError(f"{path}: line {line_no}: not a .net line as written: {line!r}")
-    if not {"ROOT", "ORDER", "N", "K"} <= set(header) or ("TMIN" in header) != ("MIMIN" in header):
+    if not {"ROOT", "ORDER", "N", "K", "TMIN", "MIMIN"} <= set(header):
         raise ValueError(f"{path}: header lines missing")
-    thresholds = None
-    if "TMIN" in header:
-        thresholds = SignificanceThresholds(header["TMIN"], header["MIMIN"])
     return CoocNetwork(header["ROOT"], header["ORDER"], depths, edges, header["N"], header["K"],
-                       thresholds, header.get("TRUNCATED"), header.get("CROSS", False),
-                       header.get("F", 800))
+                       SignificanceThresholds(header["TMIN"], header["MIMIN"]),
+                       header.get("TRUNCATED"), header.get("CROSS", False), header.get("F", 800))
 
 
 def regex_parse_slash(raw: str) -> list[Token]:
@@ -445,6 +443,14 @@ def reference_rank(cands: CandidateSet, surfaces: list[str]) -> list[ChoiceScore
         scores.append(ChoiceScore(m.word, total))
     scores.sort(key=lambda s: (-s.total, -freq[s.candidate], s.candidate))
     return scores
+
+
+def exact_mcnemar_p(b: int, c: int) -> float:
+    """The exact two-sided McNemar p of paired outcomes that disagree ``b``
+    times one way and ``c`` times the other: twice the binomial tail
+    P(X <= min(b, c)), X ~ Bin(b + c, 1/2), capped at 1 (Dietterich 1998)."""
+    n = b + c
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(min(b, c) + 1)) / 2**n)
 
 
 def random_stream(rng: random.Random, n_tokens: int, vocab_size: int = 40) -> tuple[TokenStream, CorpusConfig]:

@@ -99,7 +99,8 @@ def test_read_vocabulary_agrees_with_the_whole_text_reference(vocab, data):
 def networks(draw):
     net = random_layered_network(random.Random(draw(st.integers(0, 10**6))))
     return dataclasses.replace(
-        net, thresholds=draw(st.sampled_from([None, SignificanceThresholds(2.0, 1.5)])),
+        net, thresholds=draw(st.sampled_from([SignificanceThresholds(),
+                                              SignificanceThresholds(2.0, 1.5)])),
         truncated=draw(st.sampled_from([None, "nodes", "nodes,edges"])),
         cross_sentences=draw(st.booleans()), stop_threshold=draw(st.sampled_from([800, 9])))
 

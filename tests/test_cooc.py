@@ -533,10 +533,11 @@ STRANGERS = ["!new1", "!new2"]
 def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, threshold, k,
                                                                       cross, data):
     """A table derived at a narrower window or not, with some of its rows
-    read and some pairs set through its pair view, on words the stream never
-    held too, writes the generator writer's bytes and pair-row count. The
-    write changes neither it nor a sibling from the same record: both then
-    hold the rows of fresh tables."""
+    read, on words the stream never held too, and some pairs set through its
+    pair view, on stop words its record never held too, writes the
+    generator writer's bytes and pair-row count. The write changes neither
+    it nor a sibling from the same record: both then hold the rows of fresh
+    tables."""
     cfg = CorpusConfig(stop_threshold=threshold)
     ts = ingest(tagged_text(sents, "slash"), cfg)
     vocab = build_vocabulary(ts, cfg)
@@ -549,7 +550,8 @@ def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, th
         counts.row(word)
     edits = data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words),
                                          st.integers(1, 50))))
-    edits = [((w1, w2), n) for w1, w2, n in edits if w1 < w2]
+    edits = [((w1, w2), n) for w1, w2, n in edits
+             if w1 < w2 and w1 in vocab.freq and w2 in vocab.freq]
     for key, n in edits:
         counts.pairs[key] = n
     with tempfile.TemporaryDirectory() as tmp:
@@ -921,6 +923,22 @@ def test_pairs_view_writes_both_rows():
         counts.pairs[("c", "a")] = 1
     with pytest.raises(ValueError, match="self-pair"):
         counts.pairs[("d", "d")] = 1
+
+
+def test_a_pair_view_write_holds_a_count_a_run_could_make(tmp_path):
+    """A write naming a word outside the vocabulary, or a count below 1, is
+    refused with the reader's words and leaves the table as it was."""
+    counts = small_table({("a", "b"): 2})
+    for key, count, problem in [(("a", "zzz"), 50, "pair word 'zzz' is not in the vocabulary"),
+                                (("!x", "a"), 5, "pair word '!x' is not in the vocabulary"),
+                                (("a", "c"), 0, "count 0 is below 1"),
+                                (("a", "b"), -3, "count -3 is below 1")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            counts.pairs[key] = count
+    assert counts.rows == {"a": {"b": 2}, "b": {"a": 2}}
+    assert counts.significant_neighbors("a", SignificanceThresholds(1.0, -10)) == []
+    write_pair_counts(counts, tmp_path / "pairs.tsv")
+    assert read_pair_counts(tmp_path / "pairs.tsv", counts.vocab).rows == counts.rows
 
 
 def test_pairs_view_membership_and_length():

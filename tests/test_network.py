@@ -548,8 +548,8 @@ def test_read_network_names_file_and_line(tmp_path, where, line, problem):
         ("NODE a 1\n", "", "edge .* references a missing node"),
         ("EDGE a r 4.024922", "EDGE a r nan", "edge .* has weight nan"),
         ("EDGE a r 4.024922", "EDGE a r inf", "edge .* has weight inf"),
-        ("MIMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
-        ("TMIN 2.0\n", "", "TMIN and MIMIN header lines must come together$"),
+        ("MIMIN 2.0\n", "", "missing MIMIN header line$"),
+        ("TMIN 2.0\n", "", "missing TMIN header line$"),
         ("K 4\n", "K 0\n", r"network K 0 and N 10000 must be >= 1$"),
         ("N 10000\n", "N -16300\n", r"network K 4 and N -16300 must be >= 1$"),
     ],
