@@ -32,8 +32,9 @@ serves every window up to the one it was made at
 (``PairCounts.at_half_width``): a grid walks its training stream once.
 Each word's significant neighbours under given thresholds
 (``PairCounts.significant_neighbors``) are computed on first use and
-memoised on the table. A write through ``PairCounts.pairs`` drops them;
-the table must not be mutated any other way once queried.
+memoised on the table. A write through ``PairCounts.pairs`` drops them and,
+once every row left is counted, the record: a changed table, like a read
+one, is neither written nor narrowed. No other mutation is allowed once queried.
 
 Count floor: E > 0, so t = (f - E) / sqrt(f) < sqrt(f), and a pair whose
 count is below ``t_min**2`` can never pass the t test. A row is therefore
@@ -42,8 +43,8 @@ scored. The floor sits a relative ``COUNT_FLOOR_MARGIN`` below ``t_min**2``:
 at f = ``t_min**2`` with a tiny E, the float t can round to exactly
 ``t_min``, and such a pair passes. ``read_pair_counts`` given thresholds
 keeps only the pairs at or above their floor, and the table refuses what
-would need a pair below its ``floor``: thresholds with a lower one, a
-write, a count.
+would need a pair below its ``floor``: thresholds with a lower one, or a
+count set below it.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ class SignificanceThresholds:
 class PairView(Mapping):
     """The pairs of a table as a mapping ``(w1, w2) -> count``, w1 < w2.
 
-    Reads go to the table's rows. Setting a pair sets it in both words'
-    rows and drops the table's memoised significance rows, which the new
-    count could change. A set that no run could count is refused: a word
-    outside the vocabulary, or a count below 1 or the table's floor.
+    Reads go to the table's rows. Setting a pair counts every row left and
+    drops the occurrence record, then sets the pair in both words' rows and
+    drops the memoised significance rows. A set no run could count is
+    refused: a word outside the vocabulary, or a count below 1 or the
+    table's floor.
     """
 
     __slots__ = ("_table",)
@@ -134,12 +136,10 @@ class PairView(Mapping):
             raise ValueError(f"count {count} is below 1")
         if count < self._table.floor:
             raise ValueError(f"count {count} is below the table's count floor {self._table.floor}")
-        for a, b in ((w1, w2), (w2, w1)):
-            row = self._table.row(a)
-            if row is None:
-                self._table._rows[a] = {b: count}
-            else:
-                row[b] = count
+        rows = self._table.rows  # counted from the record before it is dropped
+        self._table._record = None
+        rows.setdefault(w1, {})[w2] = count
+        rows.setdefault(w2, {})[w1] = count
         self._table._significant.clear()
 
     def __iter__(self):
@@ -164,10 +164,10 @@ class PairView(Mapping):
 class _Occurrences(NamedTuple):
     """Where the non-stop tokens of a stream sit, as ``count_pairs`` records
     them: each token's position and surface in stream order, and each word's
-    indices into both. Unless the record was made across sentences, each
-    sentence's positions start ``half_width + 1`` further on than the
-    text's, so no window of ``half_width`` or less reaches across a sentence
-    end. Never mutated once made, so tables may share it."""
+    indices into both. Each sentence's positions start ``half_width + 1``
+    further on than the text's, so no window of ``half_width`` or less
+    reaches across a sentence end; a record made across sentences holds the
+    stream as one sentence. Never mutated once made, so tables may share it."""
 
     by_word: dict[str, list[int]]
     positions: list[int]
@@ -184,13 +184,13 @@ class PairCounts:
     count ``floor`` holds only the counts at or above it. Until its first read, a
     word's entry in ``_rows`` holds its occurrences instead of a row: its
     list in the occurrence record ``_record``, which only tables made by
-    ``count_pairs`` or ``at_half_width`` have. ``rows`` counts every row
-    left and returns them all. ``pairs`` views the same counts keyed by
-    sorted word pairs. The vocabulary alone holds the marginals and the stop
-    rule: N, each f(x) and the threshold F. The significant-neighbour rows
-    are computed on first use and memoised on the table, so once the table
-    has been queried its counts change only through ``pairs``, which drops
-    them, and its vocabulary not at all.
+    ``count_pairs`` or ``at_half_width`` have, until a write through
+    ``pairs``. ``rows`` counts every row left and returns them all. ``pairs``
+    views the same counts keyed by sorted word pairs. The vocabulary alone
+    holds the marginals and the stop rule: N, each f(x) and the threshold F.
+    The significant-neighbour rows are computed on first use and memoised on
+    the table, so once the table has been queried its counts change only
+    through ``pairs``, which drops them, and its vocabulary not at all.
     """
 
     _rows: dict[str, dict[str, int] | list[int]]
@@ -241,18 +241,23 @@ class PairCounts:
         stream, vocabulary and sentence setting, made from this table's
         occurrence record without a pass over the stream. The new table
         shares only the read-only record and counts and memoises its own
-        rows, so neither table's reads or writes reach the other. A
-        sentence-bounded record keeps windows inside their sentence only up
-        to the half-width it was made at, so a wider one is refused."""
-        record = self._record
-        if record is None:
-            raise ValueError("a pair table read from a file has no occurrence record")
+        rows, so neither table's reads or writes reach the other. A table
+        without a record is refused, and so is a half-width wider than a
+        sentence-bounded record's, whose windows would cross sentences."""
+        record = self._recorded()
         WindowConfig(half_width)  # refuses a half-width below 1
         if half_width > record.half_width and not self.cross_sentences:
             raise ValueError(f"half-width {half_width} exceeds the record's {record.half_width}: "
                              "its windows would reach across sentence ends")
         return PairCounts(dict(record.by_word), self.vocab, half_width, self.cross_sentences,
                           record)
+
+    def _recorded(self) -> _Occurrences:
+        """The occurrence record, refused for a table without one."""
+        if self._record is None:
+            raise ValueError("the pair table has no occurrence record: it was read from a file "
+                             "or changed through its pairs")
+        return self._record
 
     @property
     def rows(self) -> dict[str, dict[str, int]]:
@@ -327,14 +332,12 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
     k = window.half_width
     cross = window.cross_sentences
     keep = ts.stops.translate(_NOT_STOP)
-    if cross:
-        positions = list(compress(count(), keep))
-    else:
-        # Sentence s (from 0) moves on by (s + 1) * (k + 1) positions.
-        bounds = ts.sentence_bounds()
-        firsts = map(add, bounds, count(k + 1, k + 1))
-        ends = map(add, islice(bounds, 1, None), count(k + 1, k + 1))
-        positions = list(compress(chain.from_iterable(map(range, firsts, ends)), keep))
+    # Sentence s (from 0) moves on by (s + 1) * (k + 1) positions; across
+    # sentences, the stream is one sentence.
+    bounds = [0, len(ts)] if cross else ts.sentence_bounds()
+    firsts = map(add, bounds, count(k + 1, k + 1))
+    ends = map(add, islice(bounds, 1, None), count(k + 1, k + 1))
+    positions = list(compress(chain.from_iterable(map(range, firsts, ends)), keep))
     surfaces = list(compress(ts.surfaces, keep))
     occurrences: dict[str, list[int]] = {}
     for i, word in enumerate(surfaces):
@@ -349,32 +352,26 @@ def count_pairs(ts: TokenStream, vocab: Vocabulary, window: WindowConfig) -> Pai
 
 def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     """Write the table's header and its pair rows, one per pair with
-    w1 < w2 in sorted order, and return how many pair rows it wrote. Each w1
-    run's lines go to the file as they are made. A row not yet counted is
-    counted for them and not kept, and only its upper half is counted: in
-    sorted order, each word is masked with None in a copy of the record's
-    surfaces before its row is counted from that copy."""
-    if counts.floor:
-        raise ValueError(f"a table cut at count floor {counts.floor} cannot be written")
-    rows = counts._rows
-    record = counts._record
-    by_word, masked = ({}, None) if record is None else (record.by_word, list(record.surfaces))
+    w1 < w2 in sorted order, and return how many pair rows it wrote. Each
+    row's upper half is counted from the occurrence record, not kept, and
+    its lines go to the file as they are made: in sorted order, each word is
+    masked with None in a copy of the record's surfaces before its row is
+    counted from that copy. A table without a record, read from a file or
+    changed through ``pairs``, is refused before any file is made."""
+    record = counts._recorded()
+    masked = list(record.surfaces)
     written = 0
 
     def pieces():
         nonlocal written
         yield (f"N={counts.vocab.total_tokens}\nK={counts.half_width}\n"
                f"F={counts.vocab.stop_threshold}\nCROSS={int(counts.cross_sentences)}\n")
-        for w1 in sorted(rows):
-            for i in by_word.get(w1, ()):
+        for w1 in sorted(record.by_word):
+            occurrences = record.by_word[w1]
+            for i in occurrences:
                 masked[i] = None
-            row = rows[w1]
-            if row.__class__ is list:
-                row = counts._count_row(None, row, masked)
-                upper = sorted(row)
-            else:
-                upper = [w2 for w2 in row if w1 < w2]
-                upper.sort()
+            row = counts._count_row(None, occurrences, masked)
+            upper = sorted(row)
             written += len(upper)
             yield "".join([f"{w1}\t{w2}\t{row[w2]}\n" for w2 in upper])
 

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
 from .ioutil import (ArtifactLines, IntTexts, atomic_write_text, header_problem, written_int,
-                     written_number, zero_or_one)
+                     written_number)
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -368,12 +368,21 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _written_f(text: str) -> int:
+    """An F header value as written: never the default, which is left out."""
+    if (n := written_int(text)) == DEFAULT_STOP_THRESHOLD:
+        raise ValueError(text)
+    return n
+
+
 # The header kinds of a .net file, each with what its value means and its parser.
 _HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", written_int),
                  "N": ("tokens", written_int), "K": ("half-width", written_int),
-                 "CROSS": ("0 or 1", zero_or_one), "F": ("threshold", written_int),
+                 "CROSS": ("1", {"1": True}.__getitem__),
+                 "F": (f"threshold other than {DEFAULT_STOP_THRESHOLD}", _written_f),
                  "TMIN": ("t_min", written_number), "MIMIN": ("mi_min", written_number),
-                 "TRUNCATED": ("caps", str)}
+                 "TRUNCATED": ("nodes, edges or nodes,edges",
+                               {c: c for c in ("nodes", "edges", "nodes,edges")}.__getitem__)}
 
 
 def read_network(path: str | Path) -> CoocNetwork:
@@ -381,8 +390,10 @@ def read_network(path: str | Path) -> CoocNetwork:
     ``ioutil.ArtifactLines``: header lines, each kind once, then ``NODE``
     lines, each word once, then ``EDGE`` lines in rising key order. A
     network that fails validation, or lacks ROOT, ORDER, N, K, TMIN or
-    MIMIN, is refused naming the file. A missing CROSS reads as 0 and a
-    missing F as ``DEFAULT_STOP_THRESHOLD``."""
+    MIMIN, is refused naming the file, and a header value the writer never
+    writes (``CROSS 0``, ``F 800``, a TRUNCATED other than ``nodes``,
+    ``edges`` or ``nodes,edges``) at its line. A missing CROSS reads as 0
+    and a missing F as ``DEFAULT_STOP_THRESHOLD``."""
     lines = ArtifactLines(path)
     header: dict[str, str | int | float] = {}
     depths: dict[str, int] = {}

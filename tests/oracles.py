@@ -317,11 +317,23 @@ def reference_written_number(value: str) -> int | float:
     return number
 
 
-# Each .net header kind and the parser of its value.
+def reference_written_f(value: str) -> int:
+    """A ``.net`` F value: an integer as written, never the default 800,
+    which ``write_network`` leaves out."""
+    if value == "800":
+        raise ValueError(value)
+    return written_int(value)
+
+
+# Each .net header kind and the parser of its value, which takes only what
+# ``write_network`` writes: CROSS only as 1, and the caps that fired in the
+# order they are checked.
 NET_HEADER_RULES = {"ROOT": str, "ORDER": written_int, "N": written_int, "K": written_int,
-                    "F": written_int, "TMIN": reference_written_number,
-                    "MIMIN": reference_written_number, "TRUNCATED": str,
-                    "CROSS": lambda value: {"0": False, "1": True}[value]}
+                    "F": reference_written_f, "TMIN": reference_written_number,
+                    "MIMIN": reference_written_number,
+                    "TRUNCATED": {"nodes": "nodes", "edges": "edges",
+                                  "nodes,edges": "nodes,edges"}.__getitem__,
+                    "CROSS": {"1": True}.__getitem__}
 
 
 def reference_read_network(path: str | Path) -> CoocNetwork:
@@ -819,20 +831,19 @@ def reference_build_vocabulary(tokens: list[Token], cfg: CorpusConfig) -> Vocabu
 
 
 def reference_occurrences(tokens: list[Token], window: WindowConfig) -> _Occurrences:
-    """``count_pairs``'s occurrence record, one token at a time: a new
-    sentence id moves the positions on by ``half_width + 1`` unless the
-    window crosses sentences."""
+    """``count_pairs``'s occurrence record, one token at a time: the first
+    token and, unless the window crosses sentences, each new sentence id
+    move the positions on by ``half_width + 1``."""
     k = window.half_width
-    gap = 0 if window.cross_sentences else k + 1
     by_word: dict[str, list[int]] = {}
     positions: list[int] = []
     surfaces: list[str] = []
     offset = 0
     sentence = None
     for i, tok in enumerate(tokens):
-        if tok.sentence_id != sentence:
-            sentence = tok.sentence_id
-            offset += gap
+        if i == 0 or tok.sentence_id != sentence and not window.cross_sentences:
+            offset += k + 1
+        sentence = tok.sentence_id
         if not tok.is_stop:
             by_word.setdefault(tok.surface, []).append(len(positions))
             positions.append(i + offset)

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchoice.cli import main
-from lexchoice.cooc import SignificanceThresholds, read_pair_counts, write_pair_counts
+from lexchoice.cooc import SignificanceThresholds, read_pair_counts
 from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
 from lexchoice.network import build_network, read_network, write_network
 
 from conftest import significant_counts
 from oracles import (random_layered_network, reference_read_network, reference_read_pair_counts,
-                     reference_read_vocabulary)
+                     reference_read_vocabulary, reference_write_pair_counts)
 
 MUTATIONS = ["cr", "vt", "eol", "swap", "count", "header", "byte"]
 
@@ -127,7 +127,7 @@ def counts_dir(tmp_path: Path) -> Path:
     """A ``stats`` output directory whose table makes ``a`` and ``b`` collocates."""
     counts = significant_counts([("a", "b")])
     write_vocabulary(counts.vocab, tmp_path / "c" / "vocab.tsv")
-    write_pair_counts(counts, tmp_path / "c" / "pairs.tsv")
+    reference_write_pair_counts(counts, tmp_path / "c" / "pairs.tsv")
     return tmp_path / "c"
 
 

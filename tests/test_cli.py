@@ -16,14 +16,14 @@ from lexchoice import evaluation, network
 from lexchoice.choice import (Candidate, CandidateSet, choose, evidence_breakdown,
                               parse_gap_sentence, top_contributors)
 from lexchoice.cli import _EVALUATE_SETTINGS, build_parser, main
-from lexchoice.cooc import (SignificanceThresholds, WindowConfig, count_pairs, read_pair_counts,
-                            write_pair_counts)
+from lexchoice.cooc import SignificanceThresholds, WindowConfig, count_pairs, read_pair_counts
 from lexchoice.corpus import (CorpusConfig, Vocabulary, apply_stop_policy, build_vocabulary,
                               ingest, ingest_files, read_vocabulary, write_vocabulary)
 from lexchoice.network import NetworkCaps, build_network, read_network, write_network
 from lexchoice.synthetic import planted_corpus
 
 from conftest import from_pairs, grid_text, surfaces, tagged_sentences_of, tagged_text
+from oracles import reference_write_pair_counts
 
 FIXTURE = "r/NN a/NN\nr/NN b/NN\na/NN c/NN\n"
 
@@ -42,7 +42,7 @@ def write_star_counts(base, roots_and_counts, freq, total):
         roots_and_counts, freq=freq, total_tokens=total, half_width=4,
         stop_threshold=800,
     )
-    write_pair_counts(counts, base / "pairs.tsv")
+    reference_write_pair_counts(counts, base / "pairs.tsv")
 
 
 @pytest.fixture

@@ -45,6 +45,11 @@ from oracles import (
 )
 
 
+# What the writer and ``at_half_width`` say of a table without an occurrence record.
+NO_RECORD = re.escape("the pair table has no occurrence record: it was read from a file "
+                      "or changed through its pairs")
+
+
 def stream(text, threshold=100):
     cfg = CorpusConfig(stop_threshold=threshold)
     ts = ingest(text, cfg)
@@ -262,7 +267,8 @@ def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k
         else:
             counts.significant_neighbors(word, SignificanceThresholds(ANY_T, -math.inf))
         assert counts.row(word) == rows.get(word)
-    if expected and data.draw(st.booleans()):
+    changed = expected and data.draw(st.booleans())
+    if changed:
         key = data.draw(st.sampled_from(sorted(expected)))
         counts.pairs[key] += 1
         expected[key] += 1
@@ -279,9 +285,13 @@ def test_rows_counted_on_first_read_match_the_quadratic_oracle(seed, n_tokens, k
         else:
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "pairs.tsv"
-                write_pair_counts(counts, path)
-                text = path.read_text(encoding="utf-8")
-            assert text == sorted_key_pair_table_text(counts)
+                if changed:  # a changed table is refused and no file is made
+                    with pytest.raises(ValueError, match=NO_RECORD):
+                        write_pair_counts(counts, path)
+                    assert not path.exists()
+                else:
+                    write_pair_counts(counts, path)
+                    assert path.read_text(encoding="utf-8") == sorted_key_pair_table_text(counts)
         assert {word: counts.row(word) for word in words} == {
             word: rows.get(word) for word in words}
     assert counts.rows == rows
@@ -454,7 +464,8 @@ def test_a_table_derived_from_a_wider_record_equals_count_pairs(seed, n_tokens, 
 
 def test_tables_sharing_a_record_count_their_own_rows():
     """Forcing the record table's rows, or writing through one derived
-    table's pair view, changes no other table of the same record."""
+    table's pair view, changes no other table of the same record; the
+    changed table is no longer narrowed."""
     pc = planted_corpus()
     train = ingest(pc.train_text)
     vocab = build_vocabulary(train)
@@ -469,7 +480,9 @@ def test_tables_sharing_a_record_count_their_own_rows():
     assert sibling.rows == expected[4]
     assert record.rows == expected[10]
     assert record.at_half_width(4).rows == expected[4]
-    assert narrow.at_half_width(10).rows == expected[10]
+    assert record.at_half_width(10).rows == expected[10]
+    with pytest.raises(ValueError, match=NO_RECORD):
+        narrow.at_half_width(4)
 
 
 def test_a_record_refuses_a_wider_sentence_bounded_window(tmp_path, tiny_stream, tiny_vocab):
@@ -482,7 +495,7 @@ def test_a_record_refuses_a_wider_sentence_bounded_window(tmp_path, tiny_stream,
     assert crossed.at_half_width(5).rows == count_pairs(
         tiny_stream, tiny_vocab, WindowConfig(5, cross_sentences=True)).rows
     write_pair_counts(record, tmp_path / "pairs.tsv")
-    with pytest.raises(ValueError, match="read from a file has no occurrence record"):
+    with pytest.raises(ValueError, match=NO_RECORD):
         read_pair_counts(tmp_path / "pairs.tsv", tiny_vocab).at_half_width(4)
 
 
@@ -508,19 +521,21 @@ def test_pair_table_file_round_trip(sents, fmt, threshold, k, cross):
 @given(tagged_sentences_of(surfaces), st.sampled_from([1, 2, 800]), st.integers(1, 12),
        st.booleans(), st.booleans())
 def test_write_pair_counts_equals_the_generator_writer(sents, threshold, k, cross, read_back):
-    """The writer's bytes and pair-row count are the generator writer's, for
-    a counted table and for the same table read back in file order."""
+    """The writer's bytes and pair-row count are the generator writer's for
+    a counted table; the same table read back in file order, which has no
+    occurrence record, is refused and the file left as it was."""
     cfg = CorpusConfig(stop_threshold=threshold)
     ts = ingest(tagged_text(sents, "slash"), cfg)
     vocab = build_vocabulary(ts, cfg)
     counts = count_pairs(ts, vocab, WindowConfig(k, cross_sentences=cross))
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.tsv", Path(tmp) / "old.tsv"
-        if read_back:
-            write_pair_counts(counts, new)
-            counts = read_pair_counts(new, vocab)
         assert write_pair_counts(counts, new) == reference_write_pair_counts(counts, old)
         assert new.read_bytes() == old.read_bytes()
+        if read_back:
+            with pytest.raises(ValueError, match=NO_RECORD):
+                write_pair_counts(read_pair_counts(new, vocab), new)
+            assert new.read_bytes() == old.read_bytes()
 
 
 # Words no test stream holds: surfaces are at most three characters.
@@ -533,11 +548,11 @@ STRANGERS = ["!new1", "!new2"]
 def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, threshold, k,
                                                                       cross, data):
     """A table derived at a narrower window or not, with some of its rows
-    read, on words the stream never held too, and some pairs set through its
-    pair view, on stop words its record never held too, writes the
-    generator writer's bytes and pair-row count. The write changes neither
-    it nor a sibling from the same record: both then hold the rows of fresh
-    tables."""
+    read, on words the stream never held too, writes the generator writer's
+    bytes and pair-row count; with some pairs set through its pair view, on
+    stop words its record never held too, it is refused and makes no file.
+    Then a sibling from the same record holds a fresh table's rows, and the
+    table a fresh table's rows with the same sets."""
     cfg = CorpusConfig(stop_threshold=threshold)
     ts = ingest(tagged_text(sents, "slash"), cfg)
     vocab = build_vocabulary(ts, cfg)
@@ -556,8 +571,13 @@ def test_write_pair_counts_equals_the_generator_writer_on_a_used_table(sents, th
         counts.pairs[key] = n
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.tsv", Path(tmp) / "old.tsv"
-        assert write_pair_counts(counts, new) == reference_write_pair_counts(counts, old)
-        assert new.read_bytes() == old.read_bytes()
+        if edits:
+            with pytest.raises(ValueError, match=NO_RECORD):
+                write_pair_counts(counts, new)
+            assert not new.exists()
+        else:
+            assert write_pair_counts(counts, new) == reference_write_pair_counts(counts, old)
+            assert new.read_bytes() == old.read_bytes()
     window = WindowConfig(counts.half_width, cross_sentences=cross)
     fresh = count_pairs(ts, vocab, window)
     assert sibling.rows == fresh.rows
@@ -876,9 +896,9 @@ def test_a_vocabulary_word_holding_a_line_break_reads_as_the_per_line_reader_rea
 
 
 def test_a_table_with_a_count_floor_refuses_what_needs_a_pair_below_it(tmp_path):
-    """Thresholds with a lower floor, a write of the table and a count
-    below the floor are refused; thresholds with the same or a higher floor
-    are served."""
+    """Thresholds with a lower floor, a write of the table, which has no
+    occurrence record, and a count below the floor are refused; thresholds
+    with the same or a higher floor are served."""
     path = tmp_path / "pairs.tsv"
     path.write_text("N=15\nK=4\nant\tbee\t9\nant\tcat\t3\n")
     counts = read_pair_counts(path, TEXT_VOCAB, SignificanceThresholds(2.0, 2.0))
@@ -887,7 +907,7 @@ def test_a_table_with_a_count_floor_refuses_what_needs_a_pair_below_it(tmp_path)
         counts.significant_neighbors("ant", SignificanceThresholds(1.5, 2.0))
     for thresholds in (SignificanceThresholds(2.0, -1.0), SignificanceThresholds(3.0, 2.0)):
         counts.significant_neighbors("ant", thresholds)
-    with pytest.raises(ValueError, match=f"^a table cut at count floor {floor} cannot be written$"):
+    with pytest.raises(ValueError, match=f"^{NO_RECORD}$"):
         write_pair_counts(counts, tmp_path / "out.tsv")
     assert not (tmp_path / "out.tsv").exists()
     with pytest.raises(ValueError, match=f"^count 3 is below the table's count floor {floor}$"):
@@ -937,8 +957,46 @@ def test_a_pair_view_write_holds_a_count_a_run_could_make(tmp_path):
             counts.pairs[key] = count
     assert counts.rows == {"a": {"b": 2}, "b": {"a": 2}}
     assert counts.significant_neighbors("a", SignificanceThresholds(1.0, -10)) == []
-    write_pair_counts(counts, tmp_path / "pairs.tsv")
+    reference_write_pair_counts(counts, tmp_path / "pairs.tsv")
     assert read_pair_counts(tmp_path / "pairs.tsv", counts.vocab).rows == counts.rows
+
+
+def changed_table(count):
+    """A table counted at k = 4, where f(x, y) = 3, with that pair set to ``count``."""
+    ts, vocab = stream("x/NN y/NN z/NN w/NN x/NN y/NN")
+    counts = count_pairs(ts, vocab, WindowConfig(4))
+    assert counts.get("x", "y") == 3
+    counts.pairs[("x", "y")] = count
+    assert counts.rows == {**count_pairs(ts, vocab, WindowConfig(4)).rows,
+                           "x": {"y": count, "z": 2, "w": 2}, "y": {"x": count, "z": 2, "w": 2}}
+    return counts
+
+
+@pytest.mark.parametrize("count", [2.5, 17])
+def test_a_table_changed_through_its_pairs_is_not_written(tmp_path, count):
+    """A set count no stream gives (not an integer, or above 2K x min(f) =
+    16) is refused by the writer before any file is made."""
+    counts = changed_table(count)
+    with pytest.raises(ValueError, match=f"^{NO_RECORD}$"):
+        write_pair_counts(counts, tmp_path / "pairs.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_table_changed_through_its_pairs_is_not_narrowed():
+    """No narrowing of a changed table hands back the count a set replaced."""
+    counts = changed_table(99)
+    assert counts.get("x", "y") == counts.get("y", "x") == 99
+    with pytest.raises(ValueError, match=f"^{NO_RECORD}$"):
+        counts.at_half_width(4)
+
+
+def test_a_table_read_from_a_file_is_not_written(tmp_path, tiny_stream, tiny_vocab):
+    write_pair_counts(count_pairs(tiny_stream, tiny_vocab, WindowConfig(4)),
+                      tmp_path / "pairs.tsv")
+    again = read_pair_counts(tmp_path / "pairs.tsv", tiny_vocab)
+    with pytest.raises(ValueError, match=f"^{NO_RECORD}$"):
+        write_pair_counts(again, tmp_path / "out" / "pairs.tsv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_pairs_view_membership_and_length():

@@ -489,7 +489,7 @@ def test_sentence_setting_and_stop_threshold_travel_with_the_network(tmp_path):
                                                    "TMIN 2.0", "MIMIN 2.0"]
         assert read_network(tmp_path / f"{name}.net") == net
     path = tmp_path / "other.net"
-    for new, problem in (("CROSS 2", "line 5: expected 'CROSS <0 or 1>', got 'CROSS 2'"),
+    for new, problem in (("CROSS 2", "line 5: expected 'CROSS <1>', got 'CROSS 2'"),
                          ("F 0", "network F 0 must be >= 1")):
         path.write_text((tmp_path / "default.net").read_text().replace("K 4\n", f"K 4\n{new}\n"))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
@@ -509,7 +509,7 @@ def test_truncation_flag_survives_roundtrip(tmp_path):
     [
         ("end", "NODE widget", "malformed NODE line 'NODE widget'"),
         ("end", "EDGE a r x6.627839", "malformed EDGE line 'EDGE a r x6.627839'"),
-        ("header", "F two", "expected 'F <threshold>', got 'F two'"),
+        ("header", "F two", "expected 'F <threshold other than 800>', got 'F two'"),
         ("header", "WEIGHT 3", "unknown header key 'WEIGHT'"),
         ("header", "ORDER 5", "header key ORDER repeats an earlier line"),
         ("header", "N 7", "header key N repeats an earlier line"),
@@ -521,13 +521,20 @@ def test_truncation_flag_survives_roundtrip(tmp_path):
         ("end", "NODE b 1", "NODE line after the first EDGE line"),
         ("end", "ORDER 5", "header line ORDER after the first NODE or EDGE line"),
         ("header", "TRUNCATED nodes edges",
-         "expected 'TRUNCATED <caps>', got 'TRUNCATED nodes edges'"),
-        ("header", "CROSS 01", "expected 'CROSS <0 or 1>', got 'CROSS 01'"),
+         "expected 'TRUNCATED <nodes, edges or nodes,edges>', got 'TRUNCATED nodes edges'"),
+        ("header", "CROSS 01", "expected 'CROSS <1>', got 'CROSS 01'"),
+        ("header", "CROSS 0", "expected 'CROSS <1>', got 'CROSS 0'"),
+        ("header", "F 800", "expected 'F <threshold other than 800>', got 'F 800'"),
+        ("header", "TRUNCATED banana",
+         "expected 'TRUNCATED <nodes, edges or nodes,edges>', got 'TRUNCATED banana'"),
+        ("header", "TRUNCATED edges,nodes",
+         "expected 'TRUNCATED <nodes, edges or nodes,edges>', got 'TRUNCATED edges,nodes'"),
     ],
     ids=["node-without-depth", "edge-weight", "header-value", "unknown-kind", "repeated-order",
          "repeated-total", "repeated-tmin", "repeated-node", "node-at-other-depth",
          "repeated-edge", "edge-out-of-order", "node-after-edges", "header-after-nodes",
-         "header-value-with-a-space", "cross-not-as-written"],
+         "header-value-with-a-space", "cross-not-as-written", "cross-zero", "default-f",
+         "truncated-unknown", "truncated-out-of-order"],
 )
 def test_read_network_names_file_and_line(tmp_path, where, line, problem):
     """A bad header line is put among the header lines, any other after the last line."""

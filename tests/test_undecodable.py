@@ -6,12 +6,13 @@ import re
 import pytest
 
 from lexchoice.cli import main
-from lexchoice.cooc import read_pair_counts, write_pair_counts
+from lexchoice.cooc import read_pair_counts
 from lexchoice.corpus import (CorpusConfig, CorpusFormatError, Vocabulary, ingest_files,
                               read_vocabulary, write_vocabulary)
 from lexchoice.network import build_network, read_network, write_network
 
 from conftest import significant_counts
+from oracles import reference_write_pair_counts
 
 BAD_BYTE = "byte 0xe9 does not decode as UTF-8 (invalid continuation byte)"
 
@@ -49,7 +50,7 @@ def test_read_vocabulary_names_the_line(tmp_path):
 def test_read_pair_counts_names_the_line(tmp_path):
     counts = significant_counts([("a", "b"), ("b", "c")])
     path = tmp_path / "pairs.tsv"
-    write_pair_counts(counts, path)
+    reference_write_pair_counts(counts, path)
     line = append_bad_line(path, b"a\t\xe9x\t3")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: {BAD_BYTE}')}$"):
         read_pair_counts(path, counts.vocab)
