@@ -92,9 +92,9 @@ def _read_corpus(paths: list[str], cfg: corpus.CorpusConfig) -> corpus.TokenStre
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = corpus.CorpusConfig(format=args.format, stop_threshold=args.max_freq)
+    window = cooc.WindowConfig(args.window, args.cross_sentences)
     stream = _read_corpus(args.corpus, cfg)
     vocab = corpus.build_vocabulary(stream, cfg)
-    window = cooc.WindowConfig(args.window, args.cross_sentences)
     counts = cooc.count_pairs(stream, vocab, window)
     out = Path(args.out)
     corpus.write_vocabulary(vocab, out / "vocab.tsv")
@@ -131,6 +131,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             raise CliError(f"root {root!r} is listed twice")
         names[root] = _network_file_name(root)
     thresholds = cooc.SignificanceThresholds(args.t_min, args.mi_min)
+    network.check_growth(thresholds, args.order)
     caps = network.NetworkCaps(args.max_nodes, args.max_edges)
     counts = _load_counts(args.counts, thresholds)
     out = Path(args.out)
@@ -153,6 +154,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_choose(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise CliError(f"--top must be a non-negative integer, got {args.top}")
+    choice.check_evidence_window(args.evidence_window)
     if not args.candidates:
         raise CliError("choose needs its candidates: --candidates a,b or --candidate a "
                        "--candidate b")
@@ -292,6 +294,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     thresholds = cooc.SignificanceThresholds(values["t_min"], values["mi_min"])
     caps = network.NetworkCaps(values["max_nodes"], values["max_edges"])
     set_defs = _set_definitions(config.get("sets"))
+    evaluation.check_grid(set_defs, values["windows"], values["orders"], thresholds,
+                          values["evidence_window"])
 
     cfg = corpus.CorpusConfig(format=values["format"], stop_threshold=values["max_freq"])
     train_ts = _read_corpus(values["train_corpus"], cfg)

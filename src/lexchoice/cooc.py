@@ -60,8 +60,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import TokenStream, Vocabulary, check_stream
-from .ioutil import (ArtifactLines, IntTexts, at_least_1, atomic_write_text, header_problem,
-                     written_int, zero_or_one)
+from .ioutil import ArtifactLines, IntTexts, atomic_write_text, header_problem
 
 
 # Relative slack under t_min**2 for the count floor: far above the few ulps
@@ -379,9 +378,10 @@ def write_pair_counts(counts: PairCounts, path: str | Path) -> int:
     return written
 
 
-# The header keys of a pair table, each with what its value means and its parser.
-_PAIR_HEADER = {"N": ("tokens", written_int), "K": ("half-width >= 1", at_least_1),
-                "F": ("threshold >= 1", at_least_1), "CROSS": ("0 or 1", zero_or_one)}
+# Each pair-table header key: its meaning, its reading, its values' test (``header_problem``).
+_PAIR_HEADER = {"N": ("tokens", int, None), "K": ("half-width >= 1", int, lambda n: n >= 1),
+                "F": ("threshold >= 1", int, lambda n: n >= 1),
+                "CROSS": ("0 or 1", int, {0, 1}.__contains__)}
 
 
 def read_pair_counts(path: str | Path, vocab: Vocabulary,

@@ -43,8 +43,7 @@ from operator import attrgetter, index as index_of, itemgetter
 from pathlib import Path
 from sys import intern
 
-from .ioutil import (ArtifactLines, IntTexts, at_least_1, atomic_write_text, bad_byte,
-                     header_problem, written_int)
+from .ioutil import ArtifactLines, IntTexts, atomic_write_text, bad_byte, header_problem
 
 # Penn-Treebank-style defaults: numbers, symbols/punctuation, proper nouns.
 DEFAULT_STOP_TAGS = frozenset(
@@ -404,8 +403,8 @@ def _row_problem(text: str, header: dict[str, int], last: str) -> str | None:
     """What is wrong with a vocabulary line's text after the row of word
     ``last`` ("" before any); None for a good header line, filed under ``header``."""
     if "=" in text and "\t" not in text:
-        return header_problem(text, header,
-                              {"N": ("tokens", written_int), "F": ("threshold", at_least_1)},
+        return header_problem(text, header, {"N": ("tokens", int, None),
+                                             "F": ("threshold", int, lambda n: n >= 1)},
                               after="row" if last else None)
     word, *count = text.split("\t")
     if len(count) == 1 and word.split() != [word]:

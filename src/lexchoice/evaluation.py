@@ -24,7 +24,8 @@ from .cooc import _NOT_STOP, SignificanceThresholds, WindowConfig, count_pairs
 from .corpus import TokenStream, Vocabulary, check_stream
 # ``build_network`` stays importable here for profilers that wrap
 # ``evaluation.build_network``; ``run_grid`` calls ``scoring_network``.
-from .network import InvalidRootError, NetworkCaps, build_network, scoring_network  # noqa: F401
+from .network import (InvalidRootError, NetworkCaps, build_network,  # noqa: F401
+                      check_growth, scoring_network)
 
 # Critical value for one degree of freedom at the 5% level.
 CHI2_5PCT_CRITICAL = 3.841
@@ -201,6 +202,28 @@ def grid_cells(windows: list[int], orders: list[int]) -> list[tuple[int, int]]:
     return [(k, d) for k in windows for d in orders if not (k == 50 and d == 3)]
 
 
+def check_grid(set_defs: list[SetDefinition], windows: list[int], orders: list[int],
+               thresholds: SignificanceThresholds, evidence_window: int | None) -> None:
+    """Refuse a window, an order or a set id listed twice, whose cells or
+    columns would be one, a window below 1, what ``check_growth`` refuses, a
+    negative evidence window, and windows and orders that leave no cell."""
+    for name, values in (("windows", windows), ("orders", orders)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} must be a list of distinct integers, "
+                             f"got {repeated[0]} twice in {values!r}")
+    set_ids = [sdef.set_id for sdef in set_defs]
+    repeated = [s for i, s in enumerate(set_ids) if s in set_ids[:i]]
+    if repeated:
+        raise ValueError(f"set ids must be distinct, got {repeated[0]!r} twice")
+    WindowConfig(min(windows, default=1))  # refuses a half-width below 1
+    check_growth(thresholds, min(orders, default=0))
+    check_evidence_window(evidence_window)
+    if not grid_cells(windows, orders):
+        raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
+                         "evaluate (window 50 has no order 3)")
+
+
 def run_grid(
     train_ts: TokenStream,
     train_vocab: Vocabulary,
@@ -230,23 +253,14 @@ def run_grid(
     queried read-only across all of a cell's instances, and an outcome
     keeps only each candidate's total.
 
-    A window, an order or a set id listed twice is refused before any
-    counting: the cells or the columns it names would be one. So is a
-    negative evidence window, and so is a member that cannot root a network
-    (``InvalidRootError``): one absent from training or counted more than F
-    times. Either stream, if not a ``TokenStream``, raises ``TypeError``.
+    Settings ``check_grid`` refuses are refused before any counting, and so
+    is a member that cannot root a network (``InvalidRootError``): one
+    absent from training or counted more than F times. Either stream, if
+    not a ``TokenStream``, raises ``TypeError``.
     """
     check_stream(train_ts)
     check_stream(heldout_ts)
-    for name, values in (("windows", windows), ("orders", orders)):
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ValueError(f"{name} must be a list of distinct integers, "
-                             f"got {repeated[0]} twice in {values!r}")
-    set_ids = [sdef.set_id for sdef in set_defs]
-    repeated = [s for i, s in enumerate(set_ids) if s in set_ids[:i]]
-    if repeated:
-        raise ValueError(f"set ids must be distinct, got {repeated[0]!r} twice")
+    check_grid(set_defs, windows, orders, thresholds, evidence_window)
     for sdef in set_defs:
         for word in sdef.members:
             count = train_vocab.freq.get(word, 0)
@@ -254,10 +268,6 @@ def run_grid(
                 why = "absent from training" if count == 0 else "a stop word"
                 raise InvalidRootError(f"set {sdef.set_id!r}: member {word!r} is {why} "
                                        f"(count {count}, F = {train_vocab.stop_threshold})")
-    order_cells = grid_cells(windows, orders)
-    if not order_cells:
-        raise ValueError(f"windows {windows} and orders {orders} leave no grid cell to "
-                         "evaluate (window 50 has no order 3)")
     instances = extract_instances(heldout_ts, set_defs, evidence_window)
     for sdef in set_defs:
         if not instances[sdef.set_id]:
@@ -266,6 +276,7 @@ def run_grid(
                 "in the held-out corpus"
             )
 
+    order_cells = grid_cells(windows, orders)
     record = count_pairs(train_ts, train_vocab,
                          WindowConfig(max(k for k, _ in order_cells), cross_sentences))
     cells = []

@@ -1,7 +1,7 @@
 """The artifact layer: write-to-temp plus atomic rename, so concurrent
 invocations never observe half-written artifacts, and the one reader of an
 artifact's lines, decoded and held to the line rules 64 KB at a time, with
-the parsers of header lines and their values. Its message for a byte that
+the one rule for header lines and their values. Its message for a byte that
 does not decode as UTF-8 is shared with the corpus reader."""
 
 from __future__ import annotations
@@ -81,12 +81,15 @@ class ArtifactLines:
         raise ValueError(f"{self.path}: line {number}: {problem}") from None
 
 
-def header_problem(text: str, header: dict, rules: dict[str, tuple[str, Callable]],
+def header_problem(text: str, header: dict, rules: dict[str, tuple],
                    sep: str = "=", after: str | None = None) -> str | None:
     """What is wrong with the header line ``text``, ``KEY<sep>value``, or None
-    once its value is filed under ``header``. ``rules`` give each key what its
-    value means and its parser, which raises ValueError or KeyError for a bad
-    one. A key comes once, and none after the first row, of kind ``after``."""
+    once its value is filed under ``header``. ``rules`` give each key what
+    its value means, what it is read as (``int``, ``number`` or ``str``) and
+    the test of the values it may take, None for any. A value is taken only
+    as its writer writes it, ``str`` of what it reads as, and only if its
+    test passes. A key comes once, and none after the first row, of kind
+    ``after``."""
     key, _, value = text.partition(sep)
     shown = key + sep.strip()
     if after is not None:
@@ -95,51 +98,32 @@ def header_problem(text: str, header: dict, rules: dict[str, tuple[str, Callable
         return f"unknown header key {key!r}"
     if key in header:
         return f"header key {shown} repeats an earlier line"
-    meaning, parse = rules[key]
+    meaning, read, allowed = rules[key]
     try:
-        if not value or sep in value:
+        x = read(value)
+        if not value or sep in value or str(x) != value or allowed is not None and not allowed(x):
             raise ValueError(value)
-        header[key] = parse(value)
-    except (ValueError, KeyError):
+    except ValueError:
         return f"expected '{key}{sep}<{meaning}>', got {text!r}"
+    header[key] = x
     return None
 
 
-def written_int(text: str) -> int:
-    """An integer as the writers write it, ``str(n)``, else ValueError: so no
-    plus sign, leading zero, space or underscore."""
-    if text != str(n := int(text)):
-        raise ValueError(text)
-    return n
-
-
-def written_number(text: str) -> int | float:
-    """An int or a float as the writers write it, ``str(x)``, else ValueError."""
-    if text != str(x := int(text) if text.lstrip("-").isdigit() else float(text)):
-        raise ValueError(text)
-    return x
-
-
-def at_least_1(text: str) -> int:
-    """A header value: an integer of at least 1, written as ``str(n)``."""
-    if (n := written_int(text)) < 1:
-        raise ValueError(text)
-    return n
-
-
-# A header value: 0 or 1, as written.
-zero_or_one = {"0": False, "1": True}.__getitem__
+def number(text: str) -> int | float:
+    """An int, or else a float: what a threshold header value reads as."""
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 class IntTexts(dict):
-    """Integer texts as the writers write them, each parsed once by
-    ``written_int``; one below ``least`` raises ValueError and is not kept."""
+    """Integer texts as the writers write them, ``str(n)``, each parsed
+    once; one written otherwise or below ``least`` raises ValueError and is
+    not kept."""
 
     def __init__(self, least: float = float("-inf")):
         self.least = least
 
     def __missing__(self, text: str) -> int:
-        if (n := written_int(text)) < self.least:
+        if text != str(n := int(text)) or n < self.least:
             raise ValueError(text)
         self[text] = n
         return n

@@ -46,8 +46,7 @@ from typing import NamedTuple
 
 from .cooc import PairCounts, SignificanceThresholds
 from .corpus import DEFAULT_STOP_THRESHOLD
-from .ioutil import (ArtifactLines, IntTexts, atomic_write_text, header_problem, written_int,
-                     written_number)
+from .ioutil import ArtifactLines, IntTexts, atomic_write_text, header_problem, number
 
 # Edge weights are stored at this precision so the text format round-trips.
 WEIGHT_DECIMALS = 6
@@ -156,6 +155,16 @@ class CoocNetwork:
         return self._scores
 
 
+def check_growth(thresholds: SignificanceThresholds, max_order: int) -> None:
+    """Refuse an order below 0, and a ``t_min`` below the edge weight
+    precision, which would admit edges whose weight is stored as 0."""
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    if thresholds.t_min < 10**-WEIGHT_DECIMALS:
+        raise ValueError(f"t_min {thresholds.t_min} is below the edge weight precision "
+                         f"1e-{WEIGHT_DECIMALS}")
+
+
 def _grow(
     root: str,
     counts: PairCounts,
@@ -163,7 +172,7 @@ def _grow(
     max_order: int,
     caps: NetworkCaps,
 ) -> tuple[dict[str, int], list[str]]:
-    """Check the root, the order and the thresholds, then grow ``root``'s
+    """Check the settings (``check_growth``) and the root, then grow ``root``'s
     nodes breadth-first: ``(depths, truncated)``, ``truncated`` being
     ``["nodes"]`` when the node cap ended growth and empty otherwise.
 
@@ -174,14 +183,7 @@ def _grow(
     grows from: never one at depth ``max_order`` or in the layer where the
     node cap fills.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    if thresholds.t_min < 10**-WEIGHT_DECIMALS:
-        # A t-score below half the weight precision would be stored as 0.
-        raise ValueError(
-            f"t_min {thresholds.t_min} is below the edge weight precision "
-            f"1e-{WEIGHT_DECIMALS}"
-        )
+    check_growth(thresholds, max_order)
     vocab = counts.vocab
     if root not in vocab.freq:
         raise InvalidRootError(f"root word {root!r} is not in the vocabulary")
@@ -368,21 +370,16 @@ def write_network(net: CoocNetwork, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _written_f(text: str) -> int:
-    """An F header value as written: never the default, which is left out."""
-    if (n := written_int(text)) == DEFAULT_STOP_THRESHOLD:
-        raise ValueError(text)
-    return n
-
-
-# The header kinds of a .net file, each with what its value means and its parser.
-_HEADER_KINDS = {"ROOT": ("word", str), "ORDER": ("order", written_int),
-                 "N": ("tokens", written_int), "K": ("half-width", written_int),
-                 "CROSS": ("1", {"1": True}.__getitem__),
-                 "F": (f"threshold other than {DEFAULT_STOP_THRESHOLD}", _written_f),
-                 "TMIN": ("t_min", written_number), "MIMIN": ("mi_min", written_number),
-                 "TRUNCATED": ("nodes, edges or nodes,edges",
-                               {c: c for c in ("nodes", "edges", "nodes,edges")}.__getitem__)}
+# Each .net header kind: its meaning, its reading, its values' test (``header_problem``);
+# CROSS and F are never the defaults, which the writer leaves out.
+_HEADER_KINDS = {"ROOT": ("word", str, None), "ORDER": ("order", int, None),
+                 "N": ("tokens", int, None), "K": ("half-width", int, None),
+                 "CROSS": ("1", int, lambda n: n == 1),
+                 "F": (f"threshold other than {DEFAULT_STOP_THRESHOLD}", int,
+                       lambda n: n != DEFAULT_STOP_THRESHOLD),
+                 "TMIN": ("t_min", number, None), "MIMIN": ("mi_min", number, None),
+                 "TRUNCATED": ("nodes, edges or nodes,edges", str,
+                               {"nodes", "edges", "nodes,edges"}.__contains__)}
 
 
 def read_network(path: str | Path) -> CoocNetwork:
@@ -443,7 +440,7 @@ def read_network(path: str | Path) -> CoocNetwork:
             half_width=header["K"],
             thresholds=SignificanceThresholds(header["TMIN"], header["MIMIN"]),
             truncated=header.get("TRUNCATED"),
-            cross_sentences=header.get("CROSS", False),
+            cross_sentences=bool(header.get("CROSS", 0)),
             stop_threshold=header.get("F", DEFAULT_STOP_THRESHOLD),
         )
     except ValueError as exc:

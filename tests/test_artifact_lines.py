@@ -15,7 +15,7 @@ from lexchoice.cooc import SignificanceThresholds, read_pair_counts
 from lexchoice.corpus import Vocabulary, read_vocabulary, write_vocabulary
 from lexchoice.network import build_network, read_network, write_network
 
-from conftest import significant_counts
+from conftest import from_pairs, significant_counts
 from oracles import (random_layered_network, reference_read_network, reference_read_pair_counts,
                      reference_read_vocabulary, reference_write_pair_counts)
 
@@ -121,6 +121,83 @@ def test_read_network_agrees_with_the_whole_text_reference(net, data):
                    if line.startswith(("ORDER ", "N ", "K ", "F ", "TMIN ", "MIMIN "))]
         path.write_bytes(mutate(data.draw, lines, rows, " ", 1, numbers))
         assert outcome(read_network, path) == outcome(reference_read_network, path)
+
+
+# Each script's digits 0-9 other than ASCII's, which ``int`` and ``float``
+# read but no writer writes.
+OTHER_DIGITS = ["\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # full-width
+                "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+                "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f"]  # Devanagari
+
+
+@st.composite
+def header_values(draw, value: str) -> str:
+    """A text in place of the header value ``value``: the value, a form of
+    it that no writer writes (a sign, leading zeros, an ``_``, other
+    digits, a decimal or exponent form, spaces), or another value, written
+    or not (``nan``, ``True``, a word, ...)."""
+    at = draw(st.integers(0, len(value)))
+    digits = str.maketrans("0123456789", draw(st.sampled_from(OTHER_DIGITS)))
+    forms = [value, "+" + value, "-" + value, "0" + value, "00" + value,
+             value[:at] + "_" + value[at:], value + ".0", value + "e0", value + "E+00",
+             value.translate(digits), " " + value, value + " ", "",
+             "0", "1", "-1", "-0", "0.0", "2", "800", "1e3", "1e-07", "2.5",
+             "nan", "NaN", "inf", "-inf", "Infinity", "True", "False",
+             "nodes", "edges", "nodes,edges", "edges,nodes"]
+    return draw(st.sampled_from(forms) | WORDS)
+
+
+def with_header_value(draw, path: Path, sep: str, headers: list[int]) -> None:
+    """Rewrite ``path`` with the value of one of its header lines, those at
+    ``headers``, swapped for a ``header_values`` text."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = draw(st.sampled_from(headers))
+    key, _, value = lines[i][:-1].partition(sep)
+    lines[i] = key + sep + draw(header_values(value)) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def pair_table_reader(reader, vocab: Vocabulary):
+    """``reader`` of a pair table under ``vocab``, giving its rows and settings."""
+    def read(path: Path):
+        table = reader(path, vocab)
+        return table.rows, table.half_width, table.cross_sentences
+    return read
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["vocab", "pairs", "net"]), networks(), st.sampled_from([1, 4, 10]),
+       st.sampled_from([1, 7, 800]), st.booleans(), st.data())
+def test_every_header_value_is_read_as_the_whole_text_reference_reads_it(
+        artifact, net, k, f, cross, data):
+    """With one header value of a written artifact swapped for another
+    text, under any key of ``vocab.tsv``, ``pairs.tsv`` or a ``.net`` file,
+    the reader and its whole-text reference read the same thing or refuse
+    the file at the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / artifact
+        if artifact == "net":
+            net = dataclasses.replace(net, cross_sentences=cross, stop_threshold=f,
+                                      truncated=data.draw(st.sampled_from(
+                                          [None, "nodes", "edges", "nodes,edges"])))
+            write_network(net, path)
+            readers = read_network, reference_read_network
+            sep = " "
+        else:
+            counts = from_pairs({("a", "b"): 3, ("a", "c"): 1}, {"a": 10, "b": 10, "c": 10},
+                                1000, k, cross, f)
+            if artifact == "vocab":
+                write_vocabulary(counts.vocab, path)
+                readers = read_vocabulary, reference_read_vocabulary
+            else:
+                reference_write_pair_counts(counts, path)
+                readers = (pair_table_reader(read_pair_counts, counts.vocab),
+                           pair_table_reader(reference_read_pair_counts, counts.vocab))
+            sep = "="
+        headers = [i for i, line in enumerate(path.read_text(encoding="utf-8").splitlines())
+                   if not line.startswith(("NODE ", "EDGE ")) and "\t" not in line]
+        with_header_value(data.draw, path, sep, headers)
+        assert outcome(readers[0], path) == outcome(readers[1], path)
 
 
 def counts_dir(tmp_path: Path) -> Path:

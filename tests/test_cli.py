@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lexchoice import evaluation, network
+from lexchoice import corpus, evaluation, network
 from lexchoice.choice import (Candidate, CandidateSet, choose, evidence_breakdown,
                               parse_gap_sentence, top_contributors)
 from lexchoice.cli import _EVALUATE_SETTINGS, build_parser, main
@@ -265,6 +265,31 @@ def test_build_checks_its_caps_before_reading_the_table(fixture_stats, capsys):
     )
     assert (code, stdout, err) == (1, "", "error: caps must allow at least the root node\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["stats", "--corpus", "{in}/corpus.tag", "--window", "0", "--out", "{in}/out"],
+         "window half_width must be >= 1"),
+        (["build", "--counts", "{in}", "--root", "a", "--order", "-1", "--out", "{in}/out"],
+         "max_order must be >= 0"),
+        (["build", "--counts", "{in}", "--root", "a", "--t-min", "1e-9", "--out", "{in}/out"],
+         "t_min 1e-09 is below the edge weight precision 1e-6"),
+        (["choose", "--networks", "{in}", "--candidates", "a,b", "--sentence", "x/NN ____",
+          "--evidence-window", "-1"], "evidence_window must be non-negative, got -1"),
+    ],
+    ids=["stats-window", "build-order", "build-t-min", "choose-evidence-window"],
+)
+def test_a_flag_no_run_can_use_is_refused_before_any_file_is_read(tmp_path, capsys, argv,
+                                                                   problem):
+    """The corpus and the network files are missing and the tables are not
+    tables, so the flag's own error shows only if it is checked first."""
+    for name in ("vocab.tsv", "pairs.tsv"):
+        (tmp_path / name).write_text("not a table\n")
+    argv = [arg.replace("{in}", str(tmp_path)) for arg in argv]
+    assert run(argv, capsys) == (1, "", f"error: {problem}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_refuses_a_count_no_stream_can_give(fixture_stats, capsys):
@@ -887,6 +912,32 @@ def test_evaluate_refuses_a_repeated_window_flag(tmp_path, capsys):
                        capsys)
     assert code == 1
     assert err.startswith("error: windows must be a list of distinct integers, got 4 twice")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (["--window", "4", "--window", "4"],
+         "windows must be a list of distinct integers, got 4 twice in [4, 4]"),
+        (["--window", "0"], "window half_width must be >= 1"),
+        (["--order", "-1"], "max_order must be >= 0"),
+        (["--t-min", "1e-9"], "t_min 1e-09 is below the edge weight precision 1e-6"),
+        (["--evidence-window", "-1"], "evidence_window must be non-negative, got -1"),
+        (["--window", "50", "--order", "3"],
+         "windows [50] and orders [3] leave no grid cell to evaluate (window 50 has no order 3)"),
+    ],
+    ids=["repeated-window", "window", "order", "t-min", "evidence-window", "no-cell"],
+)
+def test_evaluate_checks_its_grid_before_reading_a_corpus(tmp_path, capsys, monkeypatch, flags,
+                                                          problem):
+    def no_reading(*args):
+        raise AssertionError("corpus read")
+
+    monkeypatch.setattr(corpus, "ingest_files", no_reading)
+    cfg_path, _ = evaluate_config(tmp_path)
+    code, stdout, err = run(["evaluate", "--config", str(cfg_path)] + flags, capsys)
+    assert (code, stdout, err) == (1, "", f"error: {problem}\n")
     assert not (tmp_path / "report").exists()
 
 

@@ -338,6 +338,30 @@ def test_run_grid_refuses_repeats_before_counting(monkeypatch, set_ids, windows,
 
 
 @pytest.mark.parametrize(
+    "windows, orders, t_min, problem",
+    [
+        ([4, 0], [1], 2.0, "window half_width must be >= 1"),
+        ([4], [1, -1], 2.0, "max_order must be >= 0"),
+        ([4], [1], 1e-9, "t_min 1e-09 is below the edge weight precision 1e-6"),
+    ],
+    ids=["window", "order", "t-min"],
+)
+def test_run_grid_refuses_a_setting_no_cell_can_use_before_counting(monkeypatch, windows, orders,
+                                                                    t_min, problem):
+    """A setting that would fail at a later cell is refused before the
+    training stream is walked, so no earlier cell is judged in vain."""
+    def no_counting(*args):
+        raise AssertionError("count_pairs called")
+
+    monkeypatch.setattr(evaluation, "count_pairs", no_counting)
+    pc = planted_corpus()
+    train = ingest(pc.train_text)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        run_grid(train, build_vocabulary(train), ingest(pc.heldout_text), [pc.set_def], windows,
+                 orders, SignificanceThresholds(t_min, 2.0))
+
+
+@pytest.mark.parametrize(
     "members, max_freq, problem",
     [
         (["widget", "doohickey"], 800,
